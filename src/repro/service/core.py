@@ -84,10 +84,14 @@ from repro.optimizer.api import (
 )
 from repro.plan.jointree import JoinTree
 from repro.service.cache import CacheEntry, PlanCache
-from repro.service.executor import EXECUTORS, ProcessPoolExecutor
+from repro.service.executor import (
+    EXECUTORS,
+    ProcessPoolExecutor,
+    annotate_enumerate,
+)
 from repro.service.faults import FaultInjector
 from repro.service.metrics import ServiceMetrics
-from repro.service.tracing import NULL_TRACE, Trace, Tracer, TraceStore
+from repro.service.tracing import Trace, Tracer, TraceStore
 from repro.service.resilience import (
     CircuitBreaker,
     ResilienceConfig,
@@ -266,23 +270,39 @@ def _rebind_plan(
 
 
 @dataclass
-class _PreparedJob:
-    """One batch item after parent-side resolution and cache lookup.
+class _Job:
+    """One request moving through the pipeline.
 
-    ``hit`` is the ready cache-hit result (``run_request`` then never
-    runs); otherwise ``run_request`` is the fully resolved request —
-    catalog materialized, ``"auto"`` resolved, cost model injected — that
-    an executor backend should feed to
-    :func:`~repro.optimizer.api.optimize_request`.
+    Created as the request enters (trace started, clock running);
+    :meth:`OptimizerService._begin` then fills in the resolved request,
+    the cache outcome and the admission decision.  ``hit`` is the ready
+    cache-hit result.  Otherwise ``degrade`` names the ladder rung that
+    serves the request, or is ``None`` when ``run_request`` — catalog
+    materialized, ``"auto"`` resolved, cost model injected — goes to the
+    exact engine, in which case ``admitted`` is set and the circuit
+    breaker is owed the engine's outcome.
+
+    ``cancelled`` is the soft-deadline guard of the threaded backend:
+    once it reports True the caller has already synthesized a timeout
+    result for this item, so the late outcome must not warm the cache,
+    feed the breaker, or touch the metrics.
     """
 
     request: OptimizationRequest
-    run_request: OptimizationRequest
-    catalog: Catalog
-    effective: str
-    signature: str
-    order: Tuple[int, ...]
+    trace: Trace
+    started: float
+    cancelled: Optional[Callable[[], bool]] = None
+    run_request: Optional[OptimizationRequest] = None
+    catalog: Optional[Catalog] = None
+    effective: Optional[str] = None
+    signature: str = ""
+    order: Tuple[int, ...] = ()
     hit: Optional[OptimizationResult] = None
+    degrade: Optional[Tuple[str, str, Dict]] = None
+    admitted: bool = False
+
+    def late(self) -> bool:
+        return self.cancelled is not None and self.cancelled()
 
 
 class OptimizerService:
@@ -427,59 +447,42 @@ class OptimizerService:
         ``query`` may be a ready :class:`OptimizationRequest` (keyword
         overrides are applied on top) or any raw query object the request
         accepts.  Raises the library's usual typed errors on failure; use
-        :meth:`optimize_batch` for isolated per-item errors.
+        :meth:`optimize_batch` for isolated per-item errors.  A failure
+        of any type is recorded (an error under the effective label, a
+        stored trace with the ``error`` root attribute) before it
+        propagates.
         """
-        request = self._as_request(query, **overrides)
-        trace = self.tracer.start("optimize", tag=request.tag)
-        started = time.perf_counter()
+        job = self._start(self._as_request(query, **overrides))
         try:
-            result, effective = self._execute(request, trace=trace)
-        except ReproError as exc:
-            label = self._effective_label(request)
-            self.metrics.observe(
-                label,
-                time.perf_counter() - started,
-                error=True,
-            )
-            trace.set_root("error", f"{type(exc).__name__}: {exc}")
-            self.tracer.finish(trace, algorithm=label)
+            self._begin(job)
+            return self._run_in_thread(job)
+        except Exception as exc:
+            self._fail(job, exc)
             raise
-        self.metrics.observe(
-            effective,
-            time.perf_counter() - started,
-            cache_hit=result.cache_hit,
-            degraded=bool(result.details.get("degraded")),
-            fast_exact=(
-                not result.cache_hit and bool(result.details.get("fast_exact"))
-            ),
-            anytime=(
-                not result.cache_hit and bool(result.details.get("anytime"))
-            ),
-            salvage_fraction=(
-                None
-                if result.cache_hit
-                else (result.details.get("salvage") or {}).get(
-                    "memo_solved_fraction"
-                )
-            ),
-            kernel=None if result.cache_hit else result.details.get("kernel"),
-            backend=None if result.cache_hit else result.details.get("backend"),
-        )
-        result.trace_id = trace.trace_id
-        self.tracer.finish(
-            trace, algorithm=effective, cache_hit=result.cache_hit
-        )
-        return result
 
-    def _prepare(
-        self, request: OptimizationRequest, trace: Trace = NULL_TRACE
-    ) -> _PreparedJob:
-        """Resolve a request and consult the cache (parent-side, cheap).
+    # -- the request pipeline: prepare → admission → engine → finish ----
 
-        Returns a :class:`_PreparedJob`; on a cache hit ``job.hit`` is
-        the ready result and nothing needs to be executed.
+    def _start(
+        self,
+        request: OptimizationRequest,
+        cancelled: Optional[Callable[[], bool]] = None,
+    ) -> _Job:
+        return _Job(
+            request,
+            self.tracer.start("optimize", tag=request.tag),
+            time.perf_counter(),
+            cancelled,
+        )
+
+    def _begin(self, job: _Job) -> None:
+        """Prepare, cache lookup and admission (parent-side, cheap).
+
+        On a cache hit ``job.hit`` is the ready result and the pipeline
+        skips admission; otherwise ``job.degrade``/``job.admitted``
+        record whether a ladder rung or the exact engine serves it.
         """
-        started = time.perf_counter()
+        request = job.request
+        trace = job.trace
         with trace.span("prepare"):
             with trace.span("canonicalize") as span:
                 catalog = request.resolved_catalog()
@@ -507,17 +510,13 @@ class OptimizerService:
                     n_relations=catalog.graph.n_vertices,
                     signature=signature[:16],
                 )
-            run_request = replace(
+            job.run_request = replace(
                 request, query=catalog, cost_model=cost_model, algorithm=effective
             )
-            job = _PreparedJob(
-                request=request,
-                run_request=run_request,
-                catalog=catalog,
-                effective=effective,
-                signature=signature,
-                order=tuple(order),
-            )
+            job.catalog = catalog
+            job.effective = effective
+            job.signature = signature
+            job.order = tuple(order)
             with trace.span("cache_lookup") as span:
                 entry = self.cache.get(signature)
                 span.set("hit", entry is not None)
@@ -527,7 +526,7 @@ class OptimizerService:
                 job.hit = OptimizationResult(
                     plan=plan,
                     algorithm=request.algorithm,
-                    elapsed_seconds=time.perf_counter() - started,
+                    elapsed_seconds=time.perf_counter() - job.started,
                     memo_entries=entry.memo_entries,
                     cost_evaluations=entry.cost_evaluations,
                     cardinality_estimations=entry.cardinality_estimations,
@@ -536,10 +535,143 @@ class OptimizerService:
                     signature=signature,
                     tag=request.tag,
                 )
-        return job
+                return
+        with trace.span("admission") as span:
+            degrade = self._select_degradation(job)
+            span.set("admitted", degrade is None)
+            span.set("breaker_state", self.breaker.state(job.effective))
+            if degrade is not None:
+                span.annotate(rung=degrade[0], reason=degrade[1], **degrade[2])
+        job.degrade = degrade
+        job.admitted = degrade is None
 
-    def _store(self, job: _PreparedJob, result: OptimizationResult) -> None:
-        """Cache a fresh result and stamp its service-layer fields."""
+    def _run_in_thread(self, job: _Job) -> OptimizationResult:
+        """Engine stage on this thread, then :meth:`_finish`.
+
+        Cache hits and ladder rungs always take this path, in process
+        mode too; exact enumeration takes it everywhere but process
+        mode.  Raises whatever the engine raises.
+        """
+        if job.hit is not None:
+            return self._finish(job, job.hit)
+        trace = job.trace
+        if job.degrade is not None:
+            with trace.span("degraded_rung") as span:
+                result, provenance = self._run_degraded(job, *job.degrade)
+                span.annotate(
+                    rung=provenance["rung"],
+                    reason=provenance["degrade_reason"],
+                    kernel=result.details.get("kernel"),
+                    backend=result.details.get("backend"),
+                )
+            return self._finish(job, result, provenance)
+        with trace.span("enumerate") as span:
+            result = optimize_request(job.run_request)
+            annotate_enumerate(span, result)
+        return self._finish(job, result)
+
+    def _finish(
+        self,
+        job: _Job,
+        result: OptimizationResult,
+        provenance: Optional[Dict] = None,
+        elapsed: Optional[float] = None,
+        retries: int = 0,
+        killable: bool = False,
+    ) -> OptimizationResult:
+        """Finish stage of a served request, wherever its engine ran.
+
+        Records the breaker success an admitted exact run owes, caches
+        the result unless it is a salvaged or heuristic plan (the cache
+        promises the exact optimum, and keeps the clean enumeration
+        details), stamps the ladder ``provenance`` and the service
+        fields, then observes the metrics and closes the trace.
+        ``elapsed`` defaults to the service-side wall time; a process
+        worker's outcome passes its own.  ``killable`` marks an engine
+        run under a hard process deadline, so a salvaged answer counts
+        as a hard kill avoided.  A late result (see :class:`_Job`) only
+        closes its trace, marked abandoned.
+        """
+        trace = job.trace
+        fresh = not result.cache_hit
+        late = job.late()
+        if fresh and not late:
+            details = result.details
+            if provenance is not None:
+                details = {**details, **provenance}
+            if not (details.get("anytime") or details.get("degraded")):
+                with trace.span("store"):
+                    self._store(job, result)
+                result.signature = job.signature
+            if job.admitted:
+                self.breaker.record_success(job.effective)
+            result.algorithm = job.request.algorithm
+            result.tag = job.request.tag
+            result.details = details
+        if late:
+            trace.set_root("abandoned", 1)
+        else:
+            details = result.details
+            anytime = fresh and bool(details.get("anytime"))
+            self.metrics.observe(
+                job.effective,
+                time.perf_counter() - job.started if elapsed is None else elapsed,
+                cache_hit=not fresh,
+                degraded=fresh and bool(details.get("degraded")),
+                fast_exact=fresh and bool(details.get("fast_exact")),
+                anytime=anytime,
+                hard_kill_avoided=anytime and killable,
+                salvage_fraction=(
+                    (details.get("salvage") or {}).get("memo_solved_fraction")
+                    if anytime
+                    else None
+                ),
+                retries=retries,
+                kernel=details.get("kernel") if fresh else None,
+                backend=details.get("backend") if fresh else None,
+            )
+        result.trace_id = trace.trace_id
+        self.tracer.finish(trace, algorithm=job.effective, cache_hit=not fresh)
+        return result
+
+    def _fail(
+        self,
+        job: _Job,
+        error: Union[BaseException, str],
+        elapsed: Optional[float] = None,
+        retries: int = 0,
+        status: Optional[str] = None,
+    ) -> OptimizationResult:
+        """Finish stage of a failed request; returns its error result.
+
+        ``error`` is the exception, or a process worker's ``"Type:
+        message"`` report (``status`` then names the outcome).  The
+        error is recorded under the effective label, an admitted exact
+        run owes the breaker a failure, and the trace is stored with the
+        ``error`` root attribute.
+        """
+        label = job.effective or self._effective_label(job.request)
+        if elapsed is None:
+            elapsed = time.perf_counter() - job.started
+        trace = job.trace
+        result = self._error_result(
+            job.request.algorithm, job.request.tag, error, elapsed
+        )
+        result.trace_id = trace.trace_id
+        trace.set_root("error", str(result.error))
+        if job.late():
+            trace.set_root("abandoned", 1)
+        else:
+            if job.admitted:
+                self.breaker.record_failure(label)
+            self.metrics.observe(label, elapsed, error=True, retries=retries)
+        if status is not None:
+            trace.set_root("status", status)
+        self.tracer.finish(trace, algorithm=label)
+        return result
+
+    def _store(self, job: _Job, result: OptimizationResult) -> None:
+        """Cache a fresh result in canonical vertex space."""
         position = [0] * job.catalog.graph.n_vertices
         for pos, vertex in enumerate(job.order):
             position[vertex] = pos
@@ -554,14 +686,11 @@ class OptimizerService:
                 details=dict(result.details),
             )
         )
-        result.algorithm = job.request.algorithm
-        result.signature = job.signature
-        result.tag = job.request.tag
 
     # -- resilience: admission control and the degradation ladder ------
 
     def _select_degradation(
-        self, job: _PreparedJob
+        self, job: _Job
     ) -> Optional[Tuple[str, str, Dict]]:
         """Decide whether this job must skip exact enumeration.
 
@@ -627,7 +756,7 @@ class OptimizerService:
             return (heuristic_rung_for(graph), "breaker_open", {})
         return None
 
-    def _anytime_deadline(self, job: _PreparedJob) -> Optional[float]:
+    def _anytime_deadline(self, job: _Job) -> Optional[float]:
         """Resolve the deadline an anytime run would use, or None.
 
         A request that carries its own ``deadline_seconds`` keeps it;
@@ -640,7 +769,7 @@ class OptimizerService:
             return job.run_request.deadline_seconds
         return self.resilience.anytime_default_deadline_seconds
 
-    def _budget_capable(self, job: _PreparedJob) -> bool:
+    def _budget_capable(self, job: _Job) -> bool:
         """True when the job's engine honours cooperative budgets.
 
         Probes the registry factory: construction is O(n) (builder +
@@ -660,97 +789,54 @@ class OptimizerService:
         return bool(getattr(probe, "supports_budget", False))
 
     def _run_degraded(
-        self, job: _PreparedJob, rung: str, reason: str, extra: Dict
-    ) -> OptimizationResult:
+        self, job: _Job, rung: str, reason: str, extra: Dict
+    ) -> Tuple[OptimizationResult, Dict]:
         """Serve one request from a degradation ladder rung.
+
+        Returns the rung's result and its *provenance* — the ladder
+        fields (``rung``, ``degrade_reason``, the admission estimate,
+        and ``fast_exact`` or ``degraded``) that :meth:`_finish` stamps
+        onto ``details`` after deciding whether to cache.
 
         The ``dpconv`` rung is *fast-exact*: it runs the full registry
         path (``optimize_request``) so counters, kernel provenance, and
-        trace details arrive as usual, marks the result with
-        ``fast_exact``/``rung``/``degrade_reason`` instead of
-        ``degraded`` (the plan is still the exact optimum, only the
-        engine changed), and — unlike the heuristic rungs — **is**
-        cached.  If dpconv itself fails, the request falls through to
-        the heuristics below.
-
-        A heuristic result names the rung and the reason in ``details``
-        and is **not** cached (the cache promises the exact optimum).  A
-        rung failure is wrapped in the reason's typed error so callers
-        can tell "the ladder had nothing for this query" apart from
-        ordinary optimization failures.
+        trace details arrive as usual, and is marked ``fast_exact``
+        instead of ``degraded`` — the plan is still the exact optimum,
+        only the engine changed — so, unlike the heuristic rungs, it
+        **is** cached.
 
         The ``anytime`` rung runs the requested exact engine under a
         cooperative deadline.  If the engine finishes inside the budget
-        the answer is the exact optimum and is cached like any exact
-        result; if the budget expires the salvaged plan is returned with
-        ``rung == "anytime"`` and is **never** cached (the cache
-        promises the exact optimum).  If the anytime run itself fails,
-        the request falls through to the heuristics.
+        the answer is the exact optimum and is cached like the dpconv
+        rung's; if the budget expires the salvaged plan is marked
+        ``degraded`` with ``rung == "anytime"`` and is **never** cached.
+        If either of these rungs fails, the request falls through to the
+        heuristics.
+
+        A heuristic result is **not** cached (the cache promises the
+        exact optimum).  A heuristic rung failure is wrapped in the
+        reason's typed error so callers can tell "the ladder had nothing
+        for this query" apart from ordinary optimization failures.
         """
         started = time.perf_counter()
-        if rung == "anytime":
-            deadline = self._anytime_deadline(job)
+        if rung in ("dpconv", "anytime"):
+            stamp: Dict = {"rung": rung, "degrade_reason": reason}
+            if rung == "dpconv":
+                run_request = replace(job.run_request, algorithm="dpconv")
+            else:
+                deadline = self._anytime_deadline(job)
+                run_request = replace(job.run_request, deadline_seconds=deadline)
+                stamp["anytime_deadline_seconds"] = deadline
             try:
-                result = optimize_request(
-                    replace(job.run_request, deadline_seconds=deadline)
-                )
+                result = optimize_request(run_request)
             except ReproError:
                 rung = heuristic_rung_for(job.catalog.graph)
             else:
                 result.elapsed_seconds = time.perf_counter() - started
-                if result.details.get("anytime"):
-                    # Salvaged: a valid plan, at most the pure-GOO cost,
-                    # but not the exact optimum — do not cache.
-                    details = dict(result.details)
-                    details.update(
-                        {
-                            "degraded": 1,
-                            "rung": "anytime",
-                            "degrade_reason": reason,
-                            "anytime_deadline_seconds": deadline,
-                        }
-                    )
-                    details.update(extra)
-                    result.details = details
-                    result.algorithm = job.request.algorithm
-                    result.tag = job.request.tag
-                    return result
-                # The engine beat the deadline: this is the exact
-                # optimum, served and cached exactly like the fast-exact
-                # rung (only the provenance stamp differs).
-                self._store(job, result)
-                details = dict(result.details)
-                details.update(
-                    {
-                        "fast_exact": 1,
-                        "rung": "anytime",
-                        "degrade_reason": reason,
-                        "anytime_deadline_seconds": deadline,
-                    }
-                )
-                details.update(extra)
-                result.details = details
-                return result
-        if rung == "dpconv":
-            try:
-                result = optimize_request(
-                    replace(job.run_request, algorithm="dpconv")
-                )
-            except ReproError:
-                rung = heuristic_rung_for(job.catalog.graph)
-            else:
-                result.elapsed_seconds = time.perf_counter() - started
-                # Cache first: the stored entry keeps clean enumeration
-                # details, while the returned result carries the ladder
-                # provenance for this serve only.
-                self._store(job, result)
-                details = dict(result.details)
-                details.update(
-                    {"fast_exact": 1, "rung": "dpconv", "degrade_reason": reason}
-                )
-                details.update(extra)
-                result.details = details
-                return result
+                # An expired budget salvaged a valid plan, at most the
+                # pure-GOO cost, but not the exact optimum.
+                grade = "degraded" if result.details.get("anytime") else "fast_exact"
+                return result, {grade: 1, **stamp, **extra}
         try:
             plan, rung_used = run_rung(rung, job.catalog)
         except ReproError as exc:
@@ -763,77 +849,18 @@ class OptimizerService:
                 f"request was degraded ({reason}) but the {rung!r} rung "
                 f"failed too: {exc}"
             ) from exc
-        details: Dict = {"degraded": 1, "rung": rung_used, "degrade_reason": reason}
-        details.update(extra)
-        return OptimizationResult(
+        result = OptimizationResult(
             plan=plan,
             algorithm=job.request.algorithm,
             elapsed_seconds=time.perf_counter() - started,
             memo_entries=0,
             cost_evaluations=0,
             cardinality_estimations=0,
-            details=details,
             tag=job.request.tag,
         )
-
-    def _execute(
-        self,
-        request: OptimizationRequest,
-        cancelled: Optional[Callable[[], bool]] = None,
-        trace: Trace = NULL_TRACE,
-    ) -> Tuple[OptimizationResult, str]:
-        """Run one request: cache hit, degraded rung, or exact enumeration.
-
-        ``cancelled`` is the soft-deadline guard of the threaded backend:
-        when it reports True after the enumeration finished, the caller
-        has already synthesized a timeout result for this item, so the
-        late result must not warm the cache, feed the breaker, or touch
-        anything else shared — it is simply discarded.
-        """
-        job = self._prepare(request, trace=trace)
-        if job.hit is not None:
-            return job.hit, job.effective
-        with trace.span("admission") as span:
-            degrade = self._select_degradation(job)
-            span.set("admitted", degrade is None)
-            span.set("breaker_state", self.breaker.state(job.effective))
-            if degrade is not None:
-                span.annotate(rung=degrade[0], reason=degrade[1], **degrade[2])
-        if degrade is not None:
-            with trace.span("degraded_rung") as span:
-                result = self._run_degraded(job, *degrade)
-                span.annotate(
-                    rung=result.details.get("rung"),
-                    reason=result.details.get("degrade_reason"),
-                    kernel=result.details.get("kernel"),
-                    backend=result.details.get("backend"),
-                )
-            return result, job.effective
-        try:
-            with trace.span("enumerate", algorithm=job.effective) as span:
-                result = optimize_request(job.run_request)
-                span.annotate(
-                    memo_entries=result.memo_entries,
-                    cost_evaluations=result.cost_evaluations,
-                    cardinality_estimations=result.cardinality_estimations,
-                    **result.details,
-                )
-        except Exception:
-            if cancelled is None or not cancelled():
-                self.breaker.record_failure(job.effective)
-            raise
-        if cancelled is None or not cancelled():
-            self.breaker.record_success(job.effective)
-            if result.details.get("anytime"):
-                # The request's own budget expired mid-run: the salvaged
-                # plan is valid but not the exact optimum the cache
-                # promises — stamp the service fields and skip the store.
-                result.algorithm = job.request.algorithm
-                result.tag = job.request.tag
-            else:
-                with trace.span("store"):
-                    self._store(job, result)
-        return result, job.effective
+        return result, {
+            "degraded": 1, "rung": rung_used, "degrade_reason": reason, **extra
+        }
 
     # ------------------------------------------------------------------
 
@@ -917,7 +944,7 @@ class OptimizerService:
             except Exception as exc:
                 # The query object itself is malformed — possibly not
                 # even raising a library error (e.g. a TypeError from a
-                # garbage object).  Mirror _run_isolated: synthesize the
+                # garbage object).  Synthesize the
                 # error result instead of poisoning the batch.
                 requests.append(None)
                 slots.append(self._error_result("invalid", None, exc, 0.0))
@@ -950,71 +977,22 @@ class OptimizerService:
         ``abandoned`` is the soft-deadline coordination set of the
         threaded backend: if our index appears there by the time we
         finish, the caller already synthesized a timeout result for this
-        item, so the (completed) work is discarded — it must not warm
-        the cache, feed the circuit breaker, or be double-counted in the
-        metrics (see the ``cancelled`` guard in :meth:`_execute`).
+        item, so the (completed) work is discarded (see :class:`_Job`).
         ``started_at`` is the threaded backend's per-item start-time map,
         recorded here (on the worker thread) so a synthesized timeout
         result can report the item's *true* elapsed time.
         """
         if started_at is not None and index is not None:
             started_at[index] = time.monotonic()
-        trace = self.tracer.start("optimize", tag=request.tag)
-        started = time.perf_counter()
-        cancelled: Optional[Callable[[], bool]] = None
-        if abandoned is not None:
-            cancelled = lambda: index in abandoned  # noqa: E731
-        try:
-            result, effective = self._execute(
-                request, cancelled=cancelled, trace=trace
-            )
-        except Exception as exc:  # per-item isolation: never kill the batch
-            elapsed = time.perf_counter() - started
-            label = self._effective_label(request)
-            late = cancelled is not None and cancelled()
-            if not late:
-                self.metrics.observe(label, elapsed, error=True)
-            trace.set_root("error", f"{type(exc).__name__}: {exc}")
-            if late:
-                trace.set_root("abandoned", 1)
-            self.tracer.finish(trace, algorithm=label)
-            return self._error_result(request.algorithm, request.tag, exc, elapsed)
-        late = cancelled is not None and cancelled()
-        if not late:
-            self.metrics.observe(
-                effective,
-                time.perf_counter() - started,
-                cache_hit=result.cache_hit,
-                degraded=bool(result.details.get("degraded")),
-                fast_exact=(
-                    not result.cache_hit
-                    and bool(result.details.get("fast_exact"))
-                ),
-                anytime=(
-                    not result.cache_hit
-                    and bool(result.details.get("anytime"))
-                ),
-                salvage_fraction=(
-                    None
-                    if result.cache_hit
-                    else (result.details.get("salvage") or {}).get(
-                        "memo_solved_fraction"
-                    )
-                ),
-                kernel=(
-                    None if result.cache_hit else result.details.get("kernel")
-                ),
-                backend=(
-                    None if result.cache_hit else result.details.get("backend")
-                ),
-            )
-        else:
-            trace.set_root("abandoned", 1)
-        result.trace_id = trace.trace_id
-        self.tracer.finish(
-            trace, algorithm=effective, cache_hit=result.cache_hit
+        job = self._start(
+            request,
+            None if abandoned is None else (lambda: index in abandoned),
         )
-        return result
+        try:
+            self._begin(job)
+            return self._run_in_thread(job)
+        except Exception as exc:  # per-item isolation: never kill the batch
+            return self._fail(job, exc)
 
     def _run_batch_threaded(
         self,
@@ -1069,10 +1047,7 @@ class OptimizerService:
                             else 0.0
                         )
                     slots[index] = self._deadline_result(
-                        requests[index],
-                        deadline_seconds,
-                        fallback,
-                        elapsed=elapsed,
+                        requests[index], deadline_seconds, fallback, elapsed
                     )
         finally:
             # Do NOT wait: a straggler past its deadline keeps running
@@ -1091,114 +1066,43 @@ class OptimizerService:
     ) -> None:
         from repro.serialize import request_to_dict, result_from_dict
 
-        jobs: Dict[int, _PreparedJob] = {}
-        traces: Dict[int, Trace] = {}
+        jobs: Dict[int, _Job] = {}
         documents: List[Tuple[int, Dict]] = []
         for index, request in enumerate(requests):
             if slots[index] is not None:
                 continue
-            trace = self.tracer.start("optimize", tag=request.tag)
-            started = time.perf_counter()
+            job = self._start(request)
             try:
-                job = self._prepare(request, trace=trace)
-            except Exception as exc:
-                elapsed = time.perf_counter() - started
-                label = self._effective_label(request)
-                self.metrics.observe(label, elapsed, error=True)
-                trace.set_root("error", f"{type(exc).__name__}: {exc}")
-                self.tracer.finish(trace, algorithm=label)
-                slots[index] = self._error_result(
-                    request.algorithm, request.tag, exc, elapsed
-                )
-                continue
-            if job.hit is not None:
-                self.metrics.observe(
-                    job.effective, job.hit.elapsed_seconds, cache_hit=True
-                )
-                job.hit.trace_id = trace.trace_id
-                self.tracer.finish(
-                    trace, algorithm=job.effective, cache_hit=True
-                )
-                slots[index] = job.hit
-                continue
-            with trace.span("admission") as span:
-                degrade = self._select_degradation(job)
-                span.set("admitted", degrade is None)
-                span.set("breaker_state", self.breaker.state(job.effective))
-                if degrade is not None:
-                    span.annotate(
-                        rung=degrade[0], reason=degrade[1], **degrade[2]
-                    )
-            if degrade is not None:
-                try:
-                    with trace.span("degraded_rung") as span:
-                        result = self._run_degraded(job, *degrade)
-                        span.annotate(
-                            rung=result.details.get("rung"),
-                            reason=result.details.get("degrade_reason"),
-                            kernel=result.details.get("kernel"),
-                            backend=result.details.get("backend"),
-                        )
-                except Exception as exc:
-                    elapsed = time.perf_counter() - started
-                    self.metrics.observe(job.effective, elapsed, error=True)
-                    trace.set_root("error", f"{type(exc).__name__}: {exc}")
-                    self.tracer.finish(trace, algorithm=job.effective)
-                    slots[index] = self._error_result(
-                        request.algorithm, request.tag, exc, elapsed
-                    )
+                self._begin(job)
+                if not job.admitted:
+                    # Cache hits and ladder rungs are served here.
+                    slots[index] = self._run_in_thread(job)
                     continue
-                self.metrics.observe(
-                    job.effective,
-                    result.elapsed_seconds,
-                    degraded=bool(result.details.get("degraded")),
-                    fast_exact=bool(result.details.get("fast_exact")),
-                    anytime=bool(result.details.get("anytime")),
-                    salvage_fraction=(result.details.get("salvage") or {}).get(
-                        "memo_solved_fraction"
-                    ),
-                    kernel=result.details.get("kernel"),
-                    backend=result.details.get("backend"),
-                )
-                result.trace_id = trace.trace_id
-                self.tracer.finish(trace, algorithm=job.effective)
-                slots[index] = result
-                continue
-            run_request = job.run_request
-            if deadline_seconds is not None and self._budget_capable(job):
-                # Ship the batch deadline to the worker so its engine
-                # stops cooperatively and salvages instead of being
-                # hard-killed; the executor only escalates to terminate
-                # if the worker misses the grace period on top.
-                budget_deadline = deadline_seconds
-                if run_request.deadline_seconds is not None:
-                    budget_deadline = min(
-                        budget_deadline, run_request.deadline_seconds
+                run_request = job.run_request
+                if deadline_seconds is not None and self._budget_capable(job):
+                    # Ship the batch deadline to the worker so its engine
+                    # stops cooperatively and salvages instead of being
+                    # hard-killed; the executor only escalates to
+                    # terminate if the worker misses the grace period on
+                    # top.
+                    budget_deadline = deadline_seconds
+                    if run_request.deadline_seconds is not None:
+                        budget_deadline = min(
+                            budget_deadline, run_request.deadline_seconds
+                        )
+                    run_request = replace(
+                        run_request, deadline_seconds=budget_deadline
                     )
-                run_request = replace(
-                    run_request, deadline_seconds=budget_deadline
-                )
-            try:
                 document = request_to_dict(run_request)
             except Exception as exc:
-                elapsed = time.perf_counter() - started
-                # The breaker admitted this job (possibly as a half-open
-                # probe); resolve the slot it holds.
-                self.breaker.record_failure(job.effective)
-                self.metrics.observe(job.effective, elapsed, error=True)
-                trace.set_root("error", f"{type(exc).__name__}: {exc}")
-                self.tracer.finish(trace, algorithm=job.effective)
-                slots[index] = self._error_result(
-                    request.algorithm, request.tag, exc, elapsed
-                )
+                slots[index] = self._fail(job, exc)
                 continue
-            if trace.is_recording:
+            if job.trace.is_recording:
                 # Trace context travels inside the job document; the
                 # worker strips it before deserializing the request and
                 # returns its spans in the outcome.
-                document["trace"] = {"version": 1, "trace_id": trace.trace_id}
+                document["trace"] = {"version": 1, "trace_id": job.trace.trace_id}
             jobs[index] = job
-            traces[index] = trace
             documents.append((index, document))
         if not documents:
             return
@@ -1215,95 +1119,41 @@ class OptimizerService:
             ),
             fault_injector=self.fault_injector,
         )
-        outcomes = backend.run(documents)
-        for index, outcome in outcomes.items():
+        for index, outcome in backend.run(documents).items():
             job = jobs[index]
-            trace = traces.get(index, NULL_TRACE)
             if outcome.spans:
                 # Worker spans carry offsets relative to the job's start
                 # in the worker; anchor them so they sit roughly where
                 # the remote work happened on this process's timeline.
-                trace.attach_serialized(
+                job.trace.attach_serialized(
                     outcome.spans, elapsed_hint=outcome.elapsed_seconds
                 )
             if outcome.retries:
-                trace.set_root("retries", outcome.retries)
+                job.trace.set_root("retries", outcome.retries)
             if outcome.status == "ok":
-                result = result_from_dict(outcome.document)
-                anytime = bool(result.details.get("anytime"))
-                if anytime:
-                    # The worker's budget expired and it salvaged: a
-                    # valid plan, but not the exact optimum the cache
-                    # promises — stamp the service fields, skip the
-                    # store.  Without cooperation this item would have
-                    # been a hard-killed timeout.
-                    result.algorithm = job.request.algorithm
-                    result.tag = job.request.tag
-                else:
-                    with trace.span("store"):
-                        self._store(job, result)
-                self.breaker.record_success(job.effective)
-                self.metrics.observe(
-                    job.effective,
-                    outcome.elapsed_seconds,
-                    cache_hit=False,
-                    anytime=anytime,
-                    hard_kill_avoided=(
-                        anytime and deadline_seconds is not None
-                    ),
-                    salvage_fraction=(
-                        (result.details.get("salvage") or {}).get(
-                            "memo_solved_fraction"
-                        )
-                        if anytime
-                        else None
-                    ),
+                slots[index] = self._finish(
+                    job,
+                    result_from_dict(outcome.document),
+                    elapsed=outcome.elapsed_seconds,
                     retries=outcome.retries,
-                    kernel=result.details.get("kernel"),
-                    backend=result.details.get("backend"),
+                    killable=deadline_seconds is not None,
                 )
-                result.trace_id = trace.trace_id
-                self.tracer.finish(
-                    trace, algorithm=job.effective, cache_hit=False
-                )
-                slots[index] = result
             elif outcome.status == "timeout":
                 slots[index] = self._deadline_result(
                     job.request,
                     deadline_seconds,
                     fallback,
-                    catalog=job.catalog,
-                    effective=job.effective,
-                    elapsed=outcome.elapsed_seconds,
+                    outcome.elapsed_seconds,
                     retries=outcome.retries,
-                )
-                slots[index].trace_id = trace.trace_id
-                trace.set_root("error", "deadline exceeded")
-                self.tracer.finish(
-                    trace, algorithm=job.effective, status="timeout"
+                    job=job,
                 )
             else:  # "error" or "crashed"
-                self.breaker.record_failure(job.effective)
-                self.metrics.observe(
-                    job.effective,
-                    outcome.elapsed_seconds,
-                    error=True,
+                slots[index] = self._fail(
+                    job,
+                    outcome.error,
+                    elapsed=outcome.elapsed_seconds,
                     retries=outcome.retries,
-                )
-                trace.set_root("error", outcome.error)
-                self.tracer.finish(
-                    trace, algorithm=job.effective, status=outcome.status
-                )
-                slots[index] = OptimizationResult(
-                    plan=None,
-                    algorithm=job.request.algorithm,
-                    elapsed_seconds=outcome.elapsed_seconds,
-                    memo_entries=0,
-                    cost_evaluations=0,
-                    cardinality_estimations=0,
-                    error=outcome.error,
-                    tag=job.request.tag,
-                    trace_id=trace.trace_id,
+                    status=outcome.status,
                 )
 
     # -- deadline handling ---------------------------------------------
@@ -1313,53 +1163,67 @@ class OptimizerService:
         request: OptimizationRequest,
         deadline_seconds: Optional[float],
         fallback: Optional[str],
-        catalog: Optional[Catalog] = None,
-        effective: Optional[str] = None,
-        elapsed: Optional[float] = None,
+        elapsed: float,
         retries: int = 0,
+        job: Optional[_Job] = None,
     ) -> OptimizationResult:
         """Resolve a timed-out item: heuristic fallback plan or error.
 
         A deadline timeout counts as a breaker failure for the item's
         algorithm label — repeated hangs on the same path open the
-        circuit just like repeated crashes do.
+        circuit just like repeated crashes do.  ``job`` is a process
+        item's pipeline state, whose trace this closes; a thread item's
+        trace still belongs to the thread running it.
         """
-        label = effective if effective is not None else self._effective_label(request)
-        elapsed = elapsed if elapsed is not None else (deadline_seconds or 0.0)
+        label = job.effective if job is not None else self._effective_label(request)
         self.breaker.record_failure(label)
+        plan = None
         if fallback == "goo":
             from repro.heuristics.goo import greedy_operator_ordering
 
             try:
-                if catalog is None:
-                    catalog = request.resolved_catalog()
-                plan = greedy_operator_ordering(catalog)
+                plan = greedy_operator_ordering(
+                    job.catalog if job is not None else request.resolved_catalog()
+                )
             except Exception:
                 plan = None
-            if plan is not None:
-                self.metrics.observe(
-                    label, elapsed, timeout=True, fallback=True, retries=retries
-                )
-                return OptimizationResult(
-                    plan=plan,
-                    algorithm=request.algorithm,
-                    elapsed_seconds=elapsed,
-                    memo_entries=0,
-                    cost_evaluations=0,
-                    cardinality_estimations=0,
-                    details={"deadline_timeout": 1, "fallback_goo": 1},
-                    tag=request.tag,
-                )
         self.metrics.observe(
-            label, elapsed, error=True, timeout=True, retries=retries
+            label,
+            elapsed,
+            error=plan is None,
+            timeout=True,
+            fallback=plan is not None,
+            retries=retries,
         )
-        exc = DeadlineExceededError(
-            f"optimization exceeded the deadline of {deadline_seconds}s"
-        )
-        return self._error_result(request.algorithm, request.tag, exc, elapsed)
+        if plan is None:
+            result = self._error_result(
+                request.algorithm,
+                request.tag,
+                DeadlineExceededError(
+                    f"optimization exceeded the deadline of {deadline_seconds}s"
+                ),
+                elapsed,
+            )
+        else:
+            result = OptimizationResult(
+                plan=plan,
+                algorithm=request.algorithm,
+                elapsed_seconds=elapsed,
+                memo_entries=0,
+                cost_evaluations=0,
+                cardinality_estimations=0,
+                details={"deadline_timeout": 1, "fallback_goo": 1},
+                tag=request.tag,
+            )
+        if job is not None:
+            result.trace_id = job.trace.trace_id
+            job.trace.set_root("error", "deadline exceeded")
+            self.tracer.finish(job.trace, algorithm=label, status="timeout")
+        return result
 
     @staticmethod
-    def _error_result(algorithm, tag, exc, elapsed) -> OptimizationResult:
+    def _error_result(algorithm, tag, error, elapsed) -> OptimizationResult:
+        """An error result; ``error`` is an exception or a ready message."""
         return OptimizationResult(
             plan=None,
             algorithm=algorithm,
@@ -1367,7 +1231,9 @@ class OptimizerService:
             memo_entries=0,
             cost_evaluations=0,
             cardinality_estimations=0,
-            error=ErrorInfo.from_exception(exc),
+            error=(
+                error if isinstance(error, str) else ErrorInfo.from_exception(error)
+            ),
             tag=tag,
         )
 

@@ -22,9 +22,9 @@ Design notes:
   :mod:`repro.optimizer.budget`) is expected to stop **itself**: the
   worker's engine salvages a partial-memo plan at the deadline and
   reports it as an ordinary ``"ok"``.  The parent grants such jobs a
-  ``cooperative_grace`` on top of the pool deadline and only escalates
-  terminate → kill when the worker misses it — hard kills become the
-  exception, not the enforcement mechanism.
+  fixed grace (``_COOPERATIVE_GRACE``) on top of the pool deadline and
+  only escalates terminate → kill when the worker misses it — hard
+  kills become the exception, not the enforcement mechanism.
 * **Transient failures are retried**: with a :class:`~repro.service.resilience.RetryPolicy`
   installed, a crash, pipe EOF, or corrupted payload re-queues the item
   with exponential backoff + deterministic jitter, up to the policy's
@@ -65,7 +65,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import OptimizationError
 
-__all__ = ["ProcessPoolExecutor", "JobOutcome", "EXECUTORS"]
+__all__ = ["ProcessPoolExecutor", "JobOutcome", "EXECUTORS", "annotate_enumerate"]
 
 #: Recognised ``executor=`` names for ``OptimizerService.optimize_batch``.
 EXECUTORS = ("serial", "thread", "process")
@@ -74,7 +74,7 @@ EXECUTORS = ("serial", "thread", "process")
 #: escalating terminate → kill during shutdown/recycling.
 _JOIN_GRACE = 5.0
 
-#: Default extra wall-clock (seconds) granted past the pool deadline to
+#: Extra wall-clock (seconds) granted past the pool deadline to
 #: jobs that carry a cooperative ``deadline_seconds`` of their own — the
 #: engine stops itself at the deadline; the grace only covers salvage
 #: and serialization before the parent assumes the worker is hung.
@@ -93,7 +93,7 @@ class JobOutcome:
       trace spans (:func:`repro.service.tracing.span_to_dict` wire
       dicts) for the parent to graft into the request's trace;
     * ``status == "error"`` — the worker raised; ``error`` is
-      ``"ExcType: message"``;
+      ``"ExcType: message"`` and ``spans`` is filled as for ``"ok"``;
     * ``status == "timeout"`` — the deadline expired and the worker was
       recycled;
     * ``status == "crashed"`` — the worker process died without
@@ -114,13 +114,31 @@ class JobOutcome:
     spans: Optional[List[Dict[str, Any]]] = None
 
 
+def annotate_enumerate(span, result, **attributes: Any) -> None:
+    """Stamp an engine result on its ``enumerate`` span.
+
+    The one definition of that span's attributes: the service's
+    in-thread engine stage and the process worker both build it here,
+    so a trace reads the same whichever executor ran the engine.
+    """
+    span.annotate(
+        algorithm=result.algorithm,
+        memo_entries=result.memo_entries,
+        cost_evaluations=result.cost_evaluations,
+        cardinality_estimations=result.cardinality_estimations,
+        **attributes,
+        **result.details,
+    )
+
+
 def _process_worker_main(connection) -> None:
     """Worker loop: recv (index, request document, fault), send (index, payload).
 
     Runs in the child process.  ``None`` is the shutdown sentinel.  All
     failures — including deserialization errors — are reported back as
     ``("error", type_name, message)`` payloads so the parent can isolate
-    them per item.  ``fault`` is an injected chaos directive (or
+    them per item.  A job carrying trace context gets its serialized
+    ``enumerate`` span appended to either payload.  ``fault`` is an injected chaos directive (or
     ``None``): executed *before* the optimizer so it models an
     infrastructure fault, not an algorithm bug.
     """
@@ -155,31 +173,22 @@ def _process_worker_main(connection) -> None:
                 except (BrokenPipeError, OSError):
                     return
                 continue
+        span = Span("enumerate") if trace_context is not None else None
         try:
-            started = time.perf_counter()
             result = optimize_request(request_from_dict(document))
-            if trace_context is not None:
-                span = Span("enumerate", start_s=started)
+            if span is not None:
                 span.finish()
-                span.annotate(
-                    algorithm=result.algorithm,
-                    memo_entries=result.memo_entries,
-                    cost_evaluations=result.cost_evaluations,
-                    cardinality_estimations=result.cardinality_estimations,
-                    worker_pid=os.getpid(),
-                    **result.details,
-                )
-                payload: Tuple = (
-                    "ok",
-                    result_to_dict(result),
-                    [span_to_dict(span, origin_s=started)],
-                )
-            else:
-                payload = ("ok", result_to_dict(result))
+                annotate_enumerate(span, result, worker_pid=os.getpid())
+            payload: Tuple = ("ok", result_to_dict(result))
         except KeyboardInterrupt:
             return
         except BaseException as exc:
+            if span is not None:
+                span.finish()
+                span.set("error", f"{type(exc).__name__}: {exc}")
             payload = ("error", type(exc).__name__, str(exc))
+        if span is not None:
+            payload += ([span_to_dict(span, origin_s=span.start_s)],)
         try:
             connection.send((index, payload))
         except (BrokenPipeError, OSError):
@@ -267,13 +276,11 @@ class ProcessPoolExecutor:
     deadline_seconds:
         Per-item wall-clock budget measured from dispatch.  ``None``
         disables enforcement.  An expired item's worker is terminated and
-        replaced; the item resolves to a ``"timeout"`` outcome.
-    cooperative_grace:
-        Extra seconds granted past ``deadline_seconds`` to jobs whose
-        request document carries its own ``deadline_seconds`` (a
-        cooperative engine budget): those workers stop themselves and
-        return a salvaged result, so the parent hard-kills only when the
-        grace is also missed.  ``0`` restores unconditional enforcement.
+        replaced; the item resolves to a ``"timeout"`` outcome.  Jobs
+        whose request document carries its own ``deadline_seconds`` (a
+        cooperative engine budget) stop themselves and return a salvaged
+        result, so they are reaped only ``_COOPERATIVE_GRACE`` seconds
+        later.
     start_method:
         ``multiprocessing`` start method (``None`` = platform default,
         i.e. ``fork`` on Linux so registered plugins carry over).
@@ -290,9 +297,8 @@ class ProcessPoolExecutor:
         directives are shipped to workers per ``(tag, attempt)`` — chaos
         testing only.
 
-    Use as a context manager or call :meth:`run` directly — the pool is
-    created per call and torn down afterwards, so no state leaks between
-    batches.
+    The pool is created per :meth:`run` call and torn down afterwards,
+    so no state leaks between batches.
     """
 
     def __init__(
@@ -303,7 +309,6 @@ class ProcessPoolExecutor:
         retry_policy=None,
         retry_budget=None,
         fault_injector=None,
-        cooperative_grace: float = _COOPERATIVE_GRACE,
     ):
         if workers < 1:
             raise OptimizationError(
@@ -313,13 +318,8 @@ class ProcessPoolExecutor:
             raise OptimizationError(
                 f"deadline_seconds must be positive, got {deadline_seconds}"
             )
-        if cooperative_grace < 0:
-            raise OptimizationError(
-                f"cooperative_grace must be >= 0, got {cooperative_grace}"
-            )
         self.workers = workers
         self.deadline_seconds = deadline_seconds
-        self.cooperative_grace = cooperative_grace
         self.retry_policy = retry_policy
         self.retry_budget = retry_budget
         self.fault_injector = fault_injector
@@ -435,6 +435,7 @@ class ProcessPoolExecutor:
                             elapsed_seconds=worker.elapsed(),
                             error=f"{payload[1]}: {payload[2]}",
                             retries=worker.busy_attempt,
+                            spans=payload[3] if len(payload) == 4 else None,
                         )
                     worker.release()
                     busy.remove(worker)
@@ -467,12 +468,8 @@ class ProcessPoolExecutor:
         the right call.
         """
         document = worker.busy_document
-        if (
-            self.cooperative_grace
-            and isinstance(document, dict)
-            and document.get("deadline_seconds") is not None
-        ):
-            return self.deadline_seconds + self.cooperative_grace
+        if isinstance(document, dict) and document.get("deadline_seconds") is not None:
+            return self.deadline_seconds + _COOPERATIVE_GRACE
         return self.deadline_seconds
 
     def _fault_for(
@@ -498,20 +495,21 @@ class ProcessPoolExecutor:
             return None
         if not isinstance(payload, tuple) or not payload:
             return None
+        # ("ok", result_doc) or ("error", type_name, message), each
+        # followed by a list of span dicts when the job carried trace
+        # context.
         if payload[0] == "ok":
-            # ("ok", result_doc) or ("ok", result_doc, span_dicts) when
-            # the job carried trace context.
-            if len(payload) == 2 and isinstance(payload[1], dict):
-                return payload
-            if (
-                len(payload) == 3
-                and isinstance(payload[1], dict)
-                and isinstance(payload[2], list)
-            ):
-                return payload
+            size = 2
+            if len(payload) < 2 or not isinstance(payload[1], dict):
+                return None
+        elif payload[0] == "error":
+            size = 3
+        else:
             return None
-        if payload[0] == "error":
-            return payload if len(payload) == 3 else None
+        if len(payload) == size:
+            return payload
+        if len(payload) == size + 1 and isinstance(payload[size], list):
+            return payload
         return None
 
     def _resolve_failure(
@@ -589,9 +587,3 @@ class ProcessPoolExecutor:
             replacement = _Worker(self._context)
             pool.append(replacement)
             idle.append(replacement)
-
-    def __enter__(self) -> "ProcessPoolExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None

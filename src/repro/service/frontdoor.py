@@ -467,6 +467,71 @@ class FrontDoor:
 
     # -- endpoints -----------------------------------------------------
 
+    async def _optimize_one(
+        self,
+        document: Dict[str, Any],
+        tenant: str,
+        request_id: Optional[str],
+        encode_reply: bool = False,
+    ) -> Tuple[int, Dict[str, Any], Optional[str]]:
+        """Quota → route → submit → await for one request document.
+
+        Shared by ``/v1/optimize`` and every ``/v1/optimize_batch``
+        item.  Returns ``(http_status, payload, retry_after)``:
+        ``payload`` is the shard's reply (a ``reply`` envelope plus, with
+        ``encode_reply``, its pre-encoded ``body``) or a local rejection
+        carrying only the error ``reply``; ``retry_after`` is the
+        ``Retry-After`` header value owed to a 429, else None.
+        """
+
+        def rejected(status, code, message, retryable=False, retry_after=None):
+            self._reject(code)
+            reply = _error_envelope(
+                code, message, retryable=retryable, request_id=request_id
+            )
+            return status, {"reply": reply}, retry_after
+
+        if not self.quotas.try_acquire(tenant):
+            return rejected(
+                429,
+                "quota_exhausted",
+                f"tenant {tenant!r} is over its admission quota",
+                retryable=True,
+                retry_after=_retry_after_header(
+                    self.quotas.retry_after_seconds(tenant)
+                ),
+            )
+        try:
+            shard_index = self._route(document)
+        except Exception as exc:
+            info = ErrorInfo.from_exception(exc)
+            return rejected(
+                http_status_for_code(info.code),
+                info.code,
+                str(info),
+                retryable=info.retryable,
+            )
+        client = self.shards.clients[shard_index]
+        job = {"op": "optimize", "request": document, "request_id": request_id}
+        if encode_reply:
+            job["encode_reply"] = True
+        try:
+            future = client.submit(
+                job, deadline_seconds=self.config.deadline_seconds
+            )
+        except asyncio.QueueFull:
+            return rejected(
+                429,
+                "over_capacity",
+                f"shard {shard_index} is at its queue limit "
+                f"({client.queue_limit} waiting requests)",
+                retryable=True,
+                retry_after="1",
+            )
+        payload = await future
+        status = payload.get("status", 500)
+        return status, payload, "1" if status == 429 else None
+
     async def _handle_optimize(self, body: bytes):
         envelope, rejection = self._check_envelope(body)
         if rejection is not None:
@@ -488,69 +553,17 @@ class FrontDoor:
                 None,
             )
         tenant = str(envelope.get("tenant") or "default")
-        if not self.quotas.try_acquire(tenant):
-            self._reject("quota_exhausted")
-            retry_after = self.quotas.retry_after_seconds(tenant)
-            return (
-                429,
-                _error_body(
-                    "quota_exhausted",
-                    f"tenant {tenant!r} is over its admission quota",
-                    retryable=True,
-                    request_id=request_id,
-                ),
-                "application/json",
-                [("Retry-After", _retry_after_header(retry_after))],
-            )
-        try:
-            shard_index = self._route(document)
-        except Exception as exc:
-            info = ErrorInfo.from_exception(exc)
-            self._reject(info.code)
-            return (
-                http_status_for_code(info.code),
-                _error_body(
-                    info.code, str(info), retryable=info.retryable,
-                    request_id=request_id,
-                ),
-                "application/json",
-                None,
-            )
-        client = self.shards.clients[shard_index]
-        job = {
-            "op": "optimize",
-            "request": document,
-            "request_id": request_id,
-            "encode_reply": True,
-        }
-        try:
-            future = client.submit(
-                job, deadline_seconds=self.config.deadline_seconds
-            )
-        except asyncio.QueueFull:
-            self._reject("over_capacity")
-            return (
-                429,
-                _error_body(
-                    "over_capacity",
-                    f"shard {shard_index} is at its queue limit "
-                    f"({client.queue_limit} waiting requests)",
-                    retryable=True,
-                    request_id=request_id,
-                ),
-                "application/json",
-                [("Retry-After", "1")],
-            )
-        payload = await future
-        status = payload.get("status", 500)
+        status, payload, retry_after = await self._optimize_one(
+            document, tenant, request_id, encode_reply=True
+        )
         reply_body = payload.get("body")
         if reply_body is None:
             reply_body = json.dumps(
                 payload.get("reply", {}), separators=(",", ":")
             ).encode("utf-8")
         extra = None
-        if status == 429:
-            extra = [("Retry-After", "1")]
+        if retry_after is not None:
+            extra = [("Retry-After", retry_after)]
         return status, reply_body, "application/json", extra
 
     async def _handle_optimize_batch(self, body: bytes):
@@ -585,42 +598,9 @@ class FrontDoor:
                     "optimization_request object",
                     request_id=item_id,
                 )
-            if not self.quotas.try_acquire(tenant):
-                self._reject("quota_exhausted")
-                return _error_envelope(
-                    "quota_exhausted",
-                    f"tenant {tenant!r} is over its admission quota",
-                    retryable=True,
-                    request_id=item_id,
-                )
-            try:
-                shard_index = self._route(document)
-            except Exception as exc:
-                info = ErrorInfo.from_exception(exc)
-                self._reject(info.code)
-                return _error_envelope(
-                    info.code, str(info), retryable=info.retryable,
-                    request_id=item_id,
-                )
-            client = self.shards.clients[shard_index]
-            job = {
-                "op": "optimize",
-                "request": document,
-                "request_id": item_id,
-            }
-            try:
-                future = client.submit(
-                    job, deadline_seconds=self.config.deadline_seconds
-                )
-            except asyncio.QueueFull:
-                self._reject("over_capacity")
-                return _error_envelope(
-                    "over_capacity",
-                    f"shard {shard_index} is at its queue limit",
-                    retryable=True,
-                    request_id=item_id,
-                )
-            payload = await future
+            _status, payload, _retry_after = await self._optimize_one(
+                document, tenant, item_id
+            )
             return payload.get(
                 "reply",
                 _error_envelope("internal", "shard returned no reply"),

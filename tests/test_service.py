@@ -219,6 +219,42 @@ class TestErrorLabelResolution:
         assert slot["errors"] == 1 and slot["count"] == 2
 
 
+class TestOptimizeErrorAccounting:
+    """Regression: ``optimize()`` recorded only ``ReproError`` failures,
+    so an engine bug left no error count and no stored trace, while the
+    same item through ``optimize_batch`` was counted and traced."""
+
+    def test_non_repro_engine_failure_is_recorded_and_traced(self, monkeypatch):
+        import repro.service.core as core
+        from repro.optimizer.api import choose_algorithm
+
+        def broken_engine(request):
+            raise ZeroDivisionError("engine bug")
+
+        monkeypatch.setattr(core, "optimize_request", broken_engine)
+        catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 6).catalog
+        label = choose_algorithm(catalog)
+        service = OptimizerService()
+        with pytest.raises(ZeroDivisionError):
+            service.optimize(catalog)
+        snapshot = service.stats_snapshot()
+        assert snapshot["totals"]["requests"] == 1
+        assert snapshot["totals"]["errors"] == 1
+        assert snapshot["algorithms"][label]["errors"] == 1
+        assert snapshot["breaker"][label]["consecutive_failures"] == 1
+        trace = service.traces.last()
+        assert trace is not None
+        assert trace.root.attributes["error"] == "ZeroDivisionError: engine bug"
+        assert trace.root.attributes["algorithm"] == label
+        # The batch path accounts for the same failure the same way.
+        batched = service.optimize_batch([catalog], workers=1)[0]
+        assert batched.error == "ZeroDivisionError: engine bug"
+        assert service.stats_snapshot()["totals"]["errors"] == 2
+        assert service.traces.get(batched.trace_id).root.attributes["error"] == (
+            "ZeroDivisionError: engine bug"
+        )
+
+
 class TestLru:
     def test_eviction_at_capacity(self):
         service = OptimizerService(cache_capacity=2)

@@ -21,12 +21,15 @@ from repro import (
     uniform_statistics,
 )
 from repro.catalog.workload import WorkloadGenerator
-from repro.errors import OptimizationError
+from repro.cost.physical import PhysicalCostModel
+from repro.errors import OptimizationError, ReproError
 from repro.optimizer.api import (
     ALGORITHMS,
+    OptimizationResult,
     register_algorithm,
     unregister_algorithm,
 )
+from repro.service import ResilienceConfig
 from repro.service.executor import ProcessPoolExecutor
 
 
@@ -85,6 +88,102 @@ class TestBackendParity:
         assert [isinstance(o, float) for o in serial] == [
             True, True, False, True, False, True,
         ]
+
+    # One pipeline: every executor shares prepare → admission → finish
+    # and differs only in where the engine runs, so beyond costs they
+    # must agree on provenance, counters, and trace shape.  The budget
+    # sends clique-8 (3025 ccps) to the dpconv rung and the physical
+    # star-9 (1024 ccps) to a heuristic; the mixed batch stays exact.
+
+    @staticmethod
+    def ladder_items():
+        generator = WorkloadGenerator(seed=17)
+        return mixed_batch() + [
+            OptimizationRequest(
+                query=generator.fixed_shape("clique", 8), tag="dpconv"
+            ),
+            OptimizationRequest(
+                query=generator.fixed_shape("star", 9),
+                cost_model=PhysicalCostModel(),
+                tag="heuristic",
+            ),
+        ]
+
+    @staticmethod
+    def pipeline_view(run):
+        """Rows and totals of two passes (the second hits the cache)."""
+        service = OptimizerService(
+            resilience=ResilienceConfig(max_ccp_budget=500, anytime_enabled=False)
+        )
+        rows = []
+        for _ in range(2):
+            for result in run(service):
+                trace = service.traces.get(result.trace_id)
+                rows.append((
+                    result.tag,
+                    result.algorithm,
+                    result.cache_hit,
+                    round(result.cost, 6) if result.ok
+                    else result.error.split(":")[0],
+                    [result.details.get(key) for key in (
+                        "rung", "fast_exact", "degraded", "kernel",
+                    )],
+                    [span.name for span in trace.root.children]
+                    if trace is not None else None,
+                ))
+        return rows, service.stats_snapshot()["totals"]
+
+    def test_executors_share_one_pipeline(self):
+        views = {
+            executor: self.pipeline_view(
+                lambda service: service.optimize_batch(
+                    self.ladder_items(), workers=2, executor=executor
+                )
+            )
+            for executor in ("serial", "thread", "process")
+        }
+        assert views["serial"] == views["thread"] == views["process"]
+        rows, totals = views["serial"]
+        assert totals["requests"] == 16 and totals["errors"] == 4
+        assert totals["cache_hits"] == 5
+        assert totals["fast_exact"] == 1 and totals["degraded"] == 2
+        by_tag = {row[0]: row for row in rows[:8]}
+        assert by_tag["dpconv"][4][:2] == ["dpconv", 1]
+        assert by_tag["dpconv"][5] == [
+            "prepare", "admission", "degraded_rung", "store",
+        ]
+        assert by_tag["heuristic"][4][0] == "ikkbz"
+        assert by_tag["heuristic"][5] == ["prepare", "admission", "degraded_rung"]
+        # The disconnected item failed inside the engine, wherever it ran.
+        assert rows[2][3] == "DisconnectedGraphError"
+        assert rows[2][5] == ["prepare", "admission", "enumerate"]
+        assert [row[5] for row in rows[8:] if row[2]] == [["prepare"]] * 5
+
+    def test_optimize_loop_matches_the_batch_pipeline(self):
+        items = [item for item in self.ladder_items() if item != 42]
+
+        def optimize_each(service):
+            results = []
+            for item in items:
+                try:
+                    results.append(service.optimize(item))
+                except ReproError as exc:
+                    results.append(OptimizationResult(
+                        plan=None,
+                        algorithm="auto",
+                        elapsed_seconds=0.0,
+                        memo_entries=0,
+                        cost_evaluations=0,
+                        cardinality_estimations=0,
+                        error=f"{type(exc).__name__}: {exc}",
+                        trace_id=service.traces.last().trace_id,
+                    ))
+            return results
+
+        batched = self.pipeline_view(
+            lambda service: service.optimize_batch(items, workers=1)
+        )
+        assert self.pipeline_view(optimize_each) == batched
 
     def test_process_batch_preserves_order_and_tags(self):
         generator = WorkloadGenerator(seed=7)
