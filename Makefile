@@ -12,9 +12,13 @@ test:
 
 # Chaos suite: scripted worker crashes/hangs/corrupted payloads through
 # the fault-injection layer, breaker and admission behaviour, crash-safe
-# cache persistence.
+# cache persistence, and the front door's shard crash, deadline kill,
+# restart and cooperative-deadline salvage (shards and batch workers
+# share one supervisor).
 chaos:
-	$(PYTHON) -m pytest -x -q tests/test_resilience.py
+	$(PYTHON) -m pytest -x -q tests/test_resilience.py \
+		tests/test_frontdoor.py::TestBackpressureAndCrashes \
+		tests/test_frontdoor.py::TestDrainAndCooperativeDeadlines::test_cooperative_deadline_salvages_instead_of_hard_kill
 
 bench-service:
 	$(PYTHON) benchmarks/bench_service_cache.py

@@ -88,6 +88,7 @@ from repro.service.executor import (
     EXECUTORS,
     ProcessPoolExecutor,
     annotate_enumerate,
+    stamp_deadline,
 )
 from repro.service.faults import FaultInjector
 from repro.service.metrics import ServiceMetrics
@@ -326,10 +327,6 @@ class OptimizerService:
     default_deadline_seconds:
         Per-item wall-clock budget applied to batches that do not pass
         their own ``deadline_seconds`` (``None`` = no deadline).
-    process_start_method:
-        ``multiprocessing`` start method for the process executor
-        (``None`` = platform default; ``fork`` on Linux keeps plugin
-        algorithms registered in the parent visible to workers).
     resilience:
         :class:`~repro.service.resilience.ResilienceConfig` with the
         admission budget, breaker, and retry knobs (``None`` = defaults:
@@ -369,7 +366,6 @@ class OptimizerService:
         round_digits: int = 4,
         default_executor: str = "thread",
         default_deadline_seconds: Optional[float] = None,
-        process_start_method: Optional[str] = None,
         resilience: Optional[ResilienceConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
         tracing: bool = True,
@@ -388,7 +384,6 @@ class OptimizerService:
         self.round_digits = round_digits
         self.default_executor = default_executor
         self.default_deadline_seconds = default_deadline_seconds
-        self.process_start_method = process_start_method
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.breaker = CircuitBreaker(
             threshold=self.resilience.breaker_threshold,
@@ -1078,22 +1073,11 @@ class OptimizerService:
                     # Cache hits and ladder rungs are served here.
                     slots[index] = self._run_in_thread(job)
                     continue
-                run_request = job.run_request
+                document = request_to_dict(job.run_request)
                 if deadline_seconds is not None and self._budget_capable(job):
-                    # Ship the batch deadline to the worker so its engine
-                    # stops cooperatively and salvages instead of being
-                    # hard-killed; the executor only escalates to
-                    # terminate if the worker misses the grace period on
-                    # top.
-                    budget_deadline = deadline_seconds
-                    if run_request.deadline_seconds is not None:
-                        budget_deadline = min(
-                            budget_deadline, run_request.deadline_seconds
-                        )
-                    run_request = replace(
-                        run_request, deadline_seconds=budget_deadline
-                    )
-                document = request_to_dict(run_request)
+                    # Ship the batch deadline as the engine's cooperative
+                    # budget: it salvages instead of being hard-killed.
+                    document = stamp_deadline(document, deadline_seconds)
             except Exception as exc:
                 slots[index] = self._fail(job, exc)
                 continue
@@ -1110,7 +1094,6 @@ class OptimizerService:
         backend = ProcessPoolExecutor(
             workers=max(1, workers),
             deadline_seconds=deadline_seconds,
-            start_method=self.process_start_method,
             retry_policy=cfg.retry_policy(),
             retry_budget=(
                 RetryBudget(cfg.retry_budget_per_batch)

@@ -1,30 +1,43 @@
-"""Process-pool batch execution with per-item deadlines and retries.
+"""Supervised worker processes: the batch pool and the front door's shards.
 
-CPython's GIL serializes CPU-bound work across threads, so the service's
-threaded ``optimize_batch`` never uses more than one core for the actual
-enumeration — the very hot path the paper is about.  This module runs
-batch items in **worker processes** instead: requests travel to workers
-as :mod:`repro.serialize` documents (plain dicts), results travel back
-the same way, and the parent enforces a wall-clock **deadline** per item.
+CPython's GIL serializes CPU-bound work across threads, and an exact
+enumeration is exponential in the worst case, so a process boundary is
+the only way to both use several cores and preempt a runaway query.
+:class:`Worker` is the one supervisor of such processes in
+:mod:`repro.service`: :class:`ProcessPoolExecutor` (the batch pool) and
+:class:`~repro.service.sharding.ShardClient` (one front-door shard) both
+hold workers and differ only in the loop they run and how they dispatch.
 
 Design notes:
 
-* One duplex :func:`multiprocessing.Pipe` per worker, no shared queues.
-  Killing a worker mid-task can only corrupt its own pipe (which is
-  discarded with it), never a sibling's channel — the classic hazard of
-  ``Process.terminate`` with a shared ``multiprocessing.Queue``.
-* A worker that exceeds its deadline is **terminated and replaced**; the
-  batch keeps draining on the remaining workers.  A worker that dies on
-  its own (OOM kill, segfault) is detected via EOF and likewise
-  replaced.  Either way the batch finishes; a single pathological query
-  can no longer stall it.
-* A job that carries its own cooperative ``deadline_seconds`` (see
-  :mod:`repro.optimizer.budget`) is expected to stop **itself**: the
-  worker's engine salvages a partial-memo plan at the deadline and
-  reports it as an ordinary ``"ok"``.  The parent grants such jobs a
-  fixed grace (``_COOPERATIVE_GRACE``) on top of the pool deadline and
-  only escalates terminate → kill when the worker misses it — hard
-  kills become the exception, not the enforcement mechanism.
+* **One start method.** Every worker starts from one context that
+  prefers ``fork``, so algorithms and cost models registered in the
+  parent are visible to workers whatever ``set_start_method`` says;
+  platforms without ``fork`` use their default and only see built-ins.
+* **One pipe per worker.** A private duplex :func:`multiprocessing.Pipe`,
+  no shared queues: killing a worker mid-task can only corrupt its own
+  pipe (discarded with it), never a sibling's channel.
+* **One loop.** :func:`serve_pipe` is the worker side of both protocols:
+  receive a message, handle it, send the reply, until the ``None``
+  sentinel or a closed pipe.
+* **One stop.** :meth:`Worker.stop` escalates sentinel → join →
+  terminate → kill and closes the pipe; :meth:`Worker.restart` is a
+  stop followed by a fresh spawn.  Workers shed inherited signal
+  plumbing at start, so ``terminate`` always works and an interrupt in
+  the terminal is left to the supervisor.
+* **One cooperative-deadline rule.** :func:`stamp_deadline` ships
+  ``min(own, remaining)`` to the engine as its cooperative budget, and
+  :func:`hard_deadline` reaps the worker only ``_COOPERATIVE_GRACE``
+  seconds after that — the engine salvages a partial-memo plan at its
+  deadline, so hard kills are the exception (uncooperative engines,
+  wedged workers), not the enforcement mechanism.
+
+The batch pool on top of that:
+
+* A worker that exceeds its deadline is **terminated and restarted**;
+  the batch keeps draining on the remaining workers.  A worker that dies
+  on its own (OOM kill, segfault) is detected via EOF and likewise
+  restarted.  Either way the batch finishes.
 * **Transient failures are retried**: with a :class:`~repro.service.resilience.RetryPolicy`
   installed, a crash, pipe EOF, or corrupted payload re-queues the item
   with exponential backoff + deterministic jitter, up to the policy's
@@ -46,39 +59,80 @@ Design notes:
   plan caching, metrics, and heuristic fallbacks stay in the parent
   (:mod:`repro.service.core`), which is what keeps cache behaviour
   identical across the serial/thread/process executors.
-
-The default start method is the platform default (``fork`` on Linux), so
-algorithms registered before the batch are visible to workers.  Under
-``spawn`` workers re-import :mod:`repro` and only built-in registry names
-are available.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import OptimizationError
 
-__all__ = ["ProcessPoolExecutor", "JobOutcome", "EXECUTORS", "annotate_enumerate"]
+__all__ = [
+    "EXECUTORS",
+    "JobOutcome",
+    "ProcessPoolExecutor",
+    "Worker",
+    "annotate_enumerate",
+    "hard_deadline",
+    "serve_pipe",
+    "stamp_deadline",
+]
 
 #: Recognised ``executor=`` names for ``OptimizerService.optimize_batch``.
 EXECUTORS = ("serial", "thread", "process")
 
-#: How long (seconds) to wait for a worker to exit politely before
-#: escalating terminate → kill during shutdown/recycling.
+#: The one start method of every worker: ``fork`` where the platform has
+#: it (parent-registered plugins carry over), its default elsewhere.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
+
+#: How long (seconds) a worker sent the shutdown sentinel gets to return
+#: from its loop before :meth:`Worker.stop` escalates to terminate.
+_STOP_GRACE = 2.0
+
+#: How long (seconds) to wait for a terminated (then killed) worker to
+#: be reaped.
 _JOIN_GRACE = 5.0
 
-#: Extra wall-clock (seconds) granted past the pool deadline to
-#: jobs that carry a cooperative ``deadline_seconds`` of their own — the
-#: engine stops itself at the deadline; the grace only covers salvage
-#: and serialization before the parent assumes the worker is hung.
+#: Extra wall-clock (seconds) granted past the deadline to a job that
+#: carries a cooperative ``deadline_seconds`` — the engine stops itself
+#: at the deadline; the grace only covers salvage and serialization
+#: before the supervisor assumes the worker is hung.
 _COOPERATIVE_GRACE = 1.0
+
+
+def stamp_deadline(document: Dict[str, Any], remaining: float) -> Dict[str, Any]:
+    """Copy of a request ``document`` with cooperative budget ``min(own, remaining)``.
+
+    The engine in the worker then stops itself at the deadline and
+    salvages a partial-memo plan instead of being killed mid-enumeration.
+    """
+    own = document.get("deadline_seconds")
+    return dict(
+        document,
+        deadline_seconds=remaining if own is None else min(float(own), remaining),
+    )
+
+
+def hard_deadline(document: Any, remaining: float) -> float:
+    """Seconds after which a worker running ``document`` is reaped.
+
+    A request document carrying a cooperative ``deadline_seconds`` gets
+    ``_COOPERATIVE_GRACE`` on top of ``remaining``: its engine stops
+    itself, so missing the grace too means the worker is hung (or the
+    engine ignored its budget).  Anything else is reaped at ``remaining``.
+    """
+    if isinstance(document, dict) and document.get("deadline_seconds") is not None:
+        return remaining + _COOPERATIVE_GRACE
+    return remaining
 
 
 @dataclass
@@ -131,16 +185,36 @@ def annotate_enumerate(span, result, **attributes: Any) -> None:
     )
 
 
-def _process_worker_main(connection) -> None:
-    """Worker loop: recv (index, request document, fault), send (index, payload).
+def serve_pipe(connection, handle: Callable[[Any], Any]) -> None:
+    """The worker loop: send ``handle(message)`` for each message received.
 
-    Runs in the child process.  ``None`` is the shutdown sentinel.  All
-    failures — including deserialization errors — are reported back as
-    ``("error", type_name, message)`` payloads so the parent can isolate
-    them per item.  A job carrying trace context gets its serialized
-    ``enumerate`` span appended to either payload.  ``fault`` is an injected chaos directive (or
-    ``None``): executed *before* the optimizer so it models an
-    infrastructure fault, not an algorithm bug.
+    Returns on the ``None`` shutdown sentinel or a closed pipe.
+    ``handle`` reports its own failures in the reply; an exception that
+    escapes it ends the worker, which the supervisor sees as a crash.
+    """
+    while True:
+        try:
+            message = connection.recv()
+        except (EOFError, OSError):
+            return
+        if message is None:
+            return
+        reply = handle(message)
+        try:
+            connection.send(reply)
+        except (BrokenPipeError, OSError):
+            return
+
+
+def _process_worker_main(connection) -> None:
+    """Batch worker: answer ``(index, document, fault)`` with ``(index, payload)``.
+
+    All failures — including deserialization errors — are reported back
+    as ``("error", type_name, message)`` payloads so the parent can
+    isolate them per item.  A job carrying trace context gets its
+    serialized ``enumerate`` span appended to either payload.  ``fault``
+    is an injected chaos directive (or ``None``): executed *before* the
+    optimizer so it models an infrastructure fault, not an algorithm bug.
     """
     # Imported here so the module import itself stays cheap in the
     # parent and works under the ``spawn`` start method.
@@ -149,13 +223,7 @@ def _process_worker_main(connection) -> None:
     from repro.service.faults import apply_fault
     from repro.service.tracing import Span, span_to_dict
 
-    while True:
-        try:
-            item = connection.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if item is None:
-            return
+    def handle(item) -> Tuple:
         index, document, fault = item
         # Trace context rides inside the job document (so the wire
         # protocol shape is unchanged); strip it before deserializing.
@@ -163,16 +231,9 @@ def _process_worker_main(connection) -> None:
             document.pop("trace", None) if isinstance(document, dict) else None
         )
         if fault is not None:
-            try:
-                poison = apply_fault(fault)
-            except KeyboardInterrupt:
-                return
+            poison = apply_fault(fault)
             if poison is not None:
-                try:
-                    connection.send((index, poison))
-                except (BrokenPipeError, OSError):
-                    return
-                continue
+                return (index, poison)
         span = Span("enumerate") if trace_context is not None else None
         try:
             result = optimize_request(request_from_dict(document))
@@ -180,8 +241,6 @@ def _process_worker_main(connection) -> None:
                 span.finish()
                 annotate_enumerate(span, result, worker_pid=os.getpid())
             payload: Tuple = ("ok", result_to_dict(result))
-        except KeyboardInterrupt:
-            return
         except BaseException as exc:
             if span is not None:
                 span.finish()
@@ -189,16 +248,39 @@ def _process_worker_main(connection) -> None:
             payload = ("error", type(exc).__name__, str(exc))
         if span is not None:
             payload += ([span_to_dict(span, origin_s=span.start_s)],)
-        try:
-            connection.send((index, payload))
-        except (BrokenPipeError, OSError):
-            return
+        return (index, payload)
+
+    serve_pipe(connection, handle)
 
 
-class _Worker:
-    """One recyclable worker process plus its private pipe."""
+def _worker_bootstrap(connection, target: Callable, args: Tuple) -> None:
+    """Child-side entry of every worker: reset signals, then run ``target``.
+
+    A worker forked from the asyncio front door inherits the event
+    loop's signal handlers (which ignore ``SIGTERM``) and its wakeup fd
+    (the parent loop's self-pipe — a signal delivered to the worker
+    would wake the *parent* as if it had been signalled).  Dropping both
+    makes ``terminate`` kill the worker; ignoring ``SIGINT`` leaves a
+    terminal interrupt to the supervisor, which stops its workers itself.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    target(connection, *args)
+
+
+class Worker:
+    """One supervised worker process plus its private duplex pipe.
+
+    The process runs ``target(connection, *args)`` — a loop built on
+    :func:`serve_pipe`.  The ``busy_*`` slots are the batch pool's
+    record of the job in flight; shards leave them empty.
+    """
 
     __slots__ = (
+        "target",
+        "args",
+        "name",
         "connection",
         "process",
         "busy_index",
@@ -207,20 +289,28 @@ class _Worker:
         "started_at",
     )
 
-    def __init__(self, context):
-        self.connection, child_connection = context.Pipe(duplex=True)
-        self.process = context.Process(
-            target=_process_worker_main,
-            args=(child_connection,),
+    def __init__(
+        self,
+        target: Callable = _process_worker_main,
+        args: Tuple = (),
+        name: str = "repro-optimizer-worker",
+    ):
+        self.target = target
+        self.args = args
+        self.name = name
+        self.release()
+        self._spawn()
+
+    def _spawn(self) -> None:
+        self.connection, child_connection = _CONTEXT.Pipe(duplex=True)
+        self.process = _CONTEXT.Process(
+            target=_worker_bootstrap,
+            args=(child_connection, self.target, self.args),
             daemon=True,
-            name="repro-optimizer-worker",
+            name=self.name,
         )
         self.process.start()
         child_connection.close()
-        self.busy_index: Optional[int] = None
-        self.busy_document: Optional[Dict[str, Any]] = None
-        self.busy_attempt: int = 0
-        self.started_at: Optional[float] = None
 
     def assign(
         self,
@@ -245,14 +335,19 @@ class _Worker:
         return 0.0 if self.started_at is None else time.monotonic() - self.started_at
 
     def stop(self, graceful: bool = True) -> None:
-        """Shut the worker down; escalate if it will not die."""
+        """Shut the worker down; escalate if it will not die.
+
+        Graceful: send the ``None`` sentinel and give the loop
+        ``_STOP_GRACE`` seconds to return.  Then terminate, then kill,
+        and close the pipe whatever happened.
+        """
         try:
             if graceful and self.process.is_alive():
                 try:
                     self.connection.send(None)
                 except (BrokenPipeError, OSError):
                     pass
-                self.process.join(timeout=0.5)
+                self.process.join(timeout=_STOP_GRACE)
             if self.process.is_alive():
                 self.process.terminate()
                 self.process.join(timeout=_JOIN_GRACE)
@@ -265,6 +360,17 @@ class _Worker:
             except OSError:
                 pass
 
+    def restart(self, args: Optional[Tuple] = None) -> None:
+        """Stop the process (ungracefully) and spawn a fresh one.
+
+        ``args`` replaces the target's arguments for the new process.
+        """
+        self.stop(graceful=False)
+        if args is not None:
+            self.args = args
+        self.release()
+        self._spawn()
+
 
 class ProcessPoolExecutor:
     """Run serialized optimization jobs on worker processes.
@@ -275,15 +381,12 @@ class ProcessPoolExecutor:
         Number of worker processes (capped by the job count at run time).
     deadline_seconds:
         Per-item wall-clock budget measured from dispatch.  ``None``
-        disables enforcement.  An expired item's worker is terminated and
-        replaced; the item resolves to a ``"timeout"`` outcome.  Jobs
-        whose request document carries its own ``deadline_seconds`` (a
-        cooperative engine budget) stop themselves and return a salvaged
-        result, so they are reaped only ``_COOPERATIVE_GRACE`` seconds
-        later.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default,
-        i.e. ``fork`` on Linux so registered plugins carry over).
+        disables enforcement.  An expired item's worker is restarted;
+        the item resolves to a ``"timeout"`` outcome.  Jobs whose
+        request document carries its own ``deadline_seconds`` (a
+        cooperative engine budget, see :func:`stamp_deadline`) stop
+        themselves and return a salvaged result, so they are reaped only
+        at :func:`hard_deadline`.
     retry_policy:
         :class:`~repro.service.resilience.RetryPolicy` governing retries
         of transient worker failures (crash, EOF, corrupted payload).
@@ -305,7 +408,6 @@ class ProcessPoolExecutor:
         self,
         workers: int,
         deadline_seconds: Optional[float] = None,
-        start_method: Optional[str] = None,
         retry_policy=None,
         retry_budget=None,
         fault_injector=None,
@@ -323,7 +425,6 @@ class ProcessPoolExecutor:
         self.retry_policy = retry_policy
         self.retry_budget = retry_budget
         self.fault_injector = fault_injector
-        self._context = multiprocessing.get_context(start_method)
 
     # ------------------------------------------------------------------
 
@@ -347,11 +448,11 @@ class ProcessPoolExecutor:
         pending: Deque[Tuple[int, Dict[str, Any], int, float]] = deque(
             (index, document, 0, 0.0) for index, document in jobs
         )
-        pool: List[_Worker] = [
-            _Worker(self._context) for _ in range(min(self.workers, len(jobs)))
+        pool: List[Worker] = [
+            Worker() for _ in range(min(self.workers, len(jobs)))
         ]
-        idle: List[_Worker] = list(pool)
-        busy: List[_Worker] = []
+        idle: List[Worker] = list(pool)
+        busy: List[Worker] = []
         try:
             while pending or busy:
                 now = time.monotonic()
@@ -375,13 +476,10 @@ class ProcessPoolExecutor:
                     except (BrokenPipeError, OSError):
                         # Worker died before it could accept work; this
                         # is the pool's fault, not the job's — requeue
-                        # at the same attempt and replace the worker.
+                        # at the same attempt and restart the worker.
                         pending.appendleft((index, document, attempt, 0.0))
-                        pool.remove(worker)
-                        worker.stop(graceful=False)
-                        replacement = _Worker(self._context)
-                        pool.append(replacement)
-                        idle.append(replacement)
+                        worker.restart()
+                        idle.append(worker)
                         continue
                     busy.append(worker)
                 ready = _connection_wait(
@@ -458,19 +556,9 @@ class ProcessPoolExecutor:
 
     # ------------------------------------------------------------------
 
-    def _hard_deadline(self, worker: _Worker) -> float:
-        """Wall-clock bound after which this worker's job is forcibly reaped.
-
-        Jobs shipping a cooperative engine budget get the grace period on
-        top of the pool deadline — the engine stops itself at its own
-        deadline, so reaching the hard bound means the worker is actually
-        hung (or the engine ignored its budget) and terminate → kill is
-        the right call.
-        """
-        document = worker.busy_document
-        if isinstance(document, dict) and document.get("deadline_seconds") is not None:
-            return self.deadline_seconds + _COOPERATIVE_GRACE
-        return self.deadline_seconds
+    def _hard_deadline(self, worker: Worker) -> float:
+        """Wall-clock bound after which this worker's job is forcibly reaped."""
+        return hard_deadline(worker.busy_document, self.deadline_seconds)
 
     def _fault_for(
         self, document: Dict[str, Any], attempt: int
@@ -481,7 +569,7 @@ class ProcessPoolExecutor:
         spec = self.fault_injector.fault_for(document.get("tag"), attempt)
         return spec.to_dict() if spec is not None else None
 
-    def _validate_message(self, worker: _Worker, message) -> Optional[Tuple]:
+    def _validate_message(self, worker: Worker, message) -> Optional[Tuple]:
         """Return the payload of a protocol-conforming message, else None.
 
         The index inside the message must name the job this worker was
@@ -514,7 +602,7 @@ class ProcessPoolExecutor:
 
     def _resolve_failure(
         self,
-        worker: _Worker,
+        worker: Worker,
         status: str,
         error: str,
         outcomes: Dict[int, JobOutcome],
@@ -547,7 +635,7 @@ class ProcessPoolExecutor:
 
     def _poll_timeout(
         self,
-        busy: Sequence[_Worker],
+        busy: Sequence[Worker],
         pending: Sequence[Tuple[int, Dict[str, Any], int, float]],
     ) -> Optional[float]:
         """Sleep until the next result, deadline expiry, or retry ready-time."""
@@ -573,17 +661,17 @@ class ProcessPoolExecutor:
 
     def _recycle(
         self,
-        worker: _Worker,
-        pool: List[_Worker],
-        busy: List[_Worker],
-        idle: List[_Worker],
+        worker: Worker,
+        pool: List[Worker],
+        busy: List[Worker],
+        idle: List[Worker],
         need_replacement: bool,
     ) -> None:
-        """Kill a worker and, if jobs are still queued, replace it."""
+        """Restart a worker if jobs are still queued, else stop it."""
         busy.remove(worker)
-        pool.remove(worker)
-        worker.stop(graceful=False)
         if need_replacement:
-            replacement = _Worker(self._context)
-            pool.append(replacement)
-            idle.append(replacement)
+            worker.restart()
+            idle.append(worker)
+        else:
+            pool.remove(worker)
+            worker.stop(graceful=False)

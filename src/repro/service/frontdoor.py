@@ -71,8 +71,9 @@ class FrontDoorConfig:
     wall budget *including* shard queue time; the remaining budget is
     shipped to the shard as a cooperative engine deadline, so the shard
     normally stops itself (salvaging a partial-memo plan) and is only
-    killed and respawned when it also misses ``cooperative_grace_seconds``
-    on top.  ``shard_service_kwargs`` is passed through to each shard's
+    restarted when it also misses the fixed grace on top
+    (:func:`repro.service.executor.hard_deadline`).
+    ``shard_service_kwargs`` is passed through to each shard's
     :class:`~repro.service.OptimizerService` constructor.
 
     ``snapshot_path`` names a per-shard plan-cache snapshot base (shard
@@ -90,7 +91,6 @@ class FrontDoorConfig:
     quota_rate: Optional[float] = None
     quota_burst: float = 10.0
     deadline_seconds: Optional[float] = 30.0
-    cooperative_grace_seconds: float = 1.0
     ring_replicas: int = 64
     warm_cache_path: Optional[str] = None
     snapshot_path: Optional[str] = None
@@ -119,7 +119,6 @@ class FrontDoor:
             replicas=self.config.ring_replicas,
             warm_cache_path=self.config.warm_cache_path,
             snapshot_path=self.config.snapshot_path,
-            cooperative_grace=self.config.cooperative_grace_seconds,
         )
         self.quotas = TenantQuotas(
             self.config.quota_rate, self.config.quota_burst
@@ -624,13 +623,7 @@ class FrontDoor:
 
     async def _handle_stats(self, body: bytes):
         async def shard_stats(client) -> Dict[str, Any]:
-            base = {
-                "shard": client.index,
-                "alive": client.alive,
-                "queue_depth": client.queue_depth,
-                "restarts": client.restarts,
-                "hard_kills_avoided": client.hard_kills_avoided,
-            }
+            base = client.health()
             try:
                 future = client.submit({"op": "stats"}, deadline_seconds=5.0)
             except asyncio.QueueFull:
@@ -665,21 +658,11 @@ class FrontDoor:
         )
 
     async def _handle_healthz(self, body: bytes):
-        shards = [
-            {
-                "shard": client.index,
-                "alive": client.alive,
-                "queue_depth": client.queue_depth,
-                "restarts": client.restarts,
-                "hard_kills_avoided": client.hard_kills_avoided,
-            }
-            for client in self.shards.clients
-        ]
         reply = {
             "version": WIRE_VERSION,
             "kind": "healthz_reply",
             "status": "draining" if self._draining else "ok",
-            "shards": shards,
+            "shards": [client.health() for client in self.shards.clients],
         }
         return (
             200,

@@ -12,23 +12,26 @@ breaker state.  This module holds the pieces that make that work:
 * :class:`TokenBucket` / :class:`TenantQuotas` — per-tenant admission
   quotas: a tenant names itself in the wire envelope and is throttled by
   its own refilling bucket before any shard work happens.
-* :func:`shard_worker_main` — the worker-process loop: builds the shard's
+* :func:`shard_worker_main` — the worker-process side: builds the shard's
   service, optionally warms its cache from a persisted snapshot
   (loading *only* the entries the ring assigns to it), and serves
-  ``optimize``/``stats``/``ping``/``save_cache`` ops over a pipe.
+  ``optimize``/``stats``/``ping``/``save_cache`` ops on the shared
+  worker loop (:func:`repro.service.executor.serve_pipe`).
 * :class:`ShardClient` / :class:`ShardPool` — the asyncio parent side:
   a bounded queue per shard (backpressure -> HTTP 429 upstream), one
-  in-flight op at a time per pipe, cooperative deadlines (the remaining
-  budget is stamped into the optimize request so the shard's engine
-  stops itself and salvages; kill+respawn only fires when the grace on
-  top is also missed), and crash detection with automatic respawn that
-  preserves the queue.  A respawned shard re-warms from the latest
+  in-flight op at a time per pipe, the service's one cooperative-deadline
+  rule (the remaining budget is stamped into the optimize request so the
+  shard's engine stops itself and salvages; a restart only fires when
+  the grace on top is also missed), and crash detection with automatic
+  restart that preserves the queue.  The process itself is a
+  :class:`repro.service.executor.Worker`, the same supervisor as the
+  batch pool's.  A restarted shard re-warms from the latest
   ring-filtered snapshot (:meth:`ShardClient.save_snapshot`) when one
   exists, falling back to the startup snapshot.
 
-Everything here is stdlib-only (``multiprocessing``, ``asyncio``,
-``hashlib``); the wire status mapping lives in
-:data:`HTTP_STATUS_BY_CODE` so the front door and tests agree on it.
+Everything here is stdlib-only (``asyncio``, ``hashlib``); the wire
+status mapping lives in :data:`HTTP_STATUS_BY_CODE` so the front door
+and tests agree on it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import asyncio
 import bisect
 import hashlib
 import json
-import multiprocessing
 import os
 import time
 import warnings
@@ -53,6 +55,7 @@ from repro.errors import (
     OptimizationError,
     UnsupportedVersionError,
 )
+from repro.service.executor import Worker, hard_deadline, serve_pipe, stamp_deadline
 
 __all__ = [
     "ConsistentHashRing",
@@ -362,15 +365,15 @@ def shard_worker_main(
     service_kwargs: Dict[str, Any],
     warm_cache_path: Optional[str] = None,
 ) -> None:
-    """Entry point of one shard process: serve ops from ``conn`` forever.
+    """Entry point of one shard process: serve ops from ``conn`` until stopped.
 
     Ops are dicts with an ``"op"`` key; every op gets exactly one reply
     dict carrying ``"version": 1``.  ``optimize`` replies add the HTTP
     ``status`` the front door should send and — when the job asked with
     ``encode_reply`` — the pre-encoded JSON ``body`` bytes, so the
     parent's event loop only frames HTTP around them (keeping front-door
-    CPU out of the serving hot path).  The loop exits on ``shutdown`` or
-    a closed pipe; ``crash`` hard-exits for chaos tests.
+    CPU out of the serving hot path).  The loop returns on the ``None``
+    sentinel or a closed pipe; ``crash`` hard-exits for chaos tests.
     """
     from repro.service.core import OptimizerService
 
@@ -379,100 +382,60 @@ def shard_worker_main(
     if warm_cache_path:
         ring = ConsistentHashRing(shard_count, replicas)
         warmed = _warm_owned_entries(service.cache, warm_cache_path, ring, shard)
-    while True:
-        try:
-            job = conn.recv()
-        except (EOFError, OSError):
-            break
+
+    def handle(job: Dict[str, Any]) -> Dict[str, Any]:
         op = job.get("op")
-        if op == "shutdown":
-            try:
-                conn.send({"version": 1, "ok": True, "shard": shard})
-            except (OSError, BrokenPipeError):
-                pass
-            break
         if op == "crash":
             # Chaos hook: die without cleanup, like a segfault would.
             os._exit(int(job.get("exit_code", 1)))
+        reply: Dict[str, Any] = {"version": 1, "ok": True, "shard": shard}
         try:
             if op == "ping":
-                reply = {
-                    "version": 1,
-                    "ok": True,
-                    "shard": shard,
-                    "pid": os.getpid(),
-                    "warmed_entries": warmed,
-                }
+                reply.update(pid=os.getpid(), warmed_entries=warmed)
             elif op == "sleep":
                 # Test hook: hold the shard busy for a known duration.
                 time.sleep(float(job.get("seconds", 0.0)))
-                reply = {"version": 1, "ok": True, "shard": shard}
             elif op == "stats":
-                reply = {
-                    "version": 1,
-                    "ok": True,
-                    "shard": shard,
-                    "warmed_entries": warmed,
-                    "stats": service.stats_snapshot(),
-                }
+                reply.update(warmed_entries=warmed, stats=service.stats_snapshot())
             elif op == "save_cache":
-                count = service.save_cache(job["path"])
-                reply = {
-                    "version": 1,
-                    "ok": True,
-                    "shard": shard,
-                    "entries": count,
-                }
+                reply["entries"] = service.save_cache(job["path"])
             elif op == "optimize":
                 envelope, status = _optimize_on_shard(service, job, shard)
-                reply = {
-                    "version": 1,
-                    "ok": True,
-                    "shard": shard,
-                    "status": status,
-                    "reply": envelope,
-                    "cache_hit": bool(
+                reply.update(
+                    status=status,
+                    reply=envelope,
+                    cache_hit=bool(
                         envelope.get("result", {}).get("cache_hit", False)
                         if envelope.get("kind") == "optimize_reply"
                         else False
                     ),
-                }
+                )
                 if job.get("encode_reply"):
                     reply["body"] = json.dumps(
                         envelope, separators=(",", ":")
                     ).encode("utf-8")
             else:
-                reply = {
-                    "version": 1,
-                    "ok": False,
-                    "shard": shard,
-                    "error": ErrorInfo(
+                reply.update(
+                    ok=False,
+                    error=ErrorInfo(
                         f"unknown shard op {op!r}", code="invalid_request"
                     ).to_dict(),
-                }
+                )
         except Exception as exc:  # belt-and-braces: never kill the loop
-            info = ErrorInfo.from_exception(exc)
             reply = {
                 "version": 1,
                 "ok": False,
                 "shard": shard,
-                "error": info.to_dict(),
+                "error": ErrorInfo.from_exception(exc).to_dict(),
             }
-        try:
-            conn.send(reply)
-        except (OSError, BrokenPipeError):
-            break
+        return reply
+
+    serve_pipe(conn, handle)
 
 
 # ----------------------------------------------------------------------
 # The asyncio parent side
 # ----------------------------------------------------------------------
-
-
-def _mp_context():
-    """Prefer ``fork`` (keeps parent-registered plugins visible)."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 class ShardClient:
@@ -482,12 +445,13 @@ class ShardClient:
     :class:`asyncio.QueueFull` when the shard is saturated, which the
     front door turns into HTTP 429.  One drain task per shard sends jobs
     over the pipe one at a time (pipe send/recv are blocking, so they run
-    on a dedicated single-thread executor).  A job that outlives its
-    deadline gets the shard killed and respawned (the only way to
-    preempt a CPU-bound enumeration); a crashed shard is detected by the
-    broken pipe and respawned the same way.  The queue lives in the
-    parent, so respawning never drops the jobs waiting behind the one
-    that died.
+    on a dedicated single-thread executor).  The process is a supervised
+    :class:`~repro.service.executor.Worker`: a job that outlives its
+    deadline (and the cooperative grace) gets the shard restarted — the
+    only way to preempt a CPU-bound enumeration — and a crashed shard is
+    detected by the broken pipe and restarted the same way.  The queue
+    lives in the parent, so a restart never drops the jobs waiting
+    behind the one that died.
     """
 
     def __init__(
@@ -499,7 +463,6 @@ class ShardClient:
         warm_cache_path: Optional[str] = None,
         queue_limit: int = 16,
         snapshot_path: Optional[str] = None,
-        cooperative_grace: float = 1.0,
     ):
         self.index = index
         self.shard_count = shard_count
@@ -507,74 +470,61 @@ class ShardClient:
         self.service_kwargs = dict(service_kwargs)
         self.warm_cache_path = warm_cache_path
         self.snapshot_path = snapshot_path
-        self.cooperative_grace = cooperative_grace
         self.queue_limit = queue_limit
         self.restarts = 0
         self.completed = 0
         self.hard_kills_avoided = 0
-        self.process = None
-        self._conn = None
         self._queue: Optional[asyncio.Queue] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._pipe_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-shard{index}-pipe"
         )
-        self._context = _mp_context()
-        self._spawn()
+        self._worker = Worker(
+            shard_worker_main, self._worker_args(), name=f"repro-shard-{index}"
+        )
 
     # -- process lifecycle ---------------------------------------------
 
-    def _warm_path(self) -> Optional[str]:
-        """Snapshot to warm the next spawn from.
+    def _worker_args(self) -> Tuple:
+        """Arguments of the next :func:`shard_worker_main` (re)spawn.
 
         A snapshot written since startup (periodic task or drain) is
-        fresher than the startup warm file, so a respawned shard
+        fresher than the startup warm file, so a restarted shard
         re-warms from it — a deadline recycle no longer means starting
         cold and re-enumerating everything the dead process had cached.
         """
+        warm_path = self.warm_cache_path
         if self.snapshot_path and os.path.exists(self.snapshot_path):
-            return self.snapshot_path
-        return self.warm_cache_path
-
-    def _spawn(self) -> None:
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=shard_worker_main,
-            args=(
-                child_conn,
-                self.index,
-                self.shard_count,
-                self.replicas,
-                self.service_kwargs,
-                self._warm_path(),
-            ),
-            daemon=True,
-            name=f"repro-shard-{self.index}",
+            warm_path = self.snapshot_path
+        return (
+            self.index,
+            self.shard_count,
+            self.replicas,
+            self.service_kwargs,
+            warm_path,
         )
-        process.start()
-        child_conn.close()
-        self.process = process
-        self._conn = parent_conn
 
-    def _respawn(self) -> None:
-        """Kill the current process (if any) and start a fresh one."""
+    def _restart(self) -> None:
         self.restarts += 1
-        try:
-            self._conn.close()
-        except OSError:
-            pass
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(timeout=5.0)
-        self._spawn()
+        self._worker.restart(self._worker_args())
 
     @property
     def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+        return self._worker.process.is_alive()
 
     @property
     def queue_depth(self) -> int:
         return self._queue.qsize() if self._queue is not None else 0
+
+    def health(self) -> Dict[str, Any]:
+        """This shard's row in ``/v1/healthz`` and ``/v1/stats``."""
+        return {
+            "shard": self.index,
+            "alive": self.alive,
+            "queue_depth": self.queue_depth,
+            "restarts": self.restarts,
+            "hard_kills_avoided": self.hard_kills_avoided,
+        }
 
     # -- asyncio side --------------------------------------------------
 
@@ -625,27 +575,12 @@ class ShardClient:
                     retryable=True,
                     request_id=job.get("request_id"),
                 )
-        grace = 0.0
-        if (
-            timeout is not None
-            and self.cooperative_grace > 0
-            and job.get("op") == "optimize"
-            and isinstance(job.get("request"), dict)
-        ):
-            # Cooperative deadline: ship the *remaining* budget to the
-            # shard so its engine stops itself and salvages a partial
-            # plan instead of being killed mid-enumeration.  The grace
-            # on top only covers salvage + reply serialization; a shard
-            # that misses it too is genuinely hung and gets recycled.
-            document = dict(job["request"])
-            own = document.get("deadline_seconds")
-            document["deadline_seconds"] = (
-                timeout if own is None else min(float(own), timeout)
-            )
-            job = dict(job)
-            job["request"] = document
-            grace = self.cooperative_grace
-        conn = self._conn
+        if timeout is not None and isinstance(job.get("request"), dict):
+            # The service's one cooperative-deadline rule: ship the
+            # remaining budget so the shard's engine stops itself and
+            # salvages, and restart the shard only past the grace.
+            job = dict(job, request=stamp_deadline(job["request"], timeout))
+        conn = self._worker.connection
 
         def call():
             conn.send(job)
@@ -654,21 +589,21 @@ class ShardClient:
         pipe_future = loop.run_in_executor(self._pipe_executor, call)
         # The shield keeps a timeout from cancelling the executor future
         # (the thread is stuck in a blocking recv either way); closing
-        # the pipe on respawn is what actually unblocks it.
+        # the pipe on restart is what actually unblocks it.
         pipe_future.add_done_callback(_swallow_exception)
         started = loop.time()
         try:
             payload = await asyncio.wait_for(
                 asyncio.shield(pipe_future),
-                None if timeout is None else timeout + grace,
+                None if timeout is None else hard_deadline(job.get("request"), timeout),
             )
             if timeout is not None and loop.time() - started > timeout:
                 # The engine cooperated inside the grace window; without
-                # it this would have been a kill + respawn.
+                # it this would have been a kill + restart.
                 self.hard_kills_avoided += 1
             return payload
         except asyncio.TimeoutError:
-            self._respawn()
+            self._restart()
             return self._local_error(
                 "deadline_exceeded",
                 f"shard {self.index} exceeded the request deadline; "
@@ -677,7 +612,7 @@ class ShardClient:
                 request_id=job.get("request_id"),
             )
         except (EOFError, OSError, BrokenPipeError):
-            self._respawn()
+            self._restart()
             return self._local_error(
                 "shard_crashed",
                 f"shard {self.index} died mid-request and was respawned",
@@ -718,7 +653,7 @@ class ShardClient:
         Returns the entry count, or ``None`` when no ``snapshot_path``
         is configured or the shard could not take the op (saturated
         queue, crash mid-save).  The file this writes is what
-        :meth:`_warm_path` prefers on the next (re)spawn.
+        :meth:`_worker_args` prefers on the next (re)spawn.
         """
         if not self.snapshot_path:
             return None
@@ -735,7 +670,7 @@ class ShardClient:
         return None
 
     async def close(self) -> None:
-        """Stop the drain task and terminate the process."""
+        """Stop the drain task, then the process."""
         if self._drain_task is not None:
             self._drain_task.cancel()
             try:
@@ -743,18 +678,7 @@ class ShardClient:
             except asyncio.CancelledError:
                 pass
             self._drain_task = None
-        try:
-            self._conn.send({"op": "shutdown"})
-        except (OSError, BrokenPipeError):
-            pass
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=5.0)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
+        self._worker.stop()
         self._pipe_executor.shutdown(wait=False)
 
 
@@ -780,7 +704,6 @@ class ShardPool:
         replicas: int = 64,
         warm_cache_path: Optional[str] = None,
         snapshot_path: Optional[str] = None,
-        cooperative_grace: float = 1.0,
     ):
         self.ring = ConsistentHashRing(shard_count, replicas)
         self.snapshot_path = snapshot_path
@@ -799,7 +722,6 @@ class ShardPool:
                 snapshot_path=(
                     f"{snapshot_path}.shard{index}" if snapshot_path else None
                 ),
-                cooperative_grace=cooperative_grace,
             )
             for index in range(shard_count)
         ]

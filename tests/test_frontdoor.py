@@ -599,7 +599,8 @@ class TestDrainAndCooperativeDeadlines:
                 shard = health["shards"][0]
                 assert shard["alive"]
                 assert shard["restarts"] == 0
-                assert shard["hard_kills_avoided"] >= 0
+                # The one request came back inside the grace window.
+                assert shard["hard_kills_avoided"] == 1
                 status, _, text = await http_request(
                     door.port, "GET", "/metrics"
                 )

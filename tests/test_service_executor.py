@@ -8,6 +8,10 @@ worker-crash isolation.
 """
 
 import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -29,8 +33,14 @@ from repro.optimizer.api import (
     register_algorithm,
     unregister_algorithm,
 )
+import repro
 from repro.service import ResilienceConfig
-from repro.service.executor import ProcessPoolExecutor
+from repro.service.executor import (
+    ProcessPoolExecutor,
+    Worker,
+    hard_deadline,
+    stamp_deadline,
+)
 
 
 def mixed_batch():
@@ -490,3 +500,85 @@ class TestValidation:
         results = service.optimize_batch([slow_uncooperative_request()], workers=2)
         assert not results[0].ok
         assert "DeadlineExceededError" in results[0].error
+
+
+# A parent that registers a plugin under a non-fork global start method.
+_START_METHOD_PROBE = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1], force=True)
+from repro import OptimizationRequest, OptimizerService
+from repro.catalog.workload import WorkloadGenerator
+from repro.optimizer.api import make_optimizer, register_algorithm
+
+@register_algorithm("probe_plugin")
+def _probe(catalog, cost_model=None, enable_pruning=False):
+    return make_optimizer("dpccp", catalog, cost_model, enable_pruning)
+
+request = OptimizationRequest(
+    query=WorkloadGenerator(seed=3).fixed_shape("chain", 5),
+    algorithm="probe_plugin",
+)
+[result] = OptimizerService().optimize_batch(
+    [request], workers=1, executor="process"
+)
+print("ok" if result.ok else result.error)
+"""
+
+
+def _sleep_forever(connection):
+    connection.send("ready")
+    time.sleep(60)
+
+
+class TestWorkerSupervisor:
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_workers_fork_whatever_the_global_start_method(self, method):
+        # Workers always start from the fork-preferring context, so a
+        # plugin registered in the parent is visible to them even when
+        # the process-wide start method says otherwise.  A subprocess
+        # keeps the global setting out of this test process.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", _START_METHOD_PROBE, method],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "ok", completed.stdout
+
+    def test_terminate_ignores_the_parents_signal_plumbing(self):
+        # An asyncio server installs a no-op SIGTERM handler and a wakeup
+        # fd; a worker forked from it must still die on terminate, and
+        # must not report its signal through the parent's wakeup fd.
+        reader, writer = socket.socketpair()
+        reader.setblocking(False)
+        writer.setblocking(False)
+        previous_handler = signal.signal(signal.SIGTERM, lambda *_: None)
+        previous_fd = signal.set_wakeup_fd(writer.fileno())
+        try:
+            worker = Worker(_sleep_forever)
+            assert worker.connection.recv() == "ready"
+            started = time.monotonic()
+            worker.stop(graceful=False)
+            assert time.monotonic() - started < 2.0
+            assert worker.process.exitcode == -signal.SIGTERM
+            with pytest.raises(BlockingIOError):
+                reader.recv(1)
+        finally:
+            signal.set_wakeup_fd(previous_fd)
+            signal.signal(signal.SIGTERM, previous_handler)
+            reader.close()
+            writer.close()
+
+    def test_cooperative_deadline_rule(self):
+        stamped = stamp_deadline({"tag": "x"}, 0.5)
+        assert stamped == {"tag": "x", "deadline_seconds": 0.5}
+        assert stamp_deadline({"deadline_seconds": 0.2}, 0.5)["deadline_seconds"] == 0.2
+        assert stamp_deadline({"deadline_seconds": 0.9}, 0.5)["deadline_seconds"] == 0.5
+        # Only a document carrying a cooperative budget earns the grace.
+        assert hard_deadline(stamped, 0.5) > 0.5
+        assert hard_deadline({"tag": "x"}, 0.5) == 0.5
+        assert hard_deadline(None, 0.5) == 0.5
