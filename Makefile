@@ -53,11 +53,11 @@ bench-kernel:
 bench-dpconv:
 	$(PYTHON) benchmarks/bench_dpconv.py
 
-# Native-backend gate: the best available native rung (compiled C,
-# else numpy batch-DP) must beat the pure-python dpconv engine by a
-# >= 5x geometric mean on the dense gate shapes, with bit-identical
-# costs and ccp parity against the reference enumerator.  Skips with a
-# notice on hosts without numpy (silent degradation is supported).
+# Native-backend gate: the compiled C rung must beat the pure-python
+# dpconv engine by a >= 5x geometric mean on the dense gate shapes,
+# with the same plan trees, bit-identical costs and ccp parity against
+# the reference enumerator.  Skips with a notice on hosts where no C
+# kernel can be loaded or built (silent degradation is supported).
 # Writes BENCH_native.json.
 bench-native:
 	$(PYTHON) benchmarks/bench_native_kernel.py

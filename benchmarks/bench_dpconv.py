@@ -73,7 +73,7 @@ def run_once(catalog, engine):
     else:
         # Pin the pure-python convolution: this gate prices the dpconv
         # *tier* against the fast kernel, and must keep doing so on
-        # hosts where the numpy/C rungs would otherwise auto-select
+        # hosts where the C rung would otherwise auto-select
         # (bench_native_kernel.py owns the native-vs-pure comparison).
         optimizer = DPconvPlanGenerator(
             catalog, cost_model=CoutCostModel(), native_backend="off"

@@ -1,28 +1,26 @@
 #!/usr/bin/env python
-"""Acceptance benchmark for the native (numpy / compiled C) dpconv rungs.
+"""Acceptance benchmark for the native (compiled C) dpconv rung.
 
 Times the full ``DPconvPlanGenerator.optimize()`` on the dense gate
-shapes once per backend — the pure-python convolution
-(``native_backend="off"``), the numpy batch-DP rung, and (when a
-toolchain or cached build exists) the compiled C rung — and enforces:
+shapes with the pure-python convolution (``native_backend="off"``) and
+with the compiled C rung, and enforces:
 
-* **speedup**: the geometric-mean speedup of the *best available native
-  rung* over pure python across the gate shapes must reach
-  :data:`SPEEDUP_FLOOR` — the native backends exist to lift the
-  interpreter constant factor off the hottest loop in the system, and
-  the bar is deliberately higher than any other gate in the repo,
-* **equivalence**: per shape and backend, bit-equal optimal cost, equal
-  ``cost_evaluations`` (the candidate-pricing count), and equal memo
-  size against the pure engine — the statistics are powers of two, so
-  cardinality arithmetic is exact and bit-identity is required,
+* **speedup**: the geometric-mean speedup of the C rung over pure
+  python across the gate shapes must reach :data:`SPEEDUP_FLOOR` — the
+  native rung exists to lift the interpreter constant factor off the
+  hottest loop in the system, and the bar is deliberately higher than
+  any other gate in the repo,
+* **equivalence**: per shape, the same plan tree, bit-equal optimal
+  cost, equal ``cost_evaluations`` (the candidate-pricing count), and
+  equal memo size against the pure engine,
 * **ccp parity**: the pure dpconv engine itself is cross-checked against
   the reference top-down kernel on every shape, so the whole ladder is
   anchored to the paper-faithful enumerator, not just to itself.
 
-On hosts without numpy the gate **skips with a loud notice** instead of
-failing — silent degradation to pure python is a supported
-configuration, and the CI matrix has a dedicated leg proving it.  A
-missing C toolchain only drops the C rows (numpy still gates).
+On hosts where no C kernel can be loaded or built (no cffi or no
+compiler) the gate **skips with a loud notice** instead of failing —
+silent degradation to pure python is a supported configuration, and
+the CI matrix has a dedicated leg proving it.
 
 Methodology: per shape and backend, one warmup (also the equivalence
 run), then best-of-N alternating timed runs — scheduler preemption only
@@ -51,9 +49,10 @@ from repro.enumeration.mincutbranch import MinCutBranch
 from repro.graph.shapes import clique_graph, grid_graph
 from repro.optimizer.dpconv import DPconvPlanGenerator
 from repro.optimizer.topdown import TopDownPlanGenerator
+from repro.serialize import plan_to_dict
 
-#: Acceptance: geometric-mean speedup of the best available native rung
-#: over the pure-python dpconv engine across the gate shapes.
+#: Acceptance: geometric-mean speedup of the C rung over the
+#: pure-python dpconv engine across the gate shapes.
 SPEEDUP_FLOOR = 5.0
 
 #: (label, graph builder, timed repetitions per backend).  The ISSUE's
@@ -68,21 +67,6 @@ TIMED_SHAPES = [
 
 def make_catalog(graph):
     return uniform_statistics(graph, cardinality=4.0, selectivity=0.25)
-
-
-def available_native_backends():
-    """Native rungs this host can actually run, in preference order."""
-    from repro.optimizer import native
-
-    backends = []
-    status = native.native_backend_status()
-    if status["c_kernel"]["built"] or (
-        status["cffi"]["available"] and status["compiler"]["available"]
-    ):
-        backends.append("c")
-    if status["numpy"]["available"]:
-        backends.append("numpy")
-    return backends, status
 
 
 def run_once(catalog, backend):
@@ -100,10 +84,10 @@ def run_once(catalog, backend):
     return time.perf_counter() - started, optimizer, plan
 
 
-def bench_shape(label, graph, repeat, backends):
-    """Best-of-N alternating timings plus per-backend equivalence checks."""
+def bench_shape(label, graph, repeat):
+    """Best-of-N alternating timings plus the equivalence checks."""
     catalog = make_catalog(graph)
-    engines = ["off"] + backends
+    engines = ["off", "c"]
     # Warmups (also the runs used for the equivalence checks).
     warm = {engine: run_once(catalog, engine) for engine in engines}
     _, reference, ref_plan = run_once(catalog, "reference")
@@ -125,47 +109,44 @@ def bench_shape(label, graph, repeat, backends):
             f"({pure.builder.cost_evaluations} vs "
             f"{reference.builder.cost_evaluations})"
         )
-    for backend in backends:
-        _, conv, plan = warm[backend]
-        if conv.last_backend != backend:
-            problems.append(
-                f"{label}: requested backend {backend!r} but "
-                f"{conv.last_backend!r} ran"
-            )
-        if plan.cost != pure_plan.cost:
-            problems.append(
-                f"{label}/{backend}: cost {plan.cost!r} differs from "
-                f"pure cost {pure_plan.cost!r} (bit-identity required)"
-            )
-        if conv.builder.cost_evaluations != pure.builder.cost_evaluations:
-            problems.append(
-                f"{label}/{backend}: cost_evaluations "
-                f"{conv.builder.cost_evaluations} != "
-                f"{pure.builder.cost_evaluations}"
-            )
-        if len(conv.builder.memo) != len(pure.builder.memo):
-            problems.append(
-                f"{label}/{backend}: memo size {len(conv.builder.memo)} "
-                f"!= {len(pure.builder.memo)}"
-            )
-        plan.validate()
+    _, conv, plan = warm["c"]
+    if conv.last_backend != "c":
+        problems.append(
+            f"{label}: requested backend 'c' but {conv.last_backend!r} ran"
+        )
+    if plan.cost != pure_plan.cost:
+        problems.append(
+            f"{label}/c: cost {plan.cost!r} differs from "
+            f"pure cost {pure_plan.cost!r} (bit-identity required)"
+        )
+    if plan_to_dict(plan) != plan_to_dict(pure_plan):
+        problems.append(f"{label}/c: plan tree differs from the pure one")
+    if conv.builder.cost_evaluations != pure.builder.cost_evaluations:
+        problems.append(
+            f"{label}/c: cost_evaluations "
+            f"{conv.builder.cost_evaluations} != "
+            f"{pure.builder.cost_evaluations}"
+        )
+    if len(conv.builder.memo) != len(pure.builder.memo):
+        problems.append(
+            f"{label}/c: memo size {len(conv.builder.memo)} "
+            f"!= {len(pure.builder.memo)}"
+        )
+    plan.validate()
     best = {engine: math.inf for engine in engines}
     for index in range(repeat):
         order = engines if index % 2 == 0 else engines[::-1]
         for engine in order:
             elapsed, _, _ = run_once(catalog, engine)
             best[engine] = min(best[engine], elapsed)
-    best_native = min(best[b] for b in backends)
     row = {
         "shape": label,
         "ccps": pure.builder.cost_evaluations,
         "cost": pure_plan.cost,
         "pure_ms": best["off"] * 1e3,
-        "speedup": best["off"] / best_native,
+        "c_ms": best["c"] * 1e3,
+        "speedup": best["off"] / best["c"],
     }
-    for backend in backends:
-        row[f"{backend}_ms"] = best[backend] * 1e3
-        row[f"{backend}_speedup"] = best["off"] / best[backend]
     return row, problems
 
 
@@ -183,15 +164,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.bench.report import write_bench_report
+    from repro.optimizer import native
+    from repro.optimizer._native_build import load_c_kernel
 
-    backends, status = available_native_backends()
-    if not backends:
+    if load_c_kernel(build=True) is None:
         # Supported configuration, not a failure: the selection ladder
         # degrades to pure python and the rest of the suite still gates.
+        status = native.native_backend_status()
         notice = (
-            "no native backend available on this host "
-            f"(numpy={status['numpy']['available']}, "
-            f"cffi={status['cffi']['available']}, "
+            "no C kernel can be loaded or built on this host "
+            f"(cffi={status['cffi']['available']}, "
             f"compiler={status['compiler']['available']}); "
             "skipping the native speedup gate"
         )
@@ -210,31 +192,23 @@ def main(argv=None) -> int:
         print(f"wrote {args.output}")
         return 0
 
-    print(
-        "native-backend bench (best-of-N alternating runs per shape; "
-        f"rungs: {', '.join(backends)})"
-    )
+    print("native-backend bench (best-of-N alternating runs per shape)")
     failures = []
     rows = []
     for label, builder, repeat in TIMED_SHAPES:
-        row, problems = bench_shape(
-            label, builder(), args.repeat or repeat, backends
-        )
+        row, problems = bench_shape(label, builder(), args.repeat or repeat)
         failures.extend(problems)
         rows.append(row)
-        native_cols = "  ".join(
-            f"{b}={row[f'{b}_ms']:8.2f}ms ({row[f'{b}_speedup']:.1f}x)"
-            for b in backends
-        )
         print(
-            f"{label:10s} pure={row['pure_ms']:9.2f}ms  {native_cols}"
+            f"{label:10s} pure={row['pure_ms']:9.2f}ms  "
+            f"c={row['c_ms']:8.2f}ms ({row['speedup']:.1f}x)"
         )
 
     geomean = math.exp(
         sum(math.log(row["speedup"]) for row in rows) / len(rows)
     )
     print(
-        f"geometric-mean best-native speedup: {geomean:.2f}x "
+        f"geometric-mean C speedup: {geomean:.2f}x "
         f"(floor {SPEEDUP_FLOOR}x)"
     )
     if geomean < SPEEDUP_FLOOR:
@@ -247,7 +221,7 @@ def main(argv=None) -> int:
         "bench": "native_kernel",
         "speedup_floor": SPEEDUP_FLOOR,
         "geomean_speedup": geomean,
-        "backends": backends,
+        "backends": ["c"],
         "shapes": rows,
         "skipped": [],
         "failures": failures,

@@ -48,11 +48,11 @@ def bench_environment() -> Dict:
     """Describe the host a benchmark ran on, for the gate report.
 
     Numbers in ``BENCH_*.json`` are only comparable across runs when the
-    execution substrate is known — above all which enumeration backend
-    (pure python, numpy batch-DP, compiled C) actually served the hot
-    loop.  Every gate writer stamps this stanza via
-    :func:`write_bench_report` so a perf regression can immediately be
-    told apart from a host that silently lost its numpy or C toolchain.
+    execution substrate is known — above all which dpconv backend (pure
+    python or compiled C) actually served the hot loop.  Every gate
+    writer stamps this stanza via :func:`write_bench_report` so a perf
+    regression can immediately be told apart from a host that silently
+    lost its C toolchain.
     """
     import platform
 
@@ -63,7 +63,6 @@ def bench_environment() -> Dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "backend": status["resolved"],
-        "requested_backend": status["requested"],
         "numpy_version": status["numpy"]["version"],
         "cffi_version": status["cffi"]["version"],
         "cc": status["compiler"]["cc"],

@@ -27,9 +27,9 @@ Subcommands (``repro-optimize <subcommand> ...`` or
                    render the fleet dashboard: per-request event log,
                    REPLAY.json summary, and every registered figure
                    (see docs/REPLAY.md)
-    backends       report which enumeration backends (pure python, numpy
-                   batch-DP, compiled C kernel) are available on this
-                   host and which one the auto-selector would pick;
+    backends       report whether the compiled C dpconv kernel is
+                   available on this host and which backend (pure
+                   python or C) the auto-selector would pick;
                    --build compiles the C kernel eagerly, --json emits
                    the raw status document
 """
@@ -311,15 +311,12 @@ def _serve_stats_main(argv: List[str]) -> int:
             f"kernel_fast={totals.get('kernel_fast', 0)} "
             f"kernel_reference={totals.get('kernel_reference', 0)} "
             f"kernel_dpconv={totals.get('kernel_dpconv', 0)} "
-            f"kernel_native_numpy={totals.get('kernel_native_numpy', 0)} "
             f"kernel_native_c={totals.get('kernel_native_c', 0)}"
         )
         backends = snapshot.get("backends")
         if backends:
             print(
                 f"backends: resolved={backends.get('resolved')} "
-                f"requested={backends.get('requested')} "
-                f"numpy={backends.get('numpy', {}).get('available')} "
                 f"c_kernel={backends.get('c_kernel', {}).get('built')}"
             )
         breakers = snapshot.get("breaker", {})
@@ -364,23 +361,24 @@ def _backends_main(argv: List[str]) -> int:
     """``backends``: report native enumeration backend availability.
 
     Shows what :mod:`repro.optimizer.native` can use on this host —
-    numpy, cffi, a C compiler, a cached compiled kernel — and which
-    backend the auto-selector resolves to for the symmetric-cost exact
-    tier.  ``--build`` compiles the C kernel now (so first-request
-    latency never pays for it); ``--json`` dumps the same document the
-    service embeds under ``backends`` in ``/v1/stats``.
+    cffi, a C compiler, a cached compiled kernel — and which backend
+    the auto-selector resolves to for the symmetric-cost exact tier.
+    ``--build`` compiles the C kernel now (so first-request latency
+    never pays for it); ``--json`` dumps the same document the service
+    embeds under ``backends`` in ``/v1/stats``.
     """
     parser = argparse.ArgumentParser(
         prog="repro-optimize backends",
-        description="Report native enumeration backend availability "
-        "(numpy batch-DP, compiled C kernel) and the auto-selector's "
-        "resolution on this host.",
+        description="Report whether the compiled C dpconv kernel is "
+        "available and which backend (python or c) the auto-selector "
+        "resolves to on this host.",
     )
     parser.add_argument(
         "--build",
         action="store_true",
-        help="compile the C kernel now if a toolchain is available "
-        "(otherwise it is built lazily on first explicit request)",
+        help="compile the C kernel now if a toolchain is available; "
+        "auto selection only loads an already-built kernel, so deploy "
+        "with this flag to serve dpconv from C",
     )
     parser.add_argument(
         "--json",
@@ -404,20 +402,10 @@ def _backends_main(argv: List[str]) -> int:
     if args.json:
         print(json.dumps(status, indent=2, sort_keys=True))
         return 0
-    numpy_info = status["numpy"]
     cffi_info = status["cffi"]
     compiler = status["compiler"]
     c_kernel = status["c_kernel"]
-    print(f"requested: {status['requested']} (env {native.NATIVE_KERNEL_ENV})")
     print(f"resolved:  {status['resolved']}")
-    print(
-        "numpy:     "
-        + (
-            f"available ({numpy_info['version']})"
-            if numpy_info["available"]
-            else "missing"
-        )
-    )
     print(
         "cffi:      "
         + (
@@ -435,8 +423,8 @@ def _backends_main(argv: List[str]) -> int:
     else:
         print("c kernel:  not built")
     print(
-        f"limits:    numpy n<={status['max_n']['numpy']}, "
-        f"c n<={status['max_n']['c']} (larger queries use pure python)"
+        f"limits:    c n<={status['max_n']['c']} "
+        "(larger queries use pure python)"
     )
     return 0
 

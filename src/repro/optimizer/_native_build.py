@@ -21,9 +21,9 @@ Build strategy (out-of-line API mode):
   extension is moved into the cache dir with ``os.replace`` — two
   processes racing to build the same kernel both succeed;
 * *any* failure (no cffi, no compiler, read-only filesystem, ...)
-  degrades silently: callers get ``None`` and the selection ladder falls
-  through to numpy or pure python.  A host with neither numpy nor a C
-  toolchain behaves byte-identically to a tree without this module.
+  degrades silently: callers get ``None`` and dpconv runs in pure
+  python, which returns the same plans — a host without a C toolchain
+  behaves byte-identically to a tree without this module.
 
 Cache location: ``$REPRO_NATIVE_BUILD_DIR`` when set, else
 ``~/.cache/repro-native``, else a per-user temp dir.
@@ -189,12 +189,13 @@ _source_hash = hashlib.sha256(
 ).hexdigest()[:12]
 MODULE_BASENAME = f"_repro_dpconv_{_source_hash}"
 
-#: Per-process memo: a successful load sticks, and a *failed* compile
-#: sticks too (``REPRO_NATIVE_KERNEL=c`` on a compiler-less host must
-#: not retry the toolchain probe on every request).  The lock keeps
-#: concurrent first loads from racing: without it a batch worker that
-#: arrives while another thread is mid-import sees ``load_tried`` set
-#: with no module yet and silently falls back to numpy for that request.
+#: Per-process memo: a successful load sticks for the life of the
+#: process, and a *failed* compile sticks too (``native_backend="c"`` on
+#: a compiler-less host must not retry the toolchain probe on every
+#: request).  The lock keeps concurrent first loads from racing: without
+#: it a batch worker that arrives while another thread is mid-import
+#: sees ``load_tried`` set with no module yet and silently falls back to
+#: pure python for that request.
 _STATE = {"module": None, "load_tried": False, "build_tried": False}
 _STATE_LOCK = threading.Lock()
 

@@ -530,8 +530,8 @@ def optimize_request(request: OptimizationRequest) -> OptimizationResult:
         details["kernel"] = kernel
     backend = getattr(optimizer, "last_backend", None)
     if backend is not None:
-        # Engine that executed the enumeration: "python", or a native
-        # dpconv rung ("numpy"/"c" — see repro.optimizer.native).  The
+        # Engine that executed the enumeration: "python", or the native
+        # dpconv rung ("c" — see repro.optimizer.native).  The
         # service mirrors it into metrics, trace spans, and serve-stats
         # so the fleet can tell which hosts run accelerated.
         details["backend"] = backend

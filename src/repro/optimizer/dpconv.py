@@ -40,7 +40,9 @@ asserts bit-identical optimal costs wherever cardinality arithmetic is
 itself exact (power-of-two statistics) and 1e-9 agreement elsewhere.
 Tie-breaks may differ — splits are scanned in descending-submask order,
 not partitioner emission order — so plan *shape* can legitimately
-differ between equally-optimal plans.
+differ between equally-optimal plans.  The compiled C rung
+(:mod:`repro.optimizer.native`) is held to the stricter bar: the same
+plan tree and bit-identical cost as this pure loop, on any statistics.
 """
 
 from __future__ import annotations
@@ -121,11 +123,10 @@ class DPconvPlanGenerator:
         self.budget_expired = False
         self.salvage_report = None
         self.last_kernel: Optional[str] = None
-        #: ``None``/``"auto"``/``"numpy"``/``"c"``/``"off"`` — explicit
-        #: override for the native rung selection (``None`` defers to
-        #: ``$REPRO_NATIVE_KERNEL``; see :mod:`repro.optimizer.native`).
-        #: Validated eagerly so a typo fails at construction, not deep
-        #: inside a request.
+        #: ``None``/``"auto"``/``"c"``/``"off"`` — selects the compiled
+        #: C rung (``None`` means ``"auto"``; see
+        #: :mod:`repro.optimizer.native`).  Validated eagerly so a typo
+        #: fails at construction, not deep inside a request.
         if native_backend is not None:
             from repro.optimizer.native import BACKENDS
 
@@ -136,9 +137,9 @@ class DPconvPlanGenerator:
                 )
         self.native_backend = native_backend
         #: Engine that actually ran the last ``optimize()``: ``"python"``
-        #: (pure layered convolution), ``"numpy"``, or ``"c"``.  Distinct
-        #: from ``last_kernel`` (always ``"dpconv"`` here) so dashboards
-        #: keyed on the algorithm tier keep working unchanged.
+        #: (pure layered convolution) or ``"c"``.  Distinct from
+        #: ``last_kernel`` (always ``"dpconv"`` here) so dashboards keyed
+        #: on the algorithm tier keep working unchanged.
         self.last_backend: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -166,11 +167,10 @@ class DPconvPlanGenerator:
                 requested=self.native_backend,
                 n=graph.n_vertices,
             )
-            if backend is not None:
-                self.last_backend = backend
             try:
-                if backend is not None:
-                    native.run_native_convolution(self, full, backend)
+                if backend == "c":
+                    self.last_backend = "c"
+                    native.run_c_convolution(self, full)
                 else:
                     self._convolve(full)
             except BudgetExpired:

@@ -1,57 +1,38 @@
-"""Native (vectorized / compiled) backends for the DPconv exact tier.
+"""Compiled C rung for the DPconv exact tier.
 
-Two optional rungs sit behind the pure-python layered convolution in
-:class:`~repro.optimizer.dpconv.DPconvPlanGenerator`:
+One optional rung sits behind the pure-python layered convolution in
+:class:`~repro.optimizer.dpconv.DPconvPlanGenerator`: a cffi-compiled
+transcription of the pure scalar loop (see
+:mod:`repro.optimizer._native_build`).  It is never required — built
+on demand, cached on disk, and any failure degrades silently to the
+pure engine.
 
-``numpy``
-    The per-layer (min,+) subset convolution expressed as batched
-    gather/minimum over dense float64 arrays indexed by bitmask.  The
-    descending-submask split scan becomes a precomputed **split table**:
-    for layer ``k`` a ``C(n,k) x 2^k`` int32 matrix whose row for set
-    ``S`` lists every submask of ``S`` in ascending order.  The table
-    for layer ``k`` is built from layer ``k-1`` in one concatenate
-    (``A_k = [A_{k-1}[parents], A_{k-1}[parents] + highbit]``), so the
-    whole construction moves ``3^n`` int32s total and only two layers
-    are ever alive.  Each DP layer is then a handful of numpy ops
-    instead of millions of interpreter iterations.
+Selection (:func:`resolve_backend`) takes the ``native_backend=``
+constructor argument (``"auto"``, ``"c"`` or ``"off"``) and only ever
+engages for the plain ``C_out`` cost model — generic symmetric models
+price through a Python callback the C loop cannot call, so they stay on
+the pure engine even when ``"c"`` is requested.  ``auto`` uses an
+**already-compiled** kernel only (no compile latency on the serving
+path; deploy with ``repro-optimize backends --build``); ``"c"``
+compiles eagerly.
 
-``c``
-    A cffi-compiled transcription of the pure scalar loop (see
-    :mod:`repro.optimizer._native_build`), bit-identical to the pure
-    engine on every input.  Never required: built lazily, cached on
-    disk, and any failure degrades silently.
+Exactness contract (gated by ``tests/test_dpconv_equivalence.py``): the
+C loop performs every float operation in the pure loop's order and
+breaks ties the same way (descending submask scan, strict ``<``), so
+costs, cardinalities, memo contents and the extracted plan tree are
+**bit-identical** to the pure engine's on every input.  A C host and a
+pure-python host therefore cache the same plan under one signature.
 
-Selection (:func:`resolve_backend`) honors
-``REPRO_NATIVE_KERNEL={auto,numpy,c,off}`` plus an explicit
-``native_backend=`` constructor override, and only ever engages for the
-plain ``C_out`` cost model — generic symmetric models price through a
-Python callback, which neither rung can vectorize, so they fall through
-to the pure engine even when a native rung is forced.  ``auto`` prefers
-an **already-compiled** C kernel (no compile latency on the serving
-path), then numpy, then pure python; forcing ``c`` compiles eagerly.
-
-Exactness contract (gated by ``tests/test_dpconv_equivalence.py`` across
-every available rung): the candidate multiset per set is identical to
-the pure engine's, minima over identical float64 candidates are
-order-independent, and with power-of-two statistics every cardinality
-product is exact — so optimal costs are **bit-identical** on the
-equivalence corpus and within 1e-9 elsewhere (the numpy rung derives
-cardinalities via lowest-vertex splits rather than best splits, which
-can differ by ulps under inexact statistics).  Tie-breaks may pick a
-different equally-optimal split than the pure scan, so plan shape is
-not compared — same caveat the dpconv/kernel suites already carry.
-
-Budgets stay cooperative: both rungs charge the
-:class:`~repro.optimizer.budget.Budget` between bounded chunks
-(``check()`` before, ``charge(settled)`` after), so expiry flushes every
-fully-settled set for salvage exactly like the pure engine, with
-overshoot bounded by one chunk instead of one submask scan.
+Budgets stay cooperative: the rung charges the
+:class:`~repro.optimizer.budget.Budget` between bounded chunks of the
+mask range (``check()`` before, ``charge(settled)`` after), so expiry
+flushes every fully-settled set for salvage exactly like the pure
+engine, with overshoot bounded by one chunk instead of one submask scan.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from itertools import repeat
 from typing import Optional
@@ -62,28 +43,21 @@ from repro.optimizer import _native_build
 from repro.optimizer.budget import BudgetExpired
 
 __all__ = [
-    "NATIVE_KERNEL_ENV",
     "BACKENDS",
     "resolve_backend",
     "native_backend_status",
-    "run_native_convolution",
+    "run_c_convolution",
 ]
 
-#: Environment override for backend selection.
-NATIVE_KERNEL_ENV = "REPRO_NATIVE_KERNEL"
+#: Recognized values for the ``native_backend`` argument.
+BACKENDS = ("auto", "c", "off")
 
-#: Recognized values for the env var / ``native_backend`` argument.
-BACKENDS = ("auto", "numpy", "c", "off")
-
-#: Per-rung size ceilings.  The numpy rung keeps two split tables alive
-#: (``C(n,k) * 2^k`` int32s each, ~70MB peak at n=16); the C rung only
-#: needs the ``O(2^n)`` state arrays.  Beyond the ceiling the pure
-#: engine takes over — it has the same asymptotics, just a worse
-#: constant, and no surprise memory spike.
-NUMPY_MAX_N = 16
+#: Size ceiling of the C rung (its ``O(2^n)`` state arrays).  Beyond it
+#: the pure engine takes over — same asymptotics, worse constant.
 C_MAX_N = 20
 
-#: memoized numpy module (or None when unavailable).
+#: memoized numpy module (or None when unavailable).  numpy selects no
+#: rung; it only speeds up collecting the settled sets after a C run.
 _NUMPY: list = []
 
 
@@ -102,40 +76,29 @@ def _numpy():
 
 
 def resolve_backend(cost_model, requested=None, n=None):
-    """Pick the native rung for this run: ``"c"``, ``"numpy"``, or ``None``.
+    """Pick the rung for this run: ``"c"``, or ``None`` for pure python.
 
-    ``requested`` (constructor override) beats ``$REPRO_NATIVE_KERNEL``
-    beats ``"auto"``.  An explicit ``requested`` outside
-    :data:`BACKENDS` raises; an unrecognized env value falls back to
-    ``auto`` (a typo should not silently disable the optimizer, and the
-    ladder below it is always correct anyway).  ``None`` means: run the
-    pure-python engine.
+    ``requested`` is ``None`` (same as ``"auto"``) or one of
+    :data:`BACKENDS`; anything else raises.  ``off``, a cost model
+    other than exactly :class:`CoutCostModel`, no loadable kernel, or
+    ``n`` above :data:`C_MAX_N` all resolve to ``None``.
     """
-    if requested is not None:
-        if requested not in BACKENDS:
-            raise OptimizationError(
-                f"native_backend must be one of {BACKENDS}, got {requested!r}"
-            )
-        mode = requested
-    else:
-        mode = os.environ.get(NATIVE_KERNEL_ENV, "auto").strip().lower() or "auto"
-        if mode not in BACKENDS:
-            mode = "auto"
+    mode = "auto" if requested is None else requested
+    if mode not in BACKENDS:
+        raise OptimizationError(
+            f"native_backend must be one of {BACKENDS}, got {requested!r}"
+        )
     if mode == "off":
         return None
     # Only the plain C_out model has the split-independent local term
-    # and callback-free pricing the native loops implement; subclasses
-    # may override join_cost, so require the exact type (mirrors the
-    # pure engine's own ``cout_fast`` check).
+    # and callback-free pricing the C loop implements; subclasses may
+    # override join_cost, so require the exact type (mirrors the pure
+    # engine's own ``cout_fast`` check).
     if cost_model is not None and type(cost_model) is not CoutCostModel:
         return None
-    if mode in ("auto", "c"):
-        kernel = _native_build.load_c_kernel(build=(mode == "c"))
-        if kernel is not None and (n is None or n <= C_MAX_N):
-            return "c"
-    if mode in ("auto", "c", "numpy"):
-        if _numpy() is not None and (n is None or n <= NUMPY_MAX_N):
-            return "numpy"
+    kernel = _native_build.load_c_kernel(build=(mode == "c"))
+    if kernel is not None and (n is None or n <= C_MAX_N):
+        return "c"
     return None
 
 
@@ -155,7 +118,6 @@ def native_backend_status() -> dict:
     compiler = _native_build.compiler_available()
     kernel_path = _native_build.cached_kernel_path()
     return {
-        "requested": os.environ.get(NATIVE_KERNEL_ENV, "auto") or "auto",
         "numpy": {
             "available": numpy is not None,
             "version": getattr(numpy, "__version__", None),
@@ -168,260 +130,26 @@ def native_backend_status() -> dict:
             "tag": _native_build.KERNEL_TAG,
         },
         "resolved": resolve_backend(CoutCostModel()) or "python",
-        "max_n": {"numpy": NUMPY_MAX_N, "c": C_MAX_N},
+        "max_n": {"c": C_MAX_N},
     }
 
 
 # ----------------------------------------------------------------------
-# Shared driver
+# Driver
 
 
-def run_native_convolution(generator, full: int, backend: str) -> None:
-    """Fill ``generator``'s memo via the chosen native rung.
+def run_c_convolution(generator, full: int) -> None:
+    """Fill ``generator``'s memo with the compiled kernel.
 
-    Same contract as ``DPconvPlanGenerator._convolve``: flush every
-    settled connected set through ``memo.bulk_load``, mirror the
-    ``cost_evaluations``/``estimations`` accounting, and on budget
-    expiry mark the root unsolved and re-raise :class:`BudgetExpired`
-    so the driver's salvage path takes over.
+    Only called after :func:`resolve_backend` returned ``"c"``; a loaded
+    kernel stays loaded for the life of the process.  Same contract as
+    ``DPconvPlanGenerator._convolve``: flush every settled connected set
+    through ``memo.bulk_load``, mirror the ``cost_evaluations`` /
+    ``estimations`` accounting, and on budget expiry mark the root
+    unsolved and re-raise :class:`BudgetExpired` so the driver's salvage
+    path takes over.
     """
-    if backend == "numpy":
-        _run_numpy(generator, full)
-    elif backend == "c":
-        kernel = _native_build.load_c_kernel(build=False)
-        if kernel is None:  # raced away (cache cleared) — stay correct
-            generator._convolve(full)
-            return
-        _run_c(generator, full, kernel)
-    else:
-        raise OptimizationError(f"unknown native backend {backend!r}")
-
-
-def _flush(memo, sets, card, dp, best_left, best_right) -> None:
-    """Bulk-load non-singleton settled sets (leaves are pre-seeded with
-    identical values, so skipping them leaves the memo byte-identical
-    to the pure engine's flush).  ``zip`` + ``repeat`` builds each row
-    tuple in C — on clique-16 the flush is a third of the whole numpy
-    run, so the interpreter must stay out of this loop."""
-    memo.bulk_load(
-        zip(sets, card, dp, best_left, best_right, repeat("join"), repeat(True))
-    )
-
-
-def _mark_root_unsolved(memo, full: int) -> None:
-    memo.bulk_load(((full, None, math.inf, 0, 0, None, False),))
-
-
-# ----------------------------------------------------------------------
-# Rung A: numpy batch-DP
-
-
-def _popcount_array(np, masks):
-    bitwise_count = getattr(np, "bitwise_count", None)
-    if bitwise_count is not None:
-        return bitwise_count(masks).astype(np.int64)
-    v = masks.astype(np.uint64)
-    v = v - ((v >> 1) & np.uint64(0x5555555555555555))
-    v = (v & np.uint64(0x3333333333333333)) + (
-        (v >> 2) & np.uint64(0x3333333333333333)
-    )
-    v = (v + (v >> 4)) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((v * np.uint64(0x0101010101010101)) >> 56).astype(np.int64)
-
-
-def _run_numpy(generator, full: int) -> None:
-    np = _numpy()
-    graph = generator.graph
-    builder = generator.builder
-    memo = builder.memo
-    budget = generator.budget
-    n = graph.n_vertices
-    size = full + 1
-
-    # int32 everywhere: NUMPY_MAX_N caps masks below 2^16, and halving
-    # index traffic is a measurable win on the gather-bound hot loop.
-    masks = np.arange(size, dtype=np.int32)
-    pc = _popcount_array(np, masks).astype(np.int32)
-    order = np.argsort(pc, kind="stable").astype(np.int32)
-    counts = np.bincount(pc, minlength=n + 1)
-    offsets = np.zeros(n + 2, dtype=np.int64)
-    offsets[1:] = np.cumsum(counts)
-    low = masks & -masks
-    lowidx = np.zeros(size, dtype=np.int32)
-    lowidx[1:] = pc[low[1:] - 1]
-    adj = np.array(
-        [graph.neighbors_of_vertex(v) for v in range(n)], dtype=np.int32
-    )
-
-    dp = np.full(size, np.inf)
-    card = np.zeros(size)
-    card[0] = 1.0  # neutral; only read through never-taken gathers
-    nbr = np.zeros(size, dtype=np.int32)
-    best_left = np.zeros(size, dtype=np.int32)
-    best_right = np.zeros(size, dtype=np.int32)
-    leafcard = np.zeros(n)
-    for entry in memo.entries():
-        leaf = entry.vertex_set
-        vertex = leaf.bit_length() - 1
-        dp[leaf] = entry.cost
-        card[leaf] = entry.cardinality
-        leafcard[vertex] = entry.cardinality
-        nbr[leaf] = adj[vertex]
-
-    # Selectivity factor of the lowest-vertex split, for every mask at
-    # once: the lowest vertex u of S is strictly below every vertex of
-    # rest = S \ {u}, so exactly the edges (u, v) with v in rest cross
-    # the cut.  One whole-array pass per edge beats a per-layer loop by
-    # an order of magnitude in dispatch count.
-    selprod = np.ones(size)
-    for (u, v), sel in generator.catalog._selectivity.items():
-        hit = (lowidx == u) & (((masks >> v) & 1) == 1)
-        selprod = np.where(hit, selprod * sel, selprod)
-    # Elements per DP chunk: small enough that a budget deadline
-    # overshoots by at most a few ms, big enough to amortize dispatch.
-    chunk_elems = (1 << 18) if budget is not None else (1 << 21)
-    priced_total = 0
-    aborted = False
-
-    # Phase 1 — neighborhoods and cardinalities for *every* mask, one
-    # cheap layer sweep (each layer reads only the previous layer's
-    # values through ``rest = S minus lowbit``).  Cardinality uses the
-    # lowest-vertex split, valid for disconnected rests too — no
-    # crossing edge means no selectivity factor.
-    for k in range(2, n + 1):
-        mk = order[offsets[k]:offsets[k + 1]]
-        restk = mk ^ low[mk]
-        li = lowidx[mk]
-        nbr[mk] = nbr[restk] | adj[li]
-        card[mk] = (card[restk] * leafcard[li]) * selprod[mk]
-
-    # Phase 2 — connectivity for every mask at once: closure from the
-    # lowest vertex over the full mask space (``nbr`` is total now, so
-    # the gather is always on file).  Rounds are bounded by the graph
-    # diameter, not the subset size, and the whole space converges in
-    # one shot instead of one closure loop per layer.
-    reach = low.copy()
-    while True:
-        grown = (reach | nbr[reach]) & masks
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    conn = reach == masks
-    conn[0] = False
-
-    # Phase 3 — the DP itself, layer by layer over connected sets.
-    #
-    # The split table for layer k holds, per materialized mask M of
-    # popcount k, every submask of M in ascending column order (so the
-    # last column is M itself), grown recursively:
-    # ``rows(M) = [rows(M \ high), rows(M \ high) + high]``.  Rows are
-    # materialized *lazily*: only rests of connected sets one layer up,
-    # plus the parents those rows themselves need.  Dense graphs touch
-    # every mask (the full 3^n construction); sparse graphs collapse to
-    # near-nothing — a chain needs only its O(n^2) intervals, which is
-    # what keeps deep chains cheap here too.
-    x = masks.copy()
-    for shift in (1, 2, 4, 8, 16):
-        x |= x >> shift
-    high_all = x - (x >> 1)
-    need = [None] * (n + 2)
-    for k in range(n - 1, 0, -1):
-        parts = []
-        upper = order[offsets[k + 1]:offsets[k + 2]]
-        upper = upper[conn[upper]]
-        if len(upper):
-            parts.append(upper ^ (upper & -upper))
-        above = need[k + 1]
-        if above is not None and len(above):
-            parts.append(above ^ high_all[above])
-        need[k] = (
-            np.unique(np.concatenate(parts))
-            if parts
-            else np.empty(0, dtype=np.int32)
-        )
-
-    rowpos = np.zeros(size, dtype=np.int32)
-    base = need[1]
-    table = np.stack([np.zeros_like(base), base], axis=1)
-    rowpos[base] = np.arange(len(base), dtype=np.int32)
-
-    for k in range(2, n + 1):
-        mk = order[offsets[k]:offsets[k + 1]]
-        srows = mk[conn[mk]]
-        if len(srows):
-            lowS = srows & -srows
-            restS = srows ^ lowS
-            subtab = table[rowpos[restS]]
-            cols = subtab.shape[1] - 1  # drop the last column (sub == rest)
-            rows_per = max(1, chunk_elems // max(cols, 1))
-            start = 0
-            while start < len(srows):
-                stop = min(len(srows), start + rows_per)
-                if budget is not None:
-                    try:
-                        budget.check()
-                    except BudgetExpired:
-                        aborted = True
-                        break
-                subs = subtab[start:stop, :cols]
-                left = lowS[start:stop, None] | subs
-                right = restS[start:stop, None] ^ subs
-                cand = dp[left]
-                cand += dp[right]
-                # A candidate is finite iff both sides are settled
-                # connected sets, i.e. iff the split is a ccp — so this
-                # count is exactly the pure engine's ``priced``.
-                priced_total += int(np.isfinite(cand).sum())
-                pick = np.argmin(cand, axis=1)
-                rows = np.arange(stop - start)
-                settled = srows[start:stop]
-                dp[settled] = card[settled] + cand[rows, pick]
-                best_left[settled] = left[rows, pick]
-                best_right[settled] = right[rows, pick]
-                settled_count = int(stop - start)
-                builder.estimator.estimations += settled_count
-                start = stop
-                if budget is not None:
-                    try:
-                        budget.charge(settled_count)
-                    except BudgetExpired:
-                        aborted = True
-                        break
-            if aborted:
-                break
-        if k < n:
-            nm = need[k]
-            if len(nm):
-                high = high_all[nm]
-                parents = table[rowpos[nm ^ high]]
-                table = np.concatenate(
-                    [parents, parents + high[:, None]], axis=1
-                )
-                rowpos[nm] = np.arange(len(nm), dtype=np.int32)
-
-    builder.cost_evaluations += priced_total
-    finite = np.isfinite(dp)
-    sets = np.nonzero(finite)[0]
-    sets = sets[(sets & (sets - 1)) != 0]
-    _flush(
-        memo,
-        sets.tolist(),
-        card[sets].tolist(),
-        dp[sets].tolist(),
-        best_left[sets].tolist(),
-        best_right[sets].tolist(),
-    )
-    if aborted:
-        if not np.isfinite(dp[full]):
-            _mark_root_unsolved(memo, full)
-        raise BudgetExpired(budget.reason or "budget expired")
-
-
-# ----------------------------------------------------------------------
-# Rung B: compiled C kernel
-
-
-def _run_c(generator, full: int, module) -> None:
+    module = _native_build.load_c_kernel()
     ffi, lib = module.ffi, module.lib
     graph = generator.graph
     catalog = generator.catalog
@@ -501,19 +229,26 @@ def _run_c(generator, full: int, module) -> None:
             m for m in range(3, size) if conn_bytes[m] and m & (m - 1)
         ]
     if set_list:
+        # Leaves are pre-seeded with identical values, so skipping them
+        # leaves the memo byte-identical to the pure engine's flush.
+        # ``zip`` + ``repeat`` builds each row tuple in C, keeping the
+        # interpreter out of this loop.
         card_all = ffi.unpack(card, size)
         dp_all = ffi.unpack(dp, size)
         left_all = ffi.unpack(best_left, size)
         right_all = ffi.unpack(best_right, size)
-        _flush(
-            memo,
-            set_list,
-            [card_all[m] for m in set_list],
-            [dp_all[m] for m in set_list],
-            [left_all[m] for m in set_list],
-            [right_all[m] for m in set_list],
+        memo.bulk_load(
+            zip(
+                set_list,
+                [card_all[m] for m in set_list],
+                [dp_all[m] for m in set_list],
+                [left_all[m] for m in set_list],
+                [right_all[m] for m in set_list],
+                repeat("join"),
+                repeat(True),
+            )
         )
     if aborted:
         if not conn_bytes[full]:
-            _mark_root_unsolved(memo, full)
+            memo.bulk_load(((full, None, math.inf, 0, 0, None, False),))
         raise BudgetExpired(budget.reason or "budget expired")

@@ -19,7 +19,6 @@ conclusion anticipates.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Optional
 
 from repro import bitset
@@ -35,12 +34,6 @@ from repro.plan.jointree import JoinTree
 from repro.plan.memo import MemoEntry
 
 __all__ = ["TopDownPlanGenerator"]
-
-#: Environment opt-out: set to any non-empty value to force the
-#: paper-faithful recursive reference driver everywhere (ablations,
-#: debugging).  The fast kernel produces bit-identical plans, so this
-#: never changes answers — only speed and the recursion-depth ceiling.
-REFERENCE_KERNEL_ENV = "REPRO_REFERENCE_KERNEL"
 
 
 class TopDownPlanGenerator:
@@ -59,14 +52,12 @@ class TopDownPlanGenerator:
         Switch on accumulated-cost branch-and-bound (see
         :mod:`repro.optimizer.pruning` for the analysis helpers).
     use_kernel:
-        ``None`` (default) selects the fast enumeration kernel
-        (:mod:`repro.optimizer.kernel`) automatically whenever pruning is
-        off, unless the ``REPRO_REFERENCE_KERNEL`` environment variable
-        forces the reference path.  ``False`` always runs the
-        paper-faithful recursive reference driver; ``True`` insists on
-        the kernel (still ignored under pruning, which remains on the
-        reference path).  Both paths produce bit-identical plans and
-        counters; ``last_kernel`` reports which one ran.
+        ``None`` (default) or ``True`` selects the fast enumeration
+        kernel (:mod:`repro.optimizer.kernel`) whenever pruning is off;
+        ``False`` always runs the paper-faithful recursive reference
+        driver.  Pruning stays on the reference path either way.  Both
+        paths produce bit-identical plans and counters; ``last_kernel``
+        reports which one ran.
     budget:
         Optional cooperative :class:`~repro.optimizer.budget.Budget`.
         When it expires mid-enumeration the run stops cleanly,
@@ -119,9 +110,7 @@ class TopDownPlanGenerator:
             # pruning stays on the reference driver (and prunes away the
             # constant-factor problem the kernel exists to solve).
             return False
-        if self.use_kernel is not None:
-            return self.use_kernel
-        return not os.environ.get(REFERENCE_KERNEL_ENV)
+        return self.use_kernel is not False
 
     def optimize(self) -> JoinTree:
         """Return an optimal bushy, cross-product-free join tree for G.

@@ -116,7 +116,6 @@ class ServiceMetrics:
             "kernel_fast": 0,
             "kernel_reference": 0,
             "kernel_dpconv": 0,
-            "kernel_native_numpy": 0,
             "kernel_native_c": 0,
         }
         self._algorithms: Dict[str, Dict] = {}
@@ -140,7 +139,6 @@ class ServiceMetrics:
                 "kernel_fast": 0,
                 "kernel_reference": 0,
                 "kernel_dpconv": 0,
-                "kernel_native_numpy": 0,
                 "kernel_native_c": 0,
                 "histogram": LatencyHistogram(self._max_samples),
             }
@@ -186,12 +184,11 @@ class ServiceMetrics:
         ``"reference"``, or ``"dpconv"``) records which enumeration
         engine a fresh optimization ran on; pass None for cache hits,
         errors, and algorithms that do not report one.  ``backend``
-        (``"python"``, ``"numpy"``, or ``"c"``) records which execution
-        backend served a fresh dpconv-tier optimization — the native
-        rungs count as ``kernel_native_numpy``/``kernel_native_c`` so a
-        fleet dashboard can tell accelerated hosts from pure-python
-        ones; ``"python"`` adds nothing (it is the implied default
-        everywhere else).
+        (``"python"`` or ``"c"``) records which execution backend served
+        a fresh dpconv-tier optimization — the compiled rung counts as
+        ``kernel_native_c`` so a fleet dashboard can tell accelerated
+        hosts from pure-python ones; ``"python"`` adds nothing (it is
+        the implied default everywhere else).
         """
         with self._lock:
             self._totals["requests"] += 1
@@ -229,10 +226,7 @@ class ServiceMetrics:
             elif kernel == "dpconv":
                 self._totals["kernel_dpconv"] += 1
                 slot["kernel_dpconv"] += 1
-            if backend == "numpy":
-                self._totals["kernel_native_numpy"] += 1
-                slot["kernel_native_numpy"] += 1
-            elif backend == "c":
+            if backend == "c":
                 self._totals["kernel_native_c"] += 1
                 slot["kernel_native_c"] += 1
             if error:
@@ -269,7 +263,6 @@ class ServiceMetrics:
                         "kernel_fast": slot["kernel_fast"],
                         "kernel_reference": slot["kernel_reference"],
                         "kernel_dpconv": slot["kernel_dpconv"],
-                        "kernel_native_numpy": slot["kernel_native_numpy"],
                         "kernel_native_c": slot["kernel_native_c"],
                         "latency": slot["histogram"].snapshot(),
                     }
@@ -355,7 +348,6 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
         "kernel_fast": "Fresh optimizations run on the fast enumeration kernel.",
         "kernel_reference": "Fresh optimizations run on the reference driver.",
         "kernel_dpconv": "Fresh optimizations run on the dpconv convolution engine.",
-        "kernel_native_numpy": "Fresh optimizations served by the numpy batch-DP backend.",
         "kernel_native_c": "Fresh optimizations served by the compiled C backend.",
     }
     for key, value in totals.items():
@@ -433,11 +425,6 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
                 "kernel_dpconv",
                 "kernel_dpconv",
                 "Dpconv-engine optimizations per algorithm.",
-            ),
-            (
-                "kernel_native_numpy",
-                "kernel_native_numpy",
-                "Numpy-backend optimizations per algorithm.",
             ),
             (
                 "kernel_native_c",

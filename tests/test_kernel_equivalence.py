@@ -7,15 +7,13 @@ totals, and memo contents.  These tests enforce that promise over every
 canonical shape, seeded random graphs, both cost-model families, and all
 three partitioning strategies; plus the driver-level behaviors that only
 the kernel provides (no RecursionError on deep chains) and the selection
-plumbing (``use_kernel``, ``last_kernel``, the env-var opt-out).
+plumbing (``use_kernel``, ``last_kernel``).
 
-The same shape corpus also anchors the native dpconv rungs (numpy / C)
-to the reference driver whenever this host can run them — see
+The same shape corpus also anchors the native dpconv rung (compiled C)
+to the reference driver whenever this host can run it — see
 :class:`TestNativeRungEquivalence`.
 """
 
-import math
-import os
 import random
 import sys
 import threading
@@ -37,7 +35,7 @@ from repro.graph.shapes import (
     star_graph,
 )
 from repro.optimizer.dpconv import DPconvPlanGenerator
-from repro.optimizer.topdown import REFERENCE_KERNEL_ENV, TopDownPlanGenerator
+from repro.optimizer.topdown import TopDownPlanGenerator
 
 SHAPES = [
     ("chain-9", chain_graph(9)),
@@ -52,15 +50,9 @@ SHAPES = [
 
 def _native_backends():
     """Native dpconv rungs this host can run (possibly empty)."""
-    from repro.optimizer import native
     from repro.optimizer._native_build import load_c_kernel
 
-    backends = []
-    if native._numpy() is not None:
-        backends.append("numpy")
-    if load_c_kernel(build=True) is not None:
-        backends.append("c")
-    return backends
+    return ["c"] if load_c_kernel(build=True) is not None else []
 
 
 NATIVE_BACKENDS = _native_backends()
@@ -156,7 +148,7 @@ class TestShapeEquivalence:
 class TestNativeRungEquivalence:
     """Anchor the native dpconv rungs to the reference enumerator.
 
-    Skipped wholesale on hosts without numpy or a C toolchain — silent
+    Skipped wholesale on hosts without a C toolchain — silent
     degradation to pure python is a supported configuration with its
     own CI leg.
     """
@@ -191,10 +183,8 @@ class TestNativeRungEquivalence:
     @pytest.mark.parametrize("shape", [name for name, _ in SHAPES])
     def test_arbitrary_statistics(self, shape, backend):
         # Non-pow-2 statistics lose association invariance between
-        # *engines*; the native rung is still compared bit-for-bit
-        # against the pure dpconv loop when it replicates its operation
-        # order (the C rung), and to 1e-9 when it vectorizes the
-        # cardinality sweep in a different order (numpy).
+        # *engines*; the native rung replicates the pure dpconv loop's
+        # operation order, so it is still compared bit-for-bit.
         graph = dict(SHAPES)[shape]
         catalog = uniform_statistics(graph)  # 1000.0 / 0.01
         pure = DPconvPlanGenerator(
@@ -205,10 +195,7 @@ class TestNativeRungEquivalence:
             catalog, cost_model=CoutCostModel(), native_backend=backend
         )
         plan = conv.optimize()
-        if backend == "c":
-            assert plan.cost == pure_plan.cost
-        else:
-            assert math.isclose(plan.cost, pure_plan.cost, rel_tol=1e-9)
+        assert plan.cost == pure_plan.cost
         assert (
             conv.builder.cost_evaluations == pure.builder.cost_evaluations
         )
@@ -249,26 +236,9 @@ class TestPruningInteraction:
 
 
 class TestKernelSelection:
-    def test_default_selects_fast_kernel(self, monkeypatch):
-        monkeypatch.delenv(REFERENCE_KERNEL_ENV, raising=False)
+    def test_default_selects_fast_kernel(self):
         catalog = uniform_statistics(chain_graph(5))
         optimizer = TopDownPlanGenerator(catalog, MinCutBranch)
-        optimizer.optimize()
-        assert optimizer.last_kernel == "fast"
-
-    def test_env_var_opts_out(self, monkeypatch):
-        monkeypatch.setenv(REFERENCE_KERNEL_ENV, "1")
-        catalog = uniform_statistics(chain_graph(5))
-        optimizer = TopDownPlanGenerator(catalog, MinCutBranch)
-        optimizer.optimize()
-        assert optimizer.last_kernel == "reference"
-
-    def test_explicit_use_kernel_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(REFERENCE_KERNEL_ENV, "1")
-        catalog = uniform_statistics(chain_graph(5))
-        optimizer = TopDownPlanGenerator(
-            catalog, MinCutBranch, use_kernel=True
-        )
         optimizer.optimize()
         assert optimizer.last_kernel == "fast"
 

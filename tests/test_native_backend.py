@@ -1,17 +1,17 @@
 """Native backend selection, labels, status, metrics, and degradation.
 
-The bit-exactness of the numpy/C rungs is gated by the equivalence
-corpora (``test_dpconv_equivalence``, ``test_kernel_equivalence``);
-this module covers the plumbing around them:
+The bit-exactness of the C rung is gated by the equivalence corpora
+(``test_dpconv_equivalence``, ``test_kernel_equivalence``); this module
+covers the plumbing around it:
 
-* the selection ladder (``REPRO_NATIVE_KERNEL`` env override, explicit
-  constructor requests, the ``CoutCostModel``-only restriction),
+* the selection ladder (constructor requests, the
+  ``CoutCostModel``-only restriction, the ``C_MAX_N`` ceiling),
 * the ``backend`` label's journey — optimizer attribute, result
   details, service metrics counters, stats snapshot,
 * the operator-facing ``native_backend_status()`` document,
 * silent degradation: ``off`` must behave exactly like a host without
-  numpy or a compiler,
-* cooperative budgets expiring inside a native rung still salvage.
+  a compiler,
+* cooperative budgets expiring inside the C rung still salvage.
 """
 
 import math
@@ -27,17 +27,21 @@ from repro.optimizer._native_build import load_c_kernel
 from repro.optimizer.api import OptimizationRequest, optimize_request
 from repro.optimizer.budget import Budget
 from repro.optimizer.dpconv import DPconvPlanGenerator
-from repro.optimizer.native import (
-    NATIVE_KERNEL_ENV,
-    native_backend_status,
-    resolve_backend,
-)
+from repro.optimizer.native import native_backend_status, resolve_backend
+from repro.serialize import plan_to_dict
 
-HAVE_NUMPY = native._numpy() is not None
 HAVE_C = load_c_kernel(build=True) is not None
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 needs_c = pytest.mark.skipif(not HAVE_C, reason="no C kernel on this host")
+
+
+@pytest.fixture
+def no_c_kernel(monkeypatch):
+    """Simulate a host where no C kernel loads or builds."""
+    monkeypatch.setattr(
+        "repro.optimizer._native_build.load_c_kernel",
+        lambda build=False: None,
+    )
 
 
 def exact_catalog(graph):
@@ -51,64 +55,58 @@ class SymmetricSubclass(CoutCostModel):
 
 
 class TestResolveBackend:
-    def test_off_resolves_to_none(self, monkeypatch):
-        monkeypatch.delenv(NATIVE_KERNEL_ENV, raising=False)
+    def test_backends_are_one_native_rung(self):
+        assert native.BACKENDS == ("auto", "c", "off")
+
+    def test_off_resolves_to_none(self):
         assert resolve_backend(CoutCostModel(), requested="off") is None
-
-    def test_env_off_resolves_to_none(self, monkeypatch):
-        monkeypatch.setenv(NATIVE_KERNEL_ENV, "off")
-        assert resolve_backend(CoutCostModel()) is None
-
-    def test_unknown_env_value_falls_back_to_auto(self, monkeypatch):
-        # A typo'd env var must not take down the serving path; it
-        # degrades to auto selection.
-        monkeypatch.setenv(NATIVE_KERNEL_ENV, "turbo")
-        resolved = resolve_backend(CoutCostModel())
-        assert resolved in (None, "numpy", "c")
 
     def test_explicit_invalid_request_raises(self):
         with pytest.raises(OptimizationError):
             resolve_backend(CoutCostModel(), requested="turbo")
 
-    def test_generic_symmetric_subclass_stays_pure(self, monkeypatch):
-        monkeypatch.delenv(NATIVE_KERNEL_ENV, raising=False)
+    def test_generic_symmetric_subclass_stays_pure(self):
         assert resolve_backend(SymmetricSubclass()) is None
+        assert resolve_backend(SymmetricSubclass(), requested="c") is None
 
-    @needs_numpy
-    def test_numpy_respects_size_ceiling(self, monkeypatch):
-        monkeypatch.delenv(NATIVE_KERNEL_ENV, raising=False)
+    @needs_c
+    def test_auto_resolves_c_with_a_loaded_kernel(self):
+        assert resolve_backend(None) == "c"
+        assert resolve_backend(CoutCostModel(), n=native.C_MAX_N) == "c"
+
+    @needs_c
+    def test_c_respects_size_ceiling(self):
         assert (
             resolve_backend(
-                CoutCostModel(),
-                requested="numpy",
-                n=native.NUMPY_MAX_N + 1,
+                CoutCostModel(), requested="c", n=native.C_MAX_N + 1
             )
             is None
         )
 
     def test_constructor_rejects_invalid_backend(self):
-        with pytest.raises(OptimizationError):
-            DPconvPlanGenerator(
-                exact_catalog(chain_graph(4)), native_backend="turbo"
-            )
+        # "numpy" names a deleted rung: it must fail loudly at
+        # construction rather than silently run something else.
+        for backend in ("turbo", "numpy"):
+            with pytest.raises(OptimizationError):
+                DPconvPlanGenerator(
+                    exact_catalog(chain_graph(4)), native_backend=backend
+                )
 
 
 class TestBackendStatus:
     def test_document_shape(self):
         status = native_backend_status()
-        assert status["requested"] in ("auto", "numpy", "c", "off") or status[
-            "requested"
-        ]
+        assert set(status) == {
+            "numpy", "cffi", "compiler", "c_kernel", "resolved", "max_n"
+        }
         assert set(status["numpy"]) == {"available", "version"}
         assert set(status["cffi"]) == {"available", "version"}
         assert set(status["compiler"]) == {"available", "cc"}
         assert set(status["c_kernel"]) == {"built", "path", "tag"}
-        assert status["resolved"] in ("python", "numpy", "c")
-        assert status["max_n"]["numpy"] == native.NUMPY_MAX_N
-        assert status["max_n"]["c"] == native.C_MAX_N
+        assert status["resolved"] in ("python", "c")
+        assert status["max_n"] == {"c": native.C_MAX_N}
 
-    def test_off_resolves_python(self, monkeypatch):
-        monkeypatch.setenv(NATIVE_KERNEL_ENV, "off")
+    def test_off_resolves_python(self, no_c_kernel):
         assert native_backend_status()["resolved"] == "python"
 
 
@@ -121,15 +119,6 @@ class TestBackendLabels:
         assert conv.last_kernel == "dpconv"
         assert conv.last_backend == "python"
 
-    @needs_numpy
-    def test_numpy_label(self):
-        conv = DPconvPlanGenerator(
-            exact_catalog(cycle_graph(7)), native_backend="numpy"
-        )
-        conv.optimize()
-        assert conv.last_kernel == "dpconv"
-        assert conv.last_backend == "numpy"
-
     @needs_c
     def test_c_label(self):
         conv = DPconvPlanGenerator(
@@ -138,8 +127,7 @@ class TestBackendLabels:
         conv.optimize()
         assert conv.last_backend == "c"
 
-    def test_details_carry_backend(self, monkeypatch):
-        monkeypatch.setenv(NATIVE_KERNEL_ENV, "off")
+    def test_details_carry_backend(self, no_c_kernel):
         result = optimize_request(
             OptimizationRequest(
                 query=exact_catalog(cycle_graph(7)), algorithm="dpconv"
@@ -148,15 +136,14 @@ class TestBackendLabels:
         assert result.details["kernel"] == "dpconv"
         assert result.details["backend"] == "python"
 
-    @needs_numpy
-    def test_details_carry_native_backend(self, monkeypatch):
-        monkeypatch.setenv(NATIVE_KERNEL_ENV, "numpy")
+    @needs_c
+    def test_details_carry_native_backend(self):
         result = optimize_request(
             OptimizationRequest(
                 query=exact_catalog(cycle_graph(7)), algorithm="dpconv"
             )
         )
-        assert result.details["backend"] == "numpy"
+        assert result.details["backend"] == "c"
 
     def test_topdown_reports_python_backend(self):
         result = optimize_request(
@@ -166,10 +153,8 @@ class TestBackendLabels:
 
 
 class TestServiceWiring:
-    def test_metrics_count_native_backends(self, monkeypatch):
-        if not HAVE_NUMPY:
-            pytest.skip("numpy unavailable")
-        monkeypatch.setenv(NATIVE_KERNEL_ENV, "numpy")
+    @needs_c
+    def test_metrics_count_native_backends(self):
         from repro.service import OptimizerService
 
         service = OptimizerService()
@@ -178,44 +163,33 @@ class TestServiceWiring:
         )
         service.optimize(request)
         snapshot = service.stats_snapshot()
-        assert snapshot["totals"]["kernel_native_numpy"] == 1
-        assert snapshot["totals"]["kernel_native_c"] == 0
+        assert snapshot["totals"]["kernel_native_c"] == 1
         assert snapshot["totals"]["kernel_dpconv"] == 1
+        native_counters = [
+            key for key in snapshot["totals"] if key.startswith("kernel_native")
+        ]
+        assert native_counters == ["kernel_native_c"]
         # Cache hits do not re-count the backend.
         service.optimize(request)
         snapshot = service.stats_snapshot()
-        assert snapshot["totals"]["kernel_native_numpy"] == 1
+        assert snapshot["totals"]["kernel_native_c"] == 1
 
     def test_stats_snapshot_embeds_backend_status(self):
         from repro.service import OptimizerService
 
         snapshot = OptimizerService().stats_snapshot()
         assert "backends" in snapshot
-        assert snapshot["backends"]["resolved"] in ("python", "numpy", "c")
+        assert snapshot["backends"]["resolved"] in ("python", "c")
 
     def test_prometheus_exports_native_counters(self):
         from repro.service import OptimizerService, render_prometheus
 
         text = render_prometheus(OptimizerService().stats_snapshot())
-        assert "repro_kernel_native_numpy_total" in text
         assert "repro_kernel_native_c_total" in text
+        assert "numpy" not in text
 
 
 class TestBudgetInteraction:
-    @needs_numpy
-    def test_numpy_budget_expiry_salvages(self):
-        catalog = exact_catalog(clique_graph(12))
-        conv = DPconvPlanGenerator(
-            catalog,
-            native_backend="numpy",
-            budget=Budget(node_cap=500),
-        )
-        plan = conv.optimize()
-        assert conv.budget_expired
-        assert conv.salvage_report is not None
-        assert math.isfinite(plan.cost)
-        plan.validate()
-
     @needs_c
     def test_c_budget_expiry_salvages(self):
         catalog = exact_catalog(clique_graph(12))
@@ -226,48 +200,49 @@ class TestBudgetInteraction:
         )
         plan = conv.optimize()
         assert conv.budget_expired
+        assert conv.salvage_report is not None
+        assert math.isfinite(plan.cost)
         plan.validate()
 
-    @needs_numpy
+    @needs_c
     def test_generous_budget_still_exact(self):
         catalog = exact_catalog(clique_graph(9))
         exact = DPconvPlanGenerator(catalog, native_backend="off").optimize()
         conv = DPconvPlanGenerator(
             catalog,
-            native_backend="numpy",
+            native_backend="c",
             budget=Budget(node_cap=10_000_000),
         )
         plan = conv.optimize()
         assert not conv.budget_expired
+        assert conv.last_backend == "c"
         assert plan.cost == exact.cost
 
 
 class TestSilentDegradation:
-    def test_missing_c_kernel_falls_back(self, monkeypatch):
-        # Simulate a host whose compile failed after selection: the
-        # run must fall back to the pure loop, not raise.
-        monkeypatch.setattr(
-            "repro.optimizer._native_build.load_c_kernel",
-            lambda build=False: None,
-        )
+    def test_missing_c_kernel_falls_back(self, no_c_kernel):
+        # Even an explicit "c" request must run the pure loop, label it
+        # honestly, and not raise.
         catalog = exact_catalog(cycle_graph(7))
         conv = DPconvPlanGenerator(catalog, native_backend="c")
         plan = conv.optimize()
+        assert conv.last_backend == "python"
         baseline = DPconvPlanGenerator(catalog, native_backend="off")
         assert plan.cost == baseline.optimize().cost
 
-    def test_off_matches_auto_results(self, monkeypatch):
+    def test_off_matches_auto_results(self):
         # The acceptance bar: whatever auto picks must be output-
-        # indistinguishable from the pure path on exact statistics.
+        # indistinguishable from the pure path.
         catalog = exact_catalog(cycle_graph(8))
-        monkeypatch.setenv(NATIVE_KERNEL_ENV, "off")
-        off = optimize_request(
-            OptimizationRequest(query=catalog, algorithm="dpconv")
+        off_engine = DPconvPlanGenerator(catalog, native_backend="off")
+        off_plan = off_engine.optimize()
+        auto_engine = DPconvPlanGenerator(catalog)
+        auto_plan = auto_engine.optimize()
+        assert off_engine.last_backend == "python"
+        assert plan_to_dict(off_plan) == plan_to_dict(auto_plan)
+        assert off_plan.cost == auto_plan.cost
+        assert (
+            off_engine.builder.cost_evaluations
+            == auto_engine.builder.cost_evaluations
         )
-        monkeypatch.setenv(NATIVE_KERNEL_ENV, "auto")
-        auto = optimize_request(
-            OptimizationRequest(query=catalog, algorithm="dpconv")
-        )
-        assert off.cost == auto.cost
-        assert off.cost_evaluations == auto.cost_evaluations
-        assert off.memo_entries == auto.memo_entries
+        assert len(off_engine.builder.memo) == len(auto_engine.builder.memo)

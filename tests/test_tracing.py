@@ -397,12 +397,14 @@ class TestKernelObservability:
         trace = service.traces.get(result.trace_id)
         assert trace.find("enumerate").attributes["kernel"] == "fast"
 
-    def test_reference_kernel_reported_when_opted_out(self, monkeypatch):
-        from repro.optimizer.topdown import REFERENCE_KERNEL_ENV
-
-        monkeypatch.setenv(REFERENCE_KERNEL_ENV, "1")
+    def test_reference_kernel_reported_when_opted_out(self):
+        # Pruning opts a request out of the fast kernel: branch-and-
+        # bound runs on the reference driver.
+        instance = WorkloadGenerator(seed=1).fixed_shape("chain", 6)
         service = OptimizerService()
-        result = service.optimize(chain_request())
+        result = service.optimize(
+            OptimizationRequest(query=instance, enable_pruning=True)
+        )
         assert result.details["kernel"] == "reference"
         trace = service.traces.get(result.trace_id)
         assert trace.find("enumerate").attributes["kernel"] == "reference"
