@@ -44,4 +44,4 @@ def test_pruning_preserves_optimality(name):
     pruned = make_optimizer(
         "tdmincutbranch", catalog, enable_pruning=True
     ).optimize()
-    assert math.isclose(plain.cost, pruned.cost, rel_tol=1e-9)
+    assert math.isclose(plain.cost, pruned.cost, rel_tol=1e-12)

@@ -149,9 +149,7 @@ def bench_responsiveness(repeat):
 
 
 def run_kernel_once(catalog, budgeted):
-    optimizer = TopDownPlanGenerator(
-        catalog, MinCutBranch, CoutCostModel(), use_kernel=True
-    )
+    optimizer = TopDownPlanGenerator(catalog, MinCutBranch, CoutCostModel())
     if budgeted:
         # Far-future deadline: every check runs, none ever fires.
         optimizer.budget = Budget(deadline_seconds=1e9)

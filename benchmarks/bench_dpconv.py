@@ -4,8 +4,8 @@
 Times the full ``optimize()`` on dense graphs — where both engines touch
 ``O(3^n)`` split candidates and the contest is pure constant factor —
 once per engine: the fast top-down kernel
-(``TopDownPlanGenerator(use_kernel=True)``, the PR 6 allocation-free
-driver) and the layered (min,+) convolution
+(``TopDownPlanGenerator``, the allocation-free iterative driver) and the
+layered (min,+) convolution
 (:class:`~repro.optimizer.dpconv.DPconvPlanGenerator`).  Two gates:
 
 * **speedup**: on the headline shape (clique-14, ``C_out``) dpconv must
@@ -68,7 +68,7 @@ def run_once(catalog, engine):
     """One full optimization; returns (seconds, optimizer, plan)."""
     if engine == "kernel":
         optimizer = TopDownPlanGenerator(
-            catalog, MinCutBranch, CoutCostModel(), use_kernel=True
+            catalog, MinCutBranch, CoutCostModel()
         )
     else:
         # Pin the pure-python convolution: this gate prices the dpconv

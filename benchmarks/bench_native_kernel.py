@@ -73,7 +73,7 @@ def run_once(catalog, backend):
     """One full optimization; returns (seconds, optimizer, plan)."""
     if backend == "reference":
         optimizer = TopDownPlanGenerator(
-            catalog, MinCutBranch, CoutCostModel(), use_kernel=True
+            catalog, MinCutBranch, CoutCostModel()
         )
     else:
         optimizer = DPconvPlanGenerator(

@@ -14,6 +14,7 @@ once per connected subgraph — the paper's "Fortunate Observation").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -134,6 +135,9 @@ class Catalog:
 
         Full (non-incremental) product form; the optimizers use the
         incremental ``selectivity_between`` path and memoize per csg.
+        Only if that product overflows to ``inf`` or underflows to 0 (a
+        uniform chain-103 passes 1e309 on the way to 1e105) is it redone
+        with each selectivity applied once both endpoints are in.
         """
         card = 1.0
         for vertex in bitset.iter_indices(vertex_set):
@@ -141,6 +145,15 @@ class Catalog:
         for (u, v) in self.graph.edges:
             if vertex_set >> u & 1 and vertex_set >> v & 1:
                 card *= self._selectivity[(u, v)]
+        if 0.0 < card < math.inf:
+            return card
+        card, seen = 1.0, 0
+        for vertex in bitset.iter_indices(vertex_set):
+            card *= self.relations[vertex].cardinality
+            for neighbor_bit, sel in self._vertex_selectivity[vertex]:
+                if neighbor_bit & seen:
+                    card *= sel
+            seen |= 1 << vertex
         return card
 
     def relation_names(self) -> List[str]:

@@ -309,7 +309,6 @@ def _serve_stats_main(argv: List[str]) -> int:
             f"fast_exact={totals.get('fast_exact', 0)} "
             f"retries={totals.get('retries', 0)} "
             f"kernel_fast={totals.get('kernel_fast', 0)} "
-            f"kernel_reference={totals.get('kernel_reference', 0)} "
             f"kernel_dpconv={totals.get('kernel_dpconv', 0)} "
             f"kernel_native_c={totals.get('kernel_native_c', 0)}"
         )

@@ -42,7 +42,3 @@ class CardinalityEstimator:
         self.estimations += 1
         selectivity = self.catalog.selectivity_between(left_set, right_set)
         return left_card * right_card * selectivity
-
-    def estimate(self, vertex_set: int) -> float:
-        """Estimate from scratch (reference path; used by tests)."""
-        return self.catalog.estimate(vertex_set)

@@ -524,9 +524,9 @@ def optimize_request(request: OptimizationRequest) -> OptimizationResult:
         details["pruned_sets"] = optimizer.pruned_sets
     kernel = getattr(optimizer, "last_kernel", None)
     if kernel is not None:
-        # "fast" (struct-of-arrays iterative kernel) or "reference" (the
-        # paper-faithful recursive driver); flows into the service's
-        # `enumerate` trace span and kernel metrics unchanged.
+        # "fast" (the top-down kernel, pruned or not) or "dpconv";
+        # flows into the service's `enumerate` trace span and kernel
+        # metrics unchanged.
         details["kernel"] = kernel
     backend = getattr(optimizer, "last_backend", None)
     if backend is not None:

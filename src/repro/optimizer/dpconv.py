@@ -81,7 +81,7 @@ class DPconvPlanGenerator:
     :class:`~repro.plan.jointree.JoinTree`, ``builder`` exposes the
     memo/counters, and ``last_kernel`` reports ``"dpconv"`` after a run
     (the service surfaces it in metrics and trace spans exactly like the
-    top-down driver's ``"fast"``/``"reference"``).
+    top-down driver's ``"fast"``).
 
     Raises :class:`~repro.errors.OptimizationError` at construction for
     asymmetric cost models or pruning requests — the registry factory

@@ -48,6 +48,12 @@ emitted pair.  Costs, best splits, tie-breaks, counter totals, and
 extracted plan shapes are therefore bit-identical to the recursive
 reference path; ``tests/test_kernel_equivalence.py`` enforces this on
 every graph shape.
+
+**Branch-and-bound** (``bound=``, e.g. a greedy plan's cost) is
+accumulated-cost bounding on an explicit stack of suspended per-set
+searches: a ccp is cut as soon as one operand provably cannot fit the
+cost left for it.  The unbounded run never takes this path, so its hot
+loop carries no bound checks.
 """
 
 from __future__ import annotations
@@ -85,6 +91,13 @@ _CHARGE_STRIDE = 32
 #: most sets without calling ``popcount`` at all.
 _EMIT_CHECK_SET_FLOOR = (1 << _EMIT_CHECK_POPCOUNT) - 1
 
+#: Relative slack on every branch-and-bound limit.  Two estimates of one
+#: set multiply its k factors (relations, edges) in different orders and
+#: differ by ~2k ulps; the margin covers k up to ~4000, so rounding can
+#: only raise a limit, never cut the optimum or an equal-cost earlier
+#: candidate.  Small, because under a huge root bound it is absolute.
+_BOUND_SLACK = 1.0 + 1e-12
+
 #: C-level population count for the budgeted hot loop (the
 #: ``bitset.popcount`` wrapper costs a Python frame per call).
 try:
@@ -93,14 +106,21 @@ except AttributeError:  # pragma: no cover — Python 3.9
     _bit_count = bitset.popcount
 
 
-def run_fast_kernel(driver, root_set: int) -> None:
+def run_fast_kernel(driver, root_set: int, bound=None) -> None:
     """Fill the driver's memo for ``root_set`` using the fast kernel.
 
-    ``driver`` is a :class:`~repro.optimizer.topdown.TopDownPlanGenerator`;
-    on return its ``builder.memo`` holds exactly the entries the reference
-    ``_tdpg_sub`` would have produced (same keys, same costs, same best
-    splits) and ``builder.cost_evaluations`` /
-    ``builder.estimator.estimations`` carry the same totals.
+    ``driver`` is a :class:`~repro.optimizer.topdown.TopDownPlanGenerator`.
+    Without ``bound``, on return its ``builder.memo`` holds exactly the
+    entries :func:`~repro.optimizer.topdown.tdpgsub_reference` would have
+    produced (same keys, same costs, same best splits) and
+    ``builder.cost_evaluations`` / ``builder.estimator.estimations``
+    carry the same totals.
+
+    With ``bound`` (an upper bound on the optimal cost) the run branches
+    and bounds: only sets proven optimal are flushed as explored, and
+    ``cost_evaluations`` / ``driver.pruned_sets`` count pairs priced and
+    sets cut.  Sound for cost models whose local join cost is at least
+    the output cardinality (C_out, the default physical model).
     """
     builder = driver.builder
     memo = builder.memo
@@ -196,6 +216,12 @@ def run_fast_kernel(driver, root_set: int) -> None:
             scheduled.add(right_set)
             children_append(right_set)
 
+    if bound is not None:
+
+        def emit(left_set, right_set):
+            # Branch-and-bound's callback: record the ccp (right = S ^ left).
+            pending_append(left_set)
+
     budget = getattr(driver, "budget", None)
     if budget is not None:
 
@@ -229,6 +255,127 @@ def run_fast_kernel(driver, root_set: int) -> None:
                 budget.check()
             emit(left_set, right_set)
 
+    partitions_into = driver.partitioner.partitions_into
+    stats = driver.partitioner.stats
+    emitted_before = stats.emitted
+    bit_count = _bit_count
+    aborted = False
+
+    def flush(priced, unsolved):
+        # Solved sets become explored entries (their best splits only
+        # reference solved sets), ``unsolved`` ones placeholders.
+        builder.cost_evaluations += priced if symmetric else 2 * priced
+        memo.bulk_load(
+            (s, card, cost) + best[s] + (True,)
+            for s, (card, cost) in done.items()
+        )
+        memo.bulk_load(
+            (s, None, inf, 0, 0, None, False)
+            for s in unsolved
+            if s not in done
+        )
+        if aborted:
+            raise BudgetExpired(budget.reason or "budget expired")
+
+    if bound is not None:
+        # ``search(S, limit)`` ends with S in ``done`` iff its optimum is
+        # at most ``limit``, else in ``partial`` with the limit proven
+        # too small.  ``lower`` (estimated cardinalities: plan-cost lower
+        # bounds) decides cuts and never prices.
+        estimate = builder.catalog.estimate
+        lower = dict.fromkeys(done, 0.0)  # a base relation costs nothing
+        partial = {}  # S -> [card, proven-too-small limit, ccp lefts]
+        pruned = priced = 0
+
+        def floor(s_set):
+            lb = lower.get(s_set)
+            if lb is None:
+                lb = lower[s_set] = estimate(s_set)
+            return lb
+
+        def admit(s_set, limit):
+            nonlocal pruned
+            rec = partial.get(s_set)
+            if floor(s_set) > limit or (rec is not None and rec[1] >= limit):
+                pruned += 1
+                return False
+            return True
+
+        def search(s_set, limit):
+            nonlocal pending_append, priced
+            if budget is not None:
+                budget.charge()
+            rec = partial.get(s_set)
+            if rec is None:  # enumerate once; a re-search replays the ccps
+                lefts = []
+                pending_append = lefts.append
+                partitions_into(s_set, emit_checked if (
+                    budget is not None
+                    and s_set >= emit_floor
+                    and bit_count(s_set) >= emit_popcount
+                ) else emit)
+                rec = partial[s_set] = [None, 0.0, lefts]
+            # Every search prices in emission order from scratch, as the
+            # plain run does, so equal-cost ties break the same way.
+            card, _, lefts = rec
+            cost, t_left, t_right, t_impl = inf, 0, 0, None
+            lb = floor(s_set)
+            for index, left_set in enumerate(lefts):
+                if budget is not None and index & 255 == 255:
+                    budget.check()
+                right_set = s_set ^ left_set
+                # Cost left for the operands; the slack means rounding
+                # can only loosen a limit (see _BOUND_SLACK).
+                ceiling = min(limit, cost) * _BOUND_SLACK - lb
+                room = ceiling - floor(right_set)
+                left = done_get(left_set)
+                if left is None and admit(left_set, room):
+                    yield search(left_set, room)
+                    left = done_get(left_set)
+                if left is None or left[1] > room:
+                    continue
+                room = ceiling - left[1]
+                right = done_get(right_set)
+                if right is None and admit(right_set, room):
+                    yield search(right_set, room)
+                    right = done_get(right_set)
+                if right is None or right[1] > room:
+                    continue
+                priced += 1
+                (lc, lcost), (rc, rcost) = left, right
+                if card is None:
+                    card = combine(left_set, lc, right_set, rc)
+                local, name = join_cost(lc, rc, card)
+                total = local + (lcost + rcost)
+                if total < cost:
+                    cost, t_impl = total, name
+                    t_left, t_right = left_set, right_set
+                if not symmetric:
+                    local, name = join_cost(rc, lc, card)
+                    total = local + (lcost + rcost)
+                    if total < cost:
+                        cost, t_impl = total, name
+                        t_left, t_right = right_set, left_set
+            if cost <= limit:
+                del partial[s_set]
+                done[s_set] = (card, cost)
+                best[s_set] = (t_left, t_right, t_impl)
+            else:
+                rec[:2] = card, limit
+
+        # Trampoline: a search yields the operand search it waits on.
+        searches = [search(root_set, bound * _BOUND_SLACK)]
+        try:
+            while searches:
+                try:
+                    searches.append(next(searches[-1]))
+                except StopIteration:
+                    searches.pop()
+        except BudgetExpired:
+            aborted = True
+        driver.pruned_sets += pruned
+        return flush(priced, partial)
+
     # ---- iterative TDPGSUB -----------------------------------------
     # Stack entries: (S, None, 0, inf, 0, 0, None) = explore S;
     # (S, pairs, card, cost, left, right, impl) = finish S, resuming
@@ -237,11 +384,6 @@ def run_fast_kernel(driver, root_set: int) -> None:
     # even when already scheduled deeper in the stack, so operand plans
     # are always final by the time the parent's pairs are priced (the
     # duplicate entry later pops as a finished no-op).
-    partitions_into = driver.partitioner.partitions_into
-    stats = driver.partitioner.stats
-    emitted_before = stats.emitted
-    bit_count = _bit_count
-    aborted = False
     stack = [(root_set, None, None, inf, 0, 0, None)]
     stack_pop = stack.pop
     stack_append = stack.append
@@ -330,7 +472,6 @@ def run_fast_kernel(driver, root_set: int) -> None:
         for child in reversed(children):
             stack_append((child, None, None, inf, 0, 0, None))
 
-    # ---- flush the compatibility view ------------------------------
     # Every emitted ccp was priced exactly once (immediately or on
     # finish), with one join_cost evaluation for symmetric models and
     # two for asymmetric ones — the same per-ccp count the reference
@@ -338,23 +479,8 @@ def run_fast_kernel(driver, root_set: int) -> None:
     # of incremented on the hot path.  On an aborted run the derived
     # count is an upper bound (deferred pairs of unfinished sets were
     # emitted but never priced).
-    priced = stats.emitted - emitted_before
-    builder.cost_evaluations += priced if symmetric else 2 * priced
-    memo.bulk_load(
-        (s, card, cost) + best[s] + (True,)
-        for s, (card, cost) in done.items()
-    )
+    unsolved = ()
     if aborted:
-        # Record the unsolved frontier as unexplored placeholders so the
-        # salvage report can state how much of the memo was solved, then
-        # hand control back to the driver's salvage path.  Every best
-        # split in ``done`` references only ``done`` sets, so the flush
-        # above is self-consistent and extractable on its own.
         unsolved = {s_set}
         unsolved.update(frame[0] for frame in stack)
-        memo.bulk_load(
-            (s, None, inf, 0, 0, None, False)
-            for s in unsolved
-            if s not in done
-        )
-        raise BudgetExpired(budget.reason or "budget expired")
+    flush(stats.emitted - emitted_before, unsolved)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from repro import bitset
 from repro.catalog.statistics import Catalog
 from repro.cost.base import CostModel
 from repro.cost.cout import CoutCostModel
@@ -33,7 +32,7 @@ from repro.plan.builder import PlanBuilder
 from repro.plan.jointree import JoinTree
 from repro.plan.memo import MemoEntry
 
-__all__ = ["TopDownPlanGenerator"]
+__all__ = ["TopDownPlanGenerator", "tdpgsub_reference"]
 
 
 class TopDownPlanGenerator:
@@ -49,15 +48,12 @@ class TopDownPlanGenerator:
     cost_model:
         Join pricing; defaults to the paper's ``C_out``.
     enable_pruning:
-        Switch on accumulated-cost branch-and-bound (see
-        :mod:`repro.optimizer.pruning` for the analysis helpers).
-    use_kernel:
-        ``None`` (default) or ``True`` selects the fast enumeration
-        kernel (:mod:`repro.optimizer.kernel`) whenever pruning is off;
-        ``False`` always runs the paper-faithful recursive reference
-        driver.  Pruning stays on the reference path either way.  Both
-        paths produce bit-identical plans and counters; ``last_kernel``
-        reports which one ran.
+        Switch on accumulated-cost branch-and-bound, seeded with a
+        greedy plan's cost.  Plain, pruned and budgeted runs all take
+        the fast kernel (:mod:`repro.optimizer.kernel`), so
+        ``last_kernel`` reads ``"fast"`` after any run;
+        :func:`tdpgsub_reference` is the paper-faithful recursion the
+        kernel is proven bit-identical against.
     budget:
         Optional cooperative :class:`~repro.optimizer.budget.Budget`.
         When it expires mid-enumeration the run stops cleanly,
@@ -79,7 +75,6 @@ class TopDownPlanGenerator:
         partitioning_factory: Callable[..., PartitioningStrategy],
         cost_model: Optional[CostModel] = None,
         enable_pruning: bool = False,
-        use_kernel: Optional[bool] = None,
         budget: Optional[Budget] = None,
     ):
         self.catalog = catalog
@@ -88,7 +83,6 @@ class TopDownPlanGenerator:
         self.partitioner = partitioning_factory(self.graph)
         self.builder = PlanBuilder(catalog, self.cost_model)
         self.enable_pruning = enable_pruning
-        self.use_kernel = use_kernel
         self.budget = budget
         self.budget_expired = False
         self.salvage_report = None
@@ -99,18 +93,8 @@ class TopDownPlanGenerator:
         #: ``backend`` (see :mod:`repro.optimizer.native`).
         self.last_backend = "python"
         self.pruned_sets = 0
-        self._proven_budget = {}
 
     # ------------------------------------------------------------------
-
-    def _kernel_selected(self) -> bool:
-        """Resolve whether this run takes the fast kernel path."""
-        if self.enable_pruning:
-            # Branch-and-bound budgets thread through the recursion;
-            # pruning stays on the reference driver (and prunes away the
-            # constant-factor problem the kernel exists to solve).
-            return False
-        return self.use_kernel is not False
 
     def optimize(self) -> JoinTree:
         """Return an optimal bushy, cross-product-free join tree for G.
@@ -124,164 +108,38 @@ class TopDownPlanGenerator:
                 "query graph is disconnected; the cross-product-free search "
                 "space has no solution (join the components explicitly)"
             )
+        bound = self._initial_upper_bound() if self.enable_pruning else None
+        self.last_kernel = "fast"
         try:
-            if self.enable_pruning:
-                self.last_kernel = "reference"
-                self._tdpg_sub_pruning(all_vertices, self._initial_upper_bound())
-            elif self._kernel_selected():
-                self.last_kernel = "fast"
-                run_fast_kernel(self, all_vertices)
-            else:
-                self.last_kernel = "reference"
-                self._tdpg_sub(all_vertices)
+            run_fast_kernel(self, all_vertices, bound)
         except BudgetExpired:
+            # Complete the partial memo into a valid plan.
+            from repro.plan.salvage import salvage_plan
+
             self.budget_expired = True
-            return self._salvage(all_vertices)
+            plan, self.salvage_report = salvage_plan(
+                self.builder.memo, self.catalog, all_vertices, self.cost_model
+            )
+            return plan
         return self.builder.memo.extract_plan(all_vertices)
 
-    def _salvage(self, root_set: int) -> JoinTree:
-        """Complete the partial memo into a valid plan after budget expiry."""
-        from repro.plan.salvage import salvage_plan
-
-        plan, report = salvage_plan(
-            self.builder.memo, self.catalog, root_set, self.cost_model
-        )
-        self.salvage_report = report
-        return plan
-
     def _initial_upper_bound(self) -> float:
-        """Seed the branch-and-bound budget with a greedy plan's cost.
+        """Seed the branch-and-bound bound with a greedy plan's cost.
 
-        A feasible plan's cost under the active cost model is a valid
-        budget: the optimum cannot exceed it, and pruning only discards
-        candidates that provably cannot do better.  GOO (greedy operator
-        ordering) provides the plan; its joins are re-priced under this
-        driver's cost model (GOO itself optimizes C_out).  Falls back to
-        an unbounded search if the heuristic fails for any reason.
+        A feasible plan's cost under the active cost model bounds the
+        optimum from above.  GOO (greedy operator ordering) provides the
+        plan, repriced under this driver's cost model exactly as the
+        salvage floor is.  Falls back to an unbounded search if the
+        heuristic fails for any reason.
         """
-        try:
-            from repro.heuristics.goo import greedy_operator_ordering
+        from repro.heuristics.goo import greedy_operator_ordering
+        from repro.plan.salvage import reprice
 
+        try:
             plan = greedy_operator_ordering(self.catalog)
+            return reprice(plan, self.cost_model).cost
         except Exception:
             return math.inf
-        total = 0.0
-        for node in plan.inner_nodes():
-            local, _ = self.cost_model.join_cost(
-                node.left.cardinality, node.right.cardinality, node.cardinality
-            )
-            total += local
-        # Guard against last-ulp float differences between this pricing
-        # and the search's own accumulation order.
-        return total * (1.0 + 1e-9)
-
-    # ------------------------------------------------------------------
-
-    def _tdpg_sub(self, vertex_set: int) -> MemoEntry:
-        """TDPGSUB (Fig. 1): fill the memo entry for one connected set."""
-        memo = self.builder.memo
-        entry = memo.get_or_create(vertex_set)
-        if entry.explored:
-            return entry
-        budget = self.budget
-        if budget is not None:
-            budget.charge()
-        lookup = memo.lookup
-        build = self.builder.build_trees
-        recurse = self._tdpg_sub
-        countdown = 256
-        for left_set, right_set in self.partitioner.partitions(vertex_set):
-            if budget is not None:
-                countdown -= 1
-                if not countdown:
-                    countdown = 256
-                    budget.check()
-            left = lookup(left_set)
-            if left is None or not left.explored:
-                recurse(left_set)
-            right = lookup(right_set)
-            if right is None or not right.explored:
-                recurse(right_set)
-            build(vertex_set, left_set, right_set)
-        entry.explored = True
-        return entry
-
-    # ------------------------------------------------------------------
-    # Branch-and-bound pruning (the paper's anticipated top-down advantage)
-    # ------------------------------------------------------------------
-
-    def _tdpg_sub_pruning(self, vertex_set: int, budget: float) -> float:
-        """TDPGSUB with accumulated-cost branch-and-bound.
-
-        Returns the optimal cost for ``vertex_set`` if it is at most
-        ``budget``, else ``inf`` (proving the optimum exceeds the budget).
-        Soundness relies on the cost model's local join cost being at least
-        the output cardinality (true for ``C_out`` and the default
-        physical model), which makes the result cardinality an admissible
-        lower bound on any plan's cost.  ``_proven_budget`` records the
-        largest budget each set was searched under: a memoized cost is
-        exact once it is at most that budget.
-        """
-        memo = self.builder.memo
-        entry = memo.get_or_create(vertex_set)
-        if entry.is_leaf:
-            return entry.cost
-        proven = self._proven_budget.get(vertex_set, -math.inf)
-        if entry.cost <= proven:
-            return entry.cost if entry.cost <= budget else math.inf
-        if proven >= budget:
-            # Already proven that the optimum exceeds this budget.
-            self.pruned_sets += 1
-            return math.inf
-        lower_bound = self._cost_lower_bound(vertex_set)
-        if lower_bound > budget:
-            self._proven_budget[vertex_set] = max(proven, budget)
-            self.pruned_sets += 1
-            return math.inf
-        run_budget = self.budget
-        if run_budget is not None:
-            run_budget.charge()
-        countdown = 256
-        for left_set, right_set in self.partitioner.partitions(vertex_set):
-            if run_budget is not None:
-                countdown -= 1
-                if not countdown:
-                    countdown = 256
-                    run_budget.check()
-            bound = min(budget, entry.cost)
-            join_bound = lower_bound  # local cost of the final join of S
-            right_bound = self._cost_lower_bound(right_set)
-            left_cost = self._tdpg_sub_pruning(
-                left_set, bound - join_bound - right_bound
-            )
-            if left_cost == math.inf:
-                continue
-            right_cost = self._tdpg_sub_pruning(
-                right_set, bound - join_bound - left_cost
-            )
-            if right_cost == math.inf:
-                continue
-            self.builder.build_trees(vertex_set, left_set, right_set)
-        self._proven_budget[vertex_set] = max(proven, budget)
-        if entry.cost <= budget:
-            entry.explored = True
-            return entry.cost
-        return math.inf
-
-    def _cost_lower_bound(self, vertex_set: int) -> float:
-        """Admissible plan-cost lower bound for a relation set.
-
-        A base relation costs nothing; any multi-relation plan must at
-        least produce its final result, so the estimated result
-        cardinality bounds the plan cost from below for cost models whose
-        local join cost dominates the output cardinality.
-        """
-        if vertex_set & (vertex_set - 1) == 0:  # singleton
-            return 0.0
-        entry = self.builder.memo.get_or_create(vertex_set)
-        if entry.cardinality is None:
-            entry.cardinality = self.builder.estimator.estimate(vertex_set)
-        return entry.cardinality
 
     # ------------------------------------------------------------------
 
@@ -295,3 +153,38 @@ class TopDownPlanGenerator:
             f"cost_model={self.cost_model.name}, "
             f"n={self.graph.n_vertices})"
         )
+
+
+def tdpgsub_reference(driver, vertex_set: int) -> MemoEntry:
+    """TDPGSUB (Fig. 1): fill the memo entry for one connected set.
+
+    The paper's recursion: the oracle the kernel is proven bit-identical
+    against.  Only tests and the kernel benchmark call it; at about two
+    frames per relation it hits ``RecursionError`` on deep chains.
+    """
+    memo = driver.builder.memo
+    entry = memo.get_or_create(vertex_set)
+    if entry.explored:
+        return entry
+    budget = driver.budget
+    if budget is not None:
+        budget.charge()
+    lookup = memo.lookup
+    build = driver.builder.build_trees
+    recurse = tdpgsub_reference
+    countdown = 256
+    for left_set, right_set in driver.partitioner.partitions(vertex_set):
+        if budget is not None:
+            countdown -= 1
+            if not countdown:
+                countdown = 256
+                budget.check()
+        left = lookup(left_set)
+        if left is None or not left.explored:
+            recurse(driver, left_set)
+        right = lookup(right_set)
+        if right is None or not right.explored:
+            recurse(driver, right_set)
+        build(vertex_set, left_set, right_set)
+    entry.explored = True
+    return entry

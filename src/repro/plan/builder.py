@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.catalog.statistics import Catalog
 from repro.cost.base import CostModel
 from repro.cost.cardinality import CardinalityEstimator
-from repro.plan.memo import MemoEntry, MemoTable
+from repro.plan.memo import MemoTable
 
 __all__ = ["PlanBuilder"]
 
@@ -64,24 +64,6 @@ class PlanBuilder:
 
     # ------------------------------------------------------------------
 
-    def entry_cardinality(
-        self, entry: MemoEntry, left: MemoEntry, right: MemoEntry
-    ) -> float:
-        """Return the entry's cardinality, estimating once if unknown.
-
-        The incremental estimate uses any ccp of the set — all ccps of a
-        set produce the same estimate under the independence assumption
-        (a property tested in the suite).
-        """
-        if entry.cardinality is None:
-            entry.cardinality = self.estimator.combine(
-                left.vertex_set,
-                left.cardinality,
-                right.vertex_set,
-                right.cardinality,
-            )
-        return entry.cardinality
-
     def build_trees(self, union_set: int, left_set: int, right_set: int) -> None:
         """BuildTree (Fig. 2): price ``L ⋈ R`` and ``R ⋈ L``, keep the best.
 
@@ -96,7 +78,13 @@ class PlanBuilder:
         target = memo.get_or_create(union_set)
         left = memo[left_set]
         right = memo[right_set]
-        output_card = self.entry_cardinality(target, left, right)
+        if target.cardinality is None:
+            # Estimated once, from the first priced ccp: every ccp gives
+            # the same estimate up to rounding (independence assumption).
+            target.cardinality = self.estimator.combine(
+                left_set, left.cardinality, right_set, right.cardinality
+            )
+        output_card = target.cardinality
         subtree_cost = left.cost + right.cost
 
         cost_lr, impl_lr = self.cost_model.join_cost(

@@ -66,11 +66,6 @@ class MemoEntry:
         self.implementation: Optional[str] = None
         self.explored = False
 
-    @property
-    def is_leaf(self) -> bool:
-        """True iff the entry describes a single base relation."""
-        return self.best_left == 0 and bitset.popcount(self.vertex_set) == 1
-
     def __repr__(self) -> str:
         return (
             f"MemoEntry({bitset.format_set(self.vertex_set)}, "

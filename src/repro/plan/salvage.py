@@ -44,10 +44,10 @@ from repro.heuristics.goo import greedy_operator_ordering
 from repro.plan.jointree import JoinTree
 from repro.plan.memo import MemoTable
 
-__all__ = ["salvage_plan"]
+__all__ = ["reprice", "salvage_plan"]
 
 
-def _reprice(plan: JoinTree, cost_model: CostModel) -> JoinTree:
+def reprice(plan: JoinTree, cost_model: CostModel) -> JoinTree:
     """Rebuild ``plan`` with costs accumulated under ``cost_model``.
 
     Cardinalities are kept (they are catalog estimates either way); only
@@ -222,7 +222,7 @@ def salvage_plan(
         forest = [memo.extract_plan(s) for s in cover]
         candidate = _merge_forest(forest, catalog, cost_model)
 
-    goo = _reprice(greedy_operator_ordering(catalog), cost_model)
+    goo = reprice(greedy_operator_ordering(catalog), cost_model)
     if candidate.cost <= goo.cost:
         plan, source = candidate, "memo"
     else:

@@ -114,7 +114,6 @@ class ServiceMetrics:
             "hard_kills_avoided": 0,
             "retries": 0,
             "kernel_fast": 0,
-            "kernel_reference": 0,
             "kernel_dpconv": 0,
             "kernel_native_c": 0,
         }
@@ -137,7 +136,6 @@ class ServiceMetrics:
                 "anytime": 0,
                 "retries": 0,
                 "kernel_fast": 0,
-                "kernel_reference": 0,
                 "kernel_dpconv": 0,
                 "kernel_native_c": 0,
                 "histogram": LatencyHistogram(self._max_samples),
@@ -180,9 +178,9 @@ class ServiceMetrics:
         replaced; ``salvage_fraction`` records the fraction of the memo
         the salvaged answer had solved exactly (feeds the
         salvage-fraction histogram).  ``retries`` adds the extra worker
-        attempts this request consumed.  ``kernel`` (``"fast"``,
-        ``"reference"``, or ``"dpconv"``) records which enumeration
-        engine a fresh optimization ran on; pass None for cache hits,
+        attempts this request consumed.  ``kernel`` (``"fast"`` or
+        ``"dpconv"``) records which enumeration engine a fresh
+        optimization ran on; pass None for cache hits,
         errors, and algorithms that do not report one.  ``backend``
         (``"python"`` or ``"c"``) records which execution backend served
         a fresh dpconv-tier optimization — the compiled rung counts as
@@ -220,9 +218,6 @@ class ServiceMetrics:
             if kernel == "fast":
                 self._totals["kernel_fast"] += 1
                 slot["kernel_fast"] += 1
-            elif kernel == "reference":
-                self._totals["kernel_reference"] += 1
-                slot["kernel_reference"] += 1
             elif kernel == "dpconv":
                 self._totals["kernel_dpconv"] += 1
                 slot["kernel_dpconv"] += 1
@@ -261,7 +256,6 @@ class ServiceMetrics:
                         "anytime": slot["anytime"],
                         "retries": slot["retries"],
                         "kernel_fast": slot["kernel_fast"],
-                        "kernel_reference": slot["kernel_reference"],
                         "kernel_dpconv": slot["kernel_dpconv"],
                         "kernel_native_c": slot["kernel_native_c"],
                         "latency": slot["histogram"].snapshot(),
@@ -346,7 +340,6 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
         "hard_kills_avoided": "Deadline workers that cooperated instead of being killed.",
         "retries": "Extra worker attempts consumed by retries.",
         "kernel_fast": "Fresh optimizations run on the fast enumeration kernel.",
-        "kernel_reference": "Fresh optimizations run on the reference driver.",
         "kernel_dpconv": "Fresh optimizations run on the dpconv convolution engine.",
         "kernel_native_c": "Fresh optimizations served by the compiled C backend.",
     }
@@ -416,11 +409,6 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
             ("anytime", "anytime", "Salvaged anytime servings per algorithm."),
             ("retries", "retries", "Retries per algorithm."),
             ("kernel_fast", "kernel_fast", "Fast-kernel optimizations per algorithm."),
-            (
-                "kernel_reference",
-                "kernel_reference",
-                "Reference-driver optimizations per algorithm.",
-            ),
             (
                 "kernel_dpconv",
                 "kernel_dpconv",

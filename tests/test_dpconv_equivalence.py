@@ -95,9 +95,7 @@ def exact_catalog(graph):
 
 def run_pair(catalog, cost_model_cls=CoutCostModel, backend="off"):
     """Optimize with the top-down kernel and with dpconv; return both."""
-    reference = TopDownPlanGenerator(
-        catalog, MinCutBranch, cost_model_cls(), use_kernel=True
-    )
+    reference = TopDownPlanGenerator(catalog, MinCutBranch, cost_model_cls())
     conv = DPconvPlanGenerator(
         catalog, cost_model=cost_model_cls(), native_backend=backend
     )

@@ -1,13 +1,14 @@
-"""Fast kernel vs reference driver: exact equivalence.
+"""Fast kernel vs reference recursion: exact equivalence.
 
 The fast enumeration kernel (:mod:`repro.optimizer.kernel`) promises
-*bit-identical* results to the paper-faithful recursive driver — not just
-the same optimal cost, but the same best splits, tie-breaks, counter
-totals, and memo contents.  These tests enforce that promise over every
-canonical shape, seeded random graphs, both cost-model families, and all
-three partitioning strategies; plus the driver-level behaviors that only
-the kernel provides (no RecursionError on deep chains) and the selection
-plumbing (``use_kernel``, ``last_kernel``).
+*bit-identical* results to the paper-faithful recursive TDPGSUB
+(:func:`~repro.optimizer.topdown.tdpgsub_reference`) — not just the same
+optimal cost, but the same best splits, tie-breaks, counter totals, and
+memo contents.  These tests enforce that promise over every canonical
+shape, seeded random graphs, both cost-model families, and all three
+partitioning strategies; plus the driver-level behaviors that only the
+kernel provides (no RecursionError on deep chains) and the ``last_kernel``
+label.
 
 The same shape corpus also anchors the native dpconv rung (compiled C)
 to the reference driver whenever this host can run it — see
@@ -35,7 +36,7 @@ from repro.graph.shapes import (
     star_graph,
 )
 from repro.optimizer.dpconv import DPconvPlanGenerator
-from repro.optimizer.topdown import TopDownPlanGenerator
+from repro.optimizer.topdown import TopDownPlanGenerator, tdpgsub_reference
 
 SHAPES = [
     ("chain-9", chain_graph(9)),
@@ -62,19 +63,17 @@ PARTITIONERS = [MinCutBranch, MinCutLazy, NaivePartitioning]
 
 
 def run_pair(catalog, partitioner, cost_model_cls):
-    """Optimize with the reference driver and the kernel; return both."""
-    reference = TopDownPlanGenerator(
-        catalog, partitioner, cost_model_cls(), use_kernel=False
-    )
-    fast = TopDownPlanGenerator(
-        catalog, partitioner, cost_model_cls(), use_kernel=True
-    )
-    return reference, reference.optimize(), fast, fast.optimize()
+    """Optimize with the reference recursion and the kernel; return both."""
+    reference = TopDownPlanGenerator(catalog, partitioner, cost_model_cls())
+    root = catalog.graph.all_vertices
+    tdpgsub_reference(reference, root)
+    ref_plan = reference.builder.memo.extract_plan(root)
+    fast = TopDownPlanGenerator(catalog, partitioner, cost_model_cls())
+    return reference, ref_plan, fast, fast.optimize()
 
 
 def assert_identical(reference, ref_plan, fast, fast_plan):
     """Assert the two runs are indistinguishable, memo entry by entry."""
-    assert reference.last_kernel == "reference"
     assert fast.last_kernel == "fast"
     assert ref_plan == fast_plan  # JoinTree is a frozen dataclass: deep eq
     assert (
@@ -163,7 +162,7 @@ class TestNativeRungEquivalence:
             graph, cardinality=4.0, selectivity=0.25
         )
         reference = TopDownPlanGenerator(
-            catalog, MinCutBranch, CoutCostModel(), use_kernel=True
+            catalog, MinCutBranch, CoutCostModel()
         )
         ref_plan = reference.optimize()
         conv = DPconvPlanGenerator(
@@ -202,22 +201,16 @@ class TestNativeRungEquivalence:
 
 
 class TestPruningInteraction:
-    def test_pruning_stays_on_reference_path(self):
-        # Branch-and-bound budgets thread through the recursion; even an
-        # explicit use_kernel=True falls back to the reference driver.
+    def test_pruning_runs_on_the_kernel(self):
+        # Branch-and-bound limits ride the kernel's explicit stack; there
+        # is no second driver.
         catalog = uniform_statistics(chain_graph(8))
         pruned = TopDownPlanGenerator(
-            catalog,
-            MinCutBranch,
-            CoutCostModel(),
-            enable_pruning=True,
-            use_kernel=True,
+            catalog, MinCutBranch, CoutCostModel(), enable_pruning=True
         )
         plan = pruned.optimize()
-        assert pruned.last_kernel == "reference"
-        fast = TopDownPlanGenerator(
-            catalog, MinCutBranch, CoutCostModel(), use_kernel=True
-        )
+        assert pruned.last_kernel == "fast"
+        fast = TopDownPlanGenerator(catalog, MinCutBranch, CoutCostModel())
         fast_plan = fast.optimize()
         # Pruning preserves optimality, so costs agree with the kernel.
         assert plan.cost == fast_plan.cost
@@ -229,9 +222,7 @@ class TestPruningInteraction:
             pruned = TopDownPlanGenerator(
                 catalog, MinCutBranch, cost_model(), enable_pruning=True
             )
-            fast = TopDownPlanGenerator(
-                catalog, MinCutBranch, cost_model(), use_kernel=True
-            )
+            fast = TopDownPlanGenerator(catalog, MinCutBranch, cost_model())
             assert pruned.optimize().cost == fast.optimize().cost
 
 
@@ -250,8 +241,8 @@ class TestKernelSelection:
 
 class TestDeepChains:
     def test_deep_chain_beyond_recursion_limit(self):
-        # The recursive reference driver needs roughly two interpreter
-        # frames per relation on a chain (driver + partitioner); the
+        # The reference recursion needs roughly two interpreter frames
+        # per relation on a chain (driver + partitioner); the
         # kernel's explicit stack needs only the partitioner's frames.
         # Running a chain deeper than half the recursion limit in a
         # thread with a known-clean stack proves the driver recursion is
@@ -269,7 +260,7 @@ class TestDeepChains:
             sys.setrecursionlimit(limit)
             try:
                 optimizer = TopDownPlanGenerator(
-                    catalog, MinCutBranch, CoutCostModel(), use_kernel=True
+                    catalog, MinCutBranch, CoutCostModel()
                 )
                 plan = optimizer.optimize()
                 outcome["joins"] = plan.n_joins()

@@ -397,17 +397,17 @@ class TestKernelObservability:
         trace = service.traces.get(result.trace_id)
         assert trace.find("enumerate").attributes["kernel"] == "fast"
 
-    def test_reference_kernel_reported_when_opted_out(self):
-        # Pruning opts a request out of the fast kernel: branch-and-
-        # bound runs on the reference driver.
+    def test_pruned_request_reports_fast_kernel(self):
+        # Branch-and-bound runs on the fast kernel too: one top-down
+        # driver serves plain and pruned requests alike.
         instance = WorkloadGenerator(seed=1).fixed_shape("chain", 6)
         service = OptimizerService()
         result = service.optimize(
             OptimizationRequest(query=instance, enable_pruning=True)
         )
-        assert result.details["kernel"] == "reference"
+        assert result.details["kernel"] == "fast"
         trace = service.traces.get(result.trace_id)
-        assert trace.find("enumerate").attributes["kernel"] == "reference"
+        assert trace.find("enumerate").attributes["kernel"] == "fast"
 
     def test_metrics_count_kernel_paths(self):
         service = OptimizerService()
@@ -416,7 +416,6 @@ class TestKernelObservability:
         service.optimize(request)  # hit: no enumeration, no kernel count
         totals = service.stats_snapshot()["totals"]
         assert totals["kernel_fast"] == 1
-        assert totals["kernel_reference"] == 0
         per_algo = service.stats_snapshot()["algorithms"]["tdmincutbranch"]
         assert per_algo["kernel_fast"] == 1
 
@@ -430,14 +429,12 @@ class TestKernelObservability:
         )
         totals = service.stats_snapshot()["totals"]
         assert totals["kernel_fast"] == 0
-        assert totals["kernel_reference"] == 0
 
     def test_prometheus_exposes_kernel_counters(self):
         service = OptimizerService()
         service.optimize(chain_request())
         text = render_prometheus(service.stats_snapshot())
         assert "repro_kernel_fast_total 1" in text
-        assert "repro_kernel_reference_total 0" in text
         assert 'repro_algorithm_kernel_fast_total{algorithm="tdmincutbranch"} 1' in text
 
 
