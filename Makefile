@@ -23,7 +23,7 @@ chaos:
 bench-service:
 	$(PYTHON) benchmarks/bench_service_cache.py
 
-# Multi-core speedup demo: process vs. thread batch backends.  Asserts
+# Multi-core speedup demo: process vs. serial batch backends.  Asserts
 # the >= 1.5x floor only on multi-core hosts (pass --require-speedup in
 # CI); result parity across backends is always enforced.
 bench-batch:

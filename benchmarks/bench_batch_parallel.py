@@ -1,17 +1,16 @@
 #!/usr/bin/env python
-"""Batch-execution benchmark: serial vs. thread vs. process backends.
+"""Batch-execution benchmark: serial vs. process backends.
 
-CPython's GIL serializes CPU-bound enumeration across threads, so the
-threaded ``optimize_batch`` backend cannot beat serial wall-clock on the
-paper's hot path no matter how many workers it has.  The process backend
+CPython's GIL serializes CPU-bound enumeration across threads, so only
+a process boundary lets a batch use several cores.  The process backend
 (``executor="process"``) ships each request to a worker process through
 :mod:`repro.serialize` and genuinely uses one core per worker.  This
 benchmark drives an identical batch of distinct clique (and optionally
-cycle) queries through all three backends on fresh services — no cache
-effects — and reports wall-clock plus the process-over-thread speedup.
+cycle) queries through both backends on fresh services — no cache
+effects — and reports wall-clock plus the process-over-serial speedup.
 
 On a multi-core host the process backend must be at least 1.5x faster
-than the threaded one for a >= 8-item batch of clique-12 queries; pass
+than serial for a >= 8-item batch of clique-12 queries; pass
 ``--require-speedup`` to turn that floor into the exit status (it is
 skipped automatically on single-core machines, where no parallel
 speedup is physically possible).  Result parity across backends is
@@ -33,7 +32,7 @@ from repro.catalog.workload import WorkloadGenerator
 from repro.optimizer.api import OptimizationRequest
 from repro.service import OptimizerService
 
-SPEEDUP_FLOOR = 1.5  # acceptance: process >= 1.5x over thread (multi-core)
+SPEEDUP_FLOOR = 1.5  # acceptance: process >= 1.5x over serial (multi-core)
 
 
 def build_requests(shape: str, n: int, count: int, algorithm: str):
@@ -82,7 +81,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--require-speedup",
         action="store_true",
-        help=f"exit non-zero unless process >= {SPEEDUP_FLOOR}x over thread "
+        help=f"exit non-zero unless process >= {SPEEDUP_FLOOR}x over serial "
         "(skipped on single-core hosts)",
     )
     args = parser.parse_args(argv)
@@ -97,7 +96,7 @@ def main(argv=None) -> int:
 
     walls = {}
     baseline = None
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "process"):
         wall, results = run_backend(executor, requests, workers)
         walls[executor] = wall
         costs = [round(r.cost, 6) for r in results]
@@ -111,8 +110,8 @@ def main(argv=None) -> int:
             return 1
         print(f"  {executor:8s} {wall:8.2f}s")
 
-    speedup = walls["thread"] / max(walls["process"], 1e-9)
-    print(f"process speedup over thread: {speedup:.2f}x")
+    speedup = walls["serial"] / max(walls["process"], 1e-9)
+    print(f"process speedup over serial: {speedup:.2f}x")
     if cores < 2:
         print("single-core host: parallel speedup not applicable, floor skipped")
         return 0

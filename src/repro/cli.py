@@ -138,11 +138,10 @@ def _serve_stats_main(argv: List[str]) -> int:
     parser.add_argument("--workers", type=int, default=4, help="batch workers")
     parser.add_argument(
         "--executor",
-        choices=["serial", "thread", "process"],
-        default="thread",
-        help="batch backend: process = one worker process per item "
-        "(true multi-core, hard deadlines), thread = shared-GIL pool "
-        "(soft deadlines), serial = calling thread",
+        choices=["serial", "process"],
+        help="batch backend: process = worker processes (true multi-core, "
+        "deadlines), serial = calling thread; default: serial for "
+        "--workers 1, else process",
     )
     parser.add_argument(
         "--deadline",

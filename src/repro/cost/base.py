@@ -78,14 +78,16 @@ class CostModel(abc.ABC):
     def signature_fields(self) -> Dict[str, Any]:
         """Return the parameters that influence this model's costs.
 
-        The plan cache keys on the cost-model *class name* plus this
-        dict, so two differently-parameterized instances of the same
-        class (say, :class:`~repro.cost.physical.PhysicalCostModel` with
-        different output weights) must not collide to one cache entry.
+        The plan cache keys on the cost-model class (``__module__`` and
+        ``__qualname__``) plus this dict, so two differently-parameterized
+        instances of the same class (say,
+        :class:`~repro.cost.physical.PhysicalCostModel` with different
+        output weights) must not collide to one cache entry.
         Parameterless models keep the default ``{}``; parameterized
         models must override and return every knob, JSON-serializable.
         The same dict is what :func:`repro.serialize.cost_model_to_dict`
-        ships to process-pool workers, so the fields should be accepted
-        by the class constructor as keyword arguments.
+        ships to process-pool workers, which rebuild the model as
+        ``cls(**fields)``: for process mode the keys must be accepted by
+        the class constructor as keyword arguments.
         """
         return {}

@@ -115,7 +115,7 @@ class PhysicalCostModel(CostModel):
         return {
             "output_weight": self._output_weight,
             "implementations": [
-                {"class": type(impl).__name__, **asdict(impl)}
+                {"class": type(impl).__qualname__, **asdict(impl)}
                 for impl in self._implementations
             ],
         }

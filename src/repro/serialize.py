@@ -23,6 +23,7 @@ than producing a half-built object.
 
 from __future__ import annotations
 
+import gc
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -360,35 +361,76 @@ def hypergraph_from_dict(document: Dict[str, Any]) -> Hypergraph:
 # Cost models (for shipping requests to worker processes)
 # ----------------------------------------------------------------------
 
-def _join_implementation_classes() -> Dict[str, type]:
-    from repro.cost.physical import HashJoin, NestedLoopJoin, SortMergeJoin
+def _subclasses_named(base: type, name: Any) -> List[type]:
+    """Every subclass of ``base``, at any depth, whose ``__qualname__`` is ``name``."""
+    matches = []
+    seen = set()
+    stack = list(base.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        if cls.__qualname__ == name:
+            matches.append(cls)
+        stack.extend(cls.__subclasses__())
+    return matches
 
-    return {
-        cls.__name__: cls for cls in (NestedLoopJoin, HashJoin, SortMergeJoin)
-    }
 
+def _live_class(base: type, name: Any, what: str) -> type:
+    """The one live subclass of ``base`` whose ``__qualname__`` is ``name``.
 
-def _cost_model_classes() -> Dict[str, type]:
-    from repro.cost.cout import CoutCostModel
-    from repro.cost.physical import PhysicalCostModel
-
-    return {cls.__name__: cls for cls in (CoutCostModel, PhysicalCostModel)}
+    Walks ``base.__subclasses__()`` recursively, so a class defined
+    anywhere in this process — the built-ins, a plugin, a local class in
+    a test — is found by name alone; nothing is imported or unpickled,
+    which keeps this safe on input decoded from the wire.  A forked
+    worker holds every class its parent defined; a worker started
+    without ``fork`` sees only the built-ins.  No match raises "unknown
+    ... class"; two or more live classes with the name raise an
+    ambiguity error rather than guess.
+    """
+    if len(_subclasses_named(base, name)) > 1:
+        # A local class from a call that has returned is unreachable but
+        # stays in __subclasses__() until the cycle collector runs.
+        gc.collect()
+    matches = _subclasses_named(base, name)
+    if not matches:
+        raise ReproError(
+            f"unknown {what} class {name!r} (a worker started without "
+            "fork knows only the built-in classes)"
+        )
+    if len(matches) > 1:
+        raise ReproError(
+            f"{what} class name {name!r} is ambiguous: {len(matches)} "
+            "live classes share that qualified name"
+        )
+    return matches[0]
 
 
 def cost_model_to_dict(cost_model) -> Dict[str, Any]:
-    """Serialize a cost model as its class name plus signature fields.
+    """Serialize a cost model as its class ``__qualname__`` plus signature fields.
 
-    Only the library's built-in models round-trip; a custom
-    :class:`~repro.cost.base.CostModel` subclass raises, because the
-    receiving process could not reconstruct it.  (Thread and serial
-    executors share the address space and have no such restriction.)
+    The receiver rebuilds it as ``cls(**params)`` from the one live
+    :class:`~repro.cost.base.CostModel` subclass of that name (see
+    :func:`cost_model_from_dict`), so a custom model crosses to a forked
+    process-pool worker as long as its
+    :meth:`~repro.cost.base.CostModel.signature_fields` are constructor
+    keywords.  The name is checked here first, so a model the receiver
+    could not resolve fails before anything is shipped.
     """
-    name = type(cost_model).__name__
-    if name not in _cost_model_classes():
+    from repro.cost.base import CostModel
+
+    name = type(cost_model).__qualname__
+    try:
+        resolved = _live_class(CostModel, name, "cost model")
+    except ReproError as exc:
         raise ReproError(
-            f"cost model {name!r} is not serializable; the process "
-            "executor can only ship the library's built-in cost models "
-            "(use executor='thread' for custom models)"
+            f"cost model {name!r} cannot be shipped to a worker process: {exc}"
+        ) from exc
+    if resolved is not type(cost_model):
+        raise ReproError(
+            f"cost model {name!r} cannot be shipped to a worker process: "
+            "its name resolves to a different CostModel subclass"
         )
     return {
         "kind": "cost_model",
@@ -399,26 +441,28 @@ def cost_model_to_dict(cost_model) -> Dict[str, Any]:
 
 
 def cost_model_from_dict(document: Dict[str, Any]):
-    """Deserialize a cost model serialized by :func:`cost_model_to_dict`."""
+    """Deserialize a cost model serialized by :func:`cost_model_to_dict`.
+
+    Classes are looked up by name among the live subclasses of
+    :class:`~repro.cost.base.CostModel` and
+    :class:`~repro.cost.base.JoinImplementation`; a name that is unknown
+    or ambiguous raises :class:`~repro.errors.ReproError`.
+    """
+    from repro.cost.base import CostModel, JoinImplementation
+
     _check_kind(document, "cost_model")
-    classes = _cost_model_classes()
-    name = document["class"]
-    if name not in classes:
-        raise ReproError(f"unknown cost model class {name!r}")
+    cls = _live_class(CostModel, document["class"], "cost model")
     params = dict(document.get("params", {}))
     if "implementations" in params:
-        implementation_classes = _join_implementation_classes()
         implementations = []
         for item in params["implementations"]:
-            impl_name = item.get("class")
-            if impl_name not in implementation_classes:
-                raise ReproError(
-                    f"unknown join implementation class {impl_name!r}"
-                )
+            implementation = _live_class(
+                JoinImplementation, item.get("class"), "join implementation"
+            )
             kwargs = {k: v for k, v in item.items() if k != "class"}
-            implementations.append(implementation_classes[impl_name](**kwargs))
+            implementations.append(implementation(**kwargs))
         params["implementations"] = implementations
-    return classes[name](**params)
+    return cls(**params)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,9 @@ graph shape, not statistics — so this package adds the serving layer:
   ``optimize``, ``optimize_batch`` and ``stats_snapshot``.
 * :class:`ProcessPoolExecutor` — batch backend that runs items in worker
   processes (true multi-core for CPU-bound enumeration) with per-item
-  deadlines and worker recycling; ``optimize_batch`` selects it via
-  ``executor="process"`` next to ``"thread"`` and ``"serial"``.
+  deadlines and worker recycling; ``optimize_batch`` uses it for
+  ``executor="process"`` (the default for ``workers > 1``) and runs
+  ``"serial"`` batches on the calling thread.
 * :class:`PlanCache` — bounded, thread-safe LRU keyed by a canonical
   signature of (graph shape, rounded statistics, cost model class and
   parameters, algorithm, pruning flag, cross-product flag); JSON

@@ -20,13 +20,14 @@ requesting query's numbering and relation names on a hit, so a hit costs
 one canonical labeling plus a tree copy — orders of magnitude below
 enumeration for anything non-trivial.
 
-Batches run on one of three executors — ``"serial"``, ``"thread"``, or
-``"process"`` — with optional per-item ``deadline_seconds`` and an
-optional greedy-heuristic fallback plan for items that blow the budget.
-The process executor (:mod:`repro.service.executor`) is the one that
-actually uses multiple cores and the only one that can reclaim a hung
-worker; the cache always lives in the parent, so hit behaviour is
-identical across executors.
+Batches run on one of two executors — ``"serial"`` on the calling
+thread, or ``"process"`` (:mod:`repro.service.executor`), which uses
+multiple cores and honours per-item ``deadline_seconds`` by reclaiming
+a hung worker, with an optional greedy-heuristic fallback plan for items
+that blow the budget.  Custom cost models cross to the forked workers by
+class name (:func:`repro.serialize.cost_model_to_dict`).  The cache
+always lives in the parent, so hit behaviour is identical across
+executors.
 
 On top of that sits the **resilience layer**
 (:mod:`repro.service.resilience`): before any exact enumeration the
@@ -48,20 +49,8 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeoutError
 from dataclasses import dataclass, replace
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import bitset
 from repro.catalog.statistics import Catalog
@@ -88,6 +77,7 @@ from repro.service.executor import (
     EXECUTORS,
     ProcessPoolExecutor,
     annotate_enumerate,
+    check_deadline,
     stamp_deadline,
 )
 from repro.service.faults import FaultInjector
@@ -183,6 +173,10 @@ def request_signature(
     selectivity raises :class:`~repro.errors.OptimizationError` naming
     the offending relation(s) instead of surfacing as a bare
     ``OverflowError``/``ValueError`` from the rounding math.
+
+    The cost model is keyed by its class's ``__module__`` and
+    ``__qualname__``, so two different classes that share a bare name
+    (say, ``Model`` defined in two factory functions) never share plans.
     """
     graph = catalog.graph
     n = graph.n_vertices
@@ -223,7 +217,11 @@ def request_signature(
         "shape": signature_of_form(n, edges),
         "cards": [cards[order[p]] for p in range(n)],
         "sels": canonical_sels,
-        "cost_model": type(cost_model).__name__ if cost_model else "default",
+        "cost_model": (
+            f"{type(cost_model).__module__}.{type(cost_model).__qualname__}"
+            if cost_model
+            else "default"
+        ),
         "cost_model_params": (
             cost_model.signature_fields() if cost_model else {}
         ),
@@ -282,17 +280,11 @@ class _Job:
     materialized, ``"auto"`` resolved, cost model injected — goes to the
     exact engine, in which case ``admitted`` is set and the circuit
     breaker is owed the engine's outcome.
-
-    ``cancelled`` is the soft-deadline guard of the threaded backend:
-    once it reports True the caller has already synthesized a timeout
-    result for this item, so the late outcome must not warm the cache,
-    feed the breaker, or touch the metrics.
     """
 
     request: OptimizationRequest
     trace: Trace
     started: float
-    cancelled: Optional[Callable[[], bool]] = None
     run_request: Optional[OptimizationRequest] = None
     catalog: Optional[Catalog] = None
     effective: Optional[str] = None
@@ -301,9 +293,6 @@ class _Job:
     hit: Optional[OptimizationResult] = None
     degrade: Optional[Tuple[str, str, Dict]] = None
     admitted: bool = False
-
-    def late(self) -> bool:
-        return self.cancelled is not None and self.cancelled()
 
 
 class OptimizerService:
@@ -321,12 +310,10 @@ class OptimizerService:
     round_digits:
         Significant digits statistics are rounded to for cache keying;
         lower values trade plan-quality fidelity for a higher hit rate.
-    default_executor:
-        Batch backend when ``optimize_batch`` is not told otherwise:
-        ``"thread"`` (default), ``"process"``, or ``"serial"``.
     default_deadline_seconds:
-        Per-item wall-clock budget applied to batches that do not pass
-        their own ``deadline_seconds`` (``None`` = no deadline).
+        Per-item wall-clock budget applied to process batches that do
+        not pass their own ``deadline_seconds`` (``None`` = no
+        deadline; otherwise finite and positive).
     resilience:
         :class:`~repro.service.resilience.ResilienceConfig` with the
         admission budget, breaker, and retry knobs (``None`` = defaults:
@@ -353,9 +340,9 @@ class OptimizerService:
         (``None`` = slow log off).
 
     The service is thread-safe: ``optimize`` may be called concurrently,
-    and ``optimize_batch`` runs items on a worker pool with per-item
-    error isolation (a failing query yields a result with ``error`` set
-    instead of poisoning the batch).
+    and ``optimize_batch`` runs items serially or on a worker-process
+    pool with per-item error isolation (a failing query yields a result
+    with ``error`` set instead of poisoning the batch).
     """
 
     def __init__(
@@ -364,7 +351,6 @@ class OptimizerService:
         default_algorithm: str = "auto",
         default_cost_model: Optional[CostModel] = None,
         round_digits: int = 4,
-        default_executor: str = "thread",
         default_deadline_seconds: Optional[float] = None,
         resilience: Optional[ResilienceConfig] = None,
         fault_injector: Optional[FaultInjector] = None,
@@ -372,17 +358,12 @@ class OptimizerService:
         trace_capacity: int = 256,
         slow_log_ms: Optional[float] = None,
     ):
-        if default_executor not in EXECUTORS:
-            raise OptimizationError(
-                f"unknown executor {default_executor!r}; "
-                f"choose from {sorted(EXECUTORS)}"
-            )
+        check_deadline(default_deadline_seconds)
         self.cache = PlanCache(cache_capacity)
         self.metrics = ServiceMetrics()
         self.default_algorithm = default_algorithm
         self.default_cost_model = default_cost_model
         self.round_digits = round_digits
-        self.default_executor = default_executor
         self.default_deadline_seconds = default_deadline_seconds
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self.breaker = CircuitBreaker(
@@ -457,16 +438,11 @@ class OptimizerService:
 
     # -- the request pipeline: prepare → admission → engine → finish ----
 
-    def _start(
-        self,
-        request: OptimizationRequest,
-        cancelled: Optional[Callable[[], bool]] = None,
-    ) -> _Job:
+    def _start(self, request: OptimizationRequest) -> _Job:
         return _Job(
             request,
             self.tracer.start("optimize", tag=request.tag),
             time.perf_counter(),
-            cancelled,
         )
 
     def _begin(self, job: _Job) -> None:
@@ -544,8 +520,8 @@ class OptimizerService:
         """Engine stage on this thread, then :meth:`_finish`.
 
         Cache hits and ladder rungs always take this path, in process
-        mode too; exact enumeration takes it everywhere but process
-        mode.  Raises whatever the engine raises.
+        mode too; exact enumeration takes it in ``optimize()`` and serial
+        batches.  Raises whatever the engine raises.
         """
         if job.hit is not None:
             return self._finish(job, job.hit)
@@ -584,13 +560,11 @@ class OptimizerService:
         ``elapsed`` defaults to the service-side wall time; a process
         worker's outcome passes its own.  ``killable`` marks an engine
         run under a hard process deadline, so a salvaged answer counts
-        as a hard kill avoided.  A late result (see :class:`_Job`) only
-        closes its trace, marked abandoned.
+        as a hard kill avoided.
         """
         trace = job.trace
         fresh = not result.cache_hit
-        late = job.late()
-        if fresh and not late:
+        if fresh:
             details = result.details
             if provenance is not None:
                 details = {**details, **provenance}
@@ -603,28 +577,25 @@ class OptimizerService:
             result.algorithm = job.request.algorithm
             result.tag = job.request.tag
             result.details = details
-        if late:
-            trace.set_root("abandoned", 1)
-        else:
-            details = result.details
-            anytime = fresh and bool(details.get("anytime"))
-            self.metrics.observe(
-                job.effective,
-                time.perf_counter() - job.started if elapsed is None else elapsed,
-                cache_hit=not fresh,
-                degraded=fresh and bool(details.get("degraded")),
-                fast_exact=fresh and bool(details.get("fast_exact")),
-                anytime=anytime,
-                hard_kill_avoided=anytime and killable,
-                salvage_fraction=(
-                    (details.get("salvage") or {}).get("memo_solved_fraction")
-                    if anytime
-                    else None
-                ),
-                retries=retries,
-                kernel=details.get("kernel") if fresh else None,
-                backend=details.get("backend") if fresh else None,
-            )
+        details = result.details
+        anytime = fresh and bool(details.get("anytime"))
+        self.metrics.observe(
+            job.effective,
+            time.perf_counter() - job.started if elapsed is None else elapsed,
+            cache_hit=not fresh,
+            degraded=fresh and bool(details.get("degraded")),
+            fast_exact=fresh and bool(details.get("fast_exact")),
+            anytime=anytime,
+            hard_kill_avoided=anytime and killable,
+            salvage_fraction=(
+                (details.get("salvage") or {}).get("memo_solved_fraction")
+                if anytime
+                else None
+            ),
+            retries=retries,
+            kernel=details.get("kernel") if fresh else None,
+            backend=details.get("backend") if fresh else None,
+        )
         result.trace_id = trace.trace_id
         self.tracer.finish(trace, algorithm=job.effective, cache_hit=not fresh)
         return result
@@ -654,12 +625,9 @@ class OptimizerService:
         )
         result.trace_id = trace.trace_id
         trace.set_root("error", str(result.error))
-        if job.late():
-            trace.set_root("abandoned", 1)
-        else:
-            if job.admitted:
-                self.breaker.record_failure(label)
-            self.metrics.observe(label, elapsed, error=True, retries=retries)
+        if job.admitted:
+            self.breaker.record_failure(label)
+        self.metrics.observe(label, elapsed, error=True, retries=retries)
         if status is not None:
             trace.set_root("status", status)
         self.tracer.finish(trace, algorithm=label)
@@ -881,29 +849,25 @@ class OptimizerService:
         ----------
         workers:
             Pool width.  With ``executor=None``, ``workers <= 1`` runs
-            serially on the calling thread (legacy behaviour).
+            serially on the calling thread and anything wider runs on
+            the process pool.
         executor:
-            ``"serial"``, ``"thread"``, or ``"process"`` (``None`` uses
-            the service default).  ``"process"`` runs items in worker
-            processes — the only mode where CPU-bound enumeration
-            actually uses multiple cores, and the only one that can
-            reclaim a hung item by recycling its worker.  It requires
-            requests to be serializable (built-in cost models only).
+            ``"serial"`` or ``"process"`` (``None`` follows ``workers``).
+            ``"process"`` runs exact enumeration in worker processes —
+            the mode where CPU-bound enumeration actually uses multiple
+            cores, and the one that can reclaim a hung item by recycling
+            its worker.  Workers are forked per batch, so any cost model
+            the service runs in-process crosses too, looked up by class
+            name (see :func:`repro.serialize.cost_model_to_dict`); an
+            item whose model cannot be named unambiguously fails alone.
         deadline_seconds:
-            Per-item wall-clock budget (``None`` = service default).
-            In process mode the deadline is enforced by terminating the
-            worker; the item resolves within roughly the deadline plus
-            scheduling slack, never hanging the batch.  In thread mode
-            the deadline is *soft* and the budget is anchored at batch
-            start: each item is waited on only for what remains of that
-            shared budget, so the whole batch resolves within ~one
-            deadline even if several items hang, and a synthesized
-            timeout result reports the item's true elapsed time.  The
-            abandoned computation finishes in the background (CPython
-            threads cannot be killed) and its late result is discarded —
-            it does not warm the cache, feed the circuit breaker, or
-            appear in the metrics; a queued item that never started is
-            cancelled outright.  Serial mode ignores deadlines — items
+            Per-item wall-clock budget (``None`` = service default);
+            finite and positive, else :class:`OptimizationError`.  In
+            process mode a budget-capable engine gets it as a
+            cooperative budget and salvages a plan; anything else is
+            enforced by terminating the worker, so the item resolves
+            within roughly the deadline plus scheduling slack, never
+            hanging the batch.  Serial mode ignores deadlines — items
             run to completion one by one.
         fallback:
             ``"goo"`` to serve a greedy-operator-ordering heuristic plan
@@ -914,7 +878,7 @@ class OptimizerService:
             exact optimum the cache promises).
         """
         if executor is None:
-            executor = "serial" if workers <= 1 else self.default_executor
+            executor = "serial" if workers <= 1 else "process"
         if executor not in EXECUTORS:
             raise OptimizationError(
                 f"unknown executor {executor!r}; choose from {sorted(EXECUTORS)}"
@@ -926,10 +890,7 @@ class OptimizerService:
             )
         if deadline_seconds is None:
             deadline_seconds = self.default_deadline_seconds
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise OptimizationError(
-                f"deadline_seconds must be positive, got {deadline_seconds}"
-            )
+        check_deadline(deadline_seconds)
         requests: List[Optional[OptimizationRequest]] = []
         slots: List[Optional[OptimizationResult]] = []
         for query in queries:
@@ -948,106 +909,20 @@ class OptimizerService:
             for index, request in enumerate(requests):
                 if slots[index] is None:
                     slots[index] = self._run_isolated(request)
-        elif executor == "thread":
-            self._run_batch_threaded(
-                requests, slots, workers, deadline_seconds, fallback
-            )
         else:
             self._run_batch_process(
                 requests, slots, workers, deadline_seconds, fallback
             )
         return slots  # type: ignore[return-value]
 
-    # -- thread / serial backends --------------------------------------
-
-    def _run_isolated(
-        self,
-        request: OptimizationRequest,
-        abandoned: Optional[Set[int]] = None,
-        index: Optional[int] = None,
-        started_at: Optional[Dict[int, float]] = None,
-    ) -> OptimizationResult:
-        """Run one request, converting any exception into an error result.
-
-        ``abandoned`` is the soft-deadline coordination set of the
-        threaded backend: if our index appears there by the time we
-        finish, the caller already synthesized a timeout result for this
-        item, so the (completed) work is discarded (see :class:`_Job`).
-        ``started_at`` is the threaded backend's per-item start-time map,
-        recorded here (on the worker thread) so a synthesized timeout
-        result can report the item's *true* elapsed time.
-        """
-        if started_at is not None and index is not None:
-            started_at[index] = time.monotonic()
-        job = self._start(
-            request,
-            None if abandoned is None else (lambda: index in abandoned),
-        )
+    def _run_isolated(self, request: OptimizationRequest) -> OptimizationResult:
+        """Run one request, converting any exception into an error result."""
+        job = self._start(request)
         try:
             self._begin(job)
             return self._run_in_thread(job)
         except Exception as exc:  # per-item isolation: never kill the batch
             return self._fail(job, exc)
-
-    def _run_batch_threaded(
-        self,
-        requests: List[Optional[OptimizationRequest]],
-        slots: List[Optional[OptimizationResult]],
-        workers: int,
-        deadline_seconds: Optional[float],
-        fallback: Optional[str],
-    ) -> None:
-        abandoned: Set[int] = set()
-        started_at: Dict[int, float] = {}
-        pool = ThreadPoolExecutor(max_workers=max(1, workers))
-        batch_started = time.monotonic()
-        try:
-            futures = {
-                index: pool.submit(
-                    self._run_isolated,
-                    requests[index],
-                    abandoned,
-                    index,
-                    started_at,
-                )
-                for index in range(len(requests))
-                if slots[index] is None
-            }
-            for index, future in futures.items():
-                # The budget is anchored at batch start and shared: each
-                # future is waited on only for what remains, so N hung
-                # items resolve in ~1x the deadline, not N x — waiting a
-                # full budget per item would let every timed-out item
-                # push all later items' effective deadlines back.
-                if deadline_seconds is None:
-                    remaining = None
-                else:
-                    remaining = max(
-                        0.0, batch_started + deadline_seconds - time.monotonic()
-                    )
-                try:
-                    slots[index] = future.result(timeout=remaining)
-                except _FutureTimeoutError:
-                    if future.cancel():
-                        # Never started — no thread to coordinate with,
-                        # and no point burning a core on a result the
-                        # batch has already given up on.
-                        elapsed = 0.0
-                    else:
-                        abandoned.add(index)
-                        item_started = started_at.get(index)
-                        elapsed = (
-                            time.monotonic() - item_started
-                            if item_started is not None
-                            else 0.0
-                        )
-                    slots[index] = self._deadline_result(
-                        requests[index], deadline_seconds, fallback, elapsed
-                    )
-        finally:
-            # Do NOT wait: a straggler past its deadline keeps running
-            # (threads cannot be killed) but must not block the batch.
-            pool.shutdown(wait=False)
 
     # -- process backend -----------------------------------------------
 
@@ -1123,12 +998,11 @@ class OptimizerService:
                 )
             elif outcome.status == "timeout":
                 slots[index] = self._deadline_result(
-                    job.request,
+                    job,
                     deadline_seconds,
                     fallback,
                     outcome.elapsed_seconds,
                     retries=outcome.retries,
-                    job=job,
                 )
             else:  # "error" or "crashed"
                 slots[index] = self._fail(
@@ -1143,31 +1017,27 @@ class OptimizerService:
 
     def _deadline_result(
         self,
-        request: OptimizationRequest,
-        deadline_seconds: Optional[float],
+        job: _Job,
+        deadline_seconds: float,
         fallback: Optional[str],
         elapsed: float,
         retries: int = 0,
-        job: Optional[_Job] = None,
     ) -> OptimizationResult:
         """Resolve a timed-out item: heuristic fallback plan or error.
 
         A deadline timeout counts as a breaker failure for the item's
         algorithm label — repeated hangs on the same path open the
-        circuit just like repeated crashes do.  ``job`` is a process
-        item's pipeline state, whose trace this closes; a thread item's
-        trace still belongs to the thread running it.
+        circuit just like repeated crashes do.  Closes the item's trace.
         """
-        label = job.effective if job is not None else self._effective_label(request)
+        request = job.request
+        label = job.effective
         self.breaker.record_failure(label)
         plan = None
         if fallback == "goo":
             from repro.heuristics.goo import greedy_operator_ordering
 
             try:
-                plan = greedy_operator_ordering(
-                    job.catalog if job is not None else request.resolved_catalog()
-                )
+                plan = greedy_operator_ordering(job.catalog)
             except Exception:
                 plan = None
         self.metrics.observe(
@@ -1198,15 +1068,15 @@ class OptimizerService:
                 details={"deadline_timeout": 1, "fallback_goo": 1},
                 tag=request.tag,
             )
-        if job is not None:
-            result.trace_id = job.trace.trace_id
-            job.trace.set_root("error", "deadline exceeded")
-            self.tracer.finish(job.trace, algorithm=label, status="timeout")
+        result.trace_id = job.trace.trace_id
+        job.trace.set_root("error", "deadline exceeded")
+        self.tracer.finish(job.trace, algorithm=label, status="timeout")
         return result
 
     @staticmethod
     def _error_result(algorithm, tag, error, elapsed) -> OptimizationResult:
-        """An error result; ``error`` is an exception or a ready message."""
+        """An error result; ``error`` is an exception or a worker's
+        ``"Type: message"`` report, which keeps the type's wire code."""
         return OptimizationResult(
             plan=None,
             algorithm=algorithm,
@@ -1215,7 +1085,9 @@ class OptimizerService:
             cost_evaluations=0,
             cardinality_estimations=0,
             error=(
-                error if isinstance(error, str) else ErrorInfo.from_exception(error)
+                ErrorInfo.coerce(error)
+                if isinstance(error, str)
+                else ErrorInfo.from_exception(error)
             ),
             tag=tag,
         )

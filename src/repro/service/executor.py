@@ -11,9 +11,11 @@ hold workers and differ only in the loop they run and how they dispatch.
 Design notes:
 
 * **One start method.** Every worker starts from one context that
-  prefers ``fork``, so algorithms and cost models registered in the
-  parent are visible to workers whatever ``set_start_method`` says;
-  platforms without ``fork`` use their default and only see built-ins.
+  prefers ``fork``, so algorithms registered and cost-model classes
+  defined in the parent are visible to workers whatever
+  ``set_start_method`` says (a cost model crosses by class name, see
+  :func:`repro.serialize.cost_model_to_dict`); platforms without
+  ``fork`` use their default and only see built-ins.
 * **One pipe per worker.** A private duplex :func:`multiprocessing.Pipe`,
   no shared queues: killing a worker mid-task can only corrupt its own
   pipe (discarded with it), never a sibling's channel.
@@ -25,12 +27,14 @@ Design notes:
   stop followed by a fresh spawn.  Workers shed inherited signal
   plumbing at start, so ``terminate`` always works and an interrupt in
   the terminal is left to the supervisor.
-* **One cooperative-deadline rule.** :func:`stamp_deadline` ships
-  ``min(own, remaining)`` to the engine as its cooperative budget, and
-  :func:`hard_deadline` reaps the worker only ``_COOPERATIVE_GRACE``
-  seconds after that — the engine salvages a partial-memo plan at its
-  deadline, so hard kills are the exception (uncooperative engines,
-  wedged workers), not the enforcement mechanism.
+* **One deadline rule.** :func:`check_deadline` accepts a batch
+  deadline only when it is finite and positive; :func:`stamp_deadline`
+  ships ``min(own, remaining)`` to the engine as its cooperative
+  budget, and :func:`hard_deadline` reaps the worker only
+  ``_COOPERATIVE_GRACE`` seconds after that — the engine salvages a
+  partial-memo plan at its deadline, so hard kills are the exception
+  (uncooperative engines, wedged workers), not the enforcement
+  mechanism.
 
 The batch pool on top of that:
 
@@ -58,11 +62,12 @@ The batch pool on top of that:
 * Workers run :func:`repro.optimizer.api.optimize_request` directly —
   plan caching, metrics, and heuristic fallbacks stay in the parent
   (:mod:`repro.service.core`), which is what keeps cache behaviour
-  identical across the serial/thread/process executors.
+  identical across the serial and process executors.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
@@ -80,13 +85,14 @@ __all__ = [
     "ProcessPoolExecutor",
     "Worker",
     "annotate_enumerate",
+    "check_deadline",
     "hard_deadline",
     "serve_pipe",
     "stamp_deadline",
 ]
 
 #: Recognised ``executor=`` names for ``OptimizerService.optimize_batch``.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 #: The one start method of every worker: ``fork`` where the platform has
 #: it (parent-registered plugins carry over), its default elsewhere.
@@ -107,6 +113,24 @@ _JOIN_GRACE = 5.0
 #: at the deadline; the grace only covers salvage and serialization
 #: before the supervisor assumes the worker is hung.
 _COOPERATIVE_GRACE = 1.0
+
+
+def check_deadline(deadline_seconds: Optional[float]) -> None:
+    """Reject a batch deadline unless it is ``None`` or finite and > 0.
+
+    ``inf`` would overflow the supervisor's poll timeout, ``nan`` passes
+    every ``<=`` comparison, and neither means anything as a budget.
+    """
+    if deadline_seconds is None:
+        return
+    try:
+        valid = math.isfinite(deadline_seconds) and deadline_seconds > 0
+    except (TypeError, OverflowError):
+        valid = False
+    if not valid:
+        raise OptimizationError(
+            f"deadline_seconds must be finite and > 0, got {deadline_seconds!r}"
+        )
 
 
 def stamp_deadline(document: Dict[str, Any], remaining: float) -> Dict[str, Any]:
@@ -172,7 +196,7 @@ def annotate_enumerate(span, result, **attributes: Any) -> None:
     """Stamp an engine result on its ``enumerate`` span.
 
     The one definition of that span's attributes: the service's
-    in-thread engine stage and the process worker both build it here,
+    in-process engine stage and the process worker both build it here,
     so a trace reads the same whichever executor ran the engine.
     """
     span.annotate(
@@ -416,10 +440,7 @@ class ProcessPoolExecutor:
             raise OptimizationError(
                 f"process executor needs >= 1 worker, got {workers}"
             )
-        if deadline_seconds is not None and deadline_seconds <= 0:
-            raise OptimizationError(
-                f"deadline_seconds must be positive, got {deadline_seconds}"
-            )
+        check_deadline(deadline_seconds)
         self.workers = workers
         self.deadline_seconds = deadline_seconds
         self.retry_policy = retry_policy

@@ -9,7 +9,6 @@ deterministically.
 
 import json
 import os
-import threading
 import time
 
 import pytest
@@ -33,11 +32,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.graph.query_graph import QueryGraph
-from repro.optimizer.api import (
-    ALGORITHMS,
-    register_algorithm,
-    unregister_algorithm,
-)
 from repro.cost.cout import CoutCostModel
 from repro.cost.physical import PhysicalCostModel
 from repro.service import (
@@ -832,65 +826,6 @@ class TestCrashSafePersistence:
             item.pop("checksum")
         path.write_text(json.dumps(document))
         assert OptimizerService().load_cache(str(path)) == 3
-
-
-# ----------------------------------------------------------------------
-# Thread-executor soft deadline: no late mutation
-# ----------------------------------------------------------------------
-
-class TestThreadSoftDeadline:
-    def test_abandoned_item_does_not_mutate_shared_state(self):
-        release = threading.Event()
-        finished = threading.Event()
-
-        class _BlockingOptimizer:
-            def __init__(self, catalog, cost_model=None, enable_pruning=False):
-                self._inner = ALGORITHMS["tdmincutbranch"](
-                    catalog, cost_model=cost_model, enable_pruning=enable_pruning
-                )
-
-            def optimize(self):
-                release.wait(timeout=30.0)
-                plan = self._inner.optimize()
-                finished.set()
-                return plan
-
-            @property
-            def builder(self):
-                return self._inner.builder
-
-        register_algorithm("blocking-test")(_BlockingOptimizer)
-        try:
-            service = OptimizerService()
-            catalog = WorkloadGenerator(seed=6).fixed_shape("chain", 5).catalog
-            results = service.optimize_batch(
-                [OptimizationRequest(query=catalog, algorithm="blocking-test")],
-                workers=2,
-                executor="thread",
-                deadline_seconds=0.2,
-            )
-            assert not results[0].ok
-            assert "deadline" in results[0].error.lower()
-            before = service.stats_snapshot()
-            assert before["totals"]["timeouts"] == 1
-            assert len(service.cache) == 0
-            failures = before["breaker"]["blocking-test"]["consecutive_failures"]
-            # Let the abandoned thread finish its (now pointless) work.
-            release.set()
-            assert finished.wait(timeout=10.0)
-            time.sleep(0.3)  # give the straggler time past the guard
-            after = service.stats_snapshot()
-            # The late result is discarded entirely: no cache warm, no
-            # breaker success, no extra metrics observation.
-            assert len(service.cache) == 0
-            assert after["totals"] == before["totals"]
-            assert (
-                after["breaker"]["blocking-test"]["consecutive_failures"]
-                == failures
-            )
-        finally:
-            release.set()
-            unregister_algorithm("blocking-test")
 
 
 # ----------------------------------------------------------------------

@@ -139,17 +139,69 @@ class TestCostModelRoundTrip:
             10.0, 20.0, 5.0
         )
 
+    def test_custom_cost_model_round_trip(self):
+        from dataclasses import dataclass
+
+        from repro.cost.base import JoinImplementation
+        from repro.cost.cout import CoutCostModel
+        from repro.cost.physical import HashJoin, PhysicalCostModel
+
+        class Scaled(CoutCostModel):
+            def __init__(self, scale=1.0):
+                self.scale = scale
+
+            def join_cost(self, left_card, right_card, output_card):
+                return self.scale * output_card, "join"
+
+            def signature_fields(self):
+                return {"scale": self.scale}
+
+        @dataclass(frozen=True)
+        class Probe(JoinImplementation):
+            name: str = "probe"
+            factor: float = 1.0
+
+            def cost(self, left_card, right_card, output_card):
+                return self.factor * right_card
+
+        for model in (
+            Scaled(scale=3.0),
+            PhysicalCostModel(implementations=[Probe(factor=4.0), HashJoin()]),
+        ):
+            document = json.loads(json.dumps(cost_model_to_dict(model)))
+            assert document["class"] == type(model).__qualname__
+            restored = cost_model_from_dict(document)
+            assert type(restored) is type(model)
+            assert restored.signature_fields() == model.signature_fields()
+            assert restored.join_cost(10.0, 20.0, 5.0) == model.join_cost(
+                10.0, 20.0, 5.0
+            )
+
     def test_custom_cost_model_rejected(self):
         from repro.cost.cout import CoutCostModel
 
-        class Custom(CoutCostModel):
-            pass
+        def make():
+            class Custom(CoutCostModel):
+                pass
 
-        with pytest.raises(ReproError):
-            cost_model_to_dict(Custom())
-        with pytest.raises(ReproError):
+            return Custom
+
+        # Two live classes with one qualified name cannot be told apart.
+        first, second = make(), make()
+        with pytest.raises(ReproError, match="ambiguous"):
+            cost_model_to_dict(second())
+        with pytest.raises(ReproError, match="ambiguous"):
+            cost_model_from_dict(
+                {"kind": "cost_model", "class": first.__qualname__, "params": {}}
+            )
+        # Unknown names stay rejected; nothing is imported to find them.
+        with pytest.raises(ReproError, match="unknown cost model class"):
             cost_model_from_dict(
                 {"kind": "cost_model", "class": "Custom", "params": {}}
+            )
+        with pytest.raises(ReproError, match="unknown cost model class"):
+            cost_model_from_dict(
+                {"kind": "cost_model", "class": "json.JSONDecoder", "params": {}}
             )
 
 

@@ -142,6 +142,36 @@ class TestSignatureCoverage:
         )
         assert without != with_cp
 
+    def test_same_named_cost_models_from_different_functions_miss(self):
+        # Regression: the key used the bare class name, so a second
+        # ``Model`` was served the first one's plan and cost.
+        from repro.cost.base import CostModel
+
+        def output_sized():
+            class Model(CostModel):
+                def join_cost(self, left_card, right_card, output_card):
+                    return output_card, "join"
+
+            return Model
+
+        def nested_loop():
+            class Model(CostModel):
+                def join_cost(self, left_card, right_card, output_card):
+                    return left_card * right_card, "nl"
+
+            return Model
+
+        first_model, second_model = output_sized()(), nested_loop()()
+        assert type(first_model).__name__ == type(second_model).__name__
+        catalog = WorkloadGenerator(seed=2).fixed_shape("star", 6).catalog
+        service = OptimizerService()
+        first = service.optimize(catalog, cost_model=first_model)
+        second = service.optimize(catalog, cost_model=second_model)
+        assert not first.cache_hit and not second.cache_hit
+        assert first.signature != second.signature
+        expected = OptimizerService().optimize(catalog, cost_model=second_model)
+        assert second.cost == expected.cost != first.cost
+
     def test_service_misses_on_reparameterized_cost_model(self):
         service = OptimizerService()
         catalog = WorkloadGenerator(seed=8).fixed_shape("cycle", 6).catalog
@@ -182,7 +212,7 @@ class TestStatisticsValidation:
             {e: 0.1 for e in graph.edges},
         )
         healthy = uniform_statistics(chain_graph(4))
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             results = OptimizerService().optimize_batch(
                 [healthy, poisoned, healthy], workers=2, executor=executor
             )
@@ -356,12 +386,12 @@ class TestBatch:
         assert "TypeError" in results[1].error and "boom" in results[1].error
         assert service.stats_snapshot()["totals"]["errors"] == 1
 
-    def test_serial_batch_matches_threaded(self):
+    def test_serial_batch_matches_process(self):
         generator = WorkloadGenerator(seed=3)
         queries = [generator.fixed_shape("cycle", 6) for _ in range(4)]
         serial = OptimizerService().optimize_batch(queries, workers=1)
-        threaded = OptimizerService().optimize_batch(queries, workers=4)
-        assert [r.cost for r in serial] == [r.cost for r in threaded]
+        process = OptimizerService().optimize_batch(queries, workers=4)
+        assert [r.cost for r in serial] == [r.cost for r in process]
 
 
 class TestThreadSafety:

@@ -1,10 +1,11 @@
-"""Tests for batch execution backends: serial/thread/process, deadlines.
+"""Tests for batch execution backends: serial/process, deadlines.
 
 The process backend is the one that truly parallelizes CPU-bound
-enumeration and the only one that can reclaim a hung item (by recycling
-the worker process); these tests pin down backend parity, deadline
-semantics, heuristic fallback, cache behaviour across executors, and
-worker-crash isolation.
+enumeration and the one that can reclaim a hung item (by recycling the
+worker process); these tests pin down backend parity, deadline
+semantics, heuristic fallback, cache behaviour across executors,
+custom cost models crossing the process boundary, and worker-crash
+isolation.
 """
 
 import os
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -25,7 +27,9 @@ from repro import (
     uniform_statistics,
 )
 from repro.catalog.workload import WorkloadGenerator
-from repro.cost.physical import PhysicalCostModel
+from repro.cost.base import JoinImplementation
+from repro.cost.cout import CoutCostModel
+from repro.cost.physical import HashJoin, PhysicalCostModel
 from repro.errors import OptimizationError, ReproError
 from repro.optimizer.api import (
     ALGORITHMS,
@@ -84,7 +88,7 @@ def fast_request(tag="fast"):
 class TestBackendParity:
     def test_all_executors_agree_on_mixed_batch(self):
         outcomes = {}
-        for executor in ("serial", "thread", "process"):
+        for executor in ("serial", "process"):
             results = OptimizerService().optimize_batch(
                 mixed_batch(), workers=2, executor=executor
             )
@@ -92,7 +96,7 @@ class TestBackendParity:
                 round(r.cost, 6) if r.ok else f"error:{r.error.split(':')[0]}"
                 for r in results
             ]
-        assert outcomes["serial"] == outcomes["thread"] == outcomes["process"]
+        assert outcomes["serial"] == outcomes["process"]
         # The two bad items failed, everything else planned.
         serial = outcomes["serial"]
         assert [isinstance(o, float) for o in serial] == [
@@ -150,9 +154,9 @@ class TestBackendParity:
                     self.ladder_items(), workers=2, executor=executor
                 )
             )
-            for executor in ("serial", "thread", "process")
+            for executor in ("serial", "process")
         }
-        assert views["serial"] == views["thread"] == views["process"]
+        assert views["serial"] == views["process"]
         rows, totals = views["serial"]
         assert totals["requests"] == 16 and totals["errors"] == 4
         assert totals["cache_hits"] == 5
@@ -224,17 +228,17 @@ class TestCacheAcrossExecutors:
         request = fast_request()
         cold = service.optimize_batch([request], workers=2, executor="process")
         assert not cold[0].cache_hit
-        for executor in ("process", "thread", "serial"):
+        for executor in ("process", "serial"):
             warm = service.optimize_batch([request], workers=2, executor=executor)
             assert warm[0].cache_hit, executor
             assert warm[0].cost == pytest.approx(cold[0].cost)
         # Single-query path hits the same entry too.
         assert service.optimize(request).cache_hit
 
-    def test_thread_results_hit_in_process_mode(self):
+    def test_serial_results_hit_in_process_mode(self):
         service = OptimizerService()
         request = fast_request()
-        service.optimize_batch([request], workers=2, executor="thread")
+        service.optimize_batch([request], workers=2, executor="serial")
         warm = service.optimize_batch([request], workers=2, executor="process")
         assert warm[0].cache_hit
         snapshot = service.stats_snapshot()
@@ -297,25 +301,6 @@ class TestDeadlines:
         )
         assert service.cache.stats()["size"] == 0
 
-    def test_thread_soft_deadline(self):
-        # Threads cannot be killed, so the deadline is soft: the batch
-        # returns a timeout result promptly and the abandoned thread
-        # finishes in the background.  Keep the stray work short (~1s).
-        service = OptimizerService()
-        started = time.perf_counter()
-        results = service.optimize_batch(
-            [fast_request(), slow_request(n=12, tag="s12")],
-            workers=2,
-            executor="thread",
-            deadline_seconds=0.15,
-        )
-        wall = time.perf_counter() - started
-        assert results[0].ok
-        assert not results[1].ok
-        assert "DeadlineExceededError" in results[1].error
-        assert wall < 1.0
-        assert service.stats_snapshot()["totals"]["timeouts"] == 1
-
     def test_no_deadline_means_no_timeouts(self):
         service = OptimizerService()
         results = service.optimize_batch(
@@ -350,16 +335,18 @@ def _blocking_request(tag):
     return OptimizationRequest(query=catalog, algorithm="_test_blocking", tag=tag)
 
 
-class TestThreadDeadlineDrift:
-    """The thread backend's deadline budget is shared across the batch.
+class TestDeadlineDrift:
+    """Every item's deadline runs from its own dispatch, concurrently.
 
-    Regression tests for a drift bug: ``future.result(timeout=...)`` was
-    given the *full* deadline per item, so each hung item pushed every
-    later item's cutoff back by another whole budget — N hung items made
-    the batch take ~N x deadline instead of ~1 x.
+    Regression test for a drift bug: a backend that waited a *full*
+    deadline per item, one item after another, let each hung item push
+    every later item's cutoff back by another whole budget — N hung
+    items made the batch take ~N x deadline instead of ~1 x.
     """
 
     def test_two_hung_items_resolve_within_one_deadline(self):
+        # The blocking plugin waits on an event the forked workers never
+        # see set, so both hang until the supervisor reaps them.
         release = threading.Event()
         _register_blocking(release)
         try:
@@ -369,43 +356,20 @@ class TestThreadDeadlineDrift:
             results = service.optimize_batch(
                 [_blocking_request("h0"), _blocking_request("h1")],
                 workers=2,
-                executor="thread",
+                executor="process",
                 deadline_seconds=deadline,
             )
             wall = time.perf_counter() - started
             assert not results[0].ok and not results[1].ok
             assert all("DeadlineExceededError" in r.error for r in results)
-            # Both items hang concurrently; with a shared budget the batch
-            # resolves in ~1x the deadline.  The drift bug made this
-            # >= 2x (one full timeout per hung item, sequentially).
+            # Both items hang concurrently, so the batch resolves in ~1x
+            # the deadline.  The drift bug made this >= 2x (one full
+            # timeout per hung item, sequentially).
             assert wall < 2 * deadline - 0.1, (
                 f"batch took {wall:.2f}s for deadline={deadline}s — "
                 "per-item budgets are drifting"
             )
             assert service.stats_snapshot()["totals"]["timeouts"] == 2
-        finally:
-            release.set()
-            unregister_algorithm("_test_blocking")
-
-    def test_timeout_results_report_true_elapsed(self):
-        # With one worker the second hung item never leaves the queue:
-        # it is cancelled outright and must report ~0 elapsed, while the
-        # first reports the time it actually ran (~ the deadline).  The
-        # drift bug stamped both with exactly deadline_seconds.
-        release = threading.Event()
-        _register_blocking(release)
-        try:
-            service = OptimizerService()
-            deadline = 0.3
-            results = service.optimize_batch(
-                [_blocking_request("ran"), _blocking_request("queued")],
-                workers=1,
-                executor="thread",
-                deadline_seconds=deadline,
-            )
-            assert not results[0].ok and not results[1].ok
-            assert results[0].elapsed_seconds >= deadline * 0.9
-            assert results[1].elapsed_seconds == 0.0
         finally:
             release.set()
             unregister_algorithm("_test_blocking")
@@ -445,17 +409,21 @@ class TestWorkerFailures:
             unregister_algorithm("_test_suicide")
 
     def test_custom_cost_model_is_rejected_per_item(self):
-        # Process mode cannot ship arbitrary cost models; the affected
-        # item fails with a typed message, the rest of the batch runs.
-        from repro.cost.cout import CoutCostModel
+        # Workers resolve a cost model by its qualified class name; two
+        # live classes sharing one name cannot be told apart, so the
+        # affected item fails with a typed message before anything is
+        # forked, and the rest of the batch runs.
+        def make_model():
+            class Ambiguous(CoutCostModel):
+                pass
 
-        class Custom(CoutCostModel):
-            pass
+            return Ambiguous
 
+        first, second = make_model(), make_model()
         generator = WorkloadGenerator(seed=4)
         custom = OptimizationRequest(
             query=generator.fixed_shape("chain", 5),
-            cost_model=Custom(),
+            cost_model=second(),
             algorithm="dpccp",
             tag="custom",
         )
@@ -464,7 +432,74 @@ class TestWorkerFailures:
         )
         assert results[0].ok
         assert not results[1].ok
-        assert "not serializable" in results[1].error
+        assert "ambiguous" in results[1].error
+        assert first is not second  # both classes stayed alive
+
+
+def _custom_models():
+    """A local C_out variant with a constructor parameter, and the
+    physical model over a local join implementation."""
+
+    class ScaledCout(CoutCostModel):
+        symmetric = False  # the left-input term makes orientation matter
+
+        def __init__(self, scale=1.0):
+            self.scale = scale
+
+        def join_cost(self, left_card, right_card, output_card):
+            return self.scale * output_card + left_card, "join"
+
+        def signature_fields(self):
+            return {"scale": self.scale}
+
+    @dataclass(frozen=True)
+    class SquareProbeJoin(JoinImplementation):
+        name: str = "squareprobe"
+        factor: float = 3.0
+
+        def cost(self, left_card, right_card, output_card):
+            return self.factor * left_card + right_card * right_card
+
+    return [
+        ScaledCout(scale=2.5),
+        PhysicalCostModel(
+            implementations=[SquareProbeJoin(factor=0.5), HashJoin()],
+            output_weight=0.25,
+        ),
+    ]
+
+
+class TestCustomCostModels:
+    """Custom cost models cross to forked workers by class name."""
+
+    @pytest.mark.parametrize("deadline", [None, 30.0])
+    def test_process_batch_matches_optimize(self, deadline):
+        from repro.serialize import plan_to_dict
+
+        generator = WorkloadGenerator(seed=4)
+        queries = [
+            generator.fixed_shape("cycle", 7),
+            generator.fixed_shape("star", 6),
+        ]
+        for model in _custom_models():
+            requests = [
+                OptimizationRequest(query=query, cost_model=model, algorithm=name)
+                for query in queries
+                for name in ("dpccp", "tdmincutbranch")
+            ]
+            expected = [OptimizerService().optimize(r) for r in requests]
+            service = OptimizerService()
+            results = service.optimize_batch(
+                requests, workers=2, executor="process", deadline_seconds=deadline
+            )
+            assert [r.error for r in results] == [None] * len(requests)
+            for got, want in zip(results, expected):
+                assert not got.cache_hit
+                assert got.cost == want.cost
+                assert plan_to_dict(got.plan) == plan_to_dict(want.plan)
+            # The worker's plans warm the parent's cache under the
+            # custom model's key.
+            assert all(service.optimize(r).cache_hit for r in requests)
 
 
 class TestValidation:
@@ -472,7 +507,7 @@ class TestValidation:
         with pytest.raises(OptimizationError):
             OptimizerService().optimize_batch([], executor="gpu")
         with pytest.raises(OptimizationError):
-            OptimizerService(default_executor="gpu")
+            OptimizerService().optimize_batch([], executor="thread")
 
     def test_unknown_fallback_rejected(self):
         with pytest.raises(OptimizationError):
@@ -486,16 +521,28 @@ class TestValidation:
         with pytest.raises(OptimizationError):
             ProcessPoolExecutor(workers=0)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1])
+    def test_non_finite_or_negative_deadline_rejected(self, bad):
+        # One rule everywhere: finite and > 0.  inf used to overflow the
+        # supervisor's poll timeout and kill the whole batch; nan passed
+        # the <= 0 check and failed (or silently dropped) per item.
+        with pytest.raises(OptimizationError, match="finite and > 0"):
+            OptimizerService().optimize_batch(
+                [fast_request()], workers=2, deadline_seconds=bad
+            )
+        with pytest.raises(OptimizationError, match="finite and > 0"):
+            OptimizerService(default_deadline_seconds=bad)
+        with pytest.raises(OptimizationError, match="finite and > 0"):
+            ProcessPoolExecutor(workers=2, deadline_seconds=bad)
+
     def test_empty_job_list(self):
         assert ProcessPoolExecutor(workers=2).run([]) == {}
 
     def test_service_defaults_flow_into_batches(self):
-        service = OptimizerService(
-            default_executor="process", default_deadline_seconds=0.4
-        )
+        service = OptimizerService(default_deadline_seconds=0.4)
         results = service.optimize_batch(
             [slow_request(n=12)], workers=1
-        )  # workers<=1 + no explicit executor → legacy serial, no deadline
+        )  # workers<=1 + no explicit executor → serial, no deadline
         assert results[0].ok
         results = service.optimize_batch([slow_uncooperative_request()], workers=2)
         assert not results[0].ok

@@ -336,10 +336,10 @@ class TestServiceTracing:
         assert enumerate_span.attributes["worker_pid"] != os.getpid()
         assert enumerate_span.duration_seconds <= trace.duration_seconds
 
-    def test_thread_executor_traces_every_item(self):
+    def test_process_executor_traces_every_item(self):
         service = OptimizerService()
         requests = [chain_request(seed=s, tag=f"t{s}") for s in (1, 2, 3)]
-        results = service.optimize_batch(requests, workers=2, executor="thread")
+        results = service.optimize_batch(requests, workers=2, executor="process")
         ids = {r.trace_id for r in results}
         assert len(ids) == 3 and None not in ids
         for result in results:
@@ -380,7 +380,7 @@ class TestMetricsInvariant:
         service.optimize(request)            # hit
         disconnected = uniform_statistics(QueryGraph(4, [(0, 1), (2, 3)]))
         service.optimize_batch(
-            [request, disconnected], workers=2, executor="thread"
+            [request, disconnected], workers=2, executor="process"
         )                                    # hit + error
         totals = service.stats_snapshot()["totals"]
         assert totals["requests"] == 4

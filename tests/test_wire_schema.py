@@ -220,6 +220,32 @@ class TestVersioning:
         with pytest.raises(UnsupportedVersionError):
             parse_request_document(document)
 
+    @pytest.mark.parametrize(
+        "cost_model",
+        [
+            {"kind": "cost_model", "class": "os.system", "params": {}},
+            {"kind": "cost_model", "class": "NoSuchModel", "params": {}},
+            {"kind": "cost_model", "class": ["PhysicalCostModel"], "params": {}},
+            {
+                "kind": "cost_model",
+                "class": "PhysicalCostModel",
+                "params": {"implementations": [{"class": "NoSuchJoin"}]},
+            },
+        ],
+    )
+    def test_unknown_cost_model_class_is_invalid_request(self, cost_model):
+        # Cost-model classes are looked up by name among live subclasses;
+        # a name that matches none is the client's error, never an import.
+        document = serialize.request_to_dict(
+            OptimizationRequest(query=chain3_catalog(), algorithm="tdmincutbranch")
+        )
+        document["cost_model"] = cost_model
+        with pytest.raises(InvalidRequestError, match="unknown") as caught:
+            parse_request_document(document)
+        info = ErrorInfo.from_exception(caught.value)
+        assert info.code == "invalid_request"
+        assert http_status_for_code(info.code) == 400
+
 
 # ----------------------------------------------------------------------
 # to_dict / from_dict on the API dataclasses
@@ -380,7 +406,8 @@ PINNED_SIGNATURES = {
     "chain3": "db5060e8039b672951765a0d6fa504ac885d2fd7eed788292cce29c337197a18",
     "denormal_sel": "640d7d90e4c74e2f0c95aa75c45ecc4ab17dc047654d69d135464d2083dc5402",
     "huge_int_card": "de7a58d2becfe08a9ce33862876dea9d25924257c44b30cffbdddad2af4db21f",
-    "star4_pruned": "db319d393227af676365e2d85187796943928b125bf46802fddb1ab4a8b2bfb7",
+    # Re-pinned when the cost model key became module + qualified name.
+    "star4_pruned": "eae7b49b1524a84888194aa89c5e6a435a420e4f3312f9e32b231fe6428a497c",
     "cycle4_cross": "abf17645f89a90e70036b1335019f0c67e2edc3b4ed7a6b64dd5debb45b5ed80",
 }
 
