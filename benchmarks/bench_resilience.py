@@ -9,9 +9,12 @@ with and without an admission budget, once per over-budget serving path:
   **under 10% of the exact enumeration time**, name its rung (``goo``
   for a clique) and reason, and must not be cached.
 * **fast-exact rung** (default symmetric ``C_out``): the same
-  over-budget clique must instead be answered by ``dpconv`` with the
-  *exact optimum* — identical cost to full enumeration — faster than
-  the exact engine, and marked ``fast_exact`` rather than ``degraded``.
+  over-budget clique, asked of DPccp by name, must instead be answered
+  by ``dpconv`` with the *exact optimum* — identical cost to full
+  enumeration — faster than the exact engine, and marked
+  ``fast_exact`` rather than ``degraded``.  (Under ``"auto"`` a host
+  with the C kernel resolves the clique to dpconv outright, and the
+  rung is never reached.)
   (The rung's own ≥1.5x speedup floor is gated separately by
   ``benchmarks/bench_dpconv.py``.)
 
@@ -74,7 +77,7 @@ def main(argv=None) -> int:
     # Exact C_out optimum: baseline for the fast-exact rung and the
     # floor for the heuristic plan's (C_out-priced) cost sanity check.
     cout_exact_seconds, cout_exact = timed_optimize(
-        OptimizerService(), catalog
+        OptimizerService(), catalog, algorithm="dpccp"
     )
 
     # -- heuristic ladder: asymmetric model keeps dpconv ineligible ----
@@ -139,7 +142,7 @@ def main(argv=None) -> int:
     fast_service = OptimizerService(
         resilience=ResilienceConfig(max_ccp_budget=args.budget)
     )
-    fast_seconds, fast = timed_optimize(fast_service, catalog)
+    fast_seconds, fast = timed_optimize(fast_service, catalog, algorithm="dpccp")
     fast.plan.validate()
     print(
         f"exact (cout):        {cout_exact_seconds * 1e3:10.2f}ms  "

@@ -12,14 +12,18 @@ for MinCutLazy).  The enumeration-based counters in
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.errors import GraphError
+
+if TYPE_CHECKING:
+    from repro.graph.query_graph import QueryGraph
 
 __all__ = [
     "csg_count",
     "ccp_count",
     "ccp_estimate",
+    "ccp_predict",
     "ngt_count",
     "table1_row",
     "mcb_counters_chain",
@@ -188,6 +192,23 @@ def ccp_estimate(n: int, n_edges: int, max_degree: int = 2) -> int:
     density_t = (n_edges - min_edges) / (max_edges - min_edges)
     log_estimate = (1.0 - density_t) * tree_log + density_t * math.log(clique)
     return max(chain, math.ceil(math.exp(log_estimate)))
+
+
+def ccp_predict(graph: "QueryGraph") -> Tuple[int, str]:
+    """Predict #ccp of a *connected* graph without enumerating it.
+
+    Returns ``(ccps, method)``: the Table-I closed form for the four
+    fixed shapes (``method="closed-form:<shape>"``), else
+    :func:`ccp_estimate` from the graph's size, edge count and maximum
+    degree (``method="interpolated"``).  Admission control and
+    ``auto``'s predicted-time rule both price a query through here.
+    """
+    n = graph.n_vertices
+    shape = graph.shape_name()
+    if shape in _SHAPES:
+        return ccp_count(shape, n), f"closed-form:{shape}"
+    max_degree = max(graph.degree(v) for v in range(n))
+    return ccp_estimate(n, graph.n_edges, max_degree), "interpolated"
 
 
 # ----------------------------------------------------------------------

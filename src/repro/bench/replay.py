@@ -83,7 +83,8 @@ class ReplayConfig:
     min_relations: int = 4
     max_relations: int = 9
     #: Cliques get their own range so the admission estimate pushes a
-    #: visible slice of traffic onto the dpconv fast-exact rung.
+    #: visible slice of traffic onto the dpconv fast-exact rung (on a
+    #: host with the C kernel, ``auto`` picks dpconv for them outright).
     clique_min: int = 8
     clique_max: int = 12
     #: Fraction of each tenant's pool drawn from the named TPC-H / SSB /
@@ -106,7 +107,8 @@ class ReplayConfig:
     #: consistent-hash ring the front door routes with).
     virtual_shards: int = 4
     #: Admission budget for the in-process service, chosen so clique
-    #: queries above ``clique_min`` degrade to the dpconv rung.
+    #: queries above ``clique_min`` that resolve to an enumerator
+    #: degrade to the dpconv rung.
     max_ccp_budget: Optional[int] = 20_000
 
     def to_dict(self) -> Dict[str, Any]:

@@ -66,6 +66,7 @@ __all__ = [
     "optimize_query",
     "optimize_request",
     "register_algorithm",
+    "runs_dpconv",
     "unregister_algorithm",
 ]
 
@@ -173,8 +174,7 @@ def _make_dpconv(catalog, cost_model=None, enable_pruning=False):
     promises an exact plan for ``algorithm="dpconv"`` either way, and
     ``last_kernel`` tells which engine actually served it.
     """
-    effective = cost_model if cost_model is not None else CoutCostModel()
-    if enable_pruning or not effective.is_symmetric():
+    if not runs_dpconv(cost_model, enable_pruning):
         return TopDownPlanGenerator(
             catalog,
             MinCutBranch,
@@ -384,19 +384,97 @@ class OptimizationResult:
         return line
 
 
-def choose_algorithm(catalog: Catalog, enable_pruning: bool = False) -> str:
+#: Wall time in ms of ``optimize_request`` with C dpconv, per relation
+#: count: the slower of chain-n and cycle-n.  The choice is only close
+#: on sparse graphs; a denser graph costs dpconv more, but its #ccp (and
+#: so the kernel's time) grows far faster.  Measured 2026-10-17 on a
+#: 2-vCPU Intel Xeon host, CPython 3.11.7, with
+#: ``python benchmarks/calibrate_auto.py`` (best of 3 rounds x 5 runs).
+DPCONV_C_MS: Dict[int, float] = {
+    2: 0.045, 3: 0.057, 4: 0.069, 5: 0.078, 6: 0.090, 7: 0.108,
+    8: 0.132, 9: 0.175, 10: 0.249, 11: 0.354, 12: 0.542, 13: 0.932,
+    14: 1.70, 15: 3.93, 16: 7.17,
+}
+
+#: TDMinCutBranch wall time per ccp in ns (median over the same sweep's
+#: chains, cycles, stars, cliques and grids).
+KERNEL_NS_PER_CCP = 2407
+
+def runs_dpconv(cost_model: Optional[CostModel], enable_pruning: bool) -> bool:
+    """True when ``algorithm="dpconv"`` runs the convolution itself.
+
+    The (min,+) convolution is exact only for symmetric cost models and
+    has no pruning hook; other requests run the top-down driver.
+    """
+    effective = cost_model if cost_model is not None else CoutCostModel()
+    return not enable_pruning and effective.is_symmetric()
+
+
+def _c_rung_resolves(cost_model: Optional[CostModel], n: int) -> bool:
+    """True when dpconv would run the C rung: exactly C_out (or the
+    default) and an already-built kernel; never compiles."""
+    # Deferred so that importing the API never loads the kernel machinery.
+    from repro.optimizer import native
+
+    return native.resolve_backend(cost_model, n=n) == "c"
+
+
+def _dpconv_predicted_faster(
+    graph: QueryGraph,
+    cost_model: Optional[CostModel],
+    allow_cross_products: bool,
+    dpconv_max_n: Optional[int],
+) -> bool:
+    n = graph.n_vertices
+    limit = max(DPCONV_C_MS)
+    if dpconv_max_n is not None:
+        limit = min(limit, dpconv_max_n)
+    if allow_cross_products or not 2 <= n <= limit:
+        return False
+    if not graph.is_connected(graph.all_vertices):
+        return False
+    if not _c_rung_resolves(cost_model, n):
+        return False
+    # Deferred: repro.analysis imports this module.
+    from repro.analysis.formulas import ccp_predict
+
+    ccps, _method = ccp_predict(graph)
+    return DPCONV_C_MS[n] * 1e6 < ccps * KERNEL_NS_PER_CCP
+
+
+def choose_algorithm(
+    catalog: Catalog,
+    enable_pruning: bool = False,
+    cost_model: Optional[CostModel] = None,
+    allow_cross_products: bool = False,
+    dpconv_max_n: Optional[int] = None,
+) -> str:
     """Pick a registry algorithm for a query ("auto" mode).
 
-    Rules of thumb distilled from the paper's Tables IV/V and this
-    library's own measurements:
+    One predicted-time rule:
 
     * single relation → nothing to enumerate → any top-down driver
       (the facade short-circuits to a trivial plan before it runs);
     * pruning requested → top-down is the only option → MinCutBranch;
-    * sparse or moderate graphs → TDMinCutBranch (at or below DPccp,
-      and it keeps the top-down pruning door open);
-    * large dense (clique-like) graphs → DPccp, whose tight submask
-      enumeration carries the smallest constant in this implementation.
+    * C dpconv when its measured time for this ``n``
+      (:data:`DPCONV_C_MS`) is below the top-down kernel's predicted
+      time, #ccp x :data:`KERNEL_NS_PER_CCP`.  #ccp comes from
+      :func:`~repro.analysis.formulas.ccp_predict` (the Table-I closed
+      form for the fixed shapes, else an interpolation), never from an
+      exact count.  Only requests the convolution serves exactly are
+      eligible: a connected graph, exactly
+      :class:`~repro.cost.cout.CoutCostModel` (or the default), no cross
+      products, ``n`` at most the table's last row and ``dpconv_max_n``,
+      and an already-built C kernel
+      (:func:`repro.optimizer.native.resolve_backend`, which never
+      compiles);
+    * otherwise large dense (clique-like) graphs → DPccp, and everything
+      else → TDMinCutBranch.
+
+    Without a loadable kernel the answer is the last rule's alone.  The
+    service passes its own ``dpconv_max_n``
+    (:meth:`repro.service.resilience.ResilienceConfig.dpconv_n_limit`),
+    so ``auto`` never picks a dpconv run that admission then rejects.
     """
     graph = catalog.graph
     n = graph.n_vertices
@@ -406,6 +484,10 @@ def choose_algorithm(catalog: Catalog, enable_pruning: bool = False) -> str:
         return "tdmincutbranch"
     if enable_pruning:
         return "tdmincutbranch"
+    if _dpconv_predicted_faster(
+        graph, cost_model, allow_cross_products, dpconv_max_n
+    ):
+        return "dpconv"
     max_edges = n * (n - 1) // 2
     density = graph.n_edges / max_edges
     if n >= 10 and density > 0.5:
@@ -418,11 +500,14 @@ def make_optimizer(
     catalog: Optional[Catalog] = None,
     cost_model: Optional[CostModel] = None,
     enable_pruning: bool = False,
+    allow_cross_products: bool = False,
 ):
     """Instantiate a plan generator by registry name (or "auto").
 
     Also accepts a single :class:`OptimizationRequest`, from which the
-    algorithm name, catalog, cost model, and pruning flag are taken.
+    algorithm name, catalog, cost model, pruning and cross-product flags
+    are taken.  ``allow_cross_products`` only informs ``"auto"``
+    (:func:`choose_algorithm`); the catalog is already stitched.
     """
     if isinstance(algorithm, OptimizationRequest):
         request = algorithm
@@ -434,10 +519,16 @@ def make_optimizer(
         algorithm = request.algorithm
         cost_model = request.cost_model
         enable_pruning = request.enable_pruning
+        allow_cross_products = request.allow_cross_products
     if catalog is None:
         raise OptimizationError("make_optimizer needs a catalog")
     if algorithm == "auto":
-        algorithm = choose_algorithm(catalog, enable_pruning=enable_pruning)
+        algorithm = choose_algorithm(
+            catalog,
+            enable_pruning=enable_pruning,
+            cost_model=cost_model,
+            allow_cross_products=allow_cross_products,
+        )
     try:
         factory = ALGORITHMS[algorithm]
     except KeyError:
@@ -493,6 +584,7 @@ def optimize_request(request: OptimizationRequest) -> OptimizationResult:
         catalog,
         cost_model=request.cost_model,
         enable_pruning=request.enable_pruning,
+        allow_cross_products=request.allow_cross_products,
     )
     details: Dict[str, object] = {}
     if request.deadline_seconds is not None or request.node_budget is not None:

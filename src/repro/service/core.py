@@ -70,6 +70,7 @@ from repro.optimizer.api import (
     choose_algorithm,
     make_optimizer,
     optimize_request,
+    runs_dpconv,
 )
 from repro.plan.jointree import JoinTree
 from repro.service.cache import CacheEntry, PlanCache
@@ -93,7 +94,11 @@ from repro.service.resilience import (
     run_rung,
 )
 
-__all__ = ["OptimizerService", "request_signature"]
+__all__ = [
+    "OptimizerService",
+    "request_signature",
+    "service_signature",
+]
 
 #: Accepted ``fallback=`` values for ``optimize_batch``.
 _FALLBACKS = (None, "goo")
@@ -233,6 +238,52 @@ def request_signature(
         payload["stats_epoch"] = int(stats_epoch)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest(), order
+
+
+def service_signature(
+    request: OptimizationRequest,
+    catalog: Catalog,
+    default_cost_model: Optional[CostModel] = None,
+    resilience: Optional[ResilienceConfig] = None,
+    round_digits: int = 4,
+) -> Tuple[Optional[CostModel], str, str, List[int]]:
+    """What a service built with these settings keys ``request`` by.
+
+    Returns ``(cost_model, effective, signature, order)``: the cost
+    model the service injects (the request's own, else
+    ``default_cost_model``), the engine ``"auto"`` resolves to, and
+    :func:`request_signature` over both.  ``"auto"`` gets the service's
+    dpconv limit (:meth:`ResilienceConfig.dpconv_n_limit`), so it never
+    picks a dpconv run that admission then rejects.  The keyword arguments mirror
+    :class:`OptimizerService`'s.  The front door, the shard pipeline and
+    the metrics label all call this with the shard's settings, so the
+    engine — part of the signature — and with it the owning shard are
+    the same on both sides of the wire.
+    """
+    cost_model = (
+        request.cost_model if request.cost_model is not None else default_cost_model
+    )
+    effective = request.algorithm
+    if effective == "auto":
+        if resilience is None:
+            resilience = ResilienceConfig()
+        effective = choose_algorithm(
+            catalog,
+            enable_pruning=request.enable_pruning,
+            cost_model=cost_model,
+            allow_cross_products=request.allow_cross_products,
+            dpconv_max_n=resilience.dpconv_n_limit(),
+        )
+    signature, order = request_signature(
+        catalog,
+        effective,
+        cost_model,
+        request.enable_pruning,
+        round_digits,
+        allow_cross_products=request.allow_cross_products,
+        stats_epoch=request.stats_epoch,
+    )
+    return cost_model, effective, signature, order
 
 
 def _rebind_plan(
@@ -396,6 +447,16 @@ class OptimizerService:
         overrides.setdefault("algorithm", self.default_algorithm)
         return OptimizationRequest(query=query, **overrides)
 
+    def _signature(self, request: OptimizationRequest, catalog: Catalog):
+        """:func:`service_signature` under this service's settings."""
+        return service_signature(
+            request,
+            catalog,
+            self.default_cost_model,
+            self.resilience,
+            self.round_digits,
+        )
+
     def _effective_label(self, request: OptimizationRequest) -> str:
         """Resolve the metrics label for a request, ``"auto"`` included.
 
@@ -404,12 +465,8 @@ class OptimizerService:
         a phantom ``"auto"`` bucket.  Resolution itself is best-effort:
         if the query is too broken to resolve, the raw name is used.
         """
-        if request.algorithm != "auto":
-            return request.algorithm
         try:
-            return choose_algorithm(
-                request.resolved_catalog(), enable_pruning=request.enable_pruning
-            )
+            return self._signature(request, request.resolved_catalog())[1]
         except Exception:
             return request.algorithm
 
@@ -457,24 +514,8 @@ class OptimizerService:
         with trace.span("prepare"):
             with trace.span("canonicalize") as span:
                 catalog = request.resolved_catalog()
-                cost_model = (
-                    request.cost_model
-                    if request.cost_model is not None
-                    else self.default_cost_model
-                )
-                effective = request.algorithm
-                if effective == "auto":
-                    effective = choose_algorithm(
-                        catalog, enable_pruning=request.enable_pruning
-                    )
-                signature, order = request_signature(
-                    catalog,
-                    effective,
-                    cost_model,
-                    request.enable_pruning,
-                    self.round_digits,
-                    allow_cross_products=request.allow_cross_products,
-                    stats_epoch=request.stats_epoch,
+                cost_model, effective, signature, order = self._signature(
+                    request, catalog
                 )
                 span.annotate(
                     algorithm=effective,
@@ -658,9 +699,12 @@ class OptimizerService:
         """Decide whether this job must skip exact enumeration.
 
         Returns ``None`` to run the exact algorithm, else
-        ``(rung, reason, extra_details)``.  The admission budget is
-        checked *before* the breaker so that over-budget requests never
-        consume a half-open probe slot.  When the breaker's ``allow``
+        ``(rung, reason, extra_details)``.  Admission prices the engine
+        that will run: the ccp budget for the enumerators, and
+        :func:`dpconv_admissible` for dpconv, whose work does not depend
+        on #ccp.  The admission budget is checked *before* the breaker
+        so that over-budget requests never consume a half-open probe
+        slot.  When the breaker's ``allow``
         admits the job, the caller owes it a matching
         ``record_success``/``record_failure``.
         """
@@ -671,53 +715,68 @@ class OptimizerService:
             # let the exact path raise its precise typed error.
             return None
         cfg = self.resilience
+        run = job.run_request
         if cfg.max_ccp_budget is not None:
-            # With cross products enabled the client opted into a search
-            # space bounded by the clique, not the raw predicate edges —
-            # price that, or admission under-prices by orders of
-            # magnitude (and used to crash on disconnected inputs).
-            estimate = estimate_ccps(
-                graph,
-                cfg.admission_exact_max_n,
-                allow_cross_products=job.run_request.allow_cross_products,
-            )
-            if estimate.ccps > cfg.max_ccp_budget:
-                extra = {
-                    "admission_estimate": estimate.ccps,
-                    "admission_method": estimate.method,
-                    "admission_budget": cfg.max_ccp_budget,
-                }
-                # Fast-exact rung: an over-budget request whose cost
-                # model is symmetric and whose size fits the convolution
-                # budget still gets the exact optimum — a cheaper engine,
-                # not a cheaper answer.  A request that already resolved
-                # to dpconv (or asked for pruning, which dpconv lacks)
-                # degrades to the heuristics as before.
-                if (
-                    job.effective != "dpconv"
-                    and not job.run_request.enable_pruning
-                    and dpconv_admissible(
-                        graph, job.run_request.cost_model, cfg
-                    )
-                ):
-                    return ("dpconv", "over_budget", extra)
-                # Anytime rung: instead of jumping straight to a
-                # heuristic, run the requested exact engine under a
-                # cooperative deadline — it either finishes (exact answer
-                # after all) or salvages the partial memo into a plan
-                # that is never worse than pure GOO.  Only engines that
-                # advertise cooperative budgets qualify; anything else
-                # would ignore the deadline and run to completion.
-                if (
-                    cfg.anytime_enabled
-                    and self._anytime_deadline(job) is not None
-                    and self._budget_capable(job)
-                ):
-                    return ("anytime", "over_budget", extra)
-                return (heuristic_rung_for(graph), "over_budget", extra)
+            # Price the engine that will run.  The convolution's work
+            # depends on n alone, so a dpconv run answers to its own
+            # split-work model, never to the ccp budget.
+            if run.algorithm == "dpconv" and runs_dpconv(
+                run.cost_model, run.enable_pruning
+            ):
+                if not dpconv_admissible(graph, run.cost_model, cfg):
+                    extra = {
+                        "admission_estimate": graph.n_vertices,
+                        "admission_method": "dpconv-n-limit",
+                        "admission_budget": cfg.dpconv_n_limit(),
+                    }
+                    return self._over_budget(job, extra)
+            else:
+                # With cross products enabled the client opted into a
+                # search space bounded by the clique, not the raw
+                # predicate edges — price that, or admission
+                # under-prices by orders of magnitude (and used to crash
+                # on disconnected inputs).
+                estimate = estimate_ccps(
+                    graph,
+                    cfg.admission_exact_max_n,
+                    allow_cross_products=run.allow_cross_products,
+                )
+                if estimate.ccps > cfg.max_ccp_budget:
+                    extra = {
+                        "admission_estimate": estimate.ccps,
+                        "admission_method": estimate.method,
+                        "admission_budget": cfg.max_ccp_budget,
+                    }
+                    # Fast-exact rung: an over-budget enumerator whose
+                    # cost model is symmetric and whose size fits the
+                    # convolution budget still gets the exact optimum —
+                    # a cheaper engine, not a cheaper answer.
+                    if not run.enable_pruning and dpconv_admissible(
+                        graph, run.cost_model, cfg
+                    ):
+                        return ("dpconv", "over_budget", extra)
+                    return self._over_budget(job, extra)
         if not self.breaker.allow(job.effective):
             return (heuristic_rung_for(graph), "breaker_open", {})
         return None
+
+    def _over_budget(self, job: _Job, extra: Dict) -> Tuple[str, str, Dict]:
+        """The ladder below the fast-exact rung for an over-budget job.
+
+        Anytime rung: instead of jumping straight to a heuristic, run
+        the requested exact engine under a cooperative deadline — it
+        either finishes (exact answer after all) or salvages the partial
+        memo into a plan that is never worse than pure GOO.  Only
+        engines that advertise cooperative budgets qualify; anything
+        else would ignore the deadline and run to completion.
+        """
+        if (
+            self.resilience.anytime_enabled
+            and self._anytime_deadline(job) is not None
+            and self._budget_capable(job)
+        ):
+            return ("anytime", "over_budget", extra)
+        return (heuristic_rung_for(job.catalog.graph), "over_budget", extra)
 
     def _anytime_deadline(self, job: _Job) -> Optional[float]:
         """Resolve the deadline an anytime run would use, or None.

@@ -391,25 +391,20 @@ class FrontDoor:
             self.route_memo_hits += 1
             return shard
         self.route_memo_misses += 1
-        from repro.optimizer.api import choose_algorithm
-        from repro.service.core import request_signature
+        from repro.service.core import service_signature
         from repro.service.sharding import parse_request_document
 
+        # Sign with the shards' own settings (default cost model,
+        # resilience limits, rounding), so the signature is the one the
+        # owning shard computes.
+        settings = {
+            key: value
+            for key, value in self.config.shard_service_kwargs.items()
+            if key in ("default_cost_model", "resilience", "round_digits")
+        }
         request = parse_request_document(request_document)
-        catalog = request.resolved_catalog()
-        effective = request.algorithm
-        if effective == "auto":
-            effective = choose_algorithm(
-                catalog, enable_pruning=request.enable_pruning
-            )
-        signature, _order = request_signature(
-            catalog,
-            effective,
-            request.cost_model,
-            request.enable_pruning,
-            self.config.shard_service_kwargs.get("round_digits", 4),
-            allow_cross_products=request.allow_cross_products,
-            stats_epoch=request.stats_epoch,
+        _cost_model, _effective, signature, _order = service_signature(
+            request, request.resolved_catalog(), **settings
         )
         shard = self.shards.ring.owner(signature)
         self._route_memo[memo_key] = shard

@@ -12,11 +12,13 @@ it out:
   enumeration counts for small graphs, Table-I closed forms for the
   fixed shapes, and the log-space interpolation of
   :func:`repro.analysis.formulas.ccp_estimate` for everything else.
-* the **degradation ladder** — ``exact → dpconv → ikkbz → goo``.
-  ``dpconv`` is the *fast-exact* rung: for symmetric cost models within
-  its work budget (:func:`dpconv_admissible`), an over-budget request is
-  still answered with the exact optimum via (min,+) subset convolution
-  instead of a heuristic plan.  Below it, IKKBZ is the polynomial-time
+* the **degradation ladder** — ``exact → dpconv → anytime → ikkbz →
+  goo``.  ``dpconv`` is the *fast-exact* rung: for symmetric cost
+  models within its work budget (:func:`dpconv_admissible`), a request
+  whose enumerator is over the ccp budget is still answered with the
+  exact optimum via (min,+) subset convolution instead of a heuristic
+  plan.  A request that runs dpconv itself is priced by that same work
+  model, never by #ccp.  Below it, IKKBZ is the polynomial-time
   *optimal left-deep* rung for acyclic graphs and GOO the universal
   greedy bushy rung.  :func:`heuristic_rung_for` picks the highest
   applicable heuristic rung, :func:`run_rung` executes one.
@@ -42,7 +44,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.analysis.formulas import ccp_count, ccp_estimate
+from repro.analysis.formulas import ccp_count, ccp_estimate, ccp_predict
 from repro.catalog.statistics import Catalog
 from repro.cost.base import CostModel
 from repro.enumeration.counting import count_ccps
@@ -71,10 +73,6 @@ __all__ = [
 #: better — and exact whenever the search finishes early); the rest are
 #: polynomial-time heuristics with shrinking plan-quality guarantees.
 LADDER_RUNGS = ("exact", "dpconv", "anytime", "ikkbz", "goo")
-
-#: Shapes with a Table-I closed form for #ccp.
-_CLOSED_FORM_SHAPES = ("chain", "star", "cycle", "clique")
-
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -169,6 +167,21 @@ class ResilienceConfig:
                 f"got {self.anytime_default_deadline_seconds}"
             )
 
+    def dpconv_n_limit(self) -> int:
+        """Largest ``n`` the dpconv engine is admitted for.
+
+        Both dpconv gates in one number: ``dpconv_max_n`` and the largest
+        ``n`` whose split work (``3^n / 2``) fits ``dpconv_split_budget``
+        (15 under the defaults).  ``auto`` resolution gets the same
+        limit, so it never picks a dpconv run admission then rejects.
+        """
+        from repro.optimizer.dpconv import dpconv_split_work
+
+        n = self.dpconv_max_n
+        while n > 0 and dpconv_split_work(n) > self.dpconv_split_budget:
+            n -= 1
+        return n
+
     def retry_policy(self) -> Optional["RetryPolicy"]:
         """Build the batch retry policy, or ``None`` when retry is off."""
         if self.max_retries == 0:
@@ -255,20 +268,12 @@ def estimate_ccps(
         return AdmissionEstimate(
             ccps=total, method="per-component", shape=shape
         )
-    if shape in _CLOSED_FORM_SHAPES:
-        return AdmissionEstimate(
-            ccps=ccp_count(shape, n), method=f"closed-form:{shape}", shape=shape
-        )
-    if n <= exact_max_n:
+    ccps, method = ccp_predict(graph)
+    if method == "interpolated" and n <= exact_max_n:
         return AdmissionEstimate(
             ccps=count_ccps(graph), method="exact", shape=shape
         )
-    max_degree = max(graph.degree(v) for v in range(n))
-    return AdmissionEstimate(
-        ccps=ccp_estimate(n, graph.n_edges, max_degree),
-        method="interpolated",
-        shape=shape,
-    )
+    return AdmissionEstimate(ccps=ccps, method=method, shape=shape)
 
 
 # ----------------------------------------------------------------------
@@ -280,28 +285,25 @@ def dpconv_admissible(
     cost_model: Optional[CostModel],
     config: ResilienceConfig,
 ) -> bool:
-    """Can the dpconv fast-exact rung serve this query within budget?
+    """Can dpconv serve this query within its own work budget?
 
-    Three gates: the cost model must be symmetric (the convolution
-    prices each unordered split once — exact only then), the vertex
-    count must fit the rung's ``O(2^n)`` arrays, and the rung's total
-    work — ``3^n / 2`` split iterations, connected or not — must fit
-    ``dpconv_split_budget``.  The work model is *shape-independent* on
-    purpose: unlike the exact enumerators, the convolution visits every
-    submask pair whether or not it is a ccp, so a chain and a clique of
-    the same ``n`` cost the rung the same.
+    Admission prices dpconv with this instead of the ccp budget, both
+    for requests that run dpconv and for the fast-exact rung.  Two
+    gates: the cost model must be symmetric (the convolution prices
+    each unordered split once — exact only then), and ``n`` must be at
+    most :meth:`ResilienceConfig.dpconv_n_limit` — the rung's ``O(2^n)``
+    arrays and its ``3^n / 2`` split iterations, connected or not.  The
+    work model is *shape-independent* on purpose: unlike the exact
+    enumerators, the convolution visits every submask pair whether or
+    not it is a ccp, so a chain and a clique of the same ``n`` cost it
+    the same.
 
     ``cost_model=None`` means the registry default — C_out, which is
     symmetric — so ``None`` passes the symmetry gate.
     """
     if cost_model is not None and not cost_model.is_symmetric():
         return False
-    n = graph.n_vertices
-    if n > config.dpconv_max_n:
-        return False
-    from repro.optimizer.dpconv import dpconv_split_work
-
-    return dpconv_split_work(n) <= config.dpconv_split_budget
+    return graph.n_vertices <= config.dpconv_n_limit()
 
 
 def heuristic_rung_for(graph: QueryGraph) -> str:

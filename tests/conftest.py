@@ -32,6 +32,25 @@ def canonical_ccps(strategy_factory, graph, vertex_set=None):
     )
 
 
+def pin_dpconv_kernel(monkeypatch, present: bool) -> None:
+    """Pin whether ``auto`` sees a loadable C dpconv kernel.
+
+    Only the choice rule is pinned: engines still run whichever dpconv
+    rung this host has, which returns the same exact plan either way.
+    Like the real resolver, only exactly ``CoutCostModel`` (or the
+    default) resolves.
+    """
+    from repro.cost.cout import CoutCostModel
+    from repro.optimizer import api
+
+    def c_rung_resolves(cost_model, n):
+        return present and (
+            cost_model is None or type(cost_model) is CoutCostModel
+        )
+
+    monkeypatch.setattr(api, "_c_rung_resolves", c_rung_resolves)
+
+
 def random_connected_graph(rng: random.Random, max_vertices: int = 9) -> QueryGraph:
     """Sample a random connected graph (tree or cyclic) for fuzz tests."""
     n = rng.randint(2, max_vertices)

@@ -87,6 +87,20 @@ def ccps_for_set_ref(
     return result
 
 
+def count_ccps_ref(n_vertices: int, edges: Iterable[Edge]) -> int:
+    """#ccp by generate-and-test: every split of every connected set.
+
+    The independent oracle for :func:`repro.enumeration.counting.count_ccps`,
+    which counts MinCutBranch's emissions instead.
+    """
+    edges = list(edges)
+    return sum(
+        len(ccps_for_set_ref(s, n_vertices, edges))
+        for s in connected_subsets_ref(n_vertices, edges)
+        if len(s) >= 2
+    )
+
+
 def optimal_cout_cost_ref(
     n_vertices: int,
     edges: Iterable[Edge],

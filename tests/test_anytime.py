@@ -231,13 +231,13 @@ class TestAnytimeRung:
         # exact optimum and may cache it.
         service = over_budget_service()
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
-        result = service.optimize(catalog)
+        result = service.optimize(catalog, algorithm="tdmincutbranch")
         assert result.ok
         assert result.details["rung"] == "anytime"
         assert result.details["fast_exact"] == 1
         assert "degraded" not in result.details
         assert len(service.cache) == 1
-        again = service.optimize(catalog)
+        again = service.optimize(catalog, algorithm="tdmincutbranch")
         assert again.cache_hit
 
     def test_over_budget_expiry_serves_salvaged_plan(self):

@@ -19,6 +19,8 @@ from repro import (
 )
 from repro.errors import OptimizationError
 
+from .conftest import pin_dpconv_kernel
+
 
 class TestRegistry:
     def test_expected_algorithms_present(self):
@@ -207,19 +209,71 @@ class TestAutoAlgorithm:
         result.plan.validate()
         assert result.algorithm == "auto"
 
-    def test_choose_sparse_prefers_topdown(self):
+    def test_choose_sparse_prefers_topdown(self, monkeypatch):
         from repro import chain_graph
         from repro.optimizer.api import choose_algorithm
 
         catalog = uniform_statistics(chain_graph(12))
+        pin_dpconv_kernel(monkeypatch, False)
         assert choose_algorithm(catalog) == "tdmincutbranch"
+        # chain-12: 286 ccps x KERNEL_NS_PER_CCP is above DPCONV_C_MS[12].
+        pin_dpconv_kernel(monkeypatch, True)
+        assert choose_algorithm(catalog) == "dpconv"
 
-    def test_choose_dense_prefers_dpccp(self):
+    def test_choose_dense_prefers_dpccp(self, monkeypatch):
         from repro import clique_graph
         from repro.optimizer.api import choose_algorithm
 
         catalog = uniform_statistics(clique_graph(12))
+        pin_dpconv_kernel(monkeypatch, False)
         assert choose_algorithm(catalog) == "dpccp"
+        pin_dpconv_kernel(monkeypatch, True)
+        assert choose_algorithm(catalog) == "dpconv"
+
+    def test_no_kernel_keeps_the_density_rule_on_every_shape(self, monkeypatch):
+        from repro import grid_graph, make_shape
+        from repro.optimizer.api import choose_algorithm
+
+        pin_dpconv_kernel(monkeypatch, False)
+        graphs = [
+            make_shape(shape, n)
+            for shape in ("chain", "star", "cycle", "clique")
+            for n in range(3, 21)
+        ] + [grid_graph(r, c) for r in range(1, 5) for c in range(2, 6)]
+        for graph in graphs:
+            n, m = graph.n_vertices, graph.n_edges
+            dense = n >= 10 and m / (n * (n - 1) // 2) > 0.5
+            expected = "dpccp" if dense else "tdmincutbranch"
+            assert choose_algorithm(uniform_statistics(graph)) == expected, graph
+
+    def test_kernel_only_serves_what_dpconv_serves_exactly(self, monkeypatch):
+        from repro import clique_graph
+        from repro.cost.physical import PhysicalCostModel
+        from repro.optimizer.api import DPCONV_C_MS, choose_algorithm
+
+        pin_dpconv_kernel(monkeypatch, True)
+        catalog = uniform_statistics(clique_graph(12))
+        assert choose_algorithm(catalog, cost_model=CoutCostModel()) == "dpconv"
+        assert choose_algorithm(catalog, cost_model=PhysicalCostModel()) == "dpccp"
+        assert choose_algorithm(catalog, enable_pruning=True) == "tdmincutbranch"
+        assert choose_algorithm(catalog, allow_cross_products=True) == "dpccp"
+        assert choose_algorithm(catalog, dpconv_max_n=11) == "dpccp"
+        beyond = uniform_statistics(clique_graph(max(DPCONV_C_MS) + 1))
+        assert choose_algorithm(beyond) == "dpccp"
+        disconnected = uniform_statistics(
+            QueryGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        )
+        assert choose_algorithm(disconnected) == "tdmincutbranch"
+
+    def test_auto_dpconv_returns_the_exact_optimum(self, monkeypatch):
+        from repro import attach_random_statistics, cycle_graph
+
+        pin_dpconv_kernel(monkeypatch, True)
+        catalog = attach_random_statistics(cycle_graph(9), seed=4)
+        auto = optimize_query(catalog, algorithm="auto")
+        assert auto.details["kernel"] == "dpconv"
+        exact = optimize_query(catalog, algorithm="dpsub")
+        assert auto.cost == pytest.approx(exact.cost, rel=1e-12)
 
     def test_pruning_forces_topdown(self):
         from repro import clique_graph

@@ -12,7 +12,7 @@ from repro.enumeration.counting import (
 )
 
 from .conftest import random_connected_graph
-from .reference import connected_subsets_ref, frozenset_to_bitset
+from .reference import connected_subsets_ref, count_ccps_ref, frozenset_to_bitset
 
 #: Table I of the paper, verbatim.
 TABLE_1 = {
@@ -95,6 +95,20 @@ class TestEnumerateConnectedSubgraphs:
                 for t, t_pos in position.items():
                     if t != s and t & ~s == 0 and (t & -t) == low:
                         assert t_pos < pos, (graph, s, t)
+
+
+class TestCountCcps:
+    @pytest.mark.parametrize("shape", ["chain", "star", "cycle", "clique"])
+    def test_matches_generate_and_test_on_shapes(self, shape):
+        graph = make_shape(shape, 7)
+        assert count_ccps(graph) == count_ccps_ref(graph.n_vertices, graph.edges)
+
+    def test_matches_generate_and_test_on_random_graphs(self, rng):
+        for _ in range(30):
+            graph = random_connected_graph(rng, max_vertices=8)
+            assert count_ccps(graph) == count_ccps_ref(
+                graph.n_vertices, graph.edges
+            ), graph
 
 
 class TestCountIdentities:

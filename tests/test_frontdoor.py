@@ -14,7 +14,15 @@ import pytest
 from repro.catalog.workload import WorkloadGenerator
 from repro.optimizer.api import OptimizationRequest
 from repro import serialize
-from repro.service import FrontDoor, FrontDoorConfig
+from repro.cost.physical import PhysicalCostModel
+from repro.service import (
+    FrontDoor,
+    FrontDoorConfig,
+    OptimizerService,
+    ResilienceConfig,
+)
+
+from .conftest import pin_dpconv_kernel
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +212,38 @@ class TestOptimizeEndpoint:
 # ----------------------------------------------------------------------
 # Typed rejections
 # ----------------------------------------------------------------------
+
+
+class TestRouting:
+    @pytest.mark.parametrize(
+        "service_kwargs",
+        [
+            {},
+            {"resilience": ResilienceConfig(dpconv_max_n=9)},
+            {"default_cost_model": PhysicalCostModel(), "round_digits": 3},
+        ],
+        ids=["defaults", "dpconv_limit", "default_cost_model"],
+    )
+    def test_door_routes_to_the_owner_of_the_shard_signature(
+        self, monkeypatch, service_kwargs
+    ):
+        # The door resolves "auto" with the shards' inputs, so a request
+        # the shard runs on dpconv (clique-10) and one it runs on the
+        # top-down kernel (chain-14) both land on the shard whose cache
+        # holds the plan.  No shard process is started.
+        pin_dpconv_kernel(monkeypatch, True)
+        door = FrontDoor(
+            FrontDoorConfig(shards=4, shard_service_kwargs=service_kwargs)
+        )
+        shard_side = OptimizerService(**service_kwargs)
+        engines = set()
+        for shape, n in (("clique", 10), ("chain", 14)):
+            document = request_document(seed=5, shape=shape, n=n, algorithm="auto")
+            result = shard_side.optimize(serialize.request_from_dict(document))
+            engines.add(result.details.get("kernel"))
+            assert door._route(document) == door.shards.ring.owner(result.signature)
+        if not service_kwargs:
+            assert engines == {"dpconv", "fast"}
 
 
 class TestRejections:

@@ -43,6 +43,7 @@ from repro.service import (
     dpconv_admissible,
     estimate_ccps,
 )
+from repro.service.core import service_signature
 from repro.service.faults import FAULTS_ENV_VAR
 from repro.service.resilience import (
     BREAKER_CLOSED,
@@ -53,6 +54,8 @@ from repro.service.resilience import (
     heuristic_rung_for,
     run_rung,
 )
+
+from .conftest import pin_dpconv_kernel
 
 
 class FakeClock:
@@ -457,7 +460,7 @@ class TestDpconvRung:
             resilience=ResilienceConfig(max_ccp_budget=50)
         )
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
-        result = service.optimize(catalog)
+        result = service.optimize(catalog, algorithm="tdmincutbranch")
         assert result.ok
         result.plan.validate()
         assert result.details["rung"] == "dpconv"
@@ -472,8 +475,8 @@ class TestDpconvRung:
         catalog = WorkloadGenerator(seed=2).fixed_shape("cycle", 10).catalog
         degraded = OptimizerService(
             resilience=ResilienceConfig(max_ccp_budget=10)
-        ).optimize(catalog)
-        exact = OptimizerService().optimize(catalog)
+        ).optimize(catalog, algorithm="tdmincutbranch")
+        exact = OptimizerService().optimize(catalog, algorithm="tdmincutbranch")
         assert degraded.details["rung"] == "dpconv"
         # Generator stats are arbitrary floats, so the two engines may
         # associate sums differently; bitwise equality is asserted on
@@ -488,10 +491,10 @@ class TestDpconvRung:
             resilience=ResilienceConfig(max_ccp_budget=50)
         )
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
-        first = service.optimize(catalog)
+        first = service.optimize(catalog, algorithm="tdmincutbranch")
         assert first.details["rung"] == "dpconv"
         assert len(service.cache) == 1
-        again = service.optimize(catalog)
+        again = service.optimize(catalog, algorithm="tdmincutbranch")
         assert again.cache_hit
         assert again.cost == first.cost
         assert "rung" not in again.details
@@ -536,7 +539,7 @@ class TestDpconvRung:
             resilience=ResilienceConfig(max_ccp_budget=50)
         )
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
-        service.optimize(catalog)
+        service.optimize(catalog, algorithm="tdmincutbranch")
         snapshot = service.stats_snapshot()
         assert snapshot["totals"]["fast_exact"] == 1
         assert snapshot["totals"]["kernel_dpconv"] == 1
@@ -566,7 +569,7 @@ class TestDpconvRung:
             )
         )
         catalog = WorkloadGenerator(seed=2).fixed_shape("cycle", 9).catalog
-        result = service.optimize(catalog)
+        result = service.optimize(catalog, algorithm="tdmincutbranch")
         assert result.details["rung"] == "goo"
         assert result.details["degraded"] == 1
 
@@ -575,6 +578,94 @@ class TestDpconvRung:
         plan, used = run_rung("dpconv", catalog)
         assert used == "dpconv"
         plan.validate()
+
+
+class TestAdmissionPricesEachEngine:
+    """The ccp budget prices the enumerators; dpconv answers to its own
+    split-work model, because its work does not depend on #ccp."""
+
+    def test_explicit_dpconv_over_the_ccp_budget_runs_exact(self):
+        # clique-12 has 261 625 ccps, far over the budget, but dpconv's
+        # split work (3^12 / 2) fits its own budget: the request is
+        # served exactly, not by the anytime rung, and is cached.
+        service = OptimizerService(
+            resilience=ResilienceConfig(max_ccp_budget=5000)
+        )
+        catalog = WorkloadGenerator(seed=1).fixed_shape("clique", 12).catalog
+        result = service.optimize(catalog, algorithm="dpconv")
+        assert result.ok
+        assert "rung" not in result.details
+        assert "degraded" not in result.details
+        assert result.details["kernel"] == "dpconv"
+        assert len(service.cache) == 1
+        assert service.optimize(catalog, algorithm="dpconv").cache_hit
+
+    def test_dpconv_beyond_its_n_limit_goes_down_the_ladder(self):
+        service = OptimizerService(
+            resilience=ResilienceConfig(
+                max_ccp_budget=5000, dpconv_max_n=8, anytime_enabled=False
+            )
+        )
+        catalog = WorkloadGenerator(seed=2).fixed_shape("cycle", 9).catalog
+        result = service.optimize(catalog, algorithm="dpconv")
+        assert result.details["rung"] == "goo"
+        assert result.details["degrade_reason"] == "over_budget"
+        assert result.details["admission_method"] == "dpconv-n-limit"
+        assert result.details["admission_estimate"] == 9
+        assert result.details["admission_budget"] == 8
+
+    def test_asymmetric_dpconv_request_is_priced_by_ccps(self):
+        # dpconv with an asymmetric model runs the top-down driver, so
+        # the ccp budget applies: chain-6 (35 ccps) is admitted.
+        service = OptimizerService(resilience=ResilienceConfig(max_ccp_budget=50))
+        catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 6).catalog
+        result = service.optimize(
+            catalog, algorithm="dpconv", cost_model=PhysicalCostModel()
+        )
+        assert "rung" not in result.details
+        assert result.details["kernel"] == "fast"
+
+    def test_dpconv_n_limit_folds_both_gates(self):
+        assert ResilienceConfig().dpconv_n_limit() == 15
+        assert ResilienceConfig(dpconv_max_n=8).dpconv_n_limit() == 8
+        assert ResilienceConfig(dpconv_split_budget=100).dpconv_n_limit() == 4
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ResilienceConfig(max_ccp_budget=5000),
+            ResilienceConfig(max_ccp_budget=50, dpconv_max_n=9),
+            ResilienceConfig(max_ccp_budget=50, dpconv_split_budget=10_000),
+        ],
+    )
+    def test_auto_never_picks_a_dpconv_run_admission_rejects(
+        self, monkeypatch, config
+    ):
+        pin_dpconv_kernel(monkeypatch, True)
+        picked = 0
+        for shape in ("chain", "cycle", "star", "clique"):
+            for n in range(3, 19):
+                catalog = WorkloadGenerator(seed=n).fixed_shape(shape, n).catalog
+                request = OptimizationRequest(query=catalog, algorithm="auto")
+                _, effective, _, _ = service_signature(
+                    request, catalog, resilience=config
+                )
+                if effective == "dpconv":
+                    picked += 1
+                    assert dpconv_admissible(catalog.graph, None, config), (shape, n)
+        assert picked
+
+    def test_auto_resolved_dpconv_is_admitted_exact(self, monkeypatch):
+        pin_dpconv_kernel(monkeypatch, True)
+        service = OptimizerService(
+            resilience=ResilienceConfig(max_ccp_budget=5000)
+        )
+        catalog = WorkloadGenerator(seed=3).fixed_shape("clique", 10).catalog
+        result = service.optimize(catalog)
+        assert result.ok
+        assert "rung" not in result.details
+        assert result.details["kernel"] == "dpconv"
+        assert "dpconv" in service.stats_snapshot()["algorithms"]
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,10 @@ from repro.service.tracing import (
 
 
 def chain_request(n=6, seed=1, tag=None):
+    # Named, not "auto": these tests are about tracing, and "auto" may
+    # pick dpconv where a C kernel is built.
     instance = WorkloadGenerator(seed=seed).fixed_shape("chain", n)
-    return OptimizationRequest(query=instance, tag=tag)
+    return OptimizationRequest(query=instance, algorithm="tdmincutbranch", tag=tag)
 
 
 # ----------------------------------------------------------------------
