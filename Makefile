@@ -1,6 +1,6 @@
 # Development targets. `make verify` is the PR gate: the full test
-# suite plus the service-cache smoke benchmark (which enforces the
-# >= 10x warm-cache speedup floor and counter consistency).
+# suite, the benchmark gates (except batch) and the serve and replay
+# smokes.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -20,62 +20,60 @@ chaos:
 		tests/test_frontdoor.py::TestBackpressureAndCrashes \
 		tests/test_frontdoor.py::TestDrainAndCooperativeDeadlines::test_cooperative_deadline_salvages_instead_of_hard_kill
 
+# Benchmark gates: each target runs the rows of one gate in
+# benchmarks/gates.py, the single table that holds every workload,
+# threshold and parity check (the shared core is repro.bench.gate).
+# Each gate writes BENCH_<name>.json.
+#
+# Warm plan-cache hit >= 10x faster than the cold miss on clique-14,
+# with consistent cache counters.
 bench-service:
-	$(PYTHON) benchmarks/bench_service_cache.py
+	$(PYTHON) benchmarks/gates.py service
 
-# Multi-core speedup demo: process vs. serial batch backends.  Asserts
-# the >= 1.5x floor only on multi-core hosts (pass --require-speedup in
-# CI); result parity across backends is always enforced.
+# Process batch executor >= 1.5x over serial (enforced on >= 2 cores);
+# result parity across executors is always enforced.
 bench-batch:
-	$(PYTHON) benchmarks/bench_batch_parallel.py
+	$(PYTHON) benchmarks/gates.py batch
 
-# Admission-control demo: an over-budget clique must be answered from
-# the degradation ladder in < 10% of the exact enumeration time.
+# An over-budget clique answered by the degradation ladder in < 10% of
+# the exact enumeration time, and by the dpconv rung exactly.
 bench-resilience:
-	$(PYTHON) benchmarks/bench_resilience.py
+	$(PYTHON) benchmarks/gates.py resilience
 
-# Tracing overhead gate: enabled tracing must cost < 5% on a
-# warm-cache batch, with every request still producing a retained trace.
+# Enabled tracing costs < 5% on a warm-cache batch, with every request
+# still producing a retained trace.
 bench-observability:
-	$(PYTHON) benchmarks/bench_observability.py
+	$(PYTHON) benchmarks/gates.py observability
 
-# Fast-kernel gate: >= 1.3x geometric-mean speedup over the reference
-# driver with bit-identical plans, and a deep chain (chain-200 smoke by
-# default; --deep-chain for the full chain-600) must optimize and
-# extract without RecursionError.  Writes BENCH_kernel.json.
+# Fast kernel >= 1.3x geometric-mean speedup over the paper's recursion
+# with bit-identical plans, and chain-200 optimizes and extracts
+# without RecursionError.
 bench-kernel:
-	$(PYTHON) benchmarks/bench_kernel_speedup.py
+	$(PYTHON) benchmarks/gates.py kernel
 
-# DPconv fast-exact tier gate: >= 1.5x over the fast kernel on
-# clique-14 with bit-identical optimal cost and matching ccp counts
-# (skips the speedup gate with a notice on machines too slow to time
-# it).  Writes BENCH_dpconv.json.
+# DPconv >= 1.5x over the fast kernel on clique-14 with bit-identical
+# cost and matching ccp counts (skipped with a notice when one kernel
+# run takes over 120s).
 bench-dpconv:
-	$(PYTHON) benchmarks/bench_dpconv.py
+	$(PYTHON) benchmarks/gates.py dpconv
 
-# Native-backend gate: the compiled C rung must beat the pure-python
-# dpconv engine by a >= 5x geometric mean on the dense gate shapes,
-# with the same plan trees, bit-identical costs and ccp parity against
-# the reference enumerator.  Skips with a notice on hosts where no C
-# kernel can be loaded or built (silent degradation is supported).
-# Writes BENCH_native.json.
+# Compiled C dpconv rung >= 5x geometric mean over pure python with the
+# same plan trees, costs, counts and memo sizes; skipped with a notice
+# on hosts where no C kernel can be loaded or built.
 bench-native:
-	$(PYTHON) benchmarks/bench_native_kernel.py
+	$(PYTHON) benchmarks/gates.py native
 
-# Anytime gate: a 50ms-deadline clique-16 must return a *valid*
-# salvaged plan within deadline + 20ms, never costlier than pure GOO,
-# and the cooperative budget checks must cost <= 1% on the kernel's
-# hot loops (geomean over everyday shapes; skipped with a notice when
-# a plain-vs-plain control probe shows the machine cannot resolve 1%).
-# Writes BENCH_anytime.json.
+# A 50ms-deadline clique-16 returns a valid salvaged plan, never
+# costlier than GOO, within 50 + 20 ms; the cooperative budget checks
+# cost <= 1% on the kernel (skipped with a notice when a plain-vs-plain
+# control probe shows the machine cannot resolve 1%).
 bench-anytime:
-	$(PYTHON) benchmarks/bench_anytime.py
+	$(PYTHON) benchmarks/gates.py anytime
 
-# Front-door serving gate: warm p99 must stay under the 250ms SLO with
-# zero transport errors.  The 2x 4-shard scaling floor is enforced only
-# on hosts with >= 4 cores (CI passes --require-scaling there).
+# Front door: warm p99 <= 250ms with zero transport errors; 4 shards
+# >= 2x the 1-shard throughput (enforced on >= 4 cores).
 bench-frontdoor:
-	$(PYTHON) benchmarks/bench_frontdoor_qps.py
+	$(PYTHON) benchmarks/gates.py frontdoor
 
 # Black-box serve smoke: boots `repro.cli serve` as a subprocess and
 # exercises the v1 wire API (cold/warm optimize, typed 400s, healthz,
@@ -98,7 +96,7 @@ replay-smoke:
 # Where the time goes when bench-kernel regresses: top-25 cProfile
 # lines of the kernel path on clique-14.
 profile:
-	$(PYTHON) benchmarks/bench_kernel_speedup.py --profile
+	$(PYTHON) -c "from benchmarks.gates import profile_kernel; profile_kernel()"
 
 verify: test bench-service bench-resilience bench-observability bench-kernel bench-dpconv bench-native bench-anytime serve-smoke bench-frontdoor replay-smoke
 	@echo "verify: ok"

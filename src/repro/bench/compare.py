@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List
 
 from repro.bench.runner import time_optimizer
+from repro.bench.timing import geomean
 from repro.catalog.workload import QueryInstance
 
 __all__ = ["ComparisonResult", "compare_algorithms"]
@@ -43,8 +44,7 @@ class ComparisonResult:
 
     @property
     def geometric_mean_speedup(self) -> float:
-        log_sum = sum(math.log(s) for s in self.speedups)
-        return math.exp(log_sum / self.n)
+        return geomean(self.speedups)
 
     @property
     def sign_test_p_value(self) -> float:

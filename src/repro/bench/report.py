@@ -6,6 +6,12 @@ Usage::
     python -m repro.bench.report -e fig09 -e table1    # selected ones
     python -m repro.bench.report --all --scale full    # paper-sized runs
     python -m repro.bench.report --all -o results.txt  # also write a file
+    python -m repro.bench.report --all --update EXPERIMENTS.md
+
+``--update`` rewrites the measured-results section of a document in
+place: everything below :data:`MARKER` is replaced, everything above it
+is kept.  A document that exists without the marker is refused rather
+than overwritten.
 """
 
 from __future__ import annotations
@@ -21,12 +27,20 @@ from typing import Dict, List, Optional
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 
 __all__ = [
+    "MARKER",
     "main",
     "bench_output_path",
     "bench_environment",
     "collect_bench_reports",
     "write_bench_report",
 ]
+
+
+#: Separates a document's hand-written part from its generated results.
+MARKER = (
+    "<!-- GENERATED RESULTS BELOW - run "
+    "python -m repro.bench.report --all --update EXPERIMENTS.md -->"
+)
 
 
 def bench_output_path(name: str) -> str:
@@ -128,6 +142,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "-o", "--output", help="also append rendered results to this file"
     )
     parser.add_argument(
+        "--update",
+        metavar="FILE",
+        help="rewrite the generated-results section of FILE (below the "
+        "marker line) with the results",
+    )
+    parser.add_argument(
         "--chart",
         action="store_true",
         help="render figure-style experiments as ASCII charts too",
@@ -146,6 +166,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = list(EXPERIMENTS) if args.all else (args.experiment or [])
     if not names:
         parser.error("pass --all, --list, or at least one -e/--experiment")
+    head = "# EXPERIMENTS\n\n"
+    if args.update and os.path.exists(args.update):
+        with open(args.update) as handle:
+            document = handle.read()
+        if MARKER not in document:
+            print(
+                f"error: {args.update} has no generated-results marker; "
+                f"add this line where the results belong:\n{MARKER}",
+                file=sys.stderr,
+            )
+            return 1
+        head = document.split(MARKER)[0]
 
     chunks = []
     for name in names:
@@ -164,6 +196,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.output:
         with open(args.output, "a") as handle:
             handle.write("\n".join(chunks))
+    if args.update:
+        sections = "\n\n".join(f"```\n{chunk.rstrip()}\n```" for chunk in chunks)
+        with open(args.update, "w") as handle:
+            handle.write(
+                f"{head}{MARKER}\n\n## Measured results (scale={args.scale})\n\n"
+                f"{sections}\n"
+            )
+        print(f"wrote {args.update}")
     return 0
 
 

@@ -11,8 +11,8 @@ cleanly, flush every finished subproblem into the
 :func:`repro.plan.salvage.salvage_plan` complete the partial memo into a
 valid plan.
 
-Check discipline (the ≤1% kernel-overhead gate in
-``benchmarks/bench_anytime.py`` holds the engines to this):
+Check discipline (the ≤1% kernel-overhead ``anytime`` gate in
+``benchmarks/gates.py`` holds the engines to this):
 
 * :meth:`charge` is called once per *node expansion* (one memo
   subproblem explored / one connected set settled).  Node expansions are

@@ -16,7 +16,7 @@ and pays the top-down driver's deferral machinery — while this DP is a
 flat pair of array reads and one compare per candidate split over
 dense, index-addressed arrays (no memo objects, no callbacks, no
 recursion).  On clique-14 with ``C_out`` that constant-factor gap is
-≥1.5x (``benchmarks/bench_dpconv.py`` gates it).
+≥1.5x (the ``dpconv`` gate in ``benchmarks/gates.py`` holds it).
 
 Restrictions, and why they are principled rather than incidental:
 

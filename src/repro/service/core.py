@@ -380,8 +380,8 @@ class OptimizerService:
         ``enumerate``/``degraded_rung`` → ``rebind`` → ``store``) — into
         the bounded in-memory store at ``service.traces``
         (:class:`~repro.service.tracing.TraceStore`).  On by default;
-        overhead is gated under 5% on the warm-cache path by
-        ``benchmarks/bench_observability.py``.
+        overhead is gated under 5% on the warm-cache path by the
+        ``observability`` gate in ``benchmarks/gates.py``.
     trace_capacity:
         Finished traces retained by the store (oldest evicted beyond).
     slow_log_ms:

@@ -28,9 +28,9 @@ layer — dependency-free, stdlib-only:
   configurable threshold.
 
 Overhead matters: spans on the warm-cache path cost a few
-``perf_counter`` calls and one small object each, and
-``benchmarks/bench_observability.py`` gates the total at < 5% on a
-warm-cache batch.
+``perf_counter`` calls and one small object each, and the
+``observability`` gate in ``benchmarks/gates.py`` holds the total under
+5% on a warm-cache batch.
 """
 
 from __future__ import annotations

@@ -133,6 +133,23 @@ class TestReportCli:
         with pytest.raises(SystemExit):
             report_main([])
 
+    def test_update_refuses_a_document_without_the_marker(self, tmp_path, capsys):
+        document = tmp_path / "notes.md"
+        document.write_text("# Hand-written notes\n")
+        assert report_main(["-e", "ablation_mcl_reuse", "--update", str(document)]) == 1
+        assert document.read_text() == "# Hand-written notes\n"
+        assert "marker" in capsys.readouterr().err
+
+    def test_update_keeps_the_hand_written_head(self, tmp_path):
+        from repro.bench.report import MARKER
+
+        document = tmp_path / "EXPERIMENTS.md"
+        document.write_text(f"# Notes\nkeep me\n{MARKER}\nstale results\n")
+        assert report_main(["-e", "ablation_mcl_reuse", "--update", str(document)]) == 0
+        text = document.read_text()
+        assert text.startswith(f"# Notes\nkeep me\n{MARKER}")
+        assert "stale results" not in text and "ablation_mcl_reuse" in text
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             report_main(["-e", "fig99"])

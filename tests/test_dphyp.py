@@ -160,6 +160,19 @@ class TestDPhypOnHypergraphs:
             oracle.optimize()
             assert dphyp.ccps_processed == oracle.partitions_emitted
 
+    def test_dphyp_is_output_sensitive_the_oracle_is_not(self):
+        # DPhyp processes exactly the valid ccps; the subset oracle examines
+        # every split of every connected subset (~3^n/2 candidates).  Work
+        # counters make the comparison deterministic (wall time is not).
+        catalog = attach_random_hyper_statistics(
+            random_hypergraph(10, n_complex_edges=2, seed=10), seed=10
+        )
+        dphyp = DPhyp(catalog)
+        dphyp.optimize()
+        oracle = HyperDPsub(catalog)
+        oracle.optimize()
+        assert dphyp.ccps_processed * 5 < oracle.subsets_considered
+
     def test_two_relations(self):
         hg = Hypergraph(2, [(0b1, 0b10)])
         plan = DPhyp(uniform_hyper_statistics(hg)).optimize()

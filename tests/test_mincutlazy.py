@@ -117,6 +117,31 @@ class TestTreeReuse:
         )
 
 
+def _drain(graph, use_reuse_test):
+    strategy = MinCutLazy(graph, use_reuse_test=use_reuse_test)
+    for _ in strategy.partitions(graph.all_vertices):
+        pass
+    return strategy
+
+
+class TestReuseAblation:
+    """The reuse test's effect per shape, as the reuse ablation reports it."""
+
+    def test_star_single_build_even_without_reuse(self):
+        # Starting from the hub, every child invocation early-exits (its only
+        # frontier vertex is the excluded hub) before reaching the tree build,
+        # so stars build once regardless of the reuse test.
+        graph = star_graph(10)
+        assert _drain(graph, True).stats.tree_builds == 1
+        assert _drain(graph, False).stats.tree_builds == 1
+
+    def test_clique_reuse_never_fires(self):
+        graph = clique_graph(8)
+        with_reuse = _drain(graph, True).stats
+        assert with_reuse.usability_hits == 0
+        assert with_reuse.tree_builds == 2 ** 6
+
+
 class TestAgainstMinCutBranch:
     def test_same_ccps_on_random_graphs(self, rng):
         from .conftest import random_connected_graph

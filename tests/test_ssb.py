@@ -71,6 +71,15 @@ class TestOptimization:
         assert math.isclose(top_down.cost, bottom_up.cost, rel_tol=1e-9)
         top_down.plan.validate()
 
+    def test_all_flights_agree(self):
+        for name in ssb_query_names():
+            catalog = ssb_query(name)
+            costs = [
+                optimize_query(catalog, algorithm=a).cost
+                for a in ("dpccp", "tdmincutbranch", "tdmincutlazy")
+            ]
+            assert all(math.isclose(c, costs[0], rel_tol=1e-9) for c in costs)
+
     def test_star_plans_are_left_deep_from_hub(self):
         # Star queries only admit hub-extension plans: each join adds
         # one dimension to the set containing the fact table.

@@ -82,6 +82,17 @@ class TestOptimization:
         for algorithm, cost in costs.items():
             assert math.isclose(cost, reference, rel_tol=1e-9), (name, algorithm)
 
+    def test_all_queries_all_algorithms_agree(self):
+        algorithms = ["dpccp", "tdmincutbranch", "tdmincutlazy", "memoizationbasic"]
+        for name in tpch_query_names():
+            catalog = tpch_query(name)
+            costs = [
+                optimize_query(catalog, algorithm=a).cost for a in algorithms
+            ]
+            assert all(
+                math.isclose(c, costs[0], rel_tol=1e-9) for c in costs
+            ), name
+
     def test_q5_prefers_selective_side_first(self):
         # The region filter makes the nation/region side tiny; the
         # optimal plan must not start from the raw lineitem side.
