@@ -1,18 +1,22 @@
 #!/usr/bin/env python
 """Serve-smoke: boot the CLI front door and exercise the wire API.
 
-Unlike ``bench_frontdoor_qps.py`` (which embeds a FrontDoor in-process),
-this drives the real production entry point: ``python -m repro.cli serve``
-as a subprocess, port 0, parsing the printed ``listening on`` line.  The
-scripted workload asserts the contract a deployment's load balancer and
-monitoring depend on:
+Unlike the ``frontdoor`` row of ``benchmarks/gates.py`` (which embeds a
+FrontDoor in-process), this drives the real production entry point,
+``python -m repro.cli serve``, as a subprocess on port 0, parsing the
+printed ``listening on`` line.  The scripted workload asserts the
+contract a deployment's load balancer and monitoring depend on:
 
-* cold request -> 200 ``optimize_reply``; exact replay -> warm cache hit
+* cold request -> 200 ``optimize_reply``; exact replay -> warm cache hit,
+  served through the owning shard's digest memo (no decode, no canonical
+  labeling on the shard)
 * malformed JSON -> 400 with ``error.code = "malformed_json"``
 * envelope version 99 -> 400 with ``error.code = "unsupported_version"``
 * ``GET /v1/healthz`` -> 200, every shard alive
 * ``GET /v1/stats`` -> per-shard snapshots with the expected cache hit
-* ``GET /metrics`` -> Prometheus text with front-door and shard families
+  and digest-memo hit
+* ``GET /metrics`` -> Prometheus text with front-door and shard families,
+  the digest memo's included
 
 Exits non-zero on the first broken expectation.  Used by
 ``make serve-smoke`` (part of ``make verify``) and CI.
@@ -178,7 +182,15 @@ def main() -> int:
             for shard in stats["shards"]
         )
         expect(total_hits >= 1, f"no cache hit recorded in stats: {stats}")
-        print("stats aggregation ok")
+        memo_hits = sum(
+            shard.get("stats", {}).get("digest_memo", {}).get("hits", 0)
+            for shard in stats["shards"]
+        )
+        expect(
+            memo_hits >= 1,
+            f"warm replay was not served through the digest memo: {stats}",
+        )
+        print("stats aggregation ok (the replay was served by the digest memo)")
 
         status, raw = get(port, "/metrics")
         text = raw.decode()
@@ -187,6 +199,7 @@ def main() -> int:
             "repro_frontdoor_requests_total",
             "repro_frontdoor_rejections_total",
             "repro_shard0_requests_total",
+            "repro_shard0_digest_memo_hits_total",
         ):
             expect(needle in text, f"metrics exposition missing {needle}")
         print("prometheus exposition ok")

@@ -26,12 +26,61 @@ import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.errors import OptimizationError, ReproError
 from repro.plan.jointree import JoinTree
 
-__all__ = ["CacheEntry", "PlanCache"]
+__all__ = ["CacheEntry", "LRUMemo", "PlanCache"]
+
+
+class LRUMemo:
+    """Bounded, thread-safe LRU map with monotonic hit/miss counters.
+
+    The small memos in front of the plan cache: the front door's route
+    memo (request digest -> shard) and the service's digest memo
+    (request digest -> resolved cache key).  Values must not be None.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Hashable) -> Any:
+        """The value under ``key`` (refreshing recency, counted) or None."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value
+
+    def peek(self, key: Hashable) -> Any:
+        """The value under ``key`` or None; touches neither recency nor counters."""
+        with self._lock:
+            return self._entries.get(key)
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Insert or refresh ``key``, evicting LRU entries over capacity."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "size": len(self._entries),
+                "capacity": self.capacity,
+                "hits": self.hits,
+                "misses": self.misses,
+            }
 
 
 @dataclass
@@ -58,8 +107,8 @@ class PlanCache:
     ``get`` refreshes recency and counts a hit or miss; ``put`` inserts
     (or refreshes) and evicts the least-recently-used entry beyond
     ``capacity``.  All operations and counters are guarded by one lock,
-    so the cache is safe under :class:`~repro.service.OptimizerService`'s
-    thread pool.
+    because :meth:`~repro.service.OptimizerService.optimize` may be
+    called from several threads at once.
     """
 
     def __init__(self, capacity: int = 512):

@@ -18,7 +18,12 @@ of everything that determines the answer:
 Cached plans are stored in canonical vertex space and rebound to each
 requesting query's numbering and relation names on a hit, so a hit costs
 one canonical labeling plus a tree copy — orders of magnitude below
-enumeration for anything non-trivial.
+enumeration for anything non-trivial.  A caller that names each request
+by a digest of its wire document (the front door forwards the one its
+route memo hashes) skips even that on a replay: a bounded LRU of the
+same capacity as the plan cache maps the digest to the resolved key —
+decoded request, signature, canonical order and the engine ``"auto"``
+chose — so the replay goes straight to the plan cache lookup.
 
 Batches run on one of two executors — ``"serial"`` on the calling
 thread, or ``"process"`` (:mod:`repro.service.executor`), which uses
@@ -73,7 +78,7 @@ from repro.optimizer.api import (
     runs_dpconv,
 )
 from repro.plan.jointree import JoinTree
-from repro.service.cache import CacheEntry, PlanCache
+from repro.service.cache import CacheEntry, LRUMemo, PlanCache
 from repro.service.executor import (
     EXECUTORS,
     ProcessPoolExecutor,
@@ -319,11 +324,30 @@ def _rebind_plan(
     )
 
 
+@dataclass(frozen=True)
+class _ResolvedKey:
+    """What the prepare step resolves a request to: its cache key and
+    everything a hit needs to rebind and label the cached plan.
+
+    ``request`` is the request as decoded; a memoized key serves a later
+    request only when that request shares its ``query`` object, i.e.
+    :meth:`OptimizerService.recall` returned it.
+    """
+
+    request: OptimizationRequest
+    catalog: Catalog
+    cost_model: Optional[CostModel]
+    effective: str
+    signature: str
+    order: Tuple[int, ...]
+
+
 @dataclass
 class _Job:
     """One request moving through the pipeline.
 
-    Created as the request enters (trace started, clock running);
+    Created as the request enters (trace started, clock running), with
+    the caller's ``digest`` of the wire document when it has one;
     :meth:`OptimizerService._begin` then fills in the resolved request,
     the cache outcome and the admission decision.  ``hit`` is the ready
     cache-hit result.  Otherwise ``degrade`` names the ladder rung that
@@ -336,6 +360,7 @@ class _Job:
     request: OptimizationRequest
     trace: Trace
     started: float
+    digest: Optional[str] = None
     run_request: Optional[OptimizationRequest] = None
     catalog: Optional[Catalog] = None
     effective: Optional[str] = None
@@ -352,7 +377,8 @@ class OptimizerService:
     Parameters
     ----------
     cache_capacity:
-        Maximum number of cached plans (LRU beyond that).
+        Maximum number of cached plans (LRU beyond that); it also bounds
+        the digest memo behind :meth:`recall`.
     default_algorithm:
         Registry name (or ``"auto"``) used when a raw query — rather than
         an :class:`OptimizationRequest` — is submitted.
@@ -411,6 +437,7 @@ class OptimizerService:
     ):
         check_deadline(default_deadline_seconds)
         self.cache = PlanCache(cache_capacity)
+        self._digests = LRUMemo(cache_capacity)
         self.metrics = ServiceMetrics()
         self.default_algorithm = default_algorithm
         self.default_cost_model = default_cost_model
@@ -470,22 +497,53 @@ class OptimizerService:
         except Exception:
             return request.algorithm
 
+    def recall(
+        self, digest: Optional[str], deadline_seconds: Optional[float] = None
+    ) -> Optional[OptimizationRequest]:
+        """The request decoded earlier from the document named ``digest``.
+
+        ``digest`` identifies a wire request document *without* its
+        deadline (the front door's route-memo hash); ``deadline_seconds``
+        is the deadline this arrival carries, which replaces the
+        memoized one.  Returns ``None`` for no digest or an unknown or
+        evicted one — the caller then decodes the document itself.  A
+        lookup counts as a digest-memo hit or miss in :meth:`stats_snapshot`.
+        Passing the returned request to :meth:`optimize` with the same
+        ``digest`` skips the key resolution (canonical labeling and the
+        ``"auto"`` choice).
+        """
+        key = self._digests.get(digest) if digest is not None else None
+        if key is None:
+            return None
+        request = key.request
+        if request.deadline_seconds != deadline_seconds:
+            request = replace(request, deadline_seconds=deadline_seconds)
+        return request
+
     def optimize(
         self,
         query: Union[OptimizationRequest, Catalog, QueryInstance, QueryGraph],
+        digest: Optional[str] = None,
         **overrides,
     ) -> OptimizationResult:
         """Optimize one query, consulting and feeding the plan cache.
 
         ``query`` may be a ready :class:`OptimizationRequest` (keyword
         overrides are applied on top) or any raw query object the request
-        accepts.  Raises the library's usual typed errors on failure; use
+        accepts.  ``digest`` names the wire document a request was
+        decoded from (see :meth:`recall`): the resolved key is memoized
+        under it, and a request that :meth:`recall` returned reuses it.
+        Raises the library's usual typed errors on failure; use
         :meth:`optimize_batch` for isolated per-item errors.  A failure
         of any type is recorded (an error under the effective label, a
         stored trace with the ``error`` root attribute) before it
         propagates.
         """
-        job = self._start(self._as_request(query, **overrides))
+        # Overrides make a request other than the one ``digest`` names.
+        job = self._start(
+            self._as_request(query, **overrides),
+            None if overrides else digest,
+        )
         try:
             self._begin(job)
             return self._run_in_thread(job)
@@ -495,15 +553,51 @@ class OptimizerService:
 
     # -- the request pipeline: prepare → admission → engine → finish ----
 
-    def _start(self, request: OptimizationRequest) -> _Job:
+    def _start(
+        self, request: OptimizationRequest, digest: Optional[str] = None
+    ) -> _Job:
         return _Job(
             request,
             self.tracer.start("optimize", tag=request.tag),
             time.perf_counter(),
+            digest,
         )
 
+    def _resolve(self, job: _Job) -> bool:
+        """Resolve the job's cache key; True when the digest memo had it.
+
+        A memoized key skips the catalog resolution and
+        :func:`service_signature` (canonical labeling plus the ``"auto"``
+        choice).  Otherwise the key is computed, and memoized when the
+        job carries a digest.
+        """
+        request = job.request
+        key = self._digests.peek(job.digest) if job.digest is not None else None
+        memoized = key is not None and key.request.query is request.query
+        if not memoized:
+            catalog = request.resolved_catalog()
+            cost_model, effective, signature, order = self._signature(
+                request, catalog
+            )
+            key = _ResolvedKey(
+                request, catalog, cost_model, effective, signature, tuple(order)
+            )
+            if job.digest is not None:
+                self._digests.put(job.digest, key)
+        job.run_request = replace(
+            request,
+            query=key.catalog,
+            cost_model=key.cost_model,
+            algorithm=key.effective,
+        )
+        job.catalog = key.catalog
+        job.effective = key.effective
+        job.signature = key.signature
+        job.order = key.order
+        return memoized
+
     def _begin(self, job: _Job) -> None:
-        """Prepare, cache lookup and admission (parent-side, cheap).
+        """Prepare (resolve the key, look it up), then admission.
 
         On a cache hit ``job.hit`` is the ready result and the pipeline
         skips admission; otherwise ``job.degrade``/``job.admitted``
@@ -513,28 +607,19 @@ class OptimizerService:
         trace = job.trace
         with trace.span("prepare"):
             with trace.span("canonicalize") as span:
-                catalog = request.resolved_catalog()
-                cost_model, effective, signature, order = self._signature(
-                    request, catalog
-                )
+                memoized = self._resolve(job)
                 span.annotate(
-                    algorithm=effective,
-                    n_relations=catalog.graph.n_vertices,
-                    signature=signature[:16],
+                    algorithm=job.effective,
+                    n_relations=job.catalog.graph.n_vertices,
+                    signature=job.signature[:16],
+                    memoized=memoized,
                 )
-            job.run_request = replace(
-                request, query=catalog, cost_model=cost_model, algorithm=effective
-            )
-            job.catalog = catalog
-            job.effective = effective
-            job.signature = signature
-            job.order = tuple(order)
             with trace.span("cache_lookup") as span:
-                entry = self.cache.get(signature)
+                entry = self.cache.get(job.signature)
                 span.set("hit", entry is not None)
             if entry is not None:
                 with trace.span("rebind"):
-                    plan = _rebind_plan(entry.plan, order, catalog)
+                    plan = _rebind_plan(entry.plan, job.order, job.catalog)
                 job.hit = OptimizationResult(
                     plan=plan,
                     algorithm=request.algorithm,
@@ -544,7 +629,7 @@ class OptimizerService:
                     cardinality_estimations=entry.cardinality_estimations,
                     details=dict(entry.details),
                     cache_hit=True,
-                    signature=signature,
+                    signature=job.signature,
                     tag=request.tag,
                 )
                 return
@@ -1154,11 +1239,13 @@ class OptimizerService:
     # ------------------------------------------------------------------
 
     def stats_snapshot(self) -> Dict:
-        """Return a JSON-ready snapshot of cache, breaker, and request metrics."""
+        """Return a JSON-ready snapshot of cache, digest memo, breaker,
+        and request metrics."""
         from repro.optimizer.native import native_backend_status
 
         snapshot = self.metrics.snapshot()
         snapshot["cache"] = self.cache.stats()
+        snapshot["digest_memo"] = self._digests.stats()
         snapshot["breaker"] = self.breaker.snapshot()
         snapshot["backends"] = native_backend_status()
         return snapshot

@@ -15,9 +15,12 @@ versioned v1 wire API (``docs/SERVING.md``):
 Requests are routed by *request signature* over a
 :class:`~repro.service.sharding.ConsistentHashRing`, so isomorphic
 queries always reach the shard that holds their cached plan.  The hot
-path keeps front-door CPU minimal: a bounded LRU **route memo** maps the
-raw request document straight to its shard (replayed traffic skips
-canonicalization entirely), and shards return pre-encoded reply bodies
+path keeps CPU minimal on both sides of the wire: the door hashes the
+raw request document once, and that digest keys a bounded LRU **route
+memo** (a replay skips the door's parse and canonical labeling) and
+travels with the job, where it keys the owning shard's digest memo (a
+replay skips the shard's parse and canonical labeling too, and goes
+straight to the plan cache); shards return pre-encoded reply bodies
 so the event loop only frames HTTP bytes.  Admission is two-layered:
 per-tenant token buckets reject over-quota tenants with 429 before any
 routing work, and each shard's bounded queue rejects overload with 429
@@ -30,11 +33,11 @@ import asyncio
 import hashlib
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ErrorInfo
+from repro.service.cache import LRUMemo
 from repro.service.metrics import render_prometheus
 from repro.service.sharding import (
     ShardPool,
@@ -123,7 +126,7 @@ class FrontDoor:
         self.quotas = TenantQuotas(
             self.config.quota_rate, self.config.quota_burst
         )
-        self._route_memo: "OrderedDict[str, int]" = OrderedDict()
+        self._route_memo = LRUMemo(self.config.route_memo_size)
         self._server: Optional[asyncio.AbstractServer] = None
         self._snapshot_task: Optional[asyncio.Task] = None
         self._draining = False
@@ -133,8 +136,6 @@ class FrontDoor:
         self.requests_total: Dict[str, int] = {}
         self.responses_by_status: Dict[int, int] = {}
         self.rejections: Dict[str, int] = {}
-        self.route_memo_hits = 0
-        self.route_memo_misses = 0
 
     # -- lifecycle -----------------------------------------------------
 
@@ -242,12 +243,17 @@ class FrontDoor:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
+                raw_length = headers.get("content-length", "0") or "0"
                 try:
-                    length = int(headers.get("content-length", "0") or "0")
+                    length = int(raw_length)
                 except ValueError:
+                    length = -1
+                if length < 0:
+                    # A negative length would reach readexactly() and
+                    # drop the connection without a reply.
                     await self._write_error(
                         writer, 400, "invalid_request",
-                        "unparseable Content-Length header",
+                        f"invalid Content-Length header {raw_length!r}",
                     )
                     break
                 if length > self.config.max_body_bytes:
@@ -371,26 +377,22 @@ class FrontDoor:
         finally:
             self._inflight -= 1
 
-    def _route(self, request_document: Dict[str, Any]) -> int:
+    def _route(
+        self, request_document: Dict[str, Any], digest: Optional[str] = None
+    ) -> int:
         """Resolve a request sub-document to its owning shard index.
 
-        The memo keys on the canonical JSON of the *raw* document, so an
-        exact replay costs one hash; a miss pays full deserialization +
-        canonicalization once and funds every future replay.  An
-        isomorphic-but-relabeled request misses the memo but still
-        computes the same signature, so it lands on the same shard (and
-        its warm cache entry) anyway.
+        The memo keys on the document's :func:`_request_digest` (pass it
+        as ``digest`` when already computed), so an exact replay costs
+        one hash; a miss pays full deserialization + canonicalization
+        once and funds every future replay.  An isomorphic-but-relabeled
+        request misses the memo but still computes the same signature,
+        so it lands on the same shard (and its warm cache entry) anyway.
         """
-        blob = json.dumps(
-            request_document, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        memo_key = hashlib.sha256(blob).hexdigest()
+        memo_key = digest or _request_digest(request_document)
         shard = self._route_memo.get(memo_key)
         if shard is not None:
-            self._route_memo.move_to_end(memo_key)
-            self.route_memo_hits += 1
             return shard
-        self.route_memo_misses += 1
         from repro.service.core import service_signature
         from repro.service.sharding import parse_request_document
 
@@ -407,9 +409,7 @@ class FrontDoor:
             request, request.resolved_catalog(), **settings
         )
         shard = self.shards.ring.owner(signature)
-        self._route_memo[memo_key] = shard
-        while len(self._route_memo) > self.config.route_memo_size:
-            self._route_memo.popitem(last=False)
+        self._route_memo.put(memo_key, shard)
         return shard
 
     def _reject(self, reason: str) -> None:
@@ -496,7 +496,8 @@ class FrontDoor:
                 ),
             )
         try:
-            shard_index = self._route(document)
+            digest = _request_digest(document)
+            shard_index = self._route(document, digest)
         except Exception as exc:
             info = ErrorInfo.from_exception(exc)
             return rejected(
@@ -506,7 +507,12 @@ class FrontDoor:
                 retryable=info.retryable,
             )
         client = self.shards.clients[shard_index]
-        job = {"op": "optimize", "request": document, "request_id": request_id}
+        job = {
+            "op": "optimize",
+            "request": document,
+            "request_id": request_id,
+            "digest": digest,
+        }
         if encode_reply:
             job["encode_reply"] = True
         try:
@@ -705,11 +711,7 @@ class FrontDoor:
                 for status, count in sorted(self.responses_by_status.items())
             },
             "rejections": dict(self.rejections),
-            "route_memo": {
-                "hits": self.route_memo_hits,
-                "misses": self.route_memo_misses,
-                "size": len(self._route_memo),
-            },
+            "route_memo": self._route_memo.stats(),
             "quota_rejections": self.quotas.rejections,
             "shards": self.config.shards,
         }
@@ -745,11 +747,11 @@ class FrontDoor:
         lines += [
             "# HELP repro_frontdoor_route_memo_hits_total Route memo hits.",
             "# TYPE repro_frontdoor_route_memo_hits_total counter",
-            f"repro_frontdoor_route_memo_hits_total {self.route_memo_hits}",
+            f"repro_frontdoor_route_memo_hits_total {self._route_memo.hits}",
             "# HELP repro_frontdoor_route_memo_misses_total Route memo "
             "misses.",
             "# TYPE repro_frontdoor_route_memo_misses_total counter",
-            f"repro_frontdoor_route_memo_misses_total {self.route_memo_misses}",
+            f"repro_frontdoor_route_memo_misses_total {self._route_memo.misses}",
             "# HELP repro_frontdoor_shard_queue_depth Requests waiting in "
             "each shard's queue.",
             "# TYPE repro_frontdoor_shard_queue_depth gauge",
@@ -786,6 +788,17 @@ class FrontDoor:
 # ----------------------------------------------------------------------
 # Envelope helpers
 # ----------------------------------------------------------------------
+
+
+def _request_digest(document: Dict[str, Any]) -> str:
+    """SHA-256 of a request document's canonical JSON.
+
+    Computed once per request by the door, before the shard stamps its
+    deadline, so every replay of one document shares the digest and any
+    change to it — statistics, ``stats_epoch``, tag — yields a new one.
+    """
+    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _request_id_of(envelope: Dict[str, Any]) -> Optional[str]:

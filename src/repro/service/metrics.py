@@ -2,8 +2,8 @@
 
 Everything here is in-process and dependency-free: monotonic counters
 plus a bounded-window latency recorder per algorithm, all guarded by one
-lock so a multi-threaded :class:`~repro.service.OptimizerService` can
-record from its worker pool.  ``snapshot()`` returns plain dicts that are
+lock so concurrent :meth:`~repro.service.OptimizerService.optimize`
+calls can record at once.  ``snapshot()`` returns plain dicts that are
 ``json.dumps``-able as-is (the CLI's ``serve-stats`` subcommand does
 exactly that).
 """
@@ -303,8 +303,8 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
 
     Accepts the dict produced by
     :meth:`repro.service.OptimizerService.stats_snapshot` (or a bare
-    :meth:`ServiceMetrics.snapshot`, in which case the cache and breaker
-    sections are simply absent).  Output follows the text-based
+    :meth:`ServiceMetrics.snapshot`, in which case the cache, digest memo
+    and breaker sections are simply absent).  Output follows the text-based
     exposition format version 0.0.4: ``# HELP``/``# TYPE`` comment pairs
     followed by samples, one metric family per block, and a trailing
     newline.  No client library is required — the service's counters are
@@ -348,8 +348,14 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
         family(name, "counter", total_help.get(key, f"Total {key}."))
         sample(name, value)
 
-    cache = snapshot.get("cache")
-    if cache:
+    for section, family_name, title in (
+        ("cache", "plan_cache", "Plan cache"),
+        # Front-door replays whose key resolution the digest memo skipped.
+        ("digest_memo", "digest_memo", "Request-digest memo"),
+    ):
+        counters = snapshot.get(section)
+        if not counters:
+            continue
         for key, kind in (
             ("size", "gauge"),
             ("capacity", "gauge"),
@@ -357,12 +363,12 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
             ("misses", "counter"),
             ("evictions", "counter"),
         ):
-            if key not in cache:
+            if key not in counters:
                 continue
             suffix = "_total" if kind == "counter" else ""
-            name = f"{prefix}_plan_cache_{key}{suffix}"
-            family(name, kind, f"Plan cache {key.replace('_', ' ')}.")
-            sample(name, cache[key])
+            name = f"{prefix}_{family_name}_{key}{suffix}"
+            family(name, kind, f"{title} {key.replace('_', ' ')}.")
+            sample(name, counters[key])
 
     salvage = snapshot.get("salvage_fraction")
     if salvage and salvage.get("count"):

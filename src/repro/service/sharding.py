@@ -325,14 +325,23 @@ def _optimize_on_shard(service, job: Dict[str, Any], shard: int):
     Failures become a typed v1 error envelope instead of an exception —
     the parent never sees a traceback over the pipe.  A wire-supplied
     ``request_id`` is stamped onto the request's trace root so operators
-    can join client logs against shard traces.
+    can join client logs against shard traces.  The front door's
+    ``digest`` of the unstamped document lets a replay skip the decode
+    and the canonical labeling (:meth:`OptimizerService.recall`); jobs
+    without one, and unknown or evicted digests, take the full path.
     """
     from repro import serialize
 
     request_id = job.get("request_id")
+    digest = job.get("digest")
     try:
-        request = parse_request_document(job["request"])
-        result = service.optimize(request)
+        document = job["request"]
+        request = None
+        if digest is not None:
+            request = service.recall(digest, document.get("deadline_seconds"))
+        if request is None:
+            request = parse_request_document(document)
+        result = service.optimize(request, digest=digest)
     except Exception as exc:
         info = ErrorInfo.from_exception(exc)
         reply = {
@@ -732,9 +741,6 @@ class ShardPool:
     def start(self) -> None:
         for client in self.clients:
             client.start()
-
-    def client_for(self, signature: str) -> ShardClient:
-        return self.clients[self.ring.owner(signature)]
 
     async def snapshot_all(self) -> Dict[int, Optional[int]]:
         """Persist every shard's cache; returns entries saved per shard."""

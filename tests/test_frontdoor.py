@@ -297,6 +297,30 @@ class TestRejections:
 
         run(body())
 
+    @pytest.mark.parametrize("length", ["-5", "five"])
+    def test_bad_content_length_is_400_typed(self, length):
+        async def body():
+            async with door_on(shards=1) as door:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", door.port
+                )
+                writer.write(
+                    (
+                        "POST /v1/optimize HTTP/1.1\r\nHost: test\r\n"
+                        f"Content-Length: {length}\r\n\r\n"
+                    ).encode()
+                )
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                head, _, payload = raw.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 ")
+                reply = json.loads(payload)
+                assert reply["error"]["code"] == "invalid_request"
+                assert length in reply["error"]["message"]
+
+        run(body())
+
     def test_unknown_path_and_wrong_method(self):
         async def body():
             async with door_on() as door:
@@ -479,6 +503,9 @@ class TestObservabilityAndWarming:
                 assert "repro_frontdoor_requests_total" in exposition
                 assert f"repro_shard{owner}_requests_total" in exposition
                 assert "repro_frontdoor_shard_queue_depth" in exposition
+                # The replay was served through the shard's digest memo.
+                assert shard_stats["digest_memo"]["hits"] == 1
+                assert f"repro_shard{owner}_digest_memo_hits_total" in exposition
 
         run(body())
 
@@ -610,6 +637,37 @@ class TestDrainAndCooperativeDeadlines:
                 )
                 assert status == 200
                 assert stats["shards"][0]["warmed_entries"] == 1
+
+        run(body())
+
+    def test_respawned_shard_serves_a_known_digest_with_an_empty_memo(self):
+        async def body():
+            async with door_on(shards=1) as door:
+                client = door.shards.clients[0]
+                document = request_document(seed=13, n=6)
+                status, _, first = await http_request(
+                    door.port, "POST", "/v1/optimize", envelope(document)
+                )
+                assert status == 200
+                payload = await client.submit(
+                    {"op": "crash"}, deadline_seconds=10.0
+                )
+                assert payload["status"] == 503
+                # The door still knows the digest; the new shard's memo
+                # and plan cache are empty, so it takes the full path.
+                status, _, reply = await http_request(
+                    door.port, "POST", "/v1/optimize", envelope(document)
+                )
+                assert status == 200
+                assert reply["result"]["cache_hit"] is False
+                assert reply["result"]["plan"] == first["result"]["plan"]
+                assert door._route_memo.hits == 1
+                status, _, stats = await http_request(
+                    door.port, "GET", "/v1/stats"
+                )
+                memo = stats["shards"][0]["stats"]["digest_memo"]
+                assert memo["hits"] == 0 and memo["misses"] == 1
+                assert memo["size"] == 1
 
         run(body())
 

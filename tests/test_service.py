@@ -424,6 +424,42 @@ class TestThreadSafety:
         assert totals["requests"] == 32
         assert totals["cache_hits"] + totals["cache_misses"] == 32
 
+    def test_lru_memo_counts_and_bound_survive_contention(self):
+        import sys
+
+        from repro.service.cache import LRUMemo
+
+        memo = LRUMemo(capacity=4)
+        rounds = 2000
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(rounds):
+                    key = (offset + i) % 7
+                    if memo.get(key) is None:
+                        memo.put(key, i + 1)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,)) for k in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        stats = memo.stats()
+        assert stats["hits"] + stats["misses"] == 6 * rounds
+        assert stats["size"] <= 4
+
 
 class TestPersistence:
     def test_cache_round_trip(self, tmp_path):
@@ -487,3 +523,185 @@ class TestMetrics:
         assert service.stats_snapshot()["totals"]["requests"] == 0
         # Cache content survives a metrics reset.
         assert service.optimize(catalog, algorithm="tdmincutbranch").cache_hit
+
+
+class TestDigestMemo:
+    """A replayed wire document (same door digest) skips decode and key
+    resolution on the shard, and is never served a stale plan."""
+
+    @staticmethod
+    def document(seed=3, shape="cycle", n=8, tag="q", **fields):
+        from repro import serialize
+
+        catalog = WorkloadGenerator(seed=seed).fixed_shape(shape, n).catalog
+        request = OptimizationRequest(
+            query=catalog, algorithm="auto", tag=tag, **fields
+        )
+        return serialize.request_to_dict(request)
+
+    @staticmethod
+    def serve(service, document, deadline=30.0, digest=True):
+        """One shard op, as the door sends it: digest of the unstamped
+        document, deadline stamped on top."""
+        from repro.service.executor import stamp_deadline
+        from repro.service.frontdoor import _request_digest
+        from repro.service.sharding import _optimize_on_shard
+
+        job = {
+            "op": "optimize",
+            "request": stamp_deadline(document, deadline),
+            "digest": _request_digest(document) if digest else None,
+        }
+        reply, status = _optimize_on_shard(service, job, shard=0)
+        assert status == 200, reply
+        return reply["result"]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count decodes and canonical labelings on the shard path."""
+        from repro.service import core, sharding
+
+        counts = {"parse": 0, "signature": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            sharding,
+            "parse_request_document",
+            counting("parse", sharding.parse_request_document),
+        )
+        monkeypatch.setattr(
+            core, "request_signature", counting("signature", core.request_signature)
+        )
+        return counts
+
+    def test_replay_skips_decode_and_signature(self, calls):
+        service = OptimizerService(cache_capacity=8)
+        document = self.document(tag="replay-me")
+        first = self.serve(service, document)
+        assert calls == {"parse": 1, "signature": 1}
+        replay = self.serve(service, document, deadline=12.5)
+        assert calls == {"parse": 1, "signature": 1}
+        assert not first["cache_hit"] and replay["cache_hit"]
+        assert replay["plan"] == first["plan"]  # tree, costs, relation names
+        assert replay["tag"] == first["tag"] == "replay-me"
+        assert replay["signature"] == first["signature"]
+        assert replay["algorithm"] == first["algorithm"] == "auto"
+        memo = service.stats_snapshot()["digest_memo"]
+        assert memo["hits"] == 1 and memo["misses"] == 1 and memo["size"] == 1
+        canonicalize = service.traces.get(replay["trace_id"]).find("canonicalize")
+        assert canonicalize.attributes["memoized"] is True
+        first_trace = service.traces.get(first["trace_id"])
+        assert first_trace.find("canonicalize").attributes["memoized"] is False
+
+    @pytest.mark.parametrize("drift", ["statistics", "stats_epoch"])
+    def test_drifted_document_misses_and_is_served_fresh(self, drift, calls):
+        from repro import serialize
+
+        service = OptimizerService(cache_capacity=8)
+        document = self.document(seed=4, shape="chain", n=6)
+        self.serve(service, document)
+        drifted = json.loads(json.dumps(document))
+        if drift == "statistics":
+            for relation in drifted["query"]["relations"][::2]:
+                relation["cardinality"] *= 1000
+        else:
+            drifted["stats_epoch"] = 1
+        result = self.serve(service, drifted)
+        assert calls == {"parse": 2, "signature": 2}
+        assert not result["cache_hit"]
+        assert service.stats_snapshot()["digest_memo"]["misses"] == 2
+        fresh = OptimizerService().optimize(serialize.request_from_dict(drifted))
+        assert result["plan"] == serialize.plan_to_dict(fresh.plan)
+
+    def test_isomorphic_relabeling_takes_full_path_and_hits(self, calls):
+        from repro import serialize
+
+        service = OptimizerService(cache_capacity=8)
+        document = self.document(seed=5, shape="cycle", n=7)
+        first = self.serve(service, document)
+        request = serialize.request_from_dict(document)
+        relabelled = serialize.request_to_dict(
+            request.with_query(
+                relabelled_catalog(request.query, [3, 6, 0, 5, 1, 4, 2])
+            )
+        )
+        result = self.serve(service, relabelled)
+        assert calls == {"parse": 2, "signature": 2}
+        assert result["cache_hit"]
+        assert result["signature"] == first["signature"]
+        assert math.isclose(
+            serialize.plan_from_dict(result["plan"]).cost,
+            serialize.plan_from_dict(first["plan"]).cost,
+            rel_tol=1e-9,
+        )
+
+    def test_evicted_plan_runs_under_this_requests_deadline(self, monkeypatch):
+        from repro.service import core
+
+        service = OptimizerService(cache_capacity=1)
+        document = self.document(seed=6, shape="chain", n=6)
+        self.serve(service, document, deadline=30.0)
+        # A library call (no digest) evicts the plan but not the memo.
+        service.optimize(WorkloadGenerator(seed=7).fixed_shape("star", 5).catalog)
+        assert service.stats_snapshot()["digest_memo"]["size"] == 1
+        deadlines = []
+
+        def spy(request):
+            deadlines.append(request.deadline_seconds)
+            return real(request)
+
+        real = core.optimize_request
+        monkeypatch.setattr(core, "optimize_request", spy)
+        result = self.serve(service, document, deadline=7.5)
+        assert not result["cache_hit"]
+        assert deadlines == [7.5]
+        assert service.stats_snapshot()["digest_memo"]["hits"] == 1
+
+    def test_overrides_never_reuse_or_replace_the_memoized_key(self):
+        from repro.service.frontdoor import _request_digest
+
+        service = OptimizerService(cache_capacity=8)
+        document = self.document(seed=10, shape="chain", n=6)
+        first = self.serve(service, document)
+        digest = _request_digest(document)
+        other = service.optimize(
+            service.recall(digest), digest=digest, algorithm="dpccp"
+        )
+        assert other.signature != first["signature"]
+        assert self.serve(service, document)["signature"] == first["signature"]
+
+    def test_memo_is_bounded_by_cache_capacity(self):
+        service = OptimizerService(cache_capacity=3)
+        for seed in range(7):
+            self.serve(service, self.document(seed=seed, shape="chain", n=5))
+            assert service.stats_snapshot()["digest_memo"]["size"] <= 3
+        memo = service.stats_snapshot()["digest_memo"]
+        assert memo["size"] == 3 and memo["capacity"] == 3
+
+    def test_jobs_without_digest_bypass_the_memo(self, calls):
+        service = OptimizerService(cache_capacity=8)
+        document = self.document(seed=8)
+        self.serve(service, document, digest=False)
+        replay = self.serve(service, document, digest=False)
+        assert replay["cache_hit"]
+        assert calls == {"parse": 2, "signature": 2}
+        memo = service.stats_snapshot()["digest_memo"]
+        assert memo == {"size": 0, "capacity": 8, "hits": 0, "misses": 0}
+
+    def test_memo_renders_in_prometheus(self):
+        from repro.service.metrics import render_prometheus
+
+        service = OptimizerService(cache_capacity=8)
+        document = self.document(seed=9)
+        self.serve(service, document)
+        self.serve(service, document)
+        text = render_prometheus(service.stats_snapshot())
+        assert "repro_digest_memo_hits_total 1" in text
+        assert "repro_digest_memo_misses_total 1" in text
+        assert "repro_digest_memo_size 1" in text
