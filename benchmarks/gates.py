@@ -70,8 +70,13 @@ def _optimize(optimizer, run=None):
     return Sample(time.perf_counter() - started, (optimizer, plan))
 
 
-def _kernel(catalog):
-    return _optimize(TopDownPlanGenerator(catalog, MinCutBranch, CoutCostModel()))
+def _kernel(catalog, backend="off"):
+    """The top-down kernel: the python one unless a row asks for C.  Rows
+    that measure the python kernel pin it, or they would silently start
+    timing C wherever a kernel is built."""
+    return _optimize(TopDownPlanGenerator(
+        catalog, MinCutBranch, CoutCostModel(), native_backend=backend
+    ))
 
 
 def _dpconv(catalog, backend):
@@ -418,7 +423,8 @@ def _dpconv_cases() -> List[Case]:
 
 # ----------------------------------------------------------------------
 # native: the C dpconv rung is >= 5x faster than pure python, with the
-# same plan tree, cost, cost_evaluations and memo size
+# same plan tree, cost, cost_evaluations and memo size (the C top-down
+# rows below share the gate name, so ``make bench-native`` runs all three)
 # ----------------------------------------------------------------------
 
 
@@ -484,6 +490,59 @@ def _native_cases() -> List[Case]:
 
 
 # ----------------------------------------------------------------------
+# native_topdown: the C top-down kernel is >= 10x faster than the python
+# kernel, with the same plan tree, cost, counters and memo size
+# ----------------------------------------------------------------------
+
+
+def _native_topdown_cases() -> List[Case]:
+    def parity(python_run, c_run):
+        (python, python_plan), (native, plan) = python_run, c_run
+        if python.last_backend != "python" or native.last_backend != "c":
+            yield (
+                f"expected python vs c, ran {python.last_backend!r} vs "
+                f"{native.last_backend!r}"
+            )
+        if plan != python_plan:
+            yield "C plan tree differs from the python kernel's"
+        if plan.cost != python_plan.cost:
+            yield f"C cost {plan.cost!r} differs from python cost {python_plan.cost!r}"
+        if native.builder.cost_evaluations != python.builder.cost_evaluations:
+            yield (
+                f"C cost_evaluations {native.builder.cost_evaluations} != "
+                f"{python.builder.cost_evaluations}"
+            )
+        if native.partitioner.stats != python.partitioner.stats:
+            yield (
+                f"C partition stats {native.partitioner.stats} != "
+                f"{python.partitioner.stats}"
+            )
+        if len(native.builder.memo) != len(python.builder.memo):
+            yield f"C memo size {len(native.builder.memo)} != {len(python.builder.memo)}"
+        plan.validate()
+
+    # The kernel gate's shapes but chain-100, which is past the C
+    # kernel's 64-relation mask.
+    shapes = [
+        ("chain-18", chain_graph(18), 7),
+        ("star-14", star_graph(14), 5),
+        ("cycle-16", cycle_graph(16), 7),
+        ("clique-14", clique_graph(14), 2),
+    ]
+    cases = []
+    for label, graph, repeat in shapes:
+        catalog = _catalog(graph)
+        cases.append(Case(
+            label,
+            baseline=functools.partial(_kernel, catalog, "off"),
+            candidate=functools.partial(_kernel, catalog, "c"),
+            repeat=repeat,
+            parity=parity,
+        ))
+    return cases
+
+
+# ----------------------------------------------------------------------
 # anytime: a 50ms-deadline clique-16 salvages a valid plan no costlier
 # than GOO within 50 + 20 ms, and the budget checks cost <= 1%
 # ----------------------------------------------------------------------
@@ -528,17 +587,48 @@ def _overhead_cases() -> List[Case]:
         ("grid-3x4", grid_graph(3, 4), 3, 9),
         ("clique-12", clique_graph(12), 1, 5),
     ]
+    return _budget_overhead_cases(shapes, "off")
 
+
+def _native_overhead_cases() -> List[Case]:
+    # The same shapes on the C kernel, each run ~100x shorter, so
+    # ``inner`` is larger; the checks are the chunked node charges between
+    # C calls and the deadline callback from inside them.  Legs this
+    # short jitter by a few percent on a shared host, so each shape takes
+    # 21 pairs to resolve a 1% effect.
+    shapes = [
+        ("chain-16", chain_graph(16), 250, 21),
+        ("cycle-14", cycle_graph(14), 250, 21),
+        ("star-14", star_graph(14), 12, 21),
+        ("grid-3x4", grid_graph(3, 4), 50, 21),
+        ("clique-12", clique_graph(12), 8, 21),
+    ]
+    return _budget_overhead_cases(shapes, "c")
+
+
+def _budget_overhead_cases(shapes, backend) -> List[Case]:
     def run(catalog, budgeted):
-        optimizer = TopDownPlanGenerator(catalog, MinCutBranch, CoutCostModel())
+        optimizer = TopDownPlanGenerator(
+            catalog, MinCutBranch, CoutCostModel(), native_backend=backend
+        )
         if budgeted:
             # Far-future deadline: every check runs, none ever fires.
             optimizer.budget = Budget(deadline_seconds=1e9)
-        return optimizer.optimize()
+        return optimizer, optimizer.optimize()
 
     def parity(plain, budgeted):
-        if plain.cost != budgeted.cost:
-            yield f"far-future budget changed the answer ({budgeted.cost!r} vs {plain.cost!r})"
+        (plain_run, plain_plan), (budgeted_run, budgeted_plan) = plain, budgeted
+        expected = "c" if backend == "c" else "python"
+        if {plain_run.last_backend, budgeted_run.last_backend} != {expected}:
+            yield (
+                f"expected the {expected} kernel, ran {plain_run.last_backend!r} "
+                f"and {budgeted_run.last_backend!r}"
+            )
+        if plain_plan.cost != budgeted_plan.cost:
+            yield (
+                f"far-future budget changed the answer ({budgeted_plan.cost!r} "
+                f"vs {plain_plan.cost!r})"
+            )
 
     cases = []
     for label, graph, inner, pairs in shapes:
@@ -694,6 +784,11 @@ GATES = [
          floor=1.5),
     Gate("native", "C dpconv rung vs pure python", _native_cases,
          floor=5.0, geomean=True, skip=_native_skip),
+    Gate("native", "native_topdown: C top-down kernel vs the python kernel",
+         _native_topdown_cases, floor=10.0, geomean=True, skip=_native_skip),
+    Gate("native", "far-future budget vs none on the C top-down kernel",
+         _native_overhead_cases, ceiling=1.01, median=True, geomean=True,
+         noise_ceiling=0.005, skip=_native_skip),
     # The 50ms deadline plus a 20ms salvage allowance.
     Gate("anytime", "50ms-deadline clique-16 salvage (seconds)", _salvage_cases,
          ceiling=0.070, slack=4.0, warmup=False),

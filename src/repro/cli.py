@@ -420,8 +420,10 @@ def _backends_main(argv: List[str]) -> int:
         print(f"c kernel:  built ({c_kernel['path']}, tag {c_kernel['tag']})")
     else:
         print("c kernel:  not built")
+    limits = status["max_n"]
     print(
-        f"limits:    c n<={status['max_n']['c']} "
+        f"limits:    c dpconv n<={limits['dpconv']}, "
+        f"c top-down n<={limits['topdown']} "
         "(larger queries use pure python)"
     )
     return 0

@@ -1,17 +1,33 @@
-"""Lazy cffi build/load machinery for the compiled dpconv rung.
+"""Lazy cffi build/load machinery for the compiled C engines.
 
-The C kernel here is a line-for-line transcription of the ``C_out`` hot
-path in :meth:`repro.optimizer.dpconv.DPconvPlanGenerator._convolve`:
-same ascending set order, same descending-submask split scan with a
-strict ``<`` winner, same ``(left_card * right_card) * selectivity``
-multiplication order, and a ``sel_between`` that replicates
+One C source, one module, two engines:
+
+* ``dpconv_cout_range`` is a line-for-line transcription of the
+  ``C_out`` hot path in
+  :meth:`repro.optimizer.dpconv.DPconvPlanGenerator._convolve`: same
+  ascending set order, same descending-submask split scan with a strict
+  ``<`` winner, same ``(left_card * right_card) * selectivity``
+  multiplication order.
+* ``td_run`` (with ``td_new`` / ``td_seed`` / ``td_push`` /
+  ``td_unfinished`` / ``td_free``) transcribes MinCutBranch (:mod:`repro.enumeration.mincutbranch`) and
+  the iterative TDPGSUB of :mod:`repro.optimizer.kernel` for ``C_out``:
+  same ccp emission order, same deferral, same first-priced pair
+  seeding the cardinality, strict ``<`` ties, same operation order.  A
+  set is one ``uint64`` mask (n <= 64); the memo is an open-addressing
+  table keyed by mask, and the state lives in a C-owned ``td_ctx`` so
+  the python driver can charge node budgets between calls; deadlines are
+  checked through ``td_check``, an ``extern "Python"`` callback the
+  driver defines (see :func:`repro.optimizer.native.run_c_topdown`).
+
+Both share a ``sel_between`` that replicates
 :meth:`repro.catalog.statistics.Catalog.selectivity_between` exactly —
 smaller-side swap first, then the smaller side's vertices low-bit first,
 each vertex's selectivity list in stored order.  Because every float
 operation happens in the same order on IEEE-754 doubles (SSE2 — no x87
-extended precision on any platform we build for), the compiled rung is
-**bit-identical** to the pure engine, not merely close, and the same
-equivalence corpus gates both.
+extended precision on any platform we build for; ``-ffp-contract=off``
+rules out fused multiply-adds), each compiled engine is
+**bit-identical** to its pure engine, not merely close, and the same
+equivalence corpora gate both.
 
 Build strategy (out-of-line API mode):
 
@@ -21,7 +37,7 @@ Build strategy (out-of-line API mode):
   extension is moved into the cache dir with ``os.replace`` — two
   processes racing to build the same kernel both succeed;
 * *any* failure (no cffi, no compiler, read-only filesystem, ...)
-  degrades silently: callers get ``None`` and dpconv runs in pure
+  degrades silently: callers get ``None`` and both engines run in pure
   python, which returns the same plans — a host without a C toolchain
   behaves byte-identically to a tree without this module.
 
@@ -62,11 +78,45 @@ long long dpconv_cout_range(
     unsigned long long *best_left,
     unsigned long long *best_right,
     long long *priced_out);
+
+typedef struct {
+    void *check_arg;
+    long long countdown;
+    long long calls;
+    long long loops;
+    long long emitted;
+    long long reachable_calls;
+    long long reachable_iterations;
+    long long estimations;
+    long long o_len;
+    unsigned long long *o_set;
+    unsigned long long *o_left;
+    unsigned long long *o_right;
+    double *o_card;
+    double *o_cost;
+    ...;
+} td_ctx;
+
+td_ctx *td_new(
+    int n,
+    const unsigned long long *adj,
+    const int *sel_off,
+    const unsigned long long *sel_nbit,
+    const double *sel_val,
+    long long max_items);
+void td_free(td_ctx *ctx);
+int td_seed(td_ctx *ctx, unsigned long long set, double card, double cost);
+int td_push(td_ctx *ctx, unsigned long long set);
+int td_run(td_ctx *ctx);
+long long td_unfinished(td_ctx *ctx);
+extern "Python" int td_check(void *);
 """
 
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #if defined(__GNUC__) || defined(__clang__)
 #  define POPCOUNT64(x) ((int)__builtin_popcountll(x))
@@ -179,6 +229,547 @@ long long dpconv_cout_range(
     *priced_out += priced_total;
     return settled;
 }
+
+/* ---------------------------------------------------------------------
+ * Top-down: MinCutBranch (Figs. 4-6) feeding the iterative TDPGSUB of
+ * repro/optimizer/kernel.py, C_out pricing only, one uint64 per set.
+ *
+ * Every step mirrors the python kernel: a work stack of explore and
+ * finish frames; per explored set the ccps priceable on sight form a
+ * prefix and the first unpriceable one latches deferral, after which
+ * pairs are only recorded (and their unfinished operands scheduled once,
+ * in first-sight order) and priced in order when the set is finished;
+ * the first priced pair seeds the cardinality with
+ * (lc * rc) * sel_between(l, r); a candidate wins on strict <.  Costs,
+ * splits, the finish order and every counter are therefore equal to
+ * the python kernel's.
+ *
+ * A budgeted run calls back into python (``td_check``, the budget's
+ * deadline check) every TD_CHECK_STRIDE ccps emitted or priced, also in
+ * the middle of one set's enumeration: a single clique set emits
+ * 2^(k-1) ccps, far too many to run unchecked.  An expiry, or state past
+ * ``max_items`` sets or frames, halts the run: the enumeration unwinds
+ * and the interrupted frame stays on the stack, unfinished.
+ * ------------------------------------------------------------------ */
+
+#define TD_SEEN 1u   /* scheduled as an operand, not finished yet */
+#define TD_DONE 2u   /* finished: card and cost are final */
+
+#define TD_CHECK_STRIDE (1 << 14)
+#define TD_EXPIRED 1  /* halt: td_check reported the budget expired */
+#define TD_NOMEM 2    /* halt: out of memory or past max_items */
+
+/* Calls back into python (defined with ffi.def_extern on load): nonzero
+ * means stop. */
+static int td_check(void *arg);
+
+typedef struct {
+    unsigned long long key;    /* 0 marks an empty slot */
+    double card;
+    double cost;
+    unsigned int state;
+    unsigned int stamp;        /* last exploration that scheduled it */
+} td_slot;
+
+typedef struct {
+    unsigned long long set;
+    long long pend_off;        /* -1: explore the set; else finish it */
+    long long pend_cnt;
+    double card;
+    double cost;
+    unsigned long long left;
+    unsigned long long right;
+    int has_card;
+} td_frame;
+
+typedef struct {
+    /* shared with the python driver (declared in _CDEF) */
+    void *check_arg;           /* td_check's argument; NULL: unbudgeted */
+    long long countdown;
+    long long calls;
+    long long loops;
+    long long emitted;
+    long long reachable_calls;
+    long long reachable_iterations;
+    long long estimations;
+    long long o_len;
+    unsigned long long *o_set;
+    unsigned long long *o_left;
+    unsigned long long *o_right;
+    double *o_card;
+    double *o_cost;
+    /* private */
+    long long sp;
+    unsigned long long adj[64];
+    int sel_off[65];
+    unsigned long long *sel_nbit;
+    double *sel_val;
+    td_slot *slots;
+    unsigned long long slot_mask;
+    int slot_shift;
+    long long used;
+    td_frame *stack;
+    long long stack_cap;
+    unsigned long long *pend;  /* deferred pairs, two words each */
+    long long pend_len;
+    long long pend_cap;
+    unsigned long long *kids;
+    long long kids_len;
+    long long kids_cap;
+    long long o_cap;
+    long long max_items;       /* cap on table sets and stack frames */
+    long long tick;            /* ccps until the next td_check */
+    unsigned int stamp;
+    int charged;
+    int halt;                  /* 0, TD_EXPIRED or TD_NOMEM */
+    /* the set being explored */
+    int deferring;
+    int has_card;
+    double t_card;
+    double t_cost;
+    unsigned long long t_left;
+    unsigned long long t_right;
+} td_ctx;
+
+/* ``buffer`` with room for ``need`` items (doubling), or NULL when out
+ * of memory (``buffer`` is then left as it was). */
+static void *td_grow(void *buffer, long long *cap, long long need, size_t item)
+{
+    if (need <= *cap) return buffer;
+    long long size = *cap ? *cap : 64;
+    while (size < need) size *= 2;
+    void *grown = realloc(buffer, (size_t)size * item);
+    if (grown) *cap = size;
+    return grown;
+}
+
+static inline unsigned long long td_home(const td_ctx *c, unsigned long long key)
+{
+    return (key * 0x9E3779B97F4A7C15ULL) >> c->slot_shift;
+}
+
+static td_slot *td_find(const td_ctx *c, unsigned long long key)
+{
+    unsigned long long i = td_home(c, key);
+    for (;;) {
+        td_slot *slot = &c->slots[i];
+        if (slot->key == key) return slot;
+        if (!slot->key) return NULL;
+        i = (i + 1) & c->slot_mask;
+    }
+}
+
+static int td_rehash(td_ctx *c, int shift)
+{
+    unsigned long long size = 1ULL << (64 - shift);
+    td_slot *old = c->slots;
+    unsigned long long old_size = old ? c->slot_mask + 1 : 0;
+    td_slot *slots = (td_slot *)calloc((size_t)size, sizeof(td_slot));
+    if (!slots) return -1;
+    c->slots = slots;
+    c->slot_mask = size - 1;
+    c->slot_shift = shift;
+    for (unsigned long long j = 0; j < old_size; j++) {
+        if (!old[j].key) continue;
+        unsigned long long i = td_home(c, old[j].key);
+        while (slots[i].key) i = (i + 1) & c->slot_mask;
+        slots[i] = old[j];
+    }
+    free(old);
+    return 0;
+}
+
+/* The slot of ``key``, created (TD_SEEN) when absent; NULL when out of
+ * memory or at ``max_items`` sets.  The table stays at most half full. */
+static td_slot *td_insert(td_ctx *c, unsigned long long key)
+{
+    if ((unsigned long long)(c->used + 1) * 2 > c->slot_mask + 1) {
+        if (td_rehash(c, c->slot_shift - 1)) return NULL;
+    }
+    unsigned long long i = td_home(c, key);
+    for (;;) {
+        td_slot *slot = &c->slots[i];
+        if (slot->key == key) return slot;
+        if (!slot->key) {
+            if (c->used >= c->max_items) return NULL;
+            slot->key = key;
+            slot->state = TD_SEEN;
+            c->used++;
+            return slot;
+        }
+        i = (i + 1) & c->slot_mask;
+    }
+}
+
+static int td_push_frame(td_ctx *c, const td_frame *frame)
+{
+    if (c->sp >= c->max_items) return -1;
+    td_frame *stack = (td_frame *)td_grow(
+        c->stack, &c->stack_cap, c->sp + 1, sizeof(td_frame));
+    if (!stack) return -1;
+    c->stack = stack;
+    c->stack[c->sp++] = *frame;
+    return 0;
+}
+
+/* Record a finished set: final in the table, appended to the finish
+ * order the python driver flushes into the MemoTable. */
+static int td_settle(td_ctx *c, unsigned long long set, double card,
+                     double cost, unsigned long long left,
+                     unsigned long long right)
+{
+    td_slot *slot = td_insert(c, set);
+    if (!slot) return -1;
+    slot->state = TD_DONE;
+    slot->card = card;
+    slot->cost = cost;
+    if (c->o_len == c->o_cap) {
+        long long cap = c->o_cap ? 2 * c->o_cap : 64;
+        unsigned long long *o_set = (unsigned long long *)realloc(
+            c->o_set, (size_t)cap * sizeof(unsigned long long));
+        if (o_set) c->o_set = o_set;
+        unsigned long long *o_left = (unsigned long long *)realloc(
+            c->o_left, (size_t)cap * sizeof(unsigned long long));
+        if (o_left) c->o_left = o_left;
+        unsigned long long *o_right = (unsigned long long *)realloc(
+            c->o_right, (size_t)cap * sizeof(unsigned long long));
+        if (o_right) c->o_right = o_right;
+        double *o_card = (double *)realloc(c->o_card, (size_t)cap * sizeof(double));
+        if (o_card) c->o_card = o_card;
+        double *o_cost = (double *)realloc(c->o_cost, (size_t)cap * sizeof(double));
+        if (o_cost) c->o_cost = o_cost;
+        if (!o_set || !o_left || !o_right || !o_card || !o_cost) return -1;
+        c->o_cap = cap;
+    }
+    c->o_set[c->o_len] = set;
+    c->o_left[c->o_len] = left;
+    c->o_right[c->o_len] = right;
+    c->o_card[c->o_len] = card;
+    c->o_cost[c->o_len] = cost;
+    c->o_len++;
+    return 0;
+}
+
+static void td_schedule(td_ctx *c, unsigned long long set)
+{
+    td_slot *slot = td_insert(c, set);
+    if (!slot) { c->halt = TD_NOMEM; return; }
+    if (slot->state == TD_DONE || slot->stamp == c->stamp) return;
+    slot->stamp = c->stamp;
+    unsigned long long *kids = (unsigned long long *)td_grow(
+        c->kids, &c->kids_cap, c->kids_len + 1, sizeof(unsigned long long));
+    if (!kids) { c->halt = TD_NOMEM; return; }
+    c->kids = kids;
+    c->kids[c->kids_len++] = set;
+}
+
+/* Count one ccp emitted or priced; every TD_CHECK_STRIDE of them a
+ * budgeted run asks python whether its budget has expired. */
+static inline void td_tick(td_ctx *c)
+{
+    if (--c->tick) return;
+    c->tick = TD_CHECK_STRIDE;
+    if (c->check_arg && td_check(c->check_arg)) c->halt = TD_EXPIRED;
+}
+
+/* The kernel's ``emit``: price on sight until the first pair with an
+ * unfinished operand, then record every remaining pair. */
+static void td_emit(td_ctx *c, unsigned long long left, unsigned long long right)
+{
+    td_tick(c);
+    if (!c->deferring) {
+        const td_slot *l = td_find(c, left);
+        if (l && l->state == TD_DONE) {
+            const td_slot *r = td_find(c, right);
+            if (r && r->state == TD_DONE) {
+                double oc;
+                if (c->has_card) {
+                    oc = c->t_card;
+                } else {
+                    oc = (l->card * r->card)
+                        * sel_between(left, right, c->sel_off, c->sel_nbit, c->sel_val);
+                    c->t_card = oc;
+                    c->has_card = 1;
+                    c->estimations++;
+                }
+                double total = oc + (l->cost + r->cost);
+                if (total < c->t_cost) {
+                    c->t_cost = total;
+                    c->t_left = left;
+                    c->t_right = right;
+                }
+                return;
+            }
+        }
+        c->deferring = 1;
+    }
+    unsigned long long *pend = (unsigned long long *)td_grow(
+        c->pend, &c->pend_cap, c->pend_len + 1, 2 * sizeof(unsigned long long));
+    if (!pend) { c->halt = TD_NOMEM; return; }
+    c->pend = pend;
+    c->pend[2 * c->pend_len] = left;
+    c->pend[2 * c->pend_len + 1] = right;
+    c->pend_len++;
+    td_schedule(c, left);
+    td_schedule(c, right);
+}
+
+/* MINCUTBRANCH (Fig. 5) with the Sec. III-C optimizations, REACHABLE
+ * (Fig. 6) inlined at case (3): the transcription of
+ * MinCutBranch.partitions_into, line for line, so ccps are emitted in
+ * the same order and the work counters advance the same way.  Once the
+ * run halts, every active call returns at its next recursion or emit. */
+static unsigned long long td_mincut(
+    td_ctx *c, unsigned long long s_set, unsigned long long c_set,
+    unsigned long long x_set, unsigned long long l_set,
+    unsigned long long c_neighbors)
+{
+    const unsigned long long *adj = c->adj;
+    c->calls++;
+    unsigned long long neighbors_of_l = adj[CTZ64(l_set)] & s_set & ~c_set;
+    unsigned long long n_l = neighbors_of_l & ~x_set;             /* line 3 */
+    unsigned long long n_x = neighbors_of_l & x_set;              /* line 4 */
+    unsigned long long n_b = c_neighbors & ~n_l & ~x_set;         /* line 5 */
+    unsigned long long r_set = 0, r_tmp = 0, x_prime = x_set;
+    while (n_l || n_x || (n_b & r_tmp)) {                         /* line 6 */
+        c->loops++;
+        unsigned long long v_bit;
+        unsigned long long in_region = (n_b | n_l) & r_tmp;
+        if (in_region) {                                          /* case (1) */
+            v_bit = in_region & (~in_region + 1ULL);
+            unsigned long long child_c = c_set | v_bit;
+            td_mincut(c, s_set, child_c, x_prime, v_bit,
+                      (c_neighbors | (adj[CTZ64(v_bit)] & s_set)) & ~child_c);
+            if (c->halt) return 0;
+            n_l &= ~v_bit;                                        /* line 10 */
+            n_b &= ~v_bit;                                        /* line 11 */
+        } else {
+            x_prime = x_set;                                      /* line 12 */
+            if (n_l) {                                            /* case (2) */
+                v_bit = n_l & (~n_l + 1ULL);
+                unsigned long long child_c = c_set | v_bit;
+                r_tmp = td_mincut(
+                    c, s_set, child_c, x_prime, v_bit,
+                    (c_neighbors | (adj[CTZ64(v_bit)] & s_set)) & ~child_c);
+                if (c->halt) return 0;
+                n_l &= ~v_bit;                                    /* line 16 */
+            } else {                                              /* case (3) */
+                v_bit = n_x & (~n_x + 1ULL);
+                c->reachable_calls++;
+                unsigned long long blocked = c_set | v_bit;
+                unsigned long long region = v_bit;
+                unsigned long long frontier = adj[CTZ64(v_bit)] & s_set & ~blocked;
+                while (frontier) {
+                    c->reachable_iterations++;
+                    region |= frontier;
+                    unsigned long long grow = 0, rest = frontier;
+                    while (rest) {
+                        unsigned long long low = rest & (~rest + 1ULL);
+                        grow |= adj[CTZ64(low)];
+                        rest ^= low;
+                    }
+                    frontier = grow & s_set & ~blocked & ~region;
+                }
+                r_tmp = region;                                   /* line 18 */
+            }
+            n_x &= ~r_tmp;                                        /* line 19 */
+            if (r_tmp & x_set) {                                  /* lines 20-23 */
+                n_x |= n_l & ~r_tmp;
+                n_l &= r_tmp;
+                n_b &= r_tmp;
+            }
+            if ((s_set & ~r_tmp) & x_set) {                       /* line 24 */
+                n_l &= ~r_tmp;                                    /* lines 25-26 */
+                n_b &= ~r_tmp;
+            } else {
+                c->emitted++;
+                td_emit(c, s_set & ~r_tmp, r_tmp);                /* line 27 */
+                if (c->halt) return 0;
+            }
+            r_set |= r_tmp;                                       /* line 28 */
+        }
+        x_prime |= v_bit;                                         /* line 29 */
+    }
+    return r_set | l_set;                                         /* line 30 */
+}
+
+td_ctx *td_new(
+    int n,
+    const unsigned long long *adj,
+    const int *sel_off,
+    const unsigned long long *sel_nbit,
+    const double *sel_val,
+    long long max_items)
+{
+    if (n < 1 || n > 64) return NULL;
+    td_ctx *c = (td_ctx *)calloc(1, sizeof(td_ctx));
+    if (!c) return NULL;
+    int count = sel_off[n];
+    memcpy(c->adj, adj, (size_t)n * sizeof(unsigned long long));
+    memcpy(c->sel_off, sel_off, (size_t)(n + 1) * sizeof(int));
+    c->max_items = max_items;
+    c->tick = TD_CHECK_STRIDE;
+    c->sel_nbit = (unsigned long long *)malloc(
+        (size_t)(count ? count : 1) * sizeof(unsigned long long));
+    c->sel_val = (double *)malloc((size_t)(count ? count : 1) * sizeof(double));
+    if (!c->sel_nbit || !c->sel_val || td_rehash(c, 64 - 8)) {
+        free(c->sel_nbit);
+        free(c->sel_val);
+        free(c->slots);
+        free(c);
+        return NULL;
+    }
+    memcpy(c->sel_nbit, sel_nbit, (size_t)count * sizeof(unsigned long long));
+    memcpy(c->sel_val, sel_val, (size_t)count * sizeof(double));
+    return c;
+}
+
+void td_free(td_ctx *c)
+{
+    if (!c) return;
+    free(c->sel_nbit);
+    free(c->sel_val);
+    free(c->slots);
+    free(c->stack);
+    free(c->pend);
+    free(c->kids);
+    free(c->o_set);
+    free(c->o_left);
+    free(c->o_right);
+    free(c->o_card);
+    free(c->o_cost);
+    free(c);
+}
+
+/* A set that is final before the run starts (a leaf): in the table,
+ * not in the finish order. */
+int td_seed(td_ctx *c, unsigned long long set, double card, double cost)
+{
+    td_slot *slot = td_insert(c, set);
+    if (!slot) return -1;
+    slot->state = TD_DONE;
+    slot->card = card;
+    slot->cost = cost;
+    return 0;
+}
+
+/* Schedule ``set`` for exploration (the root). */
+int td_push(td_ctx *c, unsigned long long set)
+{
+    if (!td_insert(c, set)) return -1;
+    td_frame frame = {set, -1, 0, 0.0, 0.0, 0, 0, 0};
+    return td_push_frame(c, &frame);
+}
+
+/* Run the work stack.  Returns 0 once it is empty; 1 when the node
+ * countdown reaches zero at an exploration (the frame stays on top and
+ * is explored, uncounted, by the next call: the driver charges the
+ * budget in between, as the python kernel charges before that
+ * expansion); 2 when td_check reported expiry; -1 out of memory or past
+ * ``max_items``; -2 a deferred pair whose operand is unfinished (never
+ * expected).  On 2 and -1 the interrupted frame stays on the stack, its
+ * set unfinished. */
+int td_run(td_ctx *c)
+{
+    while (c->sp > 0) {
+        td_frame *top = &c->stack[c->sp - 1];
+        if (top->pend_off >= 0) {
+            td_frame f = *top;
+            double card = f.card, cost = f.cost;
+            unsigned long long b_left = f.left, b_right = f.right;
+            int has_card = f.has_card;
+            const unsigned long long *pair = c->pend + 2 * f.pend_off;
+            for (long long i = 0; i < f.pend_cnt; i++, pair += 2) {
+                td_tick(c);
+                if (c->halt) return c->halt == TD_EXPIRED ? 2 : -1;
+                const td_slot *l = td_find(c, pair[0]);
+                const td_slot *r = td_find(c, pair[1]);
+                if (!l || !r || l->state != TD_DONE || r->state != TD_DONE)
+                    return -2;
+                double oc;
+                if (has_card) {
+                    oc = card;
+                } else {
+                    oc = (l->card * r->card)
+                        * sel_between(pair[0], pair[1], c->sel_off, c->sel_nbit, c->sel_val);
+                    card = oc;
+                    has_card = 1;
+                    c->estimations++;
+                }
+                double total = oc + (l->cost + r->cost);
+                if (total < cost) {
+                    cost = total;
+                    b_left = pair[0];
+                    b_right = pair[1];
+                }
+            }
+            if (td_settle(c, f.set, card, cost, b_left, b_right)) return -1;
+            c->sp--;
+            c->pend_len = f.pend_off;
+            continue;
+        }
+        unsigned long long s_set = top->set;
+        const td_slot *known = td_find(c, s_set);
+        if (known && known->state == TD_DONE) {
+            c->sp--;
+            continue;
+        }
+        if (!c->charged) {
+            if (--c->countdown == 0) {
+                c->charged = 1;
+                return 1;
+            }
+        }
+        c->charged = 0;
+        long long pend_off = c->pend_len;
+        c->deferring = 0;
+        c->has_card = 0;
+        c->t_card = 0.0;
+        c->t_cost = INFINITY;
+        c->t_left = 0;
+        c->t_right = 0;
+        c->kids_len = 0;
+        c->stamp++;
+        unsigned long long start = s_set & (~s_set + 1ULL);
+        td_mincut(c, s_set, start, 0, start,
+                  c->adj[CTZ64(start)] & s_set & ~start);
+        if (c->halt) {
+            c->pend_len = pend_off;
+            return c->halt == TD_EXPIRED ? 2 : -1;
+        }
+        c->sp--;
+        if (!c->deferring) {
+            if (td_settle(c, s_set, c->t_card, c->t_cost, c->t_left, c->t_right))
+                return -1;
+            continue;
+        }
+        td_frame finish = {
+            s_set, pend_off, c->pend_len - pend_off, c->t_card,
+            c->t_cost, c->t_left, c->t_right, c->has_card
+        };
+        if (td_push_frame(c, &finish)) return -1;
+        for (long long k = c->kids_len - 1; k >= 0; k--) {
+            td_frame kid = {c->kids[k], -1, 0, 0.0, 0.0, 0, 0, 0};
+            if (td_push_frame(c, &kid)) return -1;
+        }
+    }
+    return 0;
+}
+
+/* Distinct unfinished sets on the stack: after a halt, the sets the
+ * search had scheduled but not finished (the root among them). */
+long long td_unfinished(td_ctx *c)
+{
+    long long count = 0;
+    c->stamp++;
+    for (long long i = 0; i < c->sp; i++) {
+        td_slot *slot = td_find(c, c->stack[i].set);
+        if (!slot || slot->state == TD_DONE || slot->stamp == c->stamp) continue;
+        slot->stamp = c->stamp;
+        count++;
+    }
+    return count;
+}
 """
 
 #: Bump to invalidate every cached build regardless of source diffs.
@@ -187,7 +778,7 @@ KERNEL_TAG = "v1"
 _source_hash = hashlib.sha256(
     (KERNEL_TAG + _CDEF + _C_SOURCE).encode()
 ).hexdigest()[:12]
-MODULE_BASENAME = f"_repro_dpconv_{_source_hash}"
+MODULE_BASENAME = f"_repro_native_{_source_hash}"
 
 #: Per-process memo: a successful load sticks for the life of the
 #: process, and a *failed* compile sticks too (``native_backend="c"`` on
@@ -241,6 +832,14 @@ def _import_extension(path: str):
         raise ImportError(f"cannot load extension at {path}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    ffi = module.ffi
+
+    # ``td_check(arg)`` returns what the python callable behind the
+    # handle ``arg`` returns; one that raises counts as 1 (stop the run).
+    @ffi.def_extern(name="td_check", error=1)
+    def _td_check(handle):
+        return ffi.from_handle(handle)()
+
     return module
 
 
@@ -255,7 +854,7 @@ def _compile() -> Optional[str]:
         ffibuilder = cffi.FFI()
         ffibuilder.cdef(_CDEF)
         ffibuilder.set_source(
-            MODULE_BASENAME, _C_SOURCE, extra_compile_args=["-O2"]
+            MODULE_BASENAME, _C_SOURCE, extra_compile_args=["-O2", "-ffp-contract=off"]
         )
         built = ffibuilder.compile(tmpdir=scratch, verbose=False)
         target = os.path.join(base, os.path.basename(built))

@@ -387,18 +387,21 @@ class OptimizationResult:
 #: Wall time in ms of ``optimize_request`` with C dpconv, per relation
 #: count: the slower of chain-n and cycle-n.  The choice is only close
 #: on sparse graphs; a denser graph costs dpconv more, but its #ccp (and
-#: so the kernel's time) grows far faster.  Measured 2026-10-17 on a
+#: so the kernel's time) grows far faster.  Measured 2026-10-18 on a
 #: 2-vCPU Intel Xeon host, CPython 3.11.7, with
 #: ``python benchmarks/calibrate_auto.py`` (best of 3 rounds x 5 runs).
 DPCONV_C_MS: Dict[int, float] = {
-    2: 0.045, 3: 0.057, 4: 0.069, 5: 0.078, 6: 0.090, 7: 0.108,
-    8: 0.132, 9: 0.175, 10: 0.249, 11: 0.354, 12: 0.542, 13: 0.932,
-    14: 1.70, 15: 3.93, 16: 7.17,
+    2: 0.0434, 3: 0.0491, 4: 0.0561, 5: 0.0646, 6: 0.0767, 7: 0.102,
+    8: 0.121, 9: 0.165, 10: 0.237, 11: 0.42, 12: 0.515, 13: 0.786,
+    14: 1.51, 15: 3.06, 16: 5.61,
 }
 
 #: TDMinCutBranch wall time per ccp in ns (median over the same sweep's
-#: chains, cycles, stars, cliques and grids).
-KERNEL_NS_PER_CCP = 2407
+#: chains, cycles, stars, cliques and grids).  The rule only fires where
+#: a C kernel loads, so this is the C top-down kernel's constant; it
+#: includes the fixed per-query cost, which is why it sits far above
+#: the kernel's ~25 ns per ccp on cliques.
+KERNEL_NS_PER_CCP = 383
 
 def runs_dpconv(cost_model: Optional[CostModel], enable_pruning: bool) -> bool:
     """True when ``algorithm="dpconv"`` runs the convolution itself.

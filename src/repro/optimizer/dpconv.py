@@ -125,16 +125,10 @@ class DPconvPlanGenerator:
         self.last_kernel: Optional[str] = None
         #: ``None``/``"auto"``/``"c"``/``"off"`` — selects the compiled
         #: C rung (``None`` means ``"auto"``; see
-        #: :mod:`repro.optimizer.native`).  Validated eagerly so a typo
-        #: fails at construction, not deep inside a request.
-        if native_backend is not None:
-            from repro.optimizer.native import BACKENDS
+        #: :mod:`repro.optimizer.native`).
+        from repro.optimizer.native import check_backend
 
-            if native_backend not in BACKENDS:
-                raise OptimizationError(
-                    f"native_backend must be one of {BACKENDS}, "
-                    f"got {native_backend!r}"
-                )
+        check_backend(native_backend)
         self.native_backend = native_backend
         #: Engine that actually ran the last ``optimize()``: ``"python"``
         #: (pure layered convolution) or ``"c"``.  Distinct from

@@ -64,7 +64,7 @@ from repro import bitset
 from repro.cost.cout import CoutCostModel
 from repro.optimizer.budget import BudgetExpired
 
-__all__ = ["run_fast_kernel"]
+__all__ = ["next_charge_chunk", "run_fast_kernel"]
 
 #: Sets at or above this popcount route their ccp emission through the
 #: budget-checking wrapper: a single ``partitions_into`` call on such a
@@ -104,6 +104,17 @@ try:
     _bit_count = int.bit_count  # Python >= 3.10
 except AttributeError:  # pragma: no cover — Python 3.9
     _bit_count = bitset.popcount
+
+
+def next_charge_chunk(budget, stride: int = _CHARGE_STRIDE) -> int:
+    """Expansions to run before the next ``budget.charge``.
+
+    Sized so a node cap is hit exactly at its capped expansion, never
+    overshot by the stride.
+    """
+    if budget.node_cap is None:
+        return stride
+    return max(1, min(stride, budget.node_cap - budget.nodes))
 
 
 def run_fast_kernel(driver, root_set: int, bound=None) -> None:
@@ -224,15 +235,7 @@ def run_fast_kernel(driver, root_set: int, bound=None) -> None:
 
     budget = getattr(driver, "budget", None)
     if budget is not None:
-
-        def _next_chunk(budget):
-            # Size the next charging chunk so a node cap is hit exactly
-            # at its capped expansion, never overshot by the stride.
-            if budget.node_cap is None:
-                return _CHARGE_STRIDE
-            return max(1, min(_CHARGE_STRIDE, budget.node_cap - budget.nodes))
-
-        charge_chunk = charge_countdown = _next_chunk(budget)
+        charge_chunk = charge_countdown = next_charge_chunk(budget)
         emit_countdown = _EMIT_CHECK_STRIDE
         # Subsets of root_set are numerically <= root_set, so when the
         # whole query is too small to ever reach the routing popcount
@@ -440,7 +443,7 @@ def run_fast_kernel(driver, root_set: int, bound=None) -> None:
                 charge_countdown -= 1
                 if not charge_countdown:
                     budget.charge(charge_chunk)
-                    charge_chunk = charge_countdown = _next_chunk(budget)
+                    charge_chunk = charge_countdown = next_charge_chunk(budget)
                 if s_set >= emit_floor and bit_count(s_set) >= emit_popcount:
                     emitted_at_call = stats.emitted
                     partitions_into(s_set, emit_checked)
@@ -478,9 +481,12 @@ def run_fast_kernel(driver, root_set: int, bound=None) -> None:
     # driver's build_trees performs, so the counter is derived instead
     # of incremented on the hot path.  On an aborted run the derived
     # count is an upper bound (deferred pairs of unfinished sets were
-    # emitted but never priced).
-    unsolved = ()
+    # emitted but never priced).  On expiry the finished sets are all
+    # salvage needs: only the root becomes a placeholder row, and the
+    # other unfinished sets on the work stack are counted for the
+    # salvage report (rows for them would cost more than the search).
     if aborted:
-        unsolved = {s_set}
-        unsolved.update(frame[0] for frame in stack)
-    flush(stats.emitted - emitted_before, unsolved)
+        in_flight = {s_set}
+        in_flight.update(frame[0] for frame in stack)
+        driver.unfinished_sets = sum(1 for s in in_flight if s not in done) - 1
+    flush(stats.emitted - emitted_before, (root_set,) if aborted else ())

@@ -1,33 +1,46 @@
-"""Compiled C rung for the DPconv exact tier.
+"""Compiled C engines behind the DPconv tier and the top-down driver.
 
-One optional rung sits behind the pure-python layered convolution in
-:class:`~repro.optimizer.dpconv.DPconvPlanGenerator`: a cffi-compiled
-transcription of the pure scalar loop (see
-:mod:`repro.optimizer._native_build`).  It is never required — built
-on demand, cached on disk, and any failure degrades silently to the
-pure engine.
+One cffi-compiled module (see :mod:`repro.optimizer._native_build`)
+carries two engines, each a transcription of a pure-python loop:
 
-Selection (:func:`resolve_backend`) takes the ``native_backend=``
-constructor argument (``"auto"``, ``"c"`` or ``"off"``) and only ever
-engages for the plain ``C_out`` cost model — generic symmetric models
-price through a Python callback the C loop cannot call, so they stay on
-the pure engine even when ``"c"`` is requested.  ``auto`` uses an
-**already-compiled** kernel only (no compile latency on the serving
-path; deploy with ``repro-optimize backends --build``); ``"c"``
+* **C dpconv** -- the ``C_out`` hot path of
+  :meth:`~repro.optimizer.dpconv.DPconvPlanGenerator._convolve`, run by
+  :func:`run_c_convolution` for ``n`` <= :data:`C_MAX_N` (its
+  ``O(2^n)`` state arrays);
+* **C top-down** -- MinCutBranch (Figs. 4-6) driving the iterative
+  TDPGSUB of :mod:`repro.optimizer.kernel`, run by :func:`run_c_topdown`
+  for ``n`` <= :data:`TOPDOWN_MAX_N` (one ``uint64`` mask per set; the
+  memo is an open-addressing table keyed by mask).  The top-down driver
+  takes it only for exactly ``MinCutBranch(use_optimizations=True)``,
+  unpruned; every other partitioner, pruning and ``n`` > 64 stay on the
+  python kernel, which remains the oracle.
+
+Neither is ever required -- built on demand, cached on disk, and any
+failure degrades silently to the pure engine.
+
+Selection (:func:`resolve_backend`, one function for both engines) takes
+the ``native_backend=`` constructor argument (``"auto"``, ``"c"`` or
+``"off"``) and only ever engages for the plain ``C_out`` cost model --
+other models price through a Python callback the C loops cannot call, so
+they stay on the pure engines even when ``"c"`` is requested.  ``auto``
+uses an **already-compiled** kernel only (no compile latency on the
+serving path; deploy with ``repro-optimize backends --build``); ``"c"``
 compiles eagerly.
 
-Exactness contract (gated by ``tests/test_dpconv_equivalence.py``): the
-C loop performs every float operation in the pure loop's order and
-breaks ties the same way (descending submask scan, strict ``<``), so
-costs, cardinalities, memo contents and the extracted plan tree are
-**bit-identical** to the pure engine's on every input.  A C host and a
-pure-python host therefore cache the same plan under one signature.
+Exactness contract (gated by ``tests/test_dpconv_equivalence.py`` and
+``tests/test_kernel_equivalence.py``): each C loop performs every float
+operation in its pure loop's order and breaks ties the same way, so
+costs, cardinalities, memo contents, counters and the extracted plan
+tree are **bit-identical** to the pure engine's on every input.  A C
+host and a pure-python host therefore cache the same plan under one
+signature.
 
-Budgets stay cooperative: the rung charges the
-:class:`~repro.optimizer.budget.Budget` between bounded chunks of the
-mask range (``check()`` before, ``charge(settled)`` after), so expiry
-flushes every fully-settled set for salvage exactly like the pure
-engine, with overshoot bounded by one chunk instead of one submask scan.
+Budgets stay cooperative: C dpconv runs in bounded chunks with the
+:class:`~repro.optimizer.budget.Budget` charged and checked between
+them; C top-down returns to python to charge expansions and calls the
+deadline check back from inside its loop (``td_check``), so one dense
+set's enumeration cannot outrun a deadline.  Expiry flushes every
+finished set for salvage exactly like the pure engine.
 """
 
 from __future__ import annotations
@@ -44,20 +57,47 @@ from repro.optimizer.budget import BudgetExpired
 
 __all__ = [
     "BACKENDS",
+    "check_backend",
     "resolve_backend",
     "native_backend_status",
     "run_c_convolution",
+    "run_c_topdown",
 ]
 
 #: Recognized values for the ``native_backend`` argument.
 BACKENDS = ("auto", "c", "off")
 
-#: Size ceiling of the C rung (its ``O(2^n)`` state arrays).  Beyond it
+#: Size ceiling of C dpconv (its ``O(2^n)`` state arrays).  Beyond it
 #: the pure engine takes over — same asymptotics, worse constant.
 C_MAX_N = 20
 
+#: Size ceiling of C top-down: a relation set is one ``uint64`` mask.
+TOPDOWN_MAX_N = 64
+
+_MAX_N = {"dpconv": C_MAX_N, "topdown": TOPDOWN_MAX_N}
+
+#: C top-down's node-charging stride.  A C expansion is ~100x cheaper
+#: than a python one, so the python kernel's stride of 32 would make
+#: the return to python the dominant cost; a node cap still lands on its
+#: exact expansion (:func:`~repro.optimizer.kernel.next_charge_chunk`).
+#: Deadlines are checked from inside the C loop instead (``td_check``,
+#: every 16k ccps, ~0.3 ms of C work).
+_TOPDOWN_CHARGE_STRIDE = 1 << 12
+
+#: Cap on C top-down's state: memo sets, and frames on its work stack
+#: (each ~64 bytes, so ~0.5 GiB apiece at the cap).  A dense query of
+#: ~23+ relations reaches it; with a budget the run then salvages what
+#: it finished, as on expiry, and without one it raises
+#: :class:`~repro.errors.OptimizationError`.
+_TOPDOWN_MAX_ITEMS = 1 << 23
+
+#: A countdown no run can reach: an unbudgeted run is one call.
+_UNLIMITED = 1 << 62
+
+
 #: memoized numpy module (or None when unavailable).  numpy selects no
-#: rung; it only speeds up collecting the settled sets after a C run.
+#: engine; it only speeds up collecting the settled sets after a C
+#: dpconv run.
 _NUMPY: list = []
 
 
@@ -75,29 +115,41 @@ def _numpy():
 # Selection
 
 
-def resolve_backend(cost_model, requested=None, n=None):
-    """Pick the rung for this run: ``"c"``, or ``None`` for pure python.
+def check_backend(requested) -> str:
+    """Validate a ``native_backend`` value; ``None`` means ``"auto"``.
 
-    ``requested`` is ``None`` (same as ``"auto"``) or one of
-    :data:`BACKENDS`; anything else raises.  ``off``, a cost model
-    other than exactly :class:`CoutCostModel`, no loadable kernel, or
-    ``n`` above :data:`C_MAX_N` all resolve to ``None``.
+    The engines call it at construction, so a typo fails there rather
+    than deep inside a request.
     """
     mode = "auto" if requested is None else requested
     if mode not in BACKENDS:
         raise OptimizationError(
             f"native_backend must be one of {BACKENDS}, got {requested!r}"
         )
+    return mode
+
+
+def resolve_backend(cost_model, requested=None, n=None, engine="dpconv"):
+    """Pick the engine for this run: ``"c"``, or ``None`` for pure python.
+
+    ``requested`` is ``None`` (same as ``"auto"``) or one of
+    :data:`BACKENDS`; anything else raises.  ``engine`` is ``"dpconv"``
+    or ``"topdown"`` and sets the size ceiling (:data:`C_MAX_N`,
+    :data:`TOPDOWN_MAX_N`).  ``off``, a cost model other than exactly
+    :class:`CoutCostModel`, no loadable kernel, or ``n`` above the
+    engine's ceiling all resolve to ``None``.
+    """
+    mode = check_backend(requested)
     if mode == "off":
         return None
-    # Only the plain C_out model has the split-independent local term
-    # and callback-free pricing the C loop implements; subclasses may
-    # override join_cost, so require the exact type (mirrors the pure
-    # engine's own ``cout_fast`` check).
+    # Only the plain C_out model has the callback-free pricing the C
+    # loops implement; subclasses may override join_cost, so require the
+    # exact type (mirrors the pure engines' own ``cout_fast`` check).
     if cost_model is not None and type(cost_model) is not CoutCostModel:
         return None
-    kernel = _native_build.load_c_kernel(build=(mode == "c"))
-    if kernel is not None and (n is None or n <= C_MAX_N):
+    if n is not None and n > _MAX_N[engine]:
+        return None
+    if _native_build.load_c_kernel(build=(mode == "c")) is not None:
         return "c"
     return None
 
@@ -130,12 +182,35 @@ def native_backend_status() -> dict:
             "tag": _native_build.KERNEL_TAG,
         },
         "resolved": resolve_backend(CoutCostModel()) or "python",
-        "max_n": {"c": C_MAX_N},
+        "max_n": {"dpconv": C_MAX_N, "topdown": TOPDOWN_MAX_N},
     }
 
 
 # ----------------------------------------------------------------------
-# Driver
+# Drivers
+
+
+def _graph_arrays(ffi, catalog):
+    """Adjacency and selectivity arrays in the layout ``sel_between`` walks:
+    per vertex, its ``(neighbor bit, selectivity)`` list in stored order."""
+    graph = catalog.graph
+    n = graph.n_vertices
+    adj_list = [graph.neighbors_of_vertex(v) for v in range(n)]
+    sel_offsets = [0]
+    sel_nbits: list = []
+    sel_vals: list = []
+    for vertex in range(n):
+        for neighbor_bit, sel in catalog._vertex_selectivity[vertex]:
+            sel_nbits.append(neighbor_bit)
+            sel_vals.append(sel)
+        sel_offsets.append(len(sel_nbits))
+    return (
+        adj_list,
+        ffi.new("unsigned long long[]", adj_list),
+        ffi.new("int[]", sel_offsets),
+        ffi.new("unsigned long long[]", sel_nbits),
+        ffi.new("double[]", sel_vals),
+    )
 
 
 def run_c_convolution(generator, full: int) -> None:
@@ -159,19 +234,7 @@ def run_c_convolution(generator, full: int) -> None:
     n = graph.n_vertices
     size = full + 1
 
-    adj_list = [graph.neighbors_of_vertex(v) for v in range(n)]
-    adj = ffi.new("unsigned long long[]", adj_list)
-    sel_offsets = [0]
-    sel_nbits: list = []
-    sel_vals: list = []
-    for vertex in range(n):
-        for neighbor_bit, sel in catalog._vertex_selectivity[vertex]:
-            sel_nbits.append(neighbor_bit)
-            sel_vals.append(sel)
-        sel_offsets.append(len(sel_nbits))
-    sel_off = ffi.new("int[]", sel_offsets)
-    sel_nbit = ffi.new("unsigned long long[]", sel_nbits)
-    sel_val = ffi.new("double[]", sel_vals)
+    adj_list, adj, sel_off, sel_nbit, sel_val = _graph_arrays(ffi, catalog)
 
     dp = ffi.new("double[]", size)
     ffi.buffer(dp)[:] = struct.pack("=d", math.inf) * size
@@ -252,3 +315,127 @@ def run_c_convolution(generator, full: int) -> None:
         if not conn_bytes[full]:
             memo.bulk_load(((full, None, math.inf, 0, 0, None, False),))
         raise BudgetExpired(budget.reason or "budget expired")
+
+
+def run_c_topdown(driver, root_set: int) -> None:
+    """Fill a top-down driver's memo with the compiled kernel.
+
+    Only called after :func:`resolve_backend` returned ``"c"`` for a
+    ``MinCutBranch`` driver without pruning.  Same contract as
+    :func:`~repro.optimizer.kernel.run_fast_kernel` without a bound: the
+    memo ends with the same entries, in the same order, and the
+    partitioner's :class:`~repro.enumeration.base.PartitionStats`,
+    ``cost_evaluations`` and ``estimations`` advance by the same
+    amounts.
+
+    With a budget the C loop returns when its node countdown reaches an
+    expansion (the budget is charged before that expansion runs, as in
+    the python kernel, so a node cap expires at exactly the capped
+    expansion), and it calls the budget's deadline check every 16k ccps,
+    also inside one set's enumeration.  On expiry -- or on reaching
+    :data:`_TOPDOWN_MAX_ITEMS` -- every finished set is flushed, the root
+    is marked unsolved, ``driver.unfinished_sets`` counts the other sets
+    left on the work stack, and :class:`BudgetExpired` is raised, as the
+    python kernel does.  Without a budget, the state cap raises
+    :class:`~repro.errors.OptimizationError`.
+    """
+    from repro.optimizer.kernel import next_charge_chunk
+
+    module = _native_build.load_c_kernel()
+    ffi, lib = module.ffi, module.lib
+    builder = driver.builder
+    memo = builder.memo
+    budget = driver.budget
+    if memo.lookup(root_set) is not None:
+        return  # a leaf: nothing to enumerate
+
+    _, adj, sel_off, sel_nbit, sel_val = _graph_arrays(ffi, driver.catalog)
+    ctx = lib.td_new(
+        driver.graph.n_vertices, adj, sel_off, sel_nbit, sel_val, _TOPDOWN_MAX_ITEMS
+    )
+    if ctx == ffi.NULL:
+        raise MemoryError("cannot allocate the C top-down kernel's state")
+    try:
+        for entry in memo.entries():
+            if lib.td_seed(ctx, entry.vertex_set, entry.cardinality, entry.cost):
+                raise MemoryError("C top-down kernel out of memory")
+        if lib.td_push(ctx, root_set):
+            raise MemoryError("C top-down kernel out of memory")
+        expired = None
+        if budget is None:
+            ctx.countdown = _UNLIMITED
+            status = lib.td_run(ctx)
+        else:
+
+            def deadline_passed():
+                try:
+                    budget.check()
+                except BudgetExpired:
+                    return 1
+                return 0
+
+            handle = ffi.new_handle(deadline_passed)
+            ctx.check_arg = handle
+            chunk = ctx.countdown = next_charge_chunk(budget, _TOPDOWN_CHARGE_STRIDE)
+            while True:
+                status = lib.td_run(ctx)
+                if status != 1:
+                    break
+                try:
+                    budget.charge(chunk)
+                except BudgetExpired:
+                    break
+                chunk = ctx.countdown = next_charge_chunk(
+                    budget, _TOPDOWN_CHARGE_STRIDE
+                )
+            if status == 1 or status == 2:
+                expired = budget.reason or "budget expired"
+            elif status == -1:
+                expired = "C top-down state limit"
+        if status == -1 and expired is None:
+            raise OptimizationError(
+                "C top-down kernel out of memory or past its state limit "
+                f"({_TOPDOWN_MAX_ITEMS} sets)"
+            )
+        if status == -2:
+            raise OptimizationError("C top-down kernel priced an unfinished set")
+
+        stats = driver.partitioner.stats
+        stats.calls += ctx.calls
+        stats.loop_iterations += ctx.loops
+        stats.emitted += ctx.emitted
+        stats.reachable_calls += ctx.reachable_calls
+        stats.reachable_iterations += ctx.reachable_iterations
+        builder.estimator.estimations += ctx.estimations
+        # One C_out evaluation per emitted ccp, derived as the python
+        # kernel derives it (an upper bound on an aborted run).
+        builder.cost_evaluations += ctx.emitted
+
+        count = ctx.o_len
+        if count:
+            # Finish order is the python kernel's ``done`` insertion
+            # order, so the memo's iteration order matches too.  A set
+            # no candidate won (every total inf or NaN) has no split and
+            # no implementation, as in python.
+            lefts = ffi.unpack(ctx.o_left, count)
+            memo.bulk_load(
+                zip(
+                    ffi.unpack(ctx.o_set, count),
+                    ffi.unpack(ctx.o_card, count),
+                    ffi.unpack(ctx.o_cost, count),
+                    lefts,
+                    ffi.unpack(ctx.o_right, count),
+                    [None if left == 0 else "join" for left in lefts]
+                    if 0 in lefts
+                    else repeat("join"),
+                    repeat(True),
+                )
+            )
+        if expired is not None:
+            # Only the root becomes a placeholder row; the other
+            # unfinished sets are counted for the salvage report.
+            driver.unfinished_sets = lib.td_unfinished(ctx) - 1
+            memo.bulk_load(((root_set, None, math.inf, 0, 0, None, False),))
+            raise BudgetExpired(expired)
+    finally:
+        lib.td_free(ctx)

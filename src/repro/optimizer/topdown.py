@@ -25,6 +25,7 @@ from repro.catalog.statistics import Catalog
 from repro.cost.base import CostModel
 from repro.cost.cout import CoutCostModel
 from repro.enumeration.base import PartitioningStrategy
+from repro.enumeration.mincutbranch import MinCutBranch
 from repro.errors import DisconnectedGraphError
 from repro.optimizer.budget import Budget, BudgetExpired
 from repro.optimizer.kernel import run_fast_kernel
@@ -50,10 +51,10 @@ class TopDownPlanGenerator:
     enable_pruning:
         Switch on accumulated-cost branch-and-bound, seeded with a
         greedy plan's cost.  Plain, pruned and budgeted runs all take
-        the fast kernel (:mod:`repro.optimizer.kernel`), so
-        ``last_kernel`` reads ``"fast"`` after any run;
-        :func:`tdpgsub_reference` is the paper-faithful recursion the
-        kernel is proven bit-identical against.
+        the fast kernel (:mod:`repro.optimizer.kernel`, or its C
+        transcription), so ``last_kernel`` reads ``"fast"`` after any
+        run; :func:`tdpgsub_reference` is the paper-faithful recursion
+        the kernel is proven bit-identical against.
     budget:
         Optional cooperative :class:`~repro.optimizer.budget.Budget`.
         When it expires mid-enumeration the run stops cleanly,
@@ -61,6 +62,14 @@ class TopDownPlanGenerator:
         salvaged plan (see :mod:`repro.plan.salvage`) instead of the
         exact optimum; ``salvage_report`` then carries the optimality
         report.
+    native_backend:
+        ``None``/``"auto"``/``"c"``/``"off"`` — whether the compiled C
+        top-down kernel (:func:`repro.optimizer.native.run_c_topdown`)
+        may run.  It runs only for exactly ``MinCutBranch`` with its
+        optimizations on, exactly ``CoutCostModel``, no pruning and
+        ``n`` <= 64, and is bit-identical to the python kernel there
+        (plans, memo, counters).  ``last_backend`` then reads ``"c"``;
+        every other run is ``"python"``.
     """
 
     name = "topdown"
@@ -76,6 +85,7 @@ class TopDownPlanGenerator:
         cost_model: Optional[CostModel] = None,
         enable_pruning: bool = False,
         budget: Optional[Budget] = None,
+        native_backend: Optional[str] = None,
     ):
         self.catalog = catalog
         self.graph = catalog.graph
@@ -87,12 +97,17 @@ class TopDownPlanGenerator:
         self.budget_expired = False
         self.salvage_report = None
         self.last_kernel: Optional[str] = None
-        #: The top-down driver always runs in the interpreter — the
-        #: native rungs live behind the dpconv tier — but reporting the
-        #: engine uniformly lets the service label every result with a
-        #: ``backend`` (see :mod:`repro.optimizer.native`).
-        self.last_backend = "python"
+        from repro.optimizer.native import check_backend
+
+        check_backend(native_backend)
+        self.native_backend = native_backend
+        #: Engine that ran the last ``optimize()``: ``"python"`` or
+        #: ``"c"`` (see :mod:`repro.optimizer.native`).
+        self.last_backend: Optional[str] = None
         self.pruned_sets = 0
+        #: After an expired run: unfinished sets on the kernel's work
+        #: stack besides the root (which the memo holds as a placeholder).
+        self.unfinished_sets = 0
 
     # ------------------------------------------------------------------
 
@@ -110,18 +125,47 @@ class TopDownPlanGenerator:
             )
         bound = self._initial_upper_bound() if self.enable_pruning else None
         self.last_kernel = "fast"
+        self.last_backend = "python"
+        self.unfinished_sets = 0
         try:
-            run_fast_kernel(self, all_vertices, bound)
+            if bound is None and self._c_eligible():
+                from repro.optimizer import native
+
+                self.last_backend = "c"
+                native.run_c_topdown(self, all_vertices)
+            else:
+                run_fast_kernel(self, all_vertices, bound)
         except BudgetExpired:
             # Complete the partial memo into a valid plan.
             from repro.plan.salvage import salvage_plan
 
             self.budget_expired = True
             plan, self.salvage_report = salvage_plan(
-                self.builder.memo, self.catalog, all_vertices, self.cost_model
+                self.builder.memo,
+                self.catalog,
+                all_vertices,
+                self.cost_model,
+                unfinished=self.unfinished_sets,
             )
             return plan
         return self.builder.memo.extract_plan(all_vertices)
+
+    def _c_eligible(self) -> bool:
+        """True when the C top-down kernel runs this query: exactly the
+        optimized ``MinCutBranch`` (a subclass may change emission) and
+        whatever :func:`repro.optimizer.native.resolve_backend` allows."""
+        partitioner = self.partitioner
+        if type(partitioner) is not MinCutBranch or not partitioner.use_optimizations:
+            return False
+        from repro.optimizer import native
+
+        backend = native.resolve_backend(
+            self.cost_model,
+            requested=self.native_backend,
+            n=self.graph.n_vertices,
+            engine="topdown",
+        )
+        return backend == "c"
 
     def _initial_upper_bound(self) -> float:
         """Seed the branch-and-bound bound with a greedy plan's cost.

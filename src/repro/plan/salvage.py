@@ -27,13 +27,15 @@ The accompanying report quantifies how close to optimal the salvage got:
 ``lower_bound`` is the admissible bound branch-and-bound pruning uses
 (the estimated root result cardinality — no plan can cost less under
 cost models whose final join at least materializes its output), and
-``memo_solved_fraction`` is the share of materialized subproblems the
-exact search finished before the budget expired.
+``memo_solved_fraction`` is the share of the subproblems the exact
+search had scheduled -- memo rows plus the ``unfinished`` sets left on
+its work stack -- that it finished before the budget expired.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Dict, List, Tuple
 
 from repro import bitset
@@ -173,19 +175,22 @@ def salvage_plan(
     catalog: Catalog,
     root_set: int,
     cost_model: CostModel,
+    unfinished: int = 0,
 ) -> Tuple[JoinTree, Dict[str, object]]:
     """Complete a partially-filled memo into a valid plan for ``root_set``.
 
     Returns ``(plan, report)``.  The plan covers every relation exactly
     once, contains no cross products, and costs at most the pure-GOO
-    plan for the same catalog under the same cost model.  The report is
-    a JSON-safe dict::
+    plan for the same catalog under the same cost model.  ``unfinished``
+    counts sets the search scheduled but neither finished nor wrote to
+    the memo (the top-down kernels keep them off it).  The report is a
+    JSON-safe dict::
 
         salvaged_cost         cost of the returned plan
         goo_cost              the pure-GOO floor it was compared against
         lower_bound           admissible optimum lower bound (root card)
         optimality_ratio      salvaged_cost / lower_bound (None if lb=0)
-        memo_solved_fraction  solved entries / materialized entries
+        memo_solved_fraction  solved entries / scheduled entries
         solved_entries, memo_entries, cover_sets, largest_subplan
         source                "memo" (salvage won) or "goo" (floor won)
     """
@@ -194,7 +199,7 @@ def salvage_plan(
         for entry in memo.entries()
         if entry.cost != math.inf and entry.vertex_set & ~root_set == 0
     ]
-    total_entries = len(memo)
+    total_entries = len(memo) + unfinished
 
     root_entry = memo.lookup(root_set)
     if root_entry is not None and root_entry.cost != math.inf:
@@ -203,11 +208,15 @@ def salvage_plan(
     else:
         # Greedy disjoint cover by descending subplan size; singletons
         # are always solved, so the cover terminates.
+        # Two stable sorts (cost, then size descending) order by
+        # (-size, cost) without building a key tuple per entry: after a
+        # C-speed run the memo holds thousands of solved sets.
         remaining = root_set
         cover = []
-        for entry in sorted(
-            solved, key=lambda e: (-bitset.popcount(e.vertex_set), e.cost)
-        ):
+        by_size = sorted(solved, key=attrgetter("cost"))
+        popcount = bitset.popcount
+        by_size.sort(key=lambda e: popcount(e.vertex_set), reverse=True)
+        for entry in by_size:
             if entry.vertex_set & ~remaining:
                 continue
             cover.append(entry.vertex_set)

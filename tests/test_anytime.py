@@ -241,12 +241,16 @@ class TestAnytimeRung:
         assert again.cache_hit
 
     def test_over_budget_expiry_serves_salvaged_plan(self):
-        # clique-14 cannot finish in 30ms of pure-Python enumeration;
-        # the rung salvages.  Outcome-only assertions (no timing).
+        # clique-14 cannot finish in 30ms of pure-Python enumeration
+        # (the physical model keeps it off the C kernel); the rung
+        # salvages.  Outcome-only assertions (no timing).
         service = over_budget_service()
         instance = WorkloadGenerator(seed=2).fixed_shape("clique", 14)
         request = OptimizationRequest(
-            query=instance, algorithm="tdmincutbranch", deadline_seconds=0.03
+            query=instance,
+            algorithm="tdmincutbranch",
+            cost_model=PhysicalCostModel(),
+            deadline_seconds=0.03,
         )
         result = service.optimize(request)
         assert result.ok
@@ -261,7 +265,10 @@ class TestAnytimeRung:
         service = over_budget_service()
         instance = WorkloadGenerator(seed=2).fixed_shape("clique", 14)
         request = OptimizationRequest(
-            query=instance, algorithm="tdmincutbranch", deadline_seconds=0.03
+            query=instance,
+            algorithm="tdmincutbranch",
+            cost_model=PhysicalCostModel(),
+            deadline_seconds=0.03,
         )
         first = service.optimize(request)
         assert first.details["anytime"] == 1
@@ -294,7 +301,10 @@ class TestAnytimeRung:
         service = over_budget_service()
         instance = WorkloadGenerator(seed=2).fixed_shape("clique", 14)
         request = OptimizationRequest(
-            query=instance, algorithm="tdmincutbranch", deadline_seconds=0.03
+            query=instance,
+            algorithm="tdmincutbranch",
+            cost_model=PhysicalCostModel(),
+            deadline_seconds=0.03,
         )
         service.optimize(request)
         snapshot = service.stats_snapshot()
@@ -318,13 +328,15 @@ class TestDeadlineStorm:
         # A burst of heavy cliques under a tight per-item deadline, all
         # on a cooperating engine: every item must resolve ok with a
         # valid (salvaged) plan — zero DeadlineExceededError, zero
-        # worker kills.
+        # worker kills.  The physical model keeps them on the python
+        # kernel, where none of them finishes in time on any host.
         service = OptimizerService()
         generator = WorkloadGenerator(seed=9)
         requests = [
             OptimizationRequest(
                 query=generator.fixed_shape("clique", n),
                 algorithm="tdmincutbranch",
+                cost_model=PhysicalCostModel(),
                 tag=f"storm-{n}",
             )
             for n in (13, 14, 15)
@@ -345,11 +357,46 @@ class TestDeadlineStorm:
         assert totals["anytime"] == 3
         assert totals["hard_kills_avoided"] == 3
 
+    def test_c_out_storm_cooperates_on_either_kernel(self):
+        # The same storm on C_out cliques no kernel finishes in time (the
+        # C kernel included: clique-19 has ~5.8e8 ccps).  Where a C
+        # kernel loads it serves them and must stop at the deadline from
+        # inside a dense set's enumeration.
+        from repro.optimizer._native_build import load_c_kernel
+
+        backend = "c" if load_c_kernel(build=True) is not None else "python"
+        service = OptimizerService()
+        generator = WorkloadGenerator(seed=9)
+        requests = [
+            OptimizationRequest(
+                query=generator.fixed_shape("clique", n),
+                algorithm="tdmincutbranch",
+                tag=f"storm-{n}",
+            )
+            for n in (19, 20, 21)
+        ]
+        results = service.optimize_batch(
+            requests, workers=2, executor="process", deadline_seconds=0.08
+        )
+        for request, result in zip(requests, results):
+            assert result.ok, result.error
+            assert result.details.get("anytime") == 1
+            assert "deadline_timeout" not in result.details
+            assert result.details.get("backend") == backend
+            assert validate_plan(result.plan, request.resolved_catalog()) == []
+        totals = service.stats_snapshot()["totals"]
+        assert totals["timeouts"] == 0
+        assert totals["errors"] == 0
+        assert totals["hard_kills_avoided"] == 3
+
     def test_storm_results_do_not_poison_the_cache(self):
         service = OptimizerService()
         instance = WorkloadGenerator(seed=9).fixed_shape("clique", 14)
         request = OptimizationRequest(
-            query=instance, algorithm="tdmincutbranch", tag="s"
+            query=instance,
+            algorithm="tdmincutbranch",
+            cost_model=PhysicalCostModel(),
+            tag="s",
         )
         service.optimize_batch(
             [request], workers=1, executor="process", deadline_seconds=0.08
@@ -367,6 +414,7 @@ class TestDeadlineStorm:
         slow = OptimizationRequest(
             query=generator.fixed_shape("clique", 14),
             algorithm="tdmincutbranch",
+            cost_model=PhysicalCostModel(),
             tag="slow",
         )
         results = service.optimize_batch(

@@ -88,9 +88,13 @@ class door_on:
         await self.door.close()
 
 
-def request_document(seed=1, shape="chain", n=7, algorithm="tdmincutbranch"):
+def request_document(
+    seed=1, shape="chain", n=7, algorithm="tdmincutbranch", cost_model=None
+):
     instance = WorkloadGenerator(seed=seed).fixed_shape(shape, n)
-    request = OptimizationRequest(query=instance.catalog, algorithm=algorithm)
+    request = OptimizationRequest(
+        query=instance.catalog, algorithm=algorithm, cost_model=cost_model
+    )
     return serialize.request_to_dict(request)
 
 
@@ -676,10 +680,15 @@ class TestDrainAndCooperativeDeadlines:
             # Shard deadline of 0.4s on a clique-14: uncooperative
             # engines would be hard-killed and recycled; the cooperative
             # top-down engine returns a salvaged anytime plan within the
-            # grace window instead.
+            # grace window instead.  The physical model keeps the query
+            # on the python kernel, too slow to finish on any host.
             async with door_on(shards=1, deadline_seconds=0.4) as door:
                 document = request_document(
-                    seed=7, shape="clique", n=14, algorithm="tdmincutbranch"
+                    seed=7,
+                    shape="clique",
+                    n=14,
+                    algorithm="tdmincutbranch",
+                    cost_model=PhysicalCostModel(),
                 )
                 status, _, reply = await http_request(
                     door.port, "POST", "/v1/optimize", envelope(document)

@@ -151,6 +151,8 @@ class TestTable:
             ("kernel", None, None, False, False, False),
             ("dpconv", 1.5, None, False, False, False),
             ("native", 5.0, None, False, True, False),
+            ("native", 10.0, None, False, True, False),
+            ("native", None, 1.01, False, True, True),
             ("anytime", None, 0.070, False, False, False),
             ("anytime", None, 1.01, False, True, True),
             ("frontdoor", None, 0.250, False, False, False),
@@ -165,5 +167,6 @@ class TestTable:
             ("batch", 2, None, None),
             ("frontdoor", 4, None, None),
             ("anytime", 1, 0.005, None),
+            ("native", 1, 0.005, None),
             ("anytime", 1, None, 4.0),
         }

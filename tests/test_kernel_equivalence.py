@@ -10,18 +10,24 @@ partitioning strategies; plus the driver-level behaviors that only the
 kernel provides (no RecursionError on deep chains) and the ``last_kernel``
 label.
 
-The same shape corpus also anchors the native dpconv rung (compiled C)
-to the reference driver whenever this host can run it — see
-:class:`TestNativeRungEquivalence`.
+The C top-down kernel (:func:`repro.optimizer.native.run_c_topdown`) is
+held to the same bar: every comparison runs with ``native_backend`` set
+to ``"off"`` and, where a kernel loads, ``"c"``, against both the
+reference recursion and the python kernel — see
+:class:`TestNativeTopDown`.  The same shape corpus also anchors the
+native dpconv rung (compiled C) to the reference driver whenever this
+host can run it — see :class:`TestNativeRungEquivalence`.
 """
 
+import math
 import random
 import sys
 import threading
+import time
 
 import pytest
 
-from repro.catalog.workload import uniform_statistics
+from repro.catalog.workload import attach_random_statistics, uniform_statistics
 from repro.cost.cout import CoutCostModel
 from repro.cost.physical import PhysicalCostModel
 from repro.enumeration.mincutbranch import MinCutBranch
@@ -35,8 +41,11 @@ from repro.graph.shapes import (
     grid_graph,
     star_graph,
 )
+from repro.heuristics.goo import greedy_operator_ordering
+from repro.optimizer.budget import Budget
 from repro.optimizer.dpconv import DPconvPlanGenerator
 from repro.optimizer.topdown import TopDownPlanGenerator, tdpgsub_reference
+from repro.plan.salvage import reprice
 
 SHAPES = [
     ("chain-9", chain_graph(9)),
@@ -58,27 +67,49 @@ def _native_backends():
 
 NATIVE_BACKENDS = _native_backends()
 
+#: Top-down engines to prove against the oracles: the python kernel
+#: always, the C kernel where one loads.
+TOPDOWN_BACKENDS = ["off"] + NATIVE_BACKENDS
+
 COST_MODELS = [CoutCostModel, PhysicalCostModel]
 PARTITIONERS = [MinCutBranch, MinCutLazy, NaivePartitioning]
 
 
-def run_pair(catalog, partitioner, cost_model_cls):
+def run_pair(catalog, partitioner, cost_model_cls, backend=None):
     """Optimize with the reference recursion and the kernel; return both."""
     reference = TopDownPlanGenerator(catalog, partitioner, cost_model_cls())
     root = catalog.graph.all_vertices
     tdpgsub_reference(reference, root)
     ref_plan = reference.builder.memo.extract_plan(root)
-    fast = TopDownPlanGenerator(catalog, partitioner, cost_model_cls())
+    fast = TopDownPlanGenerator(
+        catalog, partitioner, cost_model_cls(), native_backend=backend
+    )
     return reference, ref_plan, fast, fast.optimize()
+
+
+def memo_rows(optimizer):
+    """The memo as a list of plain rows, in iteration order."""
+    return [
+        (
+            entry.vertex_set,
+            entry.cardinality,
+            entry.cost,
+            entry.best_left,
+            entry.best_right,
+            entry.implementation,
+            entry.explored,
+        )
+        for entry in optimizer.builder.memo.entries()
+    ]
 
 
 def assert_identical(reference, ref_plan, fast, fast_plan):
     """Assert the two runs are indistinguishable, memo entry by entry."""
     assert fast.last_kernel == "fast"
     assert ref_plan == fast_plan  # JoinTree is a frozen dataclass: deep eq
-    assert (
-        reference.partitioner.stats.emitted == fast.partitioner.stats.emitted
-    )
+    # Every PartitionStats field, not only ``emitted``: the C kernel
+    # mirrors the partitioner's work counters too.
+    assert reference.partitioner.stats == fast.partitioner.stats
     assert (
         reference.builder.cost_evaluations == fast.builder.cost_evaluations
     )
@@ -142,6 +173,239 @@ class TestShapeEquivalence:
             catalog = uniform_statistics(graph)
             cost_model = rng.choice(COST_MODELS)
             assert_identical(*run_pair(catalog, MinCutBranch, cost_model))
+
+
+def _random_corpus(seed, count, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, max_n)
+        if n < 3 or rng.random() < 0.5:
+            graph = random_acyclic_graph(n, rng=rng)
+        else:
+            graph = random_cyclic_graph(n, rng.randint(n, n * (n - 1) // 2), rng=rng)
+        yield attach_random_statistics(graph, seed=rng.randrange(1 << 30))
+
+
+class TestNativeTopDown:
+    """The C top-down kernel against both oracles, bit for bit.
+
+    Every case runs once per entry of :data:`TOPDOWN_BACKENDS`, so the
+    python kernel and (where one loads) the C kernel face the same
+    reference recursion, and the C run is also compared with the python
+    kernel memo row by row, in iteration order.
+    """
+
+    @staticmethod
+    def check(catalog, backend, partitioner=MinCutBranch):
+        reference, ref_plan, fast, fast_plan = run_pair(
+            catalog, partitioner, CoutCostModel, backend
+        )
+        assert_identical(reference, ref_plan, fast, fast_plan)
+        assert fast.last_backend == ("c" if backend == "c" else "python")
+        python = TopDownPlanGenerator(
+            catalog, partitioner, CoutCostModel(), native_backend="off"
+        )
+        assert python.optimize() == fast_plan
+        assert memo_rows(python) == memo_rows(fast)
+        assert python.partitioner.stats == fast.partitioner.stats
+        assert python.builder.cost_evaluations == fast.builder.cost_evaluations
+        assert (
+            python.builder.estimator.estimations
+            == fast.builder.estimator.estimations
+        )
+
+    @pytest.mark.parametrize("backend", TOPDOWN_BACKENDS)
+    @pytest.mark.parametrize("shape", [name for name, _ in SHAPES])
+    def test_shapes(self, shape, backend):
+        graph = dict(SHAPES)[shape]
+        self.check(uniform_statistics(graph), backend)
+        self.check(attach_random_statistics(graph, seed=11), backend)
+
+    @pytest.mark.parametrize("backend", TOPDOWN_BACKENDS)
+    def test_seeded_random_graphs(self, backend):
+        for catalog in _random_corpus(0xC70D, 25, 11):
+            self.check(catalog, backend)
+
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
+    def test_largest_c_query(self, backend):
+        # n = 64: every relation set still fits one uint64 mask.
+        catalog = attach_random_statistics(chain_graph(64), seed=5)
+        c_run = TopDownPlanGenerator(catalog, MinCutBranch, native_backend=backend)
+        plan = c_run.optimize()
+        assert c_run.last_backend == "c"
+        python = TopDownPlanGenerator(catalog, MinCutBranch, native_backend="off")
+        assert python.optimize() == plan
+        assert memo_rows(python) == memo_rows(c_run)
+        assert python.partitioner.stats == c_run.partitioner.stats
+
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
+    def test_past_the_mask_width_runs_python(self, backend):
+        catalog = uniform_statistics(
+            chain_graph(65), cardinality=4.0, selectivity=0.25
+        )
+        optimizer = TopDownPlanGenerator(
+            catalog, MinCutBranch, native_backend=backend
+        )
+        optimizer.optimize().validate()
+        assert optimizer.last_backend == "python"
+
+    @pytest.mark.parametrize(
+        "label, kwargs",
+        [
+            ("physical model", {"cost_model": PhysicalCostModel()}),
+            ("C_out subclass", {"cost_model": type("Sub", (CoutCostModel,), {})()}),
+            ("mincutlazy", {"partitioning_factory": MinCutLazy}),
+            (
+                "no optimizations",
+                {
+                    "partitioning_factory": lambda graph: MinCutBranch(
+                        graph, use_optimizations=False
+                    )
+                },
+            ),
+            ("pruning", {"enable_pruning": True}),
+        ],
+    )
+    def test_out_of_scope_runs_python(self, label, kwargs):
+        # Even an explicit "c" request leaves these on the python kernel.
+        options = {"partitioning_factory": MinCutBranch, **kwargs}
+        optimizer = TopDownPlanGenerator(
+            uniform_statistics(cycle_graph(7)), native_backend="c", **options
+        )
+        optimizer.optimize().validate()
+        assert optimizer.last_backend == "python", label
+
+    @pytest.mark.parametrize("backend", TOPDOWN_BACKENDS)
+    @pytest.mark.parametrize("cap", [1, 2, 7, 31, 32, 33, 100, 400])
+    def test_node_cap_expires_at_the_capped_expansion(self, cap, backend):
+        # Expiry is deterministic: both kernels stop before the same
+        # expansion and flush the same finished sets.
+        catalog = attach_random_statistics(clique_graph(9), seed=2)
+
+        def capped(engine):
+            budget = Budget(node_cap=cap)
+            optimizer = TopDownPlanGenerator(
+                catalog, MinCutBranch, budget=budget, native_backend=engine
+            )
+            plan = optimizer.optimize()
+            return optimizer, plan, budget
+
+        python, python_plan, python_budget = capped("off")
+        fast, fast_plan, budget = capped(backend)
+        assert fast.budget_expired and python.budget_expired
+        assert budget.nodes == python_budget.nodes == cap
+        assert fast_plan == python_plan
+        assert memo_rows(fast) == memo_rows(python)
+        assert fast.partitioner.stats == python.partitioner.stats
+        assert fast.builder.cost_evaluations == python.builder.cost_evaluations
+        assert (
+            fast.builder.estimator.estimations
+            == python.builder.estimator.estimations
+        )
+        assert fast.salvage_report == python.salvage_report
+        fast_plan.validate()
+
+    @pytest.mark.parametrize("backend", TOPDOWN_BACKENDS)
+    def test_deadline_salvages_a_plan_no_worse_than_goo(self, backend):
+        catalog = attach_random_statistics(clique_graph(16), seed=3)
+        optimizer = TopDownPlanGenerator(
+            catalog,
+            MinCutBranch,
+            budget=Budget(deadline_seconds=0.02),
+            native_backend=backend,
+        )
+        plan = optimizer.optimize()
+        assert optimizer.budget_expired
+        plan.validate()
+        goo = reprice(greedy_operator_ordering(catalog), CoutCostModel())
+        assert plan.cost <= goo.cost
+        assert math.isfinite(plan.cost)
+
+    @pytest.mark.parametrize("backend", TOPDOWN_BACKENDS)
+    def test_salvage_report_counts_unfinished_sets(self, backend):
+        # Only the root is a placeholder row; the sets still on the work
+        # stack count as scheduled, so the solved fraction reads the share
+        # of the search that finished, not ~1.0.
+        catalog = attach_random_statistics(clique_graph(12), seed=2)
+        optimizer = TopDownPlanGenerator(
+            catalog,
+            MinCutBranch,
+            budget=Budget(node_cap=200),
+            native_backend=backend,
+        )
+        optimizer.optimize()
+        report = optimizer.salvage_report
+        assert optimizer.unfinished_sets > 100
+        assert report["memo_entries"] == (
+            len(optimizer.builder.memo) + optimizer.unfinished_sets
+        )
+        assert report["memo_solved_fraction"] == (
+            report["solved_entries"] / report["memo_entries"]
+        )
+        assert report["memo_solved_fraction"] < 0.5
+
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
+    def test_deadline_interrupts_one_dense_set(self, backend):
+        # Exploring the root of clique-24 alone emits 2^23 ccps; the C
+        # kernel checks the deadline inside that enumeration, so the run
+        # stops near its 50 ms deadline instead of finishing the set.
+        catalog = uniform_statistics(clique_graph(24))
+        optimizer = TopDownPlanGenerator(
+            catalog,
+            MinCutBranch,
+            budget=Budget(deadline_seconds=0.05),
+            native_backend=backend,
+        )
+        started = time.perf_counter()
+        plan = optimizer.optimize()
+        elapsed = time.perf_counter() - started
+        assert optimizer.last_backend == "c"
+        assert optimizer.budget_expired
+        assert optimizer.partitioner.stats.emitted < 1 << 23
+        assert elapsed < 0.25
+        plan.validate()
+        goo = reprice(greedy_operator_ordering(catalog), CoutCostModel())
+        assert plan.cost <= goo.cost
+
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
+    def test_state_limit(self, backend, monkeypatch):
+        # Past its state cap a budgeted C run salvages what it finished;
+        # an unbudgeted one raises a typed error.
+        from repro.errors import OptimizationError
+        from repro.optimizer import native
+
+        monkeypatch.setattr(native, "_TOPDOWN_MAX_ITEMS", 60)
+        catalog = attach_random_statistics(clique_graph(9), seed=6)
+        budgeted = TopDownPlanGenerator(
+            catalog,
+            MinCutBranch,
+            budget=Budget(deadline_seconds=60.0),
+            native_backend=backend,
+        )
+        plan = budgeted.optimize()
+        assert budgeted.last_backend == "c"
+        assert budgeted.budget_expired
+        plan.validate()
+        goo = reprice(greedy_operator_ordering(catalog), CoutCostModel())
+        assert plan.cost <= goo.cost
+        plain = TopDownPlanGenerator(catalog, MinCutBranch, native_backend=backend)
+        with pytest.raises(OptimizationError, match="state limit"):
+            plain.optimize()
+
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
+    def test_generous_budget_is_exact(self, backend):
+        catalog = attach_random_statistics(clique_graph(10), seed=4)
+        budgeted = TopDownPlanGenerator(
+            catalog,
+            MinCutBranch,
+            budget=Budget(deadline_seconds=60.0, node_cap=10**9),
+            native_backend=backend,
+        )
+        plain = TopDownPlanGenerator(catalog, MinCutBranch, native_backend="off")
+        assert budgeted.optimize() == plain.optimize()
+        assert not budgeted.budget_expired
+        assert budgeted.last_backend == "c"
+        assert memo_rows(budgeted) == memo_rows(plain)
 
 
 class TestNativeRungEquivalence:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.catalog.workload import uniform_statistics
 from repro.cost.cout import CoutCostModel
+from repro.enumeration.mincutbranch import MinCutBranch
 from repro.errors import OptimizationError
 from repro.graph.shapes import chain_graph, clique_graph, cycle_graph
 from repro.optimizer import native
@@ -28,6 +29,7 @@ from repro.optimizer.api import OptimizationRequest, optimize_request
 from repro.optimizer.budget import Budget
 from repro.optimizer.dpconv import DPconvPlanGenerator
 from repro.optimizer.native import native_backend_status, resolve_backend
+from repro.optimizer.topdown import TopDownPlanGenerator
 from repro.serialize import plan_to_dict
 
 HAVE_C = load_c_kernel(build=True) is not None
@@ -104,7 +106,9 @@ class TestBackendStatus:
         assert set(status["compiler"]) == {"available", "cc"}
         assert set(status["c_kernel"]) == {"built", "path", "tag"}
         assert status["resolved"] in ("python", "c")
-        assert status["max_n"] == {"c": native.C_MAX_N}
+        assert status["max_n"] == {
+            "dpconv": native.C_MAX_N, "topdown": native.TOPDOWN_MAX_N
+        }
 
     def test_off_resolves_python(self, no_c_kernel):
         assert native_backend_status()["resolved"] == "python"
@@ -145,11 +149,30 @@ class TestBackendLabels:
         )
         assert result.details["backend"] == "c"
 
-    def test_topdown_reports_python_backend(self):
+    def test_topdown_reports_its_backend(self):
+        # The C top-down kernel serves plain C_out MinCutBranch runs
+        # wherever a kernel loads.
+        request = OptimizationRequest(
+            query=exact_catalog(cycle_graph(7)), algorithm="tdmincutbranch"
+        )
+        expected = "c" if HAVE_C else "python"
+        assert optimize_request(request).details["backend"] == expected
+
+    def test_topdown_without_a_kernel_reports_python(self, no_c_kernel):
         result = optimize_request(
-            OptimizationRequest(query=exact_catalog(cycle_graph(7)))
+            OptimizationRequest(
+                query=exact_catalog(cycle_graph(7)), algorithm="tdmincutbranch"
+            )
         )
         assert result.details["backend"] == "python"
+
+    def test_topdown_off_reports_python(self):
+        optimizer = TopDownPlanGenerator(
+            exact_catalog(cycle_graph(7)), MinCutBranch, native_backend="off"
+        )
+        optimizer.optimize()
+        assert optimizer.last_kernel == "fast"
+        assert optimizer.last_backend == "python"
 
 
 class TestServiceWiring:
