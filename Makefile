@@ -1,11 +1,10 @@
 # Development targets. `make verify` is the PR gate: the full test
-# suite, the benchmark gates (except batch) and the serve and replay
-# smokes.
+# suite, the benchmark gates (except batch) and the serve smoke.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test chaos bench-service bench-batch bench-resilience bench-observability bench-kernel bench-dpconv bench-native bench-anytime bench-frontdoor serve-smoke replay replay-smoke profile verify
+.PHONY: test chaos bench-service bench-batch bench-resilience bench-observability bench-kernel bench-dpconv bench-native bench-anytime bench-frontdoor serve-smoke profile verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -83,22 +82,10 @@ bench-frontdoor:
 serve-smoke:
 	$(PYTHON) benchmarks/smoke_frontdoor.py
 
-# Fleet dashboard: replay a seeded 3-tenant mixed-shape stream through
-# an in-process service and render REPLAY.json + every registered
-# figure into replay_out/ (deterministic for a fixed seed).
-replay:
-	$(PYTHON) -m repro.cli replay --outdir replay_out
-
-# Replay smoke gate: seeded stream against a live 2-shard front door;
-# asserts nonzero cache hits, >= 1 drift-triggered invalidation, zero
-# stale-plan serves, and that every registered figure renders.
-replay-smoke:
-	$(PYTHON) benchmarks/smoke_replay.py
-
 # Where the time goes when bench-kernel regresses: top-25 cProfile
 # lines of the kernel path on clique-14.
 profile:
 	$(PYTHON) -c "from benchmarks.gates import profile_kernel; profile_kernel()"
 
-verify: test bench-service bench-resilience bench-observability bench-kernel bench-dpconv bench-native bench-anytime serve-smoke bench-frontdoor replay-smoke
+verify: test bench-service bench-resilience bench-observability bench-kernel bench-dpconv bench-native bench-anytime serve-smoke bench-frontdoor
 	@echo "verify: ok"

@@ -5,12 +5,10 @@ experiment definition in :mod:`repro.bench.experiments`; run them all via
 ``python -m repro.bench.report --all`` or individually with
 ``--experiment fig09``.
 
-The serving-era additions live alongside: :mod:`repro.bench.replay`
-(seeded multi-tenant workload replay), :mod:`repro.bench.figures` (the
-fleet-dashboard figure registry), and
-:func:`repro.bench.report.bench_output_path` (the single home for
-``BENCH_*.json`` gate reports).  They are imported lazily — ``import
-repro.bench`` must stay cheap for the hot paths that only need timing.
+:func:`repro.bench.report.bench_output_path` is the single home for
+``BENCH_*.json`` gate reports, and :mod:`repro.bench.gate` runs the gate
+table.  Neither is imported here: ``import repro.bench`` must stay
+cheap for the hot paths that only need timing.
 """
 
 from repro.bench.timing import time_callable, TimingResult

@@ -17,7 +17,6 @@ than overwritten.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import sys
@@ -31,7 +30,6 @@ __all__ = [
     "main",
     "bench_output_path",
     "bench_environment",
-    "collect_bench_reports",
     "write_bench_report",
 ]
 
@@ -99,21 +97,6 @@ def write_bench_report(name: str, report: Dict, output: Optional[str] = None) ->
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def collect_bench_reports(directory: Optional[str] = None) -> Dict[str, str]:
-    """Map gate name -> path for every ``BENCH_*.json`` in ``directory``.
-
-    Defaults to the same directory :func:`bench_output_path` writes to,
-    so dashboards (e.g. the replay harness) can pick up the full gate
-    trajectory without knowing each benchmark's filename.
-    """
-    base = directory or os.environ.get("REPRO_BENCH_DIR") or os.getcwd()
-    reports = {}
-    for path in sorted(glob.glob(os.path.join(base, "BENCH_*.json"))):
-        stem = os.path.basename(path)[len("BENCH_"):-len(".json")]
-        reports[stem] = path
-    return reports
 
 
 def main(argv: Optional[List[str]] = None) -> int:

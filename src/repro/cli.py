@@ -22,11 +22,6 @@ Subcommands (``repro-optimize <subcommand> ...`` or
                    private plan caches, consistent-hash routing,
                    per-tenant --quota admission, bounded queues with
                    429 backpressure, /metrics Prometheus export
-    replay         replay a seeded multi-tenant query stream (in-process
-                   or against a live front door via --host/--port) and
-                   render the fleet dashboard: per-request event log,
-                   REPLAY.json summary, and every registered figure
-                   (see docs/REPLAY.md)
     backends       report whether the compiled C dpconv kernel is
                    available on this host and which backend (pure
                    python or C) the auto-selector would pick;
@@ -593,6 +588,9 @@ def _serve_main(argv: List[str]) -> int:
         asyncio.run(run())
     except KeyboardInterrupt:
         pass
+    except ReproError as exc:  # a bad setting, e.g. --quota nan
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -611,17 +609,10 @@ def _result_document(result) -> dict:
     return result.to_dict()
 
 
-def _replay_main(argv: List[str]) -> int:
-    from repro.bench.replay import main as replay_main
-
-    return replay_main(argv)
-
-
 #: Subcommand name -> entry point; checked before flat-flag parsing.
 SUBCOMMANDS = {
     "serve-stats": _serve_stats_main,
     "serve": _serve_main,
-    "replay": _replay_main,
     "backends": _backends_main,
 }
 

@@ -115,6 +115,10 @@ class FrontDoor:
 
     def __init__(self, config: Optional[FrontDoorConfig] = None):
         self.config = config or FrontDoorConfig()
+        # Before the shards fork: a refused quota leaves no process behind.
+        self.quotas = TenantQuotas(
+            self.config.quota_rate, self.config.quota_burst
+        )
         self.shards = ShardPool(
             self.config.shards,
             self.config.shard_service_kwargs,
@@ -122,9 +126,6 @@ class FrontDoor:
             replicas=self.config.ring_replicas,
             warm_cache_path=self.config.warm_cache_path,
             snapshot_path=self.config.snapshot_path,
-        )
-        self.quotas = TenantQuotas(
-            self.config.quota_rate, self.config.quota_burst
         )
         self._route_memo = LRUMemo(self.config.route_memo_size)
         self._server: Optional[asyncio.AbstractServer] = None

@@ -40,6 +40,7 @@ import asyncio
 import bisect
 import hashlib
 import json
+import math
 import os
 import time
 import warnings
@@ -158,10 +159,13 @@ class TokenBucket:
 
     Not thread-safe — the front door runs it on one event loop.  A
     non-positive ``rate`` never refills (the initial burst is all a
-    tenant ever gets), which the quota tests use for determinism.
+    tenant ever gets), which the quota tests use for determinism.  A
+    NaN or infinite ``rate`` is refused.
     """
 
     def __init__(self, rate: float, burst: float, clock=time.monotonic):
+        if not math.isfinite(rate):
+            raise OptimizationError(f"quota rate must be finite, got {rate}")
         if burst < 1:
             raise OptimizationError(f"quota burst must be >= 1, got {burst}")
         self.rate = float(rate)
@@ -192,9 +196,10 @@ class TokenBucket:
         deficit = tokens - self._tokens
         if deficit <= 0:
             return 0.0
-        if self.rate <= 0:
-            return 60.0  # never refills; tell clients to back off a while
-        return deficit / self.rate
+        wait = deficit / self.rate if self.rate > 0 else math.inf
+        # Never refills, or too slowly for a finite wait (a denormal
+        # rate): tell clients to back off a while.
+        return wait if math.isfinite(wait) else 60.0
 
 
 class TenantQuotas:
@@ -214,6 +219,8 @@ class TenantQuotas:
         max_tenants: int = 1024,
         clock=time.monotonic,
     ):
+        if rate is not None:
+            TokenBucket(rate, burst, clock=clock)  # refuse a bad quota now
         self.rate = rate
         self.burst = burst
         self.max_tenants = max_tenants

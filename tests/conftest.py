@@ -7,7 +7,9 @@ import random
 import pytest
 
 from repro import (
+    Catalog,
     QueryGraph,
+    Relation,
     chain_graph,
     star_graph,
     cycle_graph,
@@ -49,6 +51,37 @@ def pin_dpconv_kernel(monkeypatch, present: bool) -> None:
         )
 
     monkeypatch.setattr(api, "_c_rung_resolves", c_rung_resolves)
+
+
+def chain3_catalog(scale: float = 1.0) -> Catalog:
+    """A 3-relation chain whose cardinalities are multiplied by ``scale``.
+
+    ``scale=1 + 1e-9`` is a drift below the signature's rounding
+    quantum: only ``stats_epoch`` can tell the two catalogs apart.
+    """
+    graph = QueryGraph(3, [(0, 1), (1, 2)])
+    return Catalog(
+        graph,
+        [
+            Relation("R0", 100.0 * scale),
+            Relation("R1", 2000.0 * scale),
+            Relation("R2", 50.0 * scale),
+        ],
+        {(0, 1): 0.1, (1, 2): 0.05},
+    )
+
+
+def relabelled_catalog(catalog: Catalog, permutation) -> Catalog:
+    """The same statted query under a different vertex numbering."""
+    graph = catalog.graph.relabelled(permutation)
+    relations = [None] * graph.n_vertices
+    for vertex in range(graph.n_vertices):
+        relations[permutation[vertex]] = catalog.relations[vertex]
+    selectivities = {
+        (permutation[u], permutation[v]): catalog.selectivity(u, v)
+        for (u, v) in catalog.graph.edges
+    }
+    return Catalog(graph, relations, selectivities)
 
 
 def random_connected_graph(rng: random.Random, max_vertices: int = 9) -> QueryGraph:

@@ -15,14 +15,17 @@ from repro.catalog.workload import WorkloadGenerator
 from repro.optimizer.api import OptimizationRequest
 from repro import serialize
 from repro.cost.physical import PhysicalCostModel
+from repro.errors import OptimizationError
 from repro.service import (
     FrontDoor,
     FrontDoorConfig,
     OptimizerService,
     ResilienceConfig,
 )
+from repro.service.frontdoor import _retry_after_header
+from repro.service.sharding import TenantQuotas, TokenBucket
 
-from .conftest import pin_dpconv_kernel
+from .conftest import chain3_catalog, pin_dpconv_kernel, relabelled_catalog
 
 
 # ----------------------------------------------------------------------
@@ -110,18 +113,7 @@ def envelope(document, tenant=None, request_id=None, version=1):
 def relabelled_document(document, permutation):
     """The same request under a different vertex numbering (isomorphic)."""
     request = serialize.request_from_dict(document)
-    catalog = request.resolved_catalog()
-    graph = catalog.graph.relabelled(permutation)
-    relations = [None] * graph.n_vertices
-    for vertex in range(graph.n_vertices):
-        relations[permutation[vertex]] = catalog.relations[vertex]
-    selectivities = {
-        (permutation[u], permutation[v]): catalog.selectivity(u, v)
-        for (u, v) in catalog.graph.edges
-    }
-    from repro.catalog.statistics import Catalog
-
-    relabelled = Catalog(graph, relations, selectivities)
+    relabelled = relabelled_catalog(request.resolved_catalog(), permutation)
     return serialize.request_to_dict(
         OptimizationRequest(query=relabelled, algorithm=request.algorithm)
     )
@@ -209,6 +201,40 @@ class TestOptimizeEndpoint:
                     door.port, "POST", "/v1/optimize", wire
                 )
                 assert status == 200 and reply["kind"] == "optimize_reply"
+
+        run(body())
+
+    def test_sub_quantum_drift_with_bumped_epoch_misses_then_hits(self):
+        # Every statistic moves by less than the signature's rounding
+        # quantum, so only the bumped stats_epoch separates the two
+        # documents: the drifted one must be computed fresh, then cached.
+        async def body():
+            async with door_on() as door:
+                document = serialize.request_to_dict(
+                    OptimizationRequest(query=chain3_catalog())
+                )
+                status, _, first = await http_request(
+                    door.port, "POST", "/v1/optimize", envelope(document)
+                )
+                assert status == 200
+                drifted = json.loads(json.dumps(document))
+                for relation in drifted["query"]["relations"]:
+                    relation["cardinality"] *= 1.0 + 1e-9
+                for edge in drifted["query"]["selectivities"]:
+                    edge["selectivity"] *= 1.0 + 1e-9
+                drifted["stats_epoch"] = 1
+                status, _, after = await http_request(
+                    door.port, "POST", "/v1/optimize", envelope(drifted)
+                )
+                assert status == 200
+                assert after["result"]["cache_hit"] is False
+                assert after["result"]["signature"] != first["result"]["signature"]
+                status, _, again = await http_request(
+                    door.port, "POST", "/v1/optimize", envelope(drifted)
+                )
+                assert status == 200
+                assert again["result"]["cache_hit"] is True
+                assert again["result"]["signature"] == after["result"]["signature"]
 
         run(body())
 
@@ -371,6 +397,50 @@ class TestRejections:
                 assert status == 200
 
         run(body())
+
+
+class TestRetryAfter:
+    def test_fractional_deficit_never_rounds_to_zero(self):
+        assert _retry_after_header(0.0) == "1"
+        assert _retry_after_header(0.25) == "1"
+        assert _retry_after_header(0.999) == "1"
+
+    def test_true_ceiling_above_one_second(self):
+        # int(x + 0.999) under-reported these: a 1.0005s deficit needs
+        # 2 whole seconds of waiting, not 1.
+        assert _retry_after_header(1.0) == "1"
+        assert _retry_after_header(1.0005) == "2"
+        assert _retry_after_header(1.2) == "2"
+        assert _retry_after_header(59.001) == "60"
+
+    def test_bucket_fractional_deficit_maps_to_one_second(self):
+        now = [0.0]
+        bucket = TokenBucket(rate=4.0, burst=1.0, clock=lambda: now[0])
+        assert bucket.try_acquire()
+        assert not bucket.try_acquire()
+        deficit = bucket.retry_after_seconds()
+        assert 0.0 < deficit < 1.0
+        assert _retry_after_header(deficit) == "1"
+
+    def test_denormal_rate_reports_the_non_refilling_wait(self):
+        # 1 / 1e-320 overflows to inf, which math.ceil cannot render.
+        now = [0.0]
+        bucket = TokenBucket(rate=1e-320, burst=1.0, clock=lambda: now[0])
+        assert bucket.try_acquire()
+        assert not bucket.try_acquire()
+        assert bucket.retry_after_seconds() == 60.0
+        assert _retry_after_header(bucket.retry_after_seconds()) == "60"
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rate_is_refused_before_serving(self, rate, capsys):
+        from repro.cli import main
+
+        with pytest.raises(OptimizationError):
+            TokenBucket(rate=rate, burst=1.0)
+        with pytest.raises(OptimizationError):
+            TenantQuotas(rate)
+        assert main(["serve", "--port", "0", f"--quota={rate}"]) == 1
+        assert "quota rate must be finite" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

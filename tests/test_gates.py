@@ -170,3 +170,25 @@ class TestTable:
             ("native", 1, 0.005, None),
             ("anytime", 1, None, 4.0),
         }
+
+
+class TestBenchOutputPath:
+    def test_defaults_to_cwd(self, tmp_path, monkeypatch):
+        from repro.bench.report import bench_output_path
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
+        assert bench_output_path("frontdoor") == str(
+            tmp_path / "BENCH_frontdoor.json"
+        )
+        assert bench_output_path("BENCH_kernel.json") == str(
+            tmp_path / "BENCH_kernel.json"
+        )
+
+    def test_env_var_overrides(self, tmp_path, monkeypatch):
+        from repro.bench.report import bench_output_path
+
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+        assert bench_output_path("dpconv") == str(
+            tmp_path / "BENCH_dpconv.json"
+        )

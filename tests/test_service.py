@@ -16,23 +16,13 @@ from repro import (
     chain_graph,
     uniform_statistics,
 )
+from repro import serialize
 from repro.cost.physical import HashJoin, PhysicalCostModel
 from repro.errors import OptimizationError
 from repro.service import PlanCache, CacheEntry, request_signature
 from repro.service.metrics import LatencyHistogram
 
-
-def relabelled_catalog(catalog: Catalog, permutation) -> Catalog:
-    """The same statted query under a different vertex numbering."""
-    graph = catalog.graph.relabelled(permutation)
-    relations = [None] * graph.n_vertices
-    for vertex in range(graph.n_vertices):
-        relations[permutation[vertex]] = catalog.relations[vertex]
-    selectivities = {
-        (permutation[u], permutation[v]): catalog.selectivity(u, v)
-        for (u, v) in catalog.graph.edges
-    }
-    return Catalog(graph, relations, selectivities)
+from .conftest import chain3_catalog, relabelled_catalog
 
 
 class TestCacheHits:
@@ -189,6 +179,70 @@ class TestSignatureCoverage:
         assert service.optimize(
             catalog, algorithm="dpccp", cost_model=PhysicalCostModel(output_weight=1.0)
         ).cache_hit
+
+
+class TestStatsEpoch:
+    def test_epoch_zero_signature_is_unchanged(self):
+        # Epoch 0 must not alter historical signatures: persisted cache
+        # snapshots and the pinned corpus in test_wire_schema stay valid.
+        catalog = chain3_catalog()
+        sig_default, _ = request_signature(catalog, "tdmincutbranch")
+        sig_explicit, _ = request_signature(
+            catalog, "tdmincutbranch", stats_epoch=0
+        )
+        assert sig_default == sig_explicit
+
+    def test_nonzero_epoch_changes_the_signature(self):
+        catalog = chain3_catalog()
+        sig0, _ = request_signature(catalog, "tdmincutbranch")
+        sig1, _ = request_signature(catalog, "tdmincutbranch", stats_epoch=1)
+        sig2, _ = request_signature(catalog, "tdmincutbranch", stats_epoch=2)
+        assert len({sig0, sig1, sig2}) == 3
+
+    def test_sub_quantum_drift_without_epoch_collides(self):
+        # The bug the epoch field fixes: a stats refresh whose values
+        # round to the same 4-significant-digit quantum produces the
+        # *same* signature, so the cache serves the pre-refresh plan.
+        old = chain3_catalog()
+        drifted = chain3_catalog(scale=1.0 + 1e-9)
+        sig_old, _ = request_signature(old, "tdmincutbranch")
+        sig_new, _ = request_signature(drifted, "tdmincutbranch")
+        assert sig_old == sig_new  # the collision the epoch must break
+
+    def test_sub_quantum_drift_with_epoch_invalidates(self):
+        service = OptimizerService()
+        before = service.optimize(
+            OptimizationRequest(query=chain3_catalog(), stats_epoch=0)
+        )
+        assert not before.cache_hit
+        replay_hit = service.optimize(
+            OptimizationRequest(query=chain3_catalog(), stats_epoch=0)
+        )
+        assert replay_hit.cache_hit
+        # Stats refresh: values drift below the rounding quantum, epoch
+        # bumps.  The request must MISS (recompute under new stats), not
+        # silently serve the stale plan.
+        after = service.optimize(
+            OptimizationRequest(
+                query=chain3_catalog(scale=1.0 + 1e-9), stats_epoch=1
+            )
+        )
+        assert not after.cache_hit
+        assert after.signature != before.signature
+
+    def test_wire_roundtrip_and_tolerant_default(self):
+        request = OptimizationRequest(query=chain3_catalog(), stats_epoch=7)
+        document = serialize.request_to_dict(request)
+        assert document["stats_epoch"] == 7
+        assert serialize.request_from_dict(document).stats_epoch == 7
+        # Documents from pre-epoch writers carry no field: default 0.
+        del document["stats_epoch"]
+        assert serialize.request_from_dict(document).stats_epoch == 0
+
+    def test_validation_rejects_bad_epochs(self):
+        for bad in (-1, 1.5, "3"):
+            with pytest.raises(OptimizationError):
+                OptimizationRequest(query=chain3_catalog(), stats_epoch=bad)
 
 
 class TestStatisticsValidation:
