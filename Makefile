@@ -57,9 +57,9 @@ bench-dpconv:
 	$(PYTHON) benchmarks/gates.py dpconv
 
 # Compiled C dpconv rung >= 5x geometric mean over pure python, and the
-# C top-down kernel >= 10x over the python kernel, each with the same
-# plan trees, costs, counts and memo sizes; a far-future budget costs
-# the C top-down kernel <= 1%.  Skipped with a notice on hosts where no
+# C top-down kernel >= 10x over the python kernel under C_out and under
+# the physical cost model, each with the same plan trees, costs, counts
+# and memo sizes; a far-future budget costs the C top-down kernel <= 1%.  Skipped with a notice on hosts where no
 # C kernel can be loaded or built.
 bench-native:
 	$(PYTHON) benchmarks/gates.py native

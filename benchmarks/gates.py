@@ -70,12 +70,12 @@ def _optimize(optimizer, run=None):
     return Sample(time.perf_counter() - started, (optimizer, plan))
 
 
-def _kernel(catalog, backend="off"):
+def _kernel(catalog, backend="off", cost_model=CoutCostModel):
     """The top-down kernel: the python one unless a row asks for C.  Rows
     that measure the python kernel pin it, or they would silently start
     timing C wherever a kernel is built."""
     return _optimize(TopDownPlanGenerator(
-        catalog, MinCutBranch, CoutCostModel(), native_backend=backend
+        catalog, MinCutBranch, cost_model(), native_backend=backend
     ))
 
 
@@ -491,11 +491,12 @@ def _native_cases() -> List[Case]:
 
 # ----------------------------------------------------------------------
 # native_topdown: the C top-down kernel is >= 10x faster than the python
-# kernel, with the same plan tree, cost, counters and memo size
+# kernel, with the same plan tree, cost, counters and memo size, under
+# C_out and (native_topdown_physical) under the physical cost model
 # ----------------------------------------------------------------------
 
 
-def _native_topdown_cases() -> List[Case]:
+def _native_topdown_cases(cost_model=CoutCostModel, shapes=None) -> List[Case]:
     def parity(python_run, c_run):
         (python, python_plan), (native, plan) = python_run, c_run
         if python.last_backend != "python" or native.last_backend != "c":
@@ -519,27 +520,42 @@ def _native_topdown_cases() -> List[Case]:
             )
         if len(native.builder.memo) != len(python.builder.memo):
             yield f"C memo size {len(native.builder.memo)} != {len(python.builder.memo)}"
+        names = [entry.implementation for entry in native.builder.memo.entries()]
+        if names != [entry.implementation for entry in python.builder.memo.entries()]:
+            yield "C memo implementation names differ from the python kernel's"
         plan.validate()
 
-    # The kernel gate's shapes but chain-100, which is past the C
-    # kernel's 64-relation mask.
-    shapes = [
-        ("chain-18", chain_graph(18), 7),
-        ("star-14", star_graph(14), 5),
-        ("cycle-16", cycle_graph(16), 7),
-        ("clique-14", clique_graph(14), 2),
-    ]
+    if shapes is None:
+        # The kernel gate's shapes but chain-100, which is past the C
+        # kernel's 64-relation mask.
+        shapes = [
+            ("chain-18", chain_graph(18), 7),
+            ("star-14", star_graph(14), 5),
+            ("cycle-16", cycle_graph(16), 7),
+            ("clique-14", clique_graph(14), 2),
+        ]
     cases = []
     for label, graph, repeat in shapes:
         catalog = _catalog(graph)
         cases.append(Case(
             label,
-            baseline=functools.partial(_kernel, catalog, "off"),
-            candidate=functools.partial(_kernel, catalog, "c"),
+            baseline=functools.partial(_kernel, catalog, "off", cost_model),
+            candidate=functools.partial(_kernel, catalog, "c", cost_model),
             repeat=repeat,
             parity=parity,
         ))
     return cases
+
+
+def _native_topdown_physical_cases() -> List[Case]:
+    # Two cost evaluations per ccp make the python kernel ~2.5x slower
+    # than under C_out, so the clique is two relations smaller.
+    return _native_topdown_cases(PhysicalCostModel, [
+        ("chain-18", chain_graph(18), 7),
+        ("star-14", star_graph(14), 5),
+        ("cycle-16", cycle_graph(16), 7),
+        ("clique-12", clique_graph(12), 2),
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -786,6 +802,10 @@ GATES = [
          floor=5.0, geomean=True, skip=_native_skip),
     Gate("native", "native_topdown: C top-down kernel vs the python kernel",
          _native_topdown_cases, floor=10.0, geomean=True, skip=_native_skip),
+    Gate("native",
+         "native_topdown_physical: C vs python kernel, physical model",
+         _native_topdown_physical_cases, floor=10.0, geomean=True,
+         skip=_native_skip),
     Gate("native", "far-future budget vs none on the C top-down kernel",
          _native_overhead_cases, ceiling=1.01, median=True, geomean=True,
          noise_ceiling=0.005, skip=_native_skip),

@@ -75,6 +75,22 @@ class CostModel(abc.ABC):
         """
         return self.symmetric
 
+    def output_floor(self) -> float:
+        """A factor ``f >= 0`` with ``join_cost(l, r, o)[0] >= f * o`` always.
+
+        Branch-and-bound (:mod:`repro.optimizer.kernel`) bounds a set's
+        plan cost from below by ``f`` times its estimated cardinality, so
+        the bound is sound for every model whose local costs are
+        non-negative.  The default ``0.0`` assumes only that; models
+        whose local cost carries the output cardinality (C_out, the
+        physical model's output term) return a larger factor, which
+        lets more subtrees be cut.  Like :attr:`symmetric`, it describes
+        the class's ``join_cost``: a subclass that overrides
+        ``join_cost`` must declare its own.  Consumers resolve it once
+        per run.
+        """
+        return 0.0
+
     def signature_fields(self) -> Dict[str, Any]:
         """Return the parameters that influence this model's costs.
 

@@ -27,3 +27,6 @@ class CoutCostModel(CostModel):
         self, left_card: float, right_card: float, output_card: float
     ) -> Tuple[float, str]:
         return output_card, "join"
+
+    def output_floor(self) -> float:
+        return 1.0

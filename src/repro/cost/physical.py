@@ -13,11 +13,15 @@ paper cites for join cost functions:
 
 All are asymmetric in their inputs, so pricing both orientations of a
 symmetric ccp (Fig. 2's two CreateTree calls) genuinely matters here.
+Every parameter must be a finite number >= 0 (``buffer_pages`` > 0);
+anything else raises :class:`~repro.errors.OptimizationError` at
+construction, also when the model arrives over the wire.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Sequence, Tuple
 
@@ -27,12 +31,36 @@ from repro.errors import OptimizationError
 __all__ = ["NestedLoopJoin", "HashJoin", "SortMergeJoin", "PhysicalCostModel"]
 
 
+def _check_parameter(
+    owner: str, name: str, value: Any, positive: bool = False
+) -> None:
+    """Refuse ``value`` unless it is a finite real number >= 0 (> 0 when
+    ``positive``): a zero buffer divides by zero, and NaN or a negative
+    weight makes every plan compare false."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not math.isfinite(number) or number < 0 or (positive and number == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise OptimizationError(
+            f"{owner}.{name} must be a finite number {bound}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class NestedLoopJoin(JoinImplementation):
     """Block nested-loop join: outer scanned once, inner per outer block."""
 
     name: str = "nestedloop"
     buffer_pages: float = 100.0
+
+    def __post_init__(self) -> None:
+        _check_parameter(
+            "NestedLoopJoin", "buffer_pages", self.buffer_pages, positive=True
+        )
 
     def cost(
         self, left_card: float, right_card: float, output_card: float
@@ -47,6 +75,10 @@ class HashJoin(JoinImplementation):
     name: str = "hash"
     build_factor: float = 2.0
     probe_factor: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_parameter("HashJoin", "build_factor", self.build_factor)
+        _check_parameter("HashJoin", "probe_factor", self.probe_factor)
 
     def cost(
         self, left_card: float, right_card: float, output_card: float
@@ -93,8 +125,19 @@ class PhysicalCostModel(CostModel):
     ):
         if not implementations:
             raise OptimizationError("need at least one join implementation")
+        _check_parameter("PhysicalCostModel", "output_weight", output_weight)
         self._implementations = tuple(implementations)
         self._output_weight = output_weight
+
+    @property
+    def implementations(self) -> Tuple[JoinImplementation, ...]:
+        """The join implementations, in the order ties are broken."""
+        return self._implementations
+
+    @property
+    def output_weight(self) -> float:
+        """The weight of the output cardinality in every join's cost."""
+        return self._output_weight
 
     def join_cost(
         self, left_card: float, right_card: float, output_card: float
@@ -110,6 +153,11 @@ class PhysicalCostModel(CostModel):
 
     # All bundled implementations are asymmetric in their inputs, so the
     # inherited ``symmetric = False`` stands: both orientations matter.
+
+    def output_floor(self) -> float:
+        # Implementation costs are non-negative, so the output term is the
+        # local cost's floor.
+        return float(self._output_weight)
 
     def signature_fields(self) -> Dict[str, Any]:
         return {

@@ -8,11 +8,15 @@ One C source, one module, two engines:
   ascending set order, same descending-submask split scan with a strict
   ``<`` winner, same ``(left_card * right_card) * selectivity``
   multiplication order.
-* ``td_run`` (with ``td_new`` / ``td_seed`` / ``td_push`` /
-  ``td_unfinished`` / ``td_free``) transcribes MinCutBranch (:mod:`repro.enumeration.mincutbranch`) and
-  the iterative TDPGSUB of :mod:`repro.optimizer.kernel` for ``C_out``:
-  same ccp emission order, same deferral, same first-priced pair
-  seeding the cardinality, strict ``<`` ties, same operation order.  A
+* ``td_run`` (with ``td_new`` / ``td_physical`` / ``td_seed`` /
+  ``td_push`` / ``td_unfinished`` / ``td_free``) transcribes MinCutBranch
+  (:mod:`repro.enumeration.mincutbranch`) and the iterative TDPGSUB of
+  :mod:`repro.optimizer.kernel`, pricing ``C_out`` inline or, after
+  ``td_physical``, :class:`repro.cost.physical.PhysicalCostModel` with
+  both orientations per ccp (``td_price``, libm's ``log2`` as CPython's
+  ``math.log2``): same ccp emission order, same deferral, same
+  first-priced pair seeding the cardinality, strict ``<`` ties, same
+  operation order, the winning implementation's index out in ``o_impl``.  A
   set is one ``uint64`` mask (n <= 64); the memo is an open-addressing
   table keyed by mask, and the state lives in a C-owned ``td_ctx`` so
   the python driver can charge node budgets between calls; deadlines are
@@ -94,6 +98,8 @@ typedef struct {
     unsigned long long *o_right;
     double *o_card;
     double *o_cost;
+    int *o_impl;
+    long long o_unnamed;
     ...;
 } td_ctx;
 
@@ -105,6 +111,13 @@ td_ctx *td_new(
     const double *sel_val,
     long long max_items);
 void td_free(td_ctx *ctx);
+int td_physical(
+    td_ctx *ctx,
+    int count,
+    const int *kinds,
+    const double *first,
+    const double *second,
+    double output_weight);
 int td_seed(td_ctx *ctx, unsigned long long set, double card, double cost);
 int td_push(td_ctx *ctx, unsigned long long set);
 int td_run(td_ctx *ctx);
@@ -232,7 +245,8 @@ long long dpconv_cout_range(
 
 /* ---------------------------------------------------------------------
  * Top-down: MinCutBranch (Figs. 4-6) feeding the iterative TDPGSUB of
- * repro/optimizer/kernel.py, C_out pricing only, one uint64 per set.
+ * repro/optimizer/kernel.py, one uint64 per set, pricing either C_out
+ * (inlined) or PhysicalCostModel (td_price).
  *
  * Every step mirrors the python kernel: a work stack of explore and
  * finish frames; per explored set the ccps priceable on sight form a
@@ -241,8 +255,8 @@ long long dpconv_cout_range(
  * in first-sight order) and priced in order when the set is finished;
  * the first priced pair seeds the cardinality with
  * (lc * rc) * sel_between(l, r); a candidate wins on strict <.  Costs,
- * splits, the finish order and every counter are therefore equal to
- * the python kernel's.
+ * splits, implementations, the finish order and every counter are
+ * therefore equal to the python kernel's.
  *
  * A budgeted run calls back into python (``td_check``, the budget's
  * deadline check) every TD_CHECK_STRIDE ccps emitted or priced, also in
@@ -280,7 +294,19 @@ typedef struct {
     unsigned long long left;
     unsigned long long right;
     int has_card;
+    int impl;
 } td_frame;
+
+/* The join implementations of repro/cost/physical.py, by kind. */
+#define TD_NESTED_LOOP 0   /* first: buffer_pages */
+#define TD_HASH 1          /* first: build_factor, second: probe_factor */
+#define TD_SORT_MERGE 2
+
+typedef struct {
+    int kind;
+    double first;
+    double second;
+} td_impl;
 
 typedef struct {
     /* shared with the python driver (declared in _CDEF) */
@@ -298,8 +324,13 @@ typedef struct {
     unsigned long long *o_right;
     double *o_card;
     double *o_cost;
+    int *o_impl;               /* index of the winning implementation; -1 none */
+    long long o_unnamed;       /* settled sets with index -1 */
     /* private */
     long long sp;
+    int n_impl;                /* 0: C_out; else PhysicalCostModel's table */
+    td_impl *impls;
+    double output_weight;
     unsigned long long adj[64];
     int sel_off[65];
     unsigned long long *sel_nbit;
@@ -329,6 +360,7 @@ typedef struct {
     double t_cost;
     unsigned long long t_left;
     unsigned long long t_right;
+    int t_impl;
 } td_ctx;
 
 /* ``buffer`` with room for ``need`` items (doubling), or NULL when out
@@ -416,7 +448,7 @@ static int td_push_frame(td_ctx *c, const td_frame *frame)
  * order the python driver flushes into the MemoTable. */
 static int td_settle(td_ctx *c, unsigned long long set, double card,
                      double cost, unsigned long long left,
-                     unsigned long long right)
+                     unsigned long long right, int impl)
 {
     td_slot *slot = td_insert(c, set);
     if (!slot) return -1;
@@ -438,7 +470,9 @@ static int td_settle(td_ctx *c, unsigned long long set, double card,
         if (o_card) c->o_card = o_card;
         double *o_cost = (double *)realloc(c->o_cost, (size_t)cap * sizeof(double));
         if (o_cost) c->o_cost = o_cost;
-        if (!o_set || !o_left || !o_right || !o_card || !o_cost) return -1;
+        int *o_impl = (int *)realloc(c->o_impl, (size_t)cap * sizeof(int));
+        if (o_impl) c->o_impl = o_impl;
+        if (!o_set || !o_left || !o_right || !o_card || !o_cost || !o_impl) return -1;
         c->o_cap = cap;
     }
     c->o_set[c->o_len] = set;
@@ -446,6 +480,8 @@ static int td_settle(td_ctx *c, unsigned long long set, double card,
     c->o_right[c->o_len] = right;
     c->o_card[c->o_len] = card;
     c->o_cost[c->o_len] = cost;
+    c->o_impl[c->o_len] = impl;
+    if (impl < 0) c->o_unnamed++;
     c->o_len++;
     return 0;
 }
@@ -472,6 +508,67 @@ static inline void td_tick(td_ctx *c)
     if (c->check_arg && td_check(c->check_arg)) c->halt = TD_EXPIRED;
 }
 
+/* SortMergeJoin's sort_cost: log2 is libm's, as CPython's math.log2. */
+static inline double td_sort_cost(double card)
+{
+    return card > 1.0 ? card * log2(card) : card;
+}
+
+/* PhysicalCostModel.join_cost: the first implementation with the
+ * smallest cost on strict < (the first one when none is below inf),
+ * plus output_weight * |out|; each cost() in physical.py's operation
+ * order. */
+static inline double td_join_cost(const td_ctx *c, double lc, double rc,
+                                  double oc, int *impl)
+{
+    double best = INFINITY;
+    int pick = 0;
+    for (int i = 0; i < c->n_impl; i++) {
+        const td_impl *m = &c->impls[i];
+        double cost;
+        if (m->kind == TD_NESTED_LOOP) {
+            cost = lc + lc * rc / m->first;
+        } else if (m->kind == TD_HASH) {
+            cost = m->first * lc + m->second * rc;
+        } else {
+            cost = td_sort_cost(lc) + td_sort_cost(rc) + lc + rc;
+        }
+        if (cost < best) {
+            best = cost;
+            pick = i;
+        }
+    }
+    *impl = pick;
+    return best + c->output_weight * oc;
+}
+
+/* The python kernel's asymmetric pricing of one ccp: L join R, then
+ * R join L, each candidate local + (l cost + r cost) and winning only on
+ * strict < against the best so far. */
+static inline void td_price(const td_ctx *c, unsigned long long left,
+                            unsigned long long right, const td_slot *l,
+                            const td_slot *r, double oc, double *cost,
+                            unsigned long long *b_left,
+                            unsigned long long *b_right, int *b_impl)
+{
+    double subtree = l->cost + r->cost;
+    int impl;
+    double total = td_join_cost(c, l->card, r->card, oc, &impl) + subtree;
+    if (total < *cost) {
+        *cost = total;
+        *b_left = left;
+        *b_right = right;
+        *b_impl = impl;
+    }
+    total = td_join_cost(c, r->card, l->card, oc, &impl) + subtree;
+    if (total < *cost) {
+        *cost = total;
+        *b_left = right;
+        *b_right = left;
+        *b_impl = impl;
+    }
+}
+
 /* The kernel's ``emit``: price on sight until the first pair with an
  * unfinished operand, then record every remaining pair. */
 static void td_emit(td_ctx *c, unsigned long long left, unsigned long long right)
@@ -492,11 +589,17 @@ static void td_emit(td_ctx *c, unsigned long long left, unsigned long long right
                     c->has_card = 1;
                     c->estimations++;
                 }
+                if (c->n_impl) {
+                    td_price(c, left, right, l, r, oc, &c->t_cost,
+                             &c->t_left, &c->t_right, &c->t_impl);
+                    return;
+                }
                 double total = oc + (l->cost + r->cost);
                 if (total < c->t_cost) {
                     c->t_cost = total;
                     c->t_left = left;
                     c->t_right = right;
+                    c->t_impl = 0;
                 }
                 return;
             }
@@ -624,9 +727,36 @@ td_ctx *td_new(
     return c;
 }
 
+/* Price with PhysicalCostModel: ``count`` implementations, each a kind
+ * (TD_NESTED_LOOP, TD_HASH, TD_SORT_MERGE) and its parameters, in the
+ * model's order.  Without this call the context prices C_out. */
+int td_physical(
+    td_ctx *c,
+    int count,
+    const int *kinds,
+    const double *first,
+    const double *second,
+    double output_weight)
+{
+    if (count < 1) return -1;
+    td_impl *impls = (td_impl *)malloc((size_t)count * sizeof(td_impl));
+    if (!impls) return -1;
+    for (int i = 0; i < count; i++) {
+        impls[i].kind = kinds[i];
+        impls[i].first = first[i];
+        impls[i].second = second[i];
+    }
+    free(c->impls);
+    c->impls = impls;
+    c->n_impl = count;
+    c->output_weight = output_weight;
+    return 0;
+}
+
 void td_free(td_ctx *c)
 {
     if (!c) return;
+    free(c->impls);
     free(c->sel_nbit);
     free(c->sel_val);
     free(c->slots);
@@ -638,6 +768,7 @@ void td_free(td_ctx *c)
     free(c->o_right);
     free(c->o_card);
     free(c->o_cost);
+    free(c->o_impl);
     free(c);
 }
 
@@ -657,7 +788,7 @@ int td_seed(td_ctx *c, unsigned long long set, double card, double cost)
 int td_push(td_ctx *c, unsigned long long set)
 {
     if (!td_insert(c, set)) return -1;
-    td_frame frame = {set, -1, 0, 0.0, 0.0, 0, 0, 0};
+    td_frame frame = {set, -1, 0, 0.0, 0.0, 0, 0, 0, -1};
     return td_push_frame(c, &frame);
 }
 
@@ -677,7 +808,7 @@ int td_run(td_ctx *c)
             td_frame f = *top;
             double card = f.card, cost = f.cost;
             unsigned long long b_left = f.left, b_right = f.right;
-            int has_card = f.has_card;
+            int has_card = f.has_card, impl = f.impl;
             const unsigned long long *pair = c->pend + 2 * f.pend_off;
             for (long long i = 0; i < f.pend_cnt; i++, pair += 2) {
                 td_tick(c);
@@ -696,14 +827,20 @@ int td_run(td_ctx *c)
                     has_card = 1;
                     c->estimations++;
                 }
+                if (c->n_impl) {
+                    td_price(c, pair[0], pair[1], l, r, oc, &cost,
+                             &b_left, &b_right, &impl);
+                    continue;
+                }
                 double total = oc + (l->cost + r->cost);
                 if (total < cost) {
                     cost = total;
                     b_left = pair[0];
                     b_right = pair[1];
+                    impl = 0;
                 }
             }
-            if (td_settle(c, f.set, card, cost, b_left, b_right)) return -1;
+            if (td_settle(c, f.set, card, cost, b_left, b_right, impl)) return -1;
             c->sp--;
             c->pend_len = f.pend_off;
             continue;
@@ -728,6 +865,7 @@ int td_run(td_ctx *c)
         c->t_cost = INFINITY;
         c->t_left = 0;
         c->t_right = 0;
+        c->t_impl = -1;
         c->kids_len = 0;
         c->stamp++;
         unsigned long long start = s_set & (~s_set + 1ULL);
@@ -739,17 +877,18 @@ int td_run(td_ctx *c)
         }
         c->sp--;
         if (!c->deferring) {
-            if (td_settle(c, s_set, c->t_card, c->t_cost, c->t_left, c->t_right))
+            if (td_settle(c, s_set, c->t_card, c->t_cost, c->t_left,
+                          c->t_right, c->t_impl))
                 return -1;
             continue;
         }
         td_frame finish = {
             s_set, pend_off, c->pend_len - pend_off, c->t_card,
-            c->t_cost, c->t_left, c->t_right, c->has_card
+            c->t_cost, c->t_left, c->t_right, c->has_card, c->t_impl
         };
         if (td_push_frame(c, &finish)) return -1;
         for (long long k = c->kids_len - 1; k >= 0; k--) {
-            td_frame kid = {c->kids[k], -1, 0, 0.0, 0.0, 0, 0, 0};
+            td_frame kid = {c->kids[k], -1, 0, 0.0, 0.0, 0, 0, 0, -1};
             if (td_push_frame(c, &kid)) return -1;
         }
     }
@@ -854,7 +993,11 @@ def _compile() -> Optional[str]:
         ffibuilder = cffi.FFI()
         ffibuilder.cdef(_CDEF)
         ffibuilder.set_source(
-            MODULE_BASENAME, _C_SOURCE, extra_compile_args=["-O2", "-ffp-contract=off"]
+            MODULE_BASENAME,
+            _C_SOURCE,
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+            # log2 lives in libm on POSIX; MSVC's CRT carries it.
+            libraries=[] if sys.platform == "win32" else ["m"],
         )
         built = ffibuilder.compile(tmpdir=scratch, verbose=False)
         target = os.path.join(base, os.path.basename(built))

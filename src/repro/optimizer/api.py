@@ -625,10 +625,11 @@ def optimize_request(request: OptimizationRequest) -> OptimizationResult:
         details["kernel"] = kernel
     backend = getattr(optimizer, "last_backend", None)
     if backend is not None:
-        # Engine that executed the enumeration: "python", or the native
-        # dpconv rung ("c" — see repro.optimizer.native).  The
-        # service mirrors it into metrics, trace spans, and serve-stats
-        # so the fleet can tell which hosts run accelerated.
+        # Engine that executed the enumeration: "python", or "c" for
+        # either compiled engine, dpconv or top-down (see
+        # repro.optimizer.native).  The service mirrors it into metrics,
+        # trace spans, and serve-stats so the fleet can tell which hosts
+        # run accelerated.
         details["backend"] = backend
     if getattr(optimizer, "budget_expired", False):
         # The plan is a salvaged anytime answer, not the exact optimum:

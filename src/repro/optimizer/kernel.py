@@ -130,8 +130,10 @@ def run_fast_kernel(driver, root_set: int, bound=None) -> None:
     With ``bound`` (an upper bound on the optimal cost) the run branches
     and bounds: only sets proven optimal are flushed as explored, and
     ``cost_evaluations`` / ``driver.pruned_sets`` count pairs priced and
-    sets cut.  Sound for cost models whose local join cost is at least
-    the output cardinality (C_out, the default physical model).
+    sets cut.  A set's cost is bounded from below by the model's
+    :meth:`~repro.cost.base.CostModel.output_floor` times its estimated
+    cardinality, which is sound for every model with non-negative local
+    costs.
     """
     builder = driver.builder
     memo = builder.memo
@@ -283,9 +285,11 @@ def run_fast_kernel(driver, root_set: int, bound=None) -> None:
     if bound is not None:
         # ``search(S, limit)`` ends with S in ``done`` iff its optimum is
         # at most ``limit``, else in ``partial`` with the limit proven
-        # too small.  ``lower`` (estimated cardinalities: plan-cost lower
-        # bounds) decides cuts and never prices.
+        # too small.  ``lower`` (plan-cost lower bounds: the model's
+        # output floor times the estimated cardinality) decides cuts and
+        # never prices.
         estimate = builder.catalog.estimate
+        scale = cost_model.output_floor()
         lower = dict.fromkeys(done, 0.0)  # a base relation costs nothing
         partial = {}  # S -> [card, proven-too-small limit, ccp lefts]
         pruned = priced = 0
@@ -293,7 +297,8 @@ def run_fast_kernel(driver, root_set: int, bound=None) -> None:
         def floor(s_set):
             lb = lower.get(s_set)
             if lb is None:
-                lb = lower[s_set] = estimate(s_set)
+                # A zero floor skips the estimate: 0 * inf would be NaN.
+                lb = lower[s_set] = scale * estimate(s_set) if scale else 0.0
             return lb
 
         def admit(s_set, limit):

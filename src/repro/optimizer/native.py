@@ -13,27 +13,35 @@ carries two engines, each a transcription of a pure-python loop:
   memo is an open-addressing table keyed by mask).  The top-down driver
   takes it only for exactly ``MinCutBranch(use_optimizations=True)``,
   unpruned; every other partitioner, pruning and ``n`` > 64 stay on the
-  python kernel, which remains the oracle.
+  python kernel, which remains the oracle.  It prices ``C_out`` and the
+  physical model (both orientations per ccp, the cheapest of its join
+  implementations, the winner's name in the memo).
 
 Neither is ever required -- built on demand, cached on disk, and any
 failure degrades silently to the pure engine.
 
 Selection (:func:`resolve_backend`, one function for both engines) takes
 the ``native_backend=`` constructor argument (``"auto"``, ``"c"`` or
-``"off"``) and only ever engages for the plain ``C_out`` cost model --
-other models price through a Python callback the C loops cannot call, so
-they stay on the pure engines even when ``"c"`` is requested.  ``auto``
-uses an **already-compiled** kernel only (no compile latency on the
-serving path; deploy with ``repro-optimize backends --build``); ``"c"``
-compiles eagerly.
+``"off"``) and only ever engages for cost models the C loops transcribe:
+exactly :class:`~repro.cost.cout.CoutCostModel` for both engines, and
+for top-down also exactly
+:class:`~repro.cost.physical.PhysicalCostModel` over exactly the three
+bundled join implementations.  Other models (subclasses, custom
+implementations) price through a Python callback the C loops cannot
+call, so they stay on the pure engines even when ``"c"`` is requested.
+``auto`` uses an **already-compiled** kernel only (no compile latency on
+the serving path; deploy with ``repro-optimize backends --build``);
+``"c"`` compiles eagerly.
 
 Exactness contract (gated by ``tests/test_dpconv_equivalence.py`` and
 ``tests/test_kernel_equivalence.py``): each C loop performs every float
 operation in its pure loop's order and breaks ties the same way, so
-costs, cardinalities, memo contents, counters and the extracted plan
-tree are **bit-identical** to the pure engine's on every input.  A C
-host and a pure-python host therefore cache the same plan under one
-signature.
+costs, cardinalities, memo contents (implementation names included),
+counters and the extracted plan tree are **bit-identical** to the pure
+engine's on every input whose statistics and parameters are floats, or
+ints whose products stay exact in a double (python multiplies and adds
+ints exactly, C rounds each step).  A C host and a pure-python host
+therefore cache the same plan under one signature.
 
 Budgets stay cooperative: C dpconv runs in bounded chunks with the
 :class:`~repro.optimizer.budget.Budget` charged and checked between
@@ -51,6 +59,12 @@ from itertools import repeat
 from typing import Optional
 
 from repro.cost.cout import CoutCostModel
+from repro.cost.physical import (
+    HashJoin,
+    NestedLoopJoin,
+    PhysicalCostModel,
+    SortMergeJoin,
+)
 from repro.errors import OptimizationError
 from repro.optimizer import _native_build
 from repro.optimizer.budget import BudgetExpired
@@ -94,6 +108,15 @@ _TOPDOWN_MAX_ITEMS = 1 << 23
 #: A countdown no run can reach: an unbudgeted run is one call.
 _UNLIMITED = 1 << 62
 
+#: The join implementations C top-down prices, by exact type: its kind
+#: code in the C source (``TD_NESTED_LOOP``, ``TD_HASH``,
+#: ``TD_SORT_MERGE``) and the two parameters it reads.
+_C_IMPLEMENTATIONS = {
+    NestedLoopJoin: lambda impl: (0, impl.buffer_pages, 0.0),
+    HashJoin: lambda impl: (1, impl.build_factor, impl.probe_factor),
+    SortMergeJoin: lambda impl: (2, 0.0, 0.0),
+}
+
 
 #: memoized numpy module (or None when unavailable).  numpy selects no
 #: engine; it only speeds up collecting the settled sets after a C
@@ -129,24 +152,45 @@ def check_backend(requested) -> str:
     return mode
 
 
+def _physical_rows(cost_model):
+    """``(kind, first, second)`` per implementation when C top-down can
+    price ``cost_model`` as exactly :class:`PhysicalCostModel` over the
+    three bundled implementations (any order, any parameters), else
+    ``None``."""
+    if type(cost_model) is not PhysicalCostModel:
+        return None
+    rows = []
+    for implementation in cost_model.implementations:
+        row = _C_IMPLEMENTATIONS.get(type(implementation))
+        if row is None:
+            return None
+        rows.append(row(implementation))
+    return rows
+
+
 def resolve_backend(cost_model, requested=None, n=None, engine="dpconv"):
     """Pick the engine for this run: ``"c"``, or ``None`` for pure python.
 
     ``requested`` is ``None`` (same as ``"auto"``) or one of
     :data:`BACKENDS`; anything else raises.  ``engine`` is ``"dpconv"``
     or ``"topdown"`` and sets the size ceiling (:data:`C_MAX_N`,
-    :data:`TOPDOWN_MAX_N`).  ``off``, a cost model other than exactly
-    :class:`CoutCostModel`, no loadable kernel, or ``n`` above the
-    engine's ceiling all resolve to ``None``.
+    :data:`TOPDOWN_MAX_N`).  ``off``, a cost model the engine cannot
+    price, no loadable kernel, or ``n`` above the engine's ceiling all
+    resolve to ``None``.  Both engines price exactly
+    :class:`CoutCostModel`; top-down also prices exactly
+    :class:`PhysicalCostModel` whose implementations are exactly
+    :class:`NestedLoopJoin`, :class:`HashJoin` and
+    :class:`SortMergeJoin`.
     """
     mode = check_backend(requested)
     if mode == "off":
         return None
-    # Only the plain C_out model has the callback-free pricing the C
-    # loops implement; subclasses may override join_cost, so require the
-    # exact type (mirrors the pure engines' own ``cout_fast`` check).
+    # The C loops transcribe these models' pricing instead of calling
+    # join_cost; a subclass may override it, so require the exact types
+    # (mirrors the pure engines' own ``cout_fast`` check).
     if cost_model is not None and type(cost_model) is not CoutCostModel:
-        return None
+        if engine != "topdown" or _physical_rows(cost_model) is None:
+            return None
     if n is not None and n > _MAX_N[engine]:
         return None
     if _native_build.load_c_kernel(build=(mode == "c")) is not None:
@@ -323,8 +367,9 @@ def run_c_topdown(driver, root_set: int) -> None:
     Only called after :func:`resolve_backend` returned ``"c"`` for a
     ``MinCutBranch`` driver without pruning.  Same contract as
     :func:`~repro.optimizer.kernel.run_fast_kernel` without a bound: the
-    memo ends with the same entries, in the same order, and the
-    partitioner's :class:`~repro.enumeration.base.PartitionStats`,
+    memo ends with the same entries (implementation names included), in
+    the same order, and the partitioner's
+    :class:`~repro.enumeration.base.PartitionStats`,
     ``cost_evaluations`` and ``estimations`` advance by the same
     amounts.
 
@@ -356,6 +401,18 @@ def run_c_topdown(driver, root_set: int) -> None:
     if ctx == ffi.NULL:
         raise MemoryError("cannot allocate the C top-down kernel's state")
     try:
+        cost_model = builder.cost_model
+        rows = _physical_rows(cost_model)
+        if rows is None:
+            names, per_ccp = ("join",), 1
+        else:
+            per_ccp = 2
+            names = tuple(impl.name for impl in cost_model.implementations)
+            kinds, first, second = zip(*rows)
+            if lib.td_physical(
+                ctx, len(rows), kinds, first, second, cost_model.output_weight
+            ):
+                raise MemoryError("C top-down kernel out of memory")
         for entry in memo.entries():
             if lib.td_seed(ctx, entry.vertex_set, entry.cardinality, entry.cost):
                 raise MemoryError("C top-down kernel out of memory")
@@ -407,27 +464,31 @@ def run_c_topdown(driver, root_set: int) -> None:
         stats.reachable_calls += ctx.reachable_calls
         stats.reachable_iterations += ctx.reachable_iterations
         builder.estimator.estimations += ctx.estimations
-        # One C_out evaluation per emitted ccp, derived as the python
-        # kernel derives it (an upper bound on an aborted run).
-        builder.cost_evaluations += ctx.emitted
+        # One C_out or two physical evaluations (both orientations) per
+        # emitted ccp, derived as the python kernel derives it (an upper
+        # bound on an aborted run).
+        builder.cost_evaluations += per_ccp * ctx.emitted
 
         count = ctx.o_len
         if count:
             # Finish order is the python kernel's ``done`` insertion
             # order, so the memo's iteration order matches too.  A set
             # no candidate won (every total inf or NaN) has no split and
-            # no implementation, as in python.
-            lefts = ffi.unpack(ctx.o_left, count)
+            # no implementation (index -1), as in python.
+            if len(names) == 1 and not ctx.o_unnamed:
+                named = repeat(names[0])
+            else:
+                named = map(
+                    (names + (None,)).__getitem__, ffi.unpack(ctx.o_impl, count)
+                )
             memo.bulk_load(
                 zip(
                     ffi.unpack(ctx.o_set, count),
                     ffi.unpack(ctx.o_card, count),
                     ffi.unpack(ctx.o_cost, count),
-                    lefts,
+                    ffi.unpack(ctx.o_left, count),
                     ffi.unpack(ctx.o_right, count),
-                    [None if left == 0 else "join" for left in lefts]
-                    if 0 in lefts
-                    else repeat("join"),
+                    named,
                     repeat(True),
                 )
             )

@@ -66,9 +66,10 @@ class TopDownPlanGenerator:
         ``None``/``"auto"``/``"c"``/``"off"`` — whether the compiled C
         top-down kernel (:func:`repro.optimizer.native.run_c_topdown`)
         may run.  It runs only for exactly ``MinCutBranch`` with its
-        optimizations on, exactly ``CoutCostModel``, no pruning and
-        ``n`` <= 64, and is bit-identical to the python kernel there
-        (plans, memo, counters).  ``last_backend`` then reads ``"c"``;
+        optimizations on, exactly ``CoutCostModel`` or exactly
+        ``PhysicalCostModel`` over the bundled join implementations, no
+        pruning and ``n`` <= 64, and is bit-identical to the python
+        kernel there (plans, implementation names, memo, counters).  ``last_backend`` then reads ``"c"``;
         every other run is ``"python"``.
     """
 

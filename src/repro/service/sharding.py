@@ -197,9 +197,10 @@ class TokenBucket:
         if deficit <= 0:
             return 0.0
         wait = deficit / self.rate if self.rate > 0 else math.inf
-        # Never refills, or too slowly for a finite wait (a denormal
-        # rate): tell clients to back off a while.
-        return wait if math.isfinite(wait) else 60.0
+        # Never refills, or too slowly for a wait worth reporting (a tiny
+        # rate, or a denormal one that overflows to inf): tell clients to
+        # back off a minute.
+        return min(wait, 60.0)
 
 
 class TenantQuotas:

@@ -241,9 +241,9 @@ class TestAnytimeRung:
         assert again.cache_hit
 
     def test_over_budget_expiry_serves_salvaged_plan(self):
-        # clique-14 cannot finish in 30ms of pure-Python enumeration
-        # (the physical model keeps it off the C kernel); the rung
-        # salvages.  Outcome-only assertions (no timing).
+        # A physical clique-14 cannot finish in 30ms (~150ms on the C
+        # kernel, seconds in python); the rung salvages.  Outcome-only
+        # assertions (no timing).
         service = over_budget_service()
         instance = WorkloadGenerator(seed=2).fixed_shape("clique", 14)
         request = OptimizationRequest(
@@ -328,8 +328,8 @@ class TestDeadlineStorm:
         # A burst of heavy cliques under a tight per-item deadline, all
         # on a cooperating engine: every item must resolve ok with a
         # valid (salvaged) plan — zero DeadlineExceededError, zero
-        # worker kills.  The physical model keeps them on the python
-        # kernel, where none of them finishes in time on any host.
+        # worker kills.  Under the physical model none of them finishes
+        # in time on either kernel (clique-15 takes ~0.4s in C).
         service = OptimizerService()
         generator = WorkloadGenerator(seed=9)
         requests = [
@@ -339,12 +339,12 @@ class TestDeadlineStorm:
                 cost_model=PhysicalCostModel(),
                 tag=f"storm-{n}",
             )
-            for n in (13, 14, 15)
+            for n in (15, 16, 17)
         ]
         results = service.optimize_batch(
             requests, workers=2, executor="process", deadline_seconds=0.08
         )
-        assert [r.tag for r in results] == ["storm-13", "storm-14", "storm-15"]
+        assert [r.tag for r in results] == ["storm-15", "storm-16", "storm-17"]
         for request, result in zip(requests, results):
             assert result.ok, result.error
             assert result.details.get("anytime") == 1
@@ -390,8 +390,9 @@ class TestDeadlineStorm:
         assert totals["hard_kills_avoided"] == 3
 
     def test_storm_results_do_not_poison_the_cache(self):
+        # A physical clique-16 takes over a second even in C.
         service = OptimizerService()
-        instance = WorkloadGenerator(seed=9).fixed_shape("clique", 14)
+        instance = WorkloadGenerator(seed=9).fixed_shape("clique", 16)
         request = OptimizationRequest(
             query=instance,
             algorithm="tdmincutbranch",
@@ -411,8 +412,9 @@ class TestDeadlineStorm:
             algorithm="tdmincutbranch",
             tag="fast",
         )
+        # A physical clique-17 takes seconds even in C.
         slow = OptimizationRequest(
-            query=generator.fixed_shape("clique", 14),
+            query=generator.fixed_shape("clique", 17),
             algorithm="tdmincutbranch",
             cost_model=PhysicalCostModel(),
             tag="slow",

@@ -85,3 +85,61 @@ class TestPhysicalModel:
     def test_requires_implementations(self):
         with pytest.raises(OptimizationError):
             PhysicalCostModel(implementations=())
+
+
+class TestParameterValidation:
+    """Parameters that break pricing are refused at construction."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NestedLoopJoin(buffer_pages=0),
+            lambda: NestedLoopJoin(buffer_pages=-1.0),
+            lambda: NestedLoopJoin(buffer_pages=math.inf),
+            lambda: HashJoin(build_factor=math.nan),
+            lambda: HashJoin(probe_factor=-0.5),
+            lambda: HashJoin(build_factor="2"),
+            lambda: HashJoin(build_factor=True),
+            lambda: HashJoin(build_factor=10**400),
+            lambda: PhysicalCostModel(output_weight=math.nan),
+            lambda: PhysicalCostModel(output_weight=-1.0),
+            lambda: PhysicalCostModel(output_weight=None),
+        ],
+        ids=[
+            "buffer-0", "buffer-negative", "buffer-inf", "build-nan",
+            "probe-negative", "build-string", "build-bool", "build-huge-int",
+            "weight-nan", "weight-negative", "weight-none",
+        ],
+    )
+    def test_refused(self, make):
+        with pytest.raises(OptimizationError, match="finite number"):
+            make()
+
+    def test_edge_values_accepted(self):
+        model = PhysicalCostModel(
+            [NestedLoopJoin(buffer_pages=1e-300), HashJoin(0.0, 0.0)],
+            output_weight=0,
+        )
+        assert model.output_weight == 0
+        assert model.implementations[1].build_factor == 0.0
+
+    def test_optimize_request_gets_a_typed_error(self):
+        # Was a bare ZeroDivisionError from inside the enumeration.
+        from repro import serialize
+
+        document = {
+            "kind": "cost_model",
+            "version": 1,
+            "class": "PhysicalCostModel",
+            "params": {
+                "output_weight": 1.0,
+                "implementations": [
+                    {"class": "NestedLoopJoin", "name": "nestedloop", "buffer_pages": 0}
+                ],
+            },
+        }
+        with pytest.raises(OptimizationError, match="buffer_pages"):
+            serialize.cost_model_from_dict(document)
+        document["params"] = {"output_weight": math.nan}
+        with pytest.raises(OptimizationError, match="output_weight"):
+            serialize.cost_model_from_dict(document)

@@ -327,6 +327,33 @@ class TestRejections:
 
         run(body())
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"output_weight": float("nan")},
+            {
+                "implementations": [
+                    {"class": "NestedLoopJoin", "name": "nestedloop", "buffer_pages": 0}
+                ]
+            },
+        ],
+        ids=["nan-weight", "zero-buffer"],
+    )
+    def test_invalid_cost_parameters_are_400(self, params):
+        # Refused when the shard decodes the model, before any pricing.
+        async def body():
+            async with door_on() as door:
+                document = request_document(cost_model=PhysicalCostModel())
+                document["cost_model"]["params"].update(params)
+                status, _, reply = await http_request(
+                    door.port, "POST", "/v1/optimize", envelope(document)
+                )
+                assert status == 400
+                assert reply["error"]["code"] == "invalid_request"
+                assert "must be a finite number" in reply["error"]["message"]
+
+        run(body())
+
     @pytest.mark.parametrize("length", ["-5", "five"])
     def test_bad_content_length_is_400_typed(self, length):
         async def body():
@@ -426,6 +453,16 @@ class TestRetryAfter:
         # 1 / 1e-320 overflows to inf, which math.ceil cannot render.
         now = [0.0]
         bucket = TokenBucket(rate=1e-320, burst=1.0, clock=lambda: now[0])
+        assert bucket.try_acquire()
+        assert not bucket.try_acquire()
+        assert bucket.retry_after_seconds() == 60.0
+        assert _retry_after_header(bucket.retry_after_seconds()) == "60"
+
+    @pytest.mark.parametrize("rate", [1e-300, 1e-3])
+    def test_tiny_rate_caps_the_wait_at_a_minute(self, rate):
+        # deficit / 1e-300 is finite but 1e300 s: a 301-digit header.
+        now = [0.0]
+        bucket = TokenBucket(rate=rate, burst=1.0, clock=lambda: now[0])
         assert bucket.try_acquire()
         assert not bucket.try_acquire()
         assert bucket.retry_after_seconds() == 60.0
@@ -747,16 +784,16 @@ class TestDrainAndCooperativeDeadlines:
 
     def test_cooperative_deadline_salvages_instead_of_hard_kill(self):
         async def body():
-            # Shard deadline of 0.4s on a clique-14: uncooperative
+            # Shard deadline of 0.4s on a clique-17: uncooperative
             # engines would be hard-killed and recycled; the cooperative
             # top-down engine returns a salvaged anytime plan within the
-            # grace window instead.  The physical model keeps the query
-            # on the python kernel, too slow to finish on any host.
+            # grace window instead.  Under the physical model the query
+            # takes seconds even on the C kernel.
             async with door_on(shards=1, deadline_seconds=0.4) as door:
                 document = request_document(
                     seed=7,
                     shape="clique",
-                    n=14,
+                    n=17,
                     algorithm="tdmincutbranch",
                     cost_model=PhysicalCostModel(),
                 )

@@ -1,5 +1,6 @@
 """The benchmark gate core and table, with fake legs and no real timing."""
 
+import collections
 import itertools
 import json
 import pathlib
@@ -137,11 +138,12 @@ class TestTable:
         assert set(targets) == {row.name for row in GATES}
 
     def test_thresholds(self):
-        bounds = {
+        # A multiset: two rows with the same bounds are pinned as two.
+        bounds = collections.Counter(
             (row.name, row.floor, row.ceiling, row.strict, row.geomean, row.median)
             for row in GATES
-        }
-        assert bounds == {
+        )
+        assert bounds == collections.Counter([
             ("service", 10.0, None, False, False, False),
             ("batch", 1.5, None, False, False, False),
             ("resilience", None, 0.10, True, False, False),
@@ -151,13 +153,19 @@ class TestTable:
             ("kernel", None, None, False, False, False),
             ("dpconv", 1.5, None, False, False, False),
             ("native", 5.0, None, False, True, False),
-            ("native", 10.0, None, False, True, False),
+            ("native", 10.0, None, False, True, False),  # native_topdown
+            ("native", 10.0, None, False, True, False),  # ..._physical
             ("native", None, 1.01, False, True, True),
             ("anytime", None, 0.070, False, False, False),
             ("anytime", None, 1.01, False, True, True),
             ("frontdoor", None, 0.250, False, False, False),
             ("frontdoor", 2.0, None, False, False, False),
-        }
+        ])
+        assert [
+            row.title.split(":")[0]
+            for row in GATES
+            if row.name == "native" and row.floor == 10.0
+        ] == ["native_topdown", "native_topdown_physical"]
         waivers = {
             (row.name, row.min_cores, row.noise_ceiling, row.slack)
             for row in GATES

@@ -12,9 +12,9 @@ label.
 
 The C top-down kernel (:func:`repro.optimizer.native.run_c_topdown`) is
 held to the same bar: every comparison runs with ``native_backend`` set
-to ``"off"`` and, where a kernel loads, ``"c"``, against both the
-reference recursion and the python kernel — see
-:class:`TestNativeTopDown`.  The same shape corpus also anchors the
+to ``"off"`` and, where a kernel loads, ``"c"``, under both bundled cost
+models, against both the reference recursion and the python kernel —
+see :class:`TestNativeTopDown`.  The same shape corpus also anchors the
 native dpconv rung (compiled C) to the reference driver whenever this
 host can run it — see :class:`TestNativeRungEquivalence`.
 """
@@ -28,8 +28,14 @@ import time
 import pytest
 
 from repro.catalog.workload import attach_random_statistics, uniform_statistics
+from repro.cost.base import JoinImplementation
 from repro.cost.cout import CoutCostModel
-from repro.cost.physical import PhysicalCostModel
+from repro.cost.physical import (
+    HashJoin,
+    NestedLoopJoin,
+    PhysicalCostModel,
+    SortMergeJoin,
+)
 from repro.enumeration.mincutbranch import MinCutBranch
 from repro.enumeration.mincutlazy import MinCutLazy
 from repro.enumeration.naive import NaivePartitioning
@@ -186,33 +192,46 @@ def _random_corpus(seed, count, max_n):
         yield attach_random_statistics(graph, seed=rng.randrange(1 << 30))
 
 
+class TaggedJoin(JoinImplementation):
+    """A custom join implementation: the C kernel cannot price it."""
+
+    def cost(self, left_card, right_card, output_card):
+        return left_card + right_card
+
+
 class TestNativeTopDown:
     """The C top-down kernel against both oracles, bit for bit.
 
-    Every case runs once per entry of :data:`TOPDOWN_BACKENDS`, so the
+    Every case runs once per entry of :data:`TOPDOWN_BACKENDS` and, in
+    the test body, once per entry of :data:`COST_MODELS` (a loop rather
+    than a parametrization: one test id per shape and backend), so the
     python kernel and (where one loads) the C kernel face the same
     reference recursion, and the C run is also compared with the python
-    kernel memo row by row, in iteration order.
+    kernel memo row by row (implementation names included), in iteration
+    order.
     """
 
     @staticmethod
     def check(catalog, backend, partitioner=MinCutBranch):
-        reference, ref_plan, fast, fast_plan = run_pair(
-            catalog, partitioner, CoutCostModel, backend
-        )
-        assert_identical(reference, ref_plan, fast, fast_plan)
-        assert fast.last_backend == ("c" if backend == "c" else "python")
-        python = TopDownPlanGenerator(
-            catalog, partitioner, CoutCostModel(), native_backend="off"
-        )
-        assert python.optimize() == fast_plan
-        assert memo_rows(python) == memo_rows(fast)
-        assert python.partitioner.stats == fast.partitioner.stats
-        assert python.builder.cost_evaluations == fast.builder.cost_evaluations
-        assert (
-            python.builder.estimator.estimations
-            == fast.builder.estimator.estimations
-        )
+        for cost_model in COST_MODELS:
+            reference, ref_plan, fast, fast_plan = run_pair(
+                catalog, partitioner, cost_model, backend
+            )
+            assert_identical(reference, ref_plan, fast, fast_plan)
+            assert fast.last_backend == ("c" if backend == "c" else "python")
+            python = TopDownPlanGenerator(
+                catalog, partitioner, cost_model(), native_backend="off"
+            )
+            assert python.optimize() == fast_plan
+            assert memo_rows(python) == memo_rows(fast)
+            assert python.partitioner.stats == fast.partitioner.stats
+            assert (
+                python.builder.cost_evaluations == fast.builder.cost_evaluations
+            )
+            assert (
+                python.builder.estimator.estimations
+                == fast.builder.estimator.estimations
+            )
 
     @pytest.mark.parametrize("backend", TOPDOWN_BACKENDS)
     @pytest.mark.parametrize("shape", [name for name, _ in SHAPES])
@@ -230,13 +249,44 @@ class TestNativeTopDown:
     def test_largest_c_query(self, backend):
         # n = 64: every relation set still fits one uint64 mask.
         catalog = attach_random_statistics(chain_graph(64), seed=5)
-        c_run = TopDownPlanGenerator(catalog, MinCutBranch, native_backend=backend)
-        plan = c_run.optimize()
-        assert c_run.last_backend == "c"
-        python = TopDownPlanGenerator(catalog, MinCutBranch, native_backend="off")
-        assert python.optimize() == plan
-        assert memo_rows(python) == memo_rows(c_run)
-        assert python.partitioner.stats == c_run.partitioner.stats
+        for cost_model in COST_MODELS:
+            c_run = TopDownPlanGenerator(
+                catalog, MinCutBranch, cost_model(), native_backend=backend
+            )
+            plan = c_run.optimize()
+            assert c_run.last_backend == "c"
+            python = TopDownPlanGenerator(
+                catalog, MinCutBranch, cost_model(), native_backend="off"
+            )
+            assert python.optimize() == plan
+            assert memo_rows(python) == memo_rows(c_run)
+            assert python.partitioner.stats == c_run.partitioner.stats
+            assert python.builder.cost_evaluations == c_run.builder.cost_evaluations
+
+    @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
+    def test_physical_parameters_and_orders(self, backend):
+        # Any order and subset of the bundled implementations, with any
+        # valid parameters, runs in C with the python kernel's names.
+        catalog = attach_random_statistics(cycle_graph(9), seed=8)
+        models = [
+            PhysicalCostModel([SortMergeJoin(), HashJoin(), NestedLoopJoin()]),
+            PhysicalCostModel([HashJoin(name="hj", build_factor=0.0)], 0.0),
+            PhysicalCostModel(
+                [NestedLoopJoin(buffer_pages=3), HashJoin(probe_factor=7)], 0.25
+            ),
+        ]
+        for model in models:
+            c_run = TopDownPlanGenerator(
+                catalog, MinCutBranch, model, native_backend=backend
+            )
+            plan = c_run.optimize()
+            assert c_run.last_backend == "c"
+            python = TopDownPlanGenerator(
+                catalog, MinCutBranch, model, native_backend="off"
+            )
+            assert python.optimize() == plan
+            assert memo_rows(python) == memo_rows(c_run)
+            assert python.builder.cost_evaluations == c_run.builder.cost_evaluations
 
     @pytest.mark.parametrize("backend", NATIVE_BACKENDS)
     def test_past_the_mask_width_runs_python(self, backend):
@@ -252,7 +302,11 @@ class TestNativeTopDown:
     @pytest.mark.parametrize(
         "label, kwargs",
         [
-            ("physical model", {"cost_model": PhysicalCostModel()}),
+            # A PhysicalCostModel subclass may override join_cost.
+            (
+                "physical model",
+                {"cost_model": type("Sub", (PhysicalCostModel,), {})()},
+            ),
             ("C_out subclass", {"cost_model": type("Sub", (CoutCostModel,), {})()}),
             ("mincutlazy", {"partitioning_factory": MinCutLazy}),
             (
@@ -264,6 +318,10 @@ class TestNativeTopDown:
                 },
             ),
             ("pruning", {"enable_pruning": True}),
+            (
+                "custom join implementation",
+                {"cost_model": PhysicalCostModel([HashJoin(), TaggedJoin("tag")])},
+            ),
         ],
     )
     def test_out_of_scope_runs_python(self, label, kwargs):
@@ -279,31 +337,33 @@ class TestNativeTopDown:
     @pytest.mark.parametrize("cap", [1, 2, 7, 31, 32, 33, 100, 400])
     def test_node_cap_expires_at_the_capped_expansion(self, cap, backend):
         # Expiry is deterministic: both kernels stop before the same
-        # expansion and flush the same finished sets.
+        # expansion and flush the same finished sets, under either model.
         catalog = attach_random_statistics(clique_graph(9), seed=2)
 
-        def capped(engine):
+        def capped(engine, cost_model):
             budget = Budget(node_cap=cap)
             optimizer = TopDownPlanGenerator(
-                catalog, MinCutBranch, budget=budget, native_backend=engine
+                catalog, MinCutBranch, cost_model(), budget=budget,
+                native_backend=engine,
             )
             plan = optimizer.optimize()
             return optimizer, plan, budget
 
-        python, python_plan, python_budget = capped("off")
-        fast, fast_plan, budget = capped(backend)
-        assert fast.budget_expired and python.budget_expired
-        assert budget.nodes == python_budget.nodes == cap
-        assert fast_plan == python_plan
-        assert memo_rows(fast) == memo_rows(python)
-        assert fast.partitioner.stats == python.partitioner.stats
-        assert fast.builder.cost_evaluations == python.builder.cost_evaluations
-        assert (
-            fast.builder.estimator.estimations
-            == python.builder.estimator.estimations
-        )
-        assert fast.salvage_report == python.salvage_report
-        fast_plan.validate()
+        for cost_model in COST_MODELS:
+            python, python_plan, python_budget = capped("off", cost_model)
+            fast, fast_plan, budget = capped(backend, cost_model)
+            assert fast.budget_expired and python.budget_expired
+            assert budget.nodes == python_budget.nodes == cap
+            assert fast_plan == python_plan
+            assert memo_rows(fast) == memo_rows(python)
+            assert fast.partitioner.stats == python.partitioner.stats
+            assert fast.builder.cost_evaluations == python.builder.cost_evaluations
+            assert (
+                fast.builder.estimator.estimations
+                == python.builder.estimator.estimations
+            )
+            assert fast.salvage_report == python.salvage_report
+            fast_plan.validate()
 
     @pytest.mark.parametrize("backend", TOPDOWN_BACKENDS)
     def test_deadline_salvages_a_plan_no_worse_than_goo(self, backend):

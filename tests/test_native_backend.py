@@ -4,8 +4,8 @@ The bit-exactness of the C rung is gated by the equivalence corpora
 (``test_dpconv_equivalence``, ``test_kernel_equivalence``); this module
 covers the plumbing around it:
 
-* the selection ladder (constructor requests, the
-  ``CoutCostModel``-only restriction, the ``C_MAX_N`` ceiling),
+* the selection ladder (constructor requests, the exact-type cost
+  model restriction, the ``C_MAX_N`` ceiling),
 * the ``backend`` label's journey — optimizer attribute, result
   details, service metrics counters, stats snapshot,
 * the operator-facing ``native_backend_status()`` document,
@@ -20,6 +20,7 @@ import pytest
 
 from repro.catalog.workload import uniform_statistics
 from repro.cost.cout import CoutCostModel
+from repro.cost.physical import HashJoin, PhysicalCostModel, SortMergeJoin
 from repro.enumeration.mincutbranch import MinCutBranch
 from repro.errors import OptimizationError
 from repro.graph.shapes import chain_graph, clique_graph, cycle_graph
@@ -75,6 +76,15 @@ class TestResolveBackend:
     def test_auto_resolves_c_with_a_loaded_kernel(self):
         assert resolve_backend(None) == "c"
         assert resolve_backend(CoutCostModel(), n=native.C_MAX_N) == "c"
+
+    @needs_c
+    def test_topdown_also_prices_the_plain_physical_model(self):
+        model = PhysicalCostModel([SortMergeJoin(), HashJoin(build_factor=0.5)], 0.0)
+        assert resolve_backend(model, engine="topdown") == "c"
+        # dpconv stays C_out-only, so ``auto`` chooses as before.
+        assert resolve_backend(model) is None
+        subclass = type("Sub", (PhysicalCostModel,), {})()
+        assert resolve_backend(subclass, engine="topdown") is None
 
     @needs_c
     def test_c_respects_size_ceiling(self):

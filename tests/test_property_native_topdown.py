@@ -10,6 +10,12 @@ same plan tree (compared as JSON, so NaN and -0.0 compare by spelling),
 cost, counters and memo.  On power-of-two statistics, where every
 product is exact whatever its association, the top-down optimum for
 n <= 15 must also equal dpconv's bit for bit.
+
+The same holds under :class:`~repro.cost.physical.PhysicalCostModel`
+with random parameters and a random subset and order of its three
+implementations: the implementation names in the plan and the memo
+must match too, including ties between implementations and the
+``log2`` products of sort-merge on 1e300 inputs, which overflow.
 """
 
 import json
@@ -19,6 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.statistics import Catalog, Relation
+from repro.cost.physical import (
+    HashJoin,
+    NestedLoopJoin,
+    PhysicalCostModel,
+    SortMergeJoin,
+)
 from repro.enumeration.mincutbranch import MinCutBranch
 from repro.graph.query_graph import QueryGraph
 from repro.optimizer._native_build import load_c_kernel
@@ -96,13 +108,41 @@ def power_of_two_catalogs(draw):
     return _catalog(graph, cards, sels)
 
 
+#: Parameters drawn for the physical model: ties (equal factors), zero,
+#: and a few magnitudes; ``buffer_pages`` must stay > 0.
+PARAMETERS = [0.0, 0.5, 1.0, 2.0, 3.0, 100.0, 1e-300, 1e300]
+
+
+@st.composite
+def physical_models(draw):
+    """A random subset and order of the three implementations, each with
+    random valid parameters, and a random output weight."""
+    parameter = st.one_of(st.sampled_from(PARAMETERS), st.floats(0.0, 1e6))
+    makers = {
+        "nestedloop": lambda: NestedLoopJoin(
+            buffer_pages=draw(parameter.filter(lambda value: value > 0))
+        ),
+        "hash": lambda: HashJoin(
+            build_factor=draw(parameter), probe_factor=draw(parameter)
+        ),
+        "sortmerge": SortMergeJoin,
+    }
+    kinds = draw(st.permutations(sorted(makers)))
+    chosen = kinds[: draw(st.integers(1, len(kinds)))]
+    return PhysicalCostModel(
+        [makers[kind]() for kind in chosen], output_weight=draw(parameter)
+    )
+
+
 def _catalog(graph, cards, sels):
     relations = [Relation(name=f"R{v}", cardinality=c) for v, c in enumerate(cards)]
     return Catalog(graph, relations, dict(zip(graph.edges, sels)))
 
 
-def _outcome(catalog, backend):
-    optimizer = TopDownPlanGenerator(catalog, MinCutBranch, native_backend=backend)
+def _outcome(catalog, backend, cost_model=None):
+    optimizer = TopDownPlanGenerator(
+        catalog, MinCutBranch, cost_model, native_backend=backend
+    )
     try:
         plan = optimizer.optimize()
     except Exception as exc:  # both kernels must fail alike
@@ -128,6 +168,14 @@ class TestCAgainstPython:
     def test_identical_on_adversarial_statistics(self, catalog):
         c_backend, *c_run = _outcome(catalog, "c")
         python_backend, *python_run = _outcome(catalog, "off")
+        assert (c_backend, python_backend) == ("c", "python")
+        assert c_run == python_run
+
+    @settings(max_examples=120, deadline=None)
+    @given(catalogs(graphs=connected_graphs(max_vertices=14)), physical_models())
+    def test_identical_under_physical_models(self, catalog, model):
+        c_backend, *c_run = _outcome(catalog, "c", model)
+        python_backend, *python_run = _outcome(catalog, "off", model)
         assert (c_backend, python_backend) == ("c", "python")
         assert c_run == python_run
 

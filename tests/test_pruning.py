@@ -339,3 +339,62 @@ class TestBudgetedPruning:
         plain = TopDownPlanGenerator(catalog, MinCutBranch)
         assert joins(pruned.optimize()) == joins(plain.optimize())
         assert not pruned.budget_expired
+
+
+class TestOutputFloor:
+    """The bound scales estimates by the model's guaranteed output floor.
+
+    ``lb(S) = estimate(S)`` assumed a local join cost of at least the
+    output cardinality; a physical model with ``output_weight < 1``
+    breaks that, and the pruned run cut the optimum and found no plan.
+    """
+
+    def test_floors(self):
+        assert CoutCostModel().output_floor() == 1.0
+        assert PhysicalCostModel().output_floor() == 1.0
+        assert PhysicalCostModel(output_weight=0.25).output_floor() == 0.25
+
+    def test_chain_3_with_output_weight_below_one(self):
+        catalog = uniform_statistics(
+            chain_graph(3), cardinality=100, selectivity=0.5
+        )
+        model = PhysicalCostModel(output_weight=0.9)
+        plain = TopDownPlanGenerator(catalog, MinCutBranch, model).optimize()
+        pruned = TopDownPlanGenerator(
+            catalog, MinCutBranch, model, enable_pruning=True
+        ).optimize()
+        assert plain.cost == pruned.cost == 234800.0
+        assert joins(pruned) == joins(plain)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5, 0.9])
+    def test_random_graphs_keep_the_optimum(self, rng, weight):
+        model = PhysicalCostModel(output_weight=weight)
+        for _ in range(25):
+            catalog = attach_random_statistics(
+                random_connected_graph(rng, rng.randint(3, 9)),
+                seed=rng.randrange(1 << 30),
+            )
+            plain = TopDownPlanGenerator(catalog, MinCutBranch, model).optimize()
+            pruned = TopDownPlanGenerator(
+                catalog, MinCutBranch, model, enable_pruning=True
+            ).optimize()
+            assert math.isclose(pruned.cost, plain.cost, rel_tol=1e-12)
+
+    def test_a_custom_model_prunes_on_operand_costs_only(self):
+        # A model that declares no floor gets the default 0, which
+        # assumes only non-negative local costs: still exact.
+        from repro.cost.base import CostModel
+
+        class HalfCout(CostModel):
+            name = "half-cout"
+
+            def join_cost(self, left_card, right_card, output_card):
+                return 0.5 * output_card, "join"
+
+        catalog = attach_random_statistics(clique_graph(7), seed=1)
+        assert HalfCout().output_floor() == 0.0
+        plain = TopDownPlanGenerator(catalog, MinCutBranch, HalfCout()).optimize()
+        pruned = TopDownPlanGenerator(
+            catalog, MinCutBranch, HalfCout(), enable_pruning=True
+        ).optimize()
+        assert math.isclose(pruned.cost, plain.cost, rel_tol=1e-12)
