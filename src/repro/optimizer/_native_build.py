@@ -22,6 +22,8 @@ One C source, one module, two engines:
   the python driver can charge node budgets between calls; deadlines are
   checked through ``td_check``, an ``extern "Python"`` callback the
   driver defines (see :func:`repro.optimizer.native.run_c_topdown`).
+  ``td_plan`` then walks the root's best splits and writes only the
+  plan's rows, so the driver builds the plan without the memo.
 
 Both share a ``sel_between`` that replicates
 :meth:`repro.catalog.statistics.Catalog.selectivity_between` exactly —
@@ -122,6 +124,14 @@ int td_seed(td_ctx *ctx, unsigned long long set, double card, double cost);
 int td_push(td_ctx *ctx, unsigned long long set);
 int td_run(td_ctx *ctx);
 long long td_unfinished(td_ctx *ctx);
+int td_plan(
+    td_ctx *ctx,
+    unsigned long long root,
+    int cap,
+    unsigned long long *sets,
+    double *cards,
+    double *costs,
+    int *impls);
 extern "Python" int td_check(void *);
 """
 
@@ -282,7 +292,10 @@ typedef struct {
     double card;
     double cost;
     unsigned int state;
-    unsigned int stamp;        /* last exploration that scheduled it */
+    union {
+        unsigned int stamp;    /* unfinished: last exploration that scheduled it */
+        unsigned int row;      /* settled by the run: its index in the o_* arrays */
+    };
 } td_slot;
 
 typedef struct {
@@ -445,7 +458,8 @@ static int td_push_frame(td_ctx *c, const td_frame *frame)
 }
 
 /* Record a finished set: final in the table, appended to the finish
- * order the python driver flushes into the MemoTable. */
+ * order the python driver hands to the MemoTable, and its row in that
+ * order kept in the slot for td_plan. */
 static int td_settle(td_ctx *c, unsigned long long set, double card,
                      double cost, unsigned long long left,
                      unsigned long long right, int impl)
@@ -455,6 +469,7 @@ static int td_settle(td_ctx *c, unsigned long long set, double card,
     slot->state = TD_DONE;
     slot->card = card;
     slot->cost = cost;
+    slot->row = (unsigned int)c->o_len;
     if (c->o_len == c->o_cap) {
         long long cap = c->o_cap ? 2 * c->o_cap : 64;
         unsigned long long *o_set = (unsigned long long *)realloc(
@@ -893,6 +908,60 @@ int td_run(td_ctx *c)
         }
     }
     return 0;
+}
+
+/* The plan of the finished set ``root``: one row per node into the
+ * caller's arrays of ``cap`` (2n - 1) rows, children before parents and
+ * the left subtree first -- a post-order walk of the best splits --
+ * with implementation -1 for a leaf.  The python driver assembles the
+ * tree from these rows with a stack.  Returns the row count; -1, with the set
+ * in sets[0], when a set on the walk has no plan (cost inf), checked in
+ * the order MemoTable.extract_plan checks them; -2 when a set on the
+ * walk is not finished or the rows overflow ``cap`` (never expected).
+ * A set's row is settled, so ``max_items`` (< 2^32) bounds it. */
+int td_plan(td_ctx *c, unsigned long long root, int cap,
+            unsigned long long *sets, double *cards, double *costs, int *impls)
+{
+    /* A pending entry is a node to visit, or (expanded) one whose
+     * subtrees are written; at most 2 * depth + 1 <= 127 are pending. */
+    unsigned long long stack[128];
+    unsigned char expanded[128];
+    int sp = 0, count = 0;
+    stack[sp] = root;
+    expanded[sp++] = 0;
+    while (sp > 0) {
+        unsigned long long set = stack[--sp];
+        const td_slot *slot = td_find(c, set);
+        if (!slot || slot->state != TD_DONE || count == cap) return -2;
+        if (expanded[sp]) {
+            sets[count] = set;
+            cards[count] = slot->card;
+            costs[count] = slot->cost;
+            impls[count] = c->o_impl[slot->row];
+            count++;
+            continue;
+        }
+        if (slot->cost == INFINITY) {
+            sets[0] = set;
+            return -1;
+        }
+        if (!(set & (set - 1))) {
+            sets[count] = set;
+            cards[count] = slot->card;
+            costs[count] = slot->cost;
+            impls[count] = -1;
+            count++;
+            continue;
+        }
+        if (sp > 125) return -2;
+        stack[sp] = set;
+        expanded[sp++] = 1;
+        stack[sp] = c->o_right[slot->row];
+        expanded[sp++] = 0;
+        stack[sp] = c->o_left[slot->row];
+        expanded[sp++] = 0;
+    }
+    return count;
 }
 
 /* Distinct unfinished sets on the stack: after a halt, the sets the

@@ -163,10 +163,10 @@ class DPconvPlanGenerator:
             )
             try:
                 if backend == "c":
+                    # Hands the plan out itself; the memo is deferred.
                     self.last_backend = "c"
-                    native.run_c_convolution(self, full)
-                else:
-                    self._convolve(full)
+                    return native.run_c_convolution(self, full)
+                self._convolve(full)
             except BudgetExpired:
                 self.budget_expired = True
                 return self._salvage(full)

@@ -36,12 +36,12 @@ the serving path; deploy with ``repro-optimize backends --build``);
 Exactness contract (gated by ``tests/test_dpconv_equivalence.py`` and
 ``tests/test_kernel_equivalence.py``): each C loop performs every float
 operation in its pure loop's order and breaks ties the same way, so
-costs, cardinalities, memo contents (implementation names included),
-counters and the extracted plan tree are **bit-identical** to the pure
-engine's on every input whose statistics and parameters are floats, or
-ints whose products stay exact in a double (python multiplies and adds
-ints exactly, C rounds each step).  A C host and a pure-python host
-therefore cache the same plan under one signature.
+costs, cardinalities, memo contents after first read (implementation
+names included), counters and the plan tree are **bit-identical** to
+the pure engine's on every input whose statistics and parameters are
+floats, or ints whose products stay exact in a double (python
+multiplies and adds ints exactly, C rounds each step).  A C host and a
+pure-python host therefore cache the same plan under one signature.
 
 Budgets stay cooperative: C dpconv runs in bounded chunks with the
 :class:`~repro.optimizer.budget.Budget` charged and checked between
@@ -49,6 +49,13 @@ them; C top-down returns to python to charge expansions and calls the
 deadline check back from inside its loop (``td_check``), so one dense
 set's enumeration cannot outrun a deadline.  Expiry flushes every
 finished set for salvage exactly like the pure engine.
+
+A run that finishes hands its plan out itself: C top-down walks the
+root's best splits in C (``td_plan``, at most ``2n - 1`` rows) and C
+dpconv walks its best-split arrays, so neither builds the memo to
+extract one plan.  The memo's rows are deferred
+(:meth:`~repro.plan.memo.MemoTable.defer`): its length is exact at
+once, and after its first read it is the memo the pure engine fills.
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ import struct
 from itertools import repeat
 from typing import Optional
 
+from repro.bitset import format_set
 from repro.cost.cout import CoutCostModel
 from repro.cost.physical import (
     HashJoin,
@@ -68,6 +76,7 @@ from repro.cost.physical import (
 from repro.errors import OptimizationError
 from repro.optimizer import _native_build
 from repro.optimizer.budget import BudgetExpired
+from repro.plan.jointree import JoinTree
 
 __all__ = [
     "BACKENDS",
@@ -257,16 +266,61 @@ def _graph_arrays(ffi, catalog):
     )
 
 
-def run_c_convolution(generator, full: int) -> None:
-    """Fill ``generator``'s memo with the compiled kernel.
+def _assemble(rows, names, relations) -> JoinTree:
+    """The plan tree from a compiled engine's plan rows.
+
+    ``rows`` yields ``(vertex_set, cardinality, cost, implementation)``
+    per node, children before parents and the left subtree first, with
+    implementation -1 for a leaf and else an index into ``names``; the
+    nodes equal the ones :meth:`~repro.plan.memo.MemoTable.extract_plan`
+    builds from the memo.
+    """
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for vertex_set, cardinality, cost, implementation in rows:
+        if implementation < 0:
+            push(
+                JoinTree(
+                    vertex_set=vertex_set,
+                    cardinality=cardinality,
+                    cost=cost,
+                    relation=relations[vertex_set.bit_length() - 1].name,
+                )
+            )
+        else:
+            right = pop()
+            left = pop()
+            push(
+                JoinTree(
+                    vertex_set=vertex_set,
+                    cardinality=cardinality,
+                    cost=cost,
+                    left=left,
+                    right=right,
+                    implementation=names[implementation],
+                )
+            )
+    return stack[0]
+
+
+def _no_plan(vertex_set: int) -> OptimizationError:
+    return OptimizationError(f"no plan was found for {format_set(vertex_set)}")
+
+
+def run_c_convolution(generator, full: int) -> JoinTree:
+    """Run the compiled kernel over ``generator``'s query; return the plan.
 
     Only called after :func:`resolve_backend` returned ``"c"``; a loaded
     kernel stays loaded for the life of the process.  Same contract as
-    ``DPconvPlanGenerator._convolve``: flush every settled connected set
-    through ``memo.bulk_load``, mirror the ``cost_evaluations`` /
-    ``estimations`` accounting, and on budget expiry mark the root
-    unsolved and re-raise :class:`BudgetExpired` so the driver's salvage
-    path takes over.
+    ``DPconvPlanGenerator._convolve`` followed by ``extract_plan``: the
+    plan is walked from the best-split arrays, and every settled
+    connected set goes to the memo, deferred (:meth:`MemoTable.defer
+    <repro.plan.memo.MemoTable.defer>`), so after its first read the memo
+    equals the pure engine's flush.  The ``cost_evaluations`` /
+    ``estimations`` accounting is mirrored, and on budget expiry the
+    sets are flushed at once, the root is marked unsolved and
+    :class:`BudgetExpired` is re-raised so the driver's salvage path
+    takes over.
     """
     module = _native_build.load_c_kernel()
     ffi, lib = module.ffi, module.lib
@@ -326,16 +380,21 @@ def run_c_convolution(generator, full: int) -> None:
     builder.cost_evaluations += priced[0]
 
     conn_bytes = bytes(ffi.buffer(conn))
-    np = _numpy()
-    if np is not None:
-        flags = np.frombuffer(conn_bytes, dtype=np.uint8)
-        sets = np.flatnonzero(flags)
-        set_list = sets[(sets & (sets - 1)) != 0].tolist()
-    else:
-        set_list = [
-            m for m in range(3, size) if conn_bytes[m] and m & (m - 1)
-        ]
-    if set_list:
+
+    def settled_rows():
+        # Runs on the memo's first read, if any; the generator keeps the
+        # state arrays alive until then.
+        np = _numpy()
+        if np is not None:
+            flags = np.frombuffer(conn_bytes, dtype=np.uint8)
+            sets = np.flatnonzero(flags)
+            set_list = sets[(sets & (sets - 1)) != 0].tolist()
+        else:
+            set_list = [
+                m for m in range(3, size) if conn_bytes[m] and m & (m - 1)
+            ]
+        if not set_list:
+            return
         # Leaves are pre-seeded with identical values, so skipping them
         # leaves the memo byte-identical to the pure engine's flush.
         # ``zip`` + ``repeat`` builds each row tuple in C, keeping the
@@ -344,31 +403,57 @@ def run_c_convolution(generator, full: int) -> None:
         dp_all = ffi.unpack(dp, size)
         left_all = ffi.unpack(best_left, size)
         right_all = ffi.unpack(best_right, size)
-        memo.bulk_load(
-            zip(
-                set_list,
-                [card_all[m] for m in set_list],
-                [dp_all[m] for m in set_list],
-                [left_all[m] for m in set_list],
-                [right_all[m] for m in set_list],
-                repeat("join"),
-                repeat(True),
-            )
+        yield from zip(
+            set_list,
+            [card_all[m] for m in set_list],
+            [dp_all[m] for m in set_list],
+            [left_all[m] for m in set_list],
+            [right_all[m] for m in set_list],
+            repeat("join"),
+            repeat(True),
         )
+
     if aborted:
+        memo.bulk_load(settled_rows())
         if not conn_bytes[full]:
             memo.bulk_load(((full, None, math.inf, 0, 0, None, False),))
         raise BudgetExpired(budget.reason or "budget expired")
+    # Every connected set but the n leaves, which the memo already holds.
+    memo.defer(settled_rows(), conn_bytes.count(1) - n)
+
+    # The plan: walk the best splits from the root, children before
+    # parents and the left subtree first, checking each set for a plan
+    # in the order extract_plan does.
+    rows = []
+    stack = [(full, False)]
+    while stack:
+        vertex_set, expanded = stack.pop()
+        if expanded:
+            rows.append((vertex_set, card[vertex_set], dp[vertex_set], 0))
+        elif dp[vertex_set] == math.inf:
+            raise _no_plan(vertex_set)
+        elif vertex_set & (vertex_set - 1):
+            stack.append((vertex_set, True))
+            stack.append((best_right[vertex_set], False))
+            stack.append((best_left[vertex_set], False))
+        else:
+            rows.append((vertex_set, card[vertex_set], dp[vertex_set], -1))
+    return _assemble(rows, ("join",), catalog.relations)
 
 
-def run_c_topdown(driver, root_set: int) -> None:
-    """Fill a top-down driver's memo with the compiled kernel.
+def run_c_topdown(driver, root_set: int) -> JoinTree:
+    """Run the compiled kernel over a top-down driver's query; return the plan.
 
     Only called after :func:`resolve_backend` returned ``"c"`` for a
     ``MinCutBranch`` driver without pruning.  Same contract as
-    :func:`~repro.optimizer.kernel.run_fast_kernel` without a bound: the
-    memo ends with the same entries (implementation names included), in
-    the same order, and the partitioner's
+    :func:`~repro.optimizer.kernel.run_fast_kernel` without a bound
+    followed by ``extract_plan(root_set)``: the plan is the same tree,
+    built from the ``2n - 1`` rows ``td_plan`` walks out of the kernel's
+    own state; after its first read the memo holds the same entries
+    (implementation names included) in the same order -- the kernel's
+    rows are deferred (:meth:`MemoTable.defer
+    <repro.plan.memo.MemoTable.defer>`), and ``len`` is exact before
+    that read; and the partitioner's
     :class:`~repro.enumeration.base.PartitionStats`,
     ``cost_evaluations`` and ``estimations`` advance by the same
     amounts.
@@ -378,10 +463,10 @@ def run_c_topdown(driver, root_set: int) -> None:
     the python kernel, so a node cap expires at exactly the capped
     expansion), and it calls the budget's deadline check every 16k ccps,
     also inside one set's enumeration.  On expiry -- or on reaching
-    :data:`_TOPDOWN_MAX_ITEMS` -- every finished set is flushed, the root
-    is marked unsolved, ``driver.unfinished_sets`` counts the other sets
-    left on the work stack, and :class:`BudgetExpired` is raised, as the
-    python kernel does.  Without a budget, the state cap raises
+    :data:`_TOPDOWN_MAX_ITEMS` -- every finished set is flushed at once,
+    the root is marked unsolved, ``driver.unfinished_sets`` counts the
+    other sets left on the work stack, and :class:`BudgetExpired` is
+    raised, as the python kernel does.  Without a budget, the state cap raises
     :class:`~repro.errors.OptimizationError`.
     """
     from repro.optimizer.kernel import next_charge_chunk
@@ -392,7 +477,7 @@ def run_c_topdown(driver, root_set: int) -> None:
     memo = builder.memo
     budget = driver.budget
     if memo.lookup(root_set) is not None:
-        return  # a leaf: nothing to enumerate
+        return memo.extract_plan(root_set)  # a leaf: nothing to enumerate
 
     _, adj, sel_off, sel_nbit, sel_val = _graph_arrays(ffi, driver.catalog)
     ctx = lib.td_new(
@@ -469,34 +554,63 @@ def run_c_topdown(driver, root_set: int) -> None:
         # bound on an aborted run).
         builder.cost_evaluations += per_ccp * ctx.emitted
 
+        # The memo's rows: the finish order is the python kernel's
+        # ``done`` insertion order, so the memo's iteration order
+        # matches too.  A set no candidate won (every total inf or NaN)
+        # has no split and no implementation (index -1), as in python.
+        # Each column is one copy out of the C state, read lazily.
         count = ctx.o_len
-        if count:
-            # Finish order is the python kernel's ``done`` insertion
-            # order, so the memo's iteration order matches too.  A set
-            # no candidate won (every total inf or NaN) has no split and
-            # no implementation (index -1), as in python.
-            if len(names) == 1 and not ctx.o_unnamed:
-                named = repeat(names[0])
-            else:
-                named = map(
-                    (names + (None,)).__getitem__, ffi.unpack(ctx.o_impl, count)
-                )
-            memo.bulk_load(
-                zip(
-                    ffi.unpack(ctx.o_set, count),
-                    ffi.unpack(ctx.o_card, count),
-                    ffi.unpack(ctx.o_cost, count),
-                    ffi.unpack(ctx.o_left, count),
-                    ffi.unpack(ctx.o_right, count),
-                    named,
-                    repeat(True),
-                )
+        if len(names) == 1 and not ctx.o_unnamed:
+            named = repeat(names[0])
+        else:
+            named = map(
+                (names + (None,)).__getitem__, _column(ffi, ctx.o_impl, count, "i")
             )
+        rows = zip(
+            _column(ffi, ctx.o_set, count, "Q"),
+            _column(ffi, ctx.o_card, count, "d"),
+            _column(ffi, ctx.o_cost, count, "d"),
+            _column(ffi, ctx.o_left, count, "Q"),
+            _column(ffi, ctx.o_right, count, "Q"),
+            named,
+            repeat(True),
+        )
         if expired is not None:
-            # Only the root becomes a placeholder row; the other
-            # unfinished sets are counted for the salvage report.
+            # Salvage reads the whole memo: flush now.  Only the root
+            # becomes a placeholder row; the other unfinished sets are
+            # counted for the salvage report.
             driver.unfinished_sets = lib.td_unfinished(ctx) - 1
+            memo.bulk_load(rows)
             memo.bulk_load(((root_set, None, math.inf, 0, 0, None, False),))
             raise BudgetExpired(expired)
+        memo.defer(rows, count)
+
+        size = 2 * driver.graph.n_vertices - 1
+        sets = ffi.new("unsigned long long[]", size)
+        cards = ffi.new("double[]", size)
+        costs = ffi.new("double[]", size)
+        impls = ffi.new("int[]", size)
+        nodes = lib.td_plan(ctx, root_set, size, sets, cards, costs, impls)
+        if nodes == -1:
+            raise _no_plan(sets[0])
+        if nodes < 0:
+            raise OptimizationError("C top-down kernel lost a set of the plan")
+        return _assemble(
+            zip(
+                ffi.unpack(sets, nodes),
+                ffi.unpack(cards, nodes),
+                ffi.unpack(costs, nodes),
+                ffi.unpack(impls, nodes),
+            ),
+            names,
+            driver.catalog.relations,
+        )
     finally:
         lib.td_free(ctx)
+
+
+def _column(ffi, pointer, count: int, code: str) -> memoryview:
+    """A copy of ``count`` items of a C array, as a typed memoryview
+    (``code`` is its :mod:`struct` format: ``"Q"``, ``"d"`` or ``"i"``)."""
+    data = ffi.buffer(pointer, count * struct.calcsize(code))[:] if count else b""
+    return memoryview(data).cast(code)

@@ -132,10 +132,11 @@ class TopDownPlanGenerator:
             if bound is None and self._c_eligible():
                 from repro.optimizer import native
 
+                # The C kernel hands the plan out itself and defers the
+                # memo until something reads it.
                 self.last_backend = "c"
-                native.run_c_topdown(self, all_vertices)
-            else:
-                run_fast_kernel(self, all_vertices, bound)
+                return native.run_c_topdown(self, all_vertices)
+            run_fast_kernel(self, all_vertices, bound)
         except BudgetExpired:
             # Complete the partial memo into a valid plan.
             from repro.plan.salvage import salvage_plan

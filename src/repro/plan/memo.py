@@ -11,6 +11,12 @@ A :class:`MemoEntry` is a *plan class*: the best plan found so far for one
 connected relation set, stored compactly (best split + implementation
 name) so the search never allocates tree nodes; the winning
 :class:`~repro.plan.jointree.JoinTree` is reconstructed afterwards.
+
+The table may be filled lazily.  A compiled engine that hands its plan
+out itself (:mod:`repro.optimizer.native`) gives the table its rows with
+:meth:`MemoTable.defer`; they are loaded through :meth:`MemoTable.bulk_load`
+on the first read, so a caller that never reads the memo never pays for
+it, and one that does sees exactly the eagerly filled table.
 """
 
 from __future__ import annotations
@@ -78,14 +84,20 @@ class MemoTable:
 
     Also owns leaf initialization (Fig. 1 lines 1-2: ``BestTree({R_i}) <- R_i``)
     and final plan extraction.
+
+    While rows are deferred (:meth:`defer`) the ``_entries`` slot is
+    unset and :meth:`__getattr__` loads them on the first access, so the
+    accessors the enumerators call in their hot loops carry no check.
     """
 
-    __slots__ = ("catalog", "_entries", "_leaf_cost")
+    __slots__ = ("catalog", "_entries", "_leaf_cost", "_pending")
 
     def __init__(self, catalog: Catalog, leaf_cost: float = 0.0):
         self.catalog = catalog
         self._entries: Dict[int, MemoEntry] = {}
         self._leaf_cost = leaf_cost
+        #: ``(entries, rows, count)`` while rows are deferred, else None.
+        self._pending = None
         for vertex in range(catalog.graph.n_vertices):
             entry = MemoEntry(1 << vertex)
             entry.cardinality = catalog.cardinality(vertex)
@@ -119,7 +131,10 @@ class MemoTable:
         return vertex_set in self._entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        pending = self._pending
+        if pending is None:
+            return len(self._entries)
+        return len(pending[0]) + pending[2]
 
     def entries(self) -> Iterator[MemoEntry]:
         """Yield all entries (order unspecified)."""
@@ -134,7 +149,8 @@ class MemoTable:
         leaves) are updated in place; everything else is created.  After
         this call the table is indistinguishable from one filled by the
         reference driver, so extraction, validation, and explain need no
-        kernel-specific code paths.
+        kernel-specific code paths.  Deferred rows (:meth:`defer`) are
+        loaded first, so ``rows`` follows them in the iteration order.
         """
         entries = self._entries
         new = MemoEntry.__new__
@@ -154,6 +170,31 @@ class MemoTable:
             entry.best_right = right
             entry.implementation = implementation
             entry.explored = explored
+
+    def defer(self, rows, count: int) -> None:
+        """Adopt ``count`` plan classes on the first read instead of now.
+
+        ``rows`` is a lazy iterable of :meth:`bulk_load` rows, each for a
+        set the table does not hold yet, so ``len`` stays exact without
+        loading.  The first :meth:`lookup`, ``[]``, ``in``,
+        :meth:`entries`, :meth:`get_or_create` or :meth:`bulk_load` feeds
+        them to :meth:`bulk_load`; the table then equals one loaded
+        eagerly, row for row and in the same order.
+        """
+        # Reading ``_entries`` first loads rows deferred earlier.
+        self._pending = (self._entries, rows, count)
+        del self._entries
+
+    def __getattr__(self, name):
+        # Only reached for an unset slot: ``_entries`` while rows are
+        # deferred.
+        if name != "_entries":
+            raise AttributeError(name)
+        entries, rows, _ = self._pending
+        self._pending = None
+        self._entries = entries
+        self.bulk_load(rows)
+        return entries
 
     # ------------------------------------------------------------------
 

@@ -16,6 +16,10 @@ with random parameters and a random subset and order of its three
 implementations: the implementation names in the plan and the memo
 must match too, including ties between implementations and the
 ``log2`` products of sort-merge on 1e300 inputs, which overflow.
+
+The C kernel hands its plan out itself (``td_plan``) and defers the
+memo; under both cost models that plan -- or its "no plan" error --
+must equal what ``extract_plan`` makes of the memo afterwards.
 """
 
 import json
@@ -199,3 +203,39 @@ class TestCAgainstPython:
         assert conv.optimize().cost == plan.cost
         assert conv.builder.cost_evaluations == topdown.builder.cost_evaluations
         plan.validate()
+
+
+def _plan_or_error(extract):
+    try:
+        plan = extract()
+    except Exception as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("plan", json.dumps(plan_to_dict(plan), sort_keys=True), repr(plan.cost))
+
+
+def _handed_and_extracted(catalog, cost_model=None):
+    optimizer = TopDownPlanGenerator(
+        catalog, MinCutBranch, cost_model, native_backend="c"
+    )
+    handed = _plan_or_error(optimizer.optimize)
+    assert optimizer.last_backend == "c"
+    memo = optimizer.builder.memo
+    before = len(memo)
+    root = catalog.graph.all_vertices
+    extracted = _plan_or_error(lambda: memo.extract_plan(root))
+    assert len(memo) == before
+    return handed, extracted
+
+
+class TestHandedPlan:
+    @settings(max_examples=120, deadline=None)
+    @given(catalogs())
+    def test_equals_the_extracted_plan(self, catalog):
+        handed, extracted = _handed_and_extracted(catalog)
+        assert handed == extracted
+
+    @settings(max_examples=120, deadline=None)
+    @given(catalogs(graphs=connected_graphs(max_vertices=14)), physical_models())
+    def test_equals_the_extracted_plan_under_physical_models(self, catalog, model):
+        handed, extracted = _handed_and_extracted(catalog, model)
+        assert handed == extracted
