@@ -35,7 +35,7 @@ bench-batch:
 	$(PYTHON) benchmarks/gates.py batch
 
 # An over-budget clique answered by the degradation ladder in < 10% of
-# the exact enumeration time, and by the dpconv rung exactly.
+# the exact enumeration time.
 bench-resilience:
 	$(PYTHON) benchmarks/gates.py resilience
 

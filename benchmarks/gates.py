@@ -168,7 +168,7 @@ def _batch_cases() -> List[Case]:
 
 # ----------------------------------------------------------------------
 # resilience: an over-budget clique is answered by the heuristic ladder
-# in < 10% of the exact time, and by the dpconv rung exactly and faster
+# in < 10% of the exact time
 # ----------------------------------------------------------------------
 
 _RESILIENCE_N, _RESILIENCE_BUDGET = 12, 10_000
@@ -221,35 +221,6 @@ def _ladder_cases() -> List[Case]:
         f"clique-{_RESILIENCE_N}",
         baseline=exact_leg,
         candidate=degraded_leg,
-        parity=parity,
-    )]
-
-
-def _fast_exact_cases() -> List[Case]:
-    catalog = _resilience_catalog()
-    _, exact_leg = _serve(catalog, algorithm="dpccp")
-    service, fast_leg = _serve(catalog, _RESILIENCE_BUDGET, algorithm="dpccp")
-
-    def parity(exact, fast):
-        fast.plan.validate()
-        if fast.details.get("rung") != "dpconv":
-            yield f"expected the dpconv rung, got {fast.details.get('rung')!r}"
-        if fast.details.get("fast_exact") != 1:
-            yield "dpconv serving was not marked fast_exact"
-        if fast.details.get("degraded"):
-            yield "fast-exact serving must not be marked degraded"
-        if not math.isclose(fast.cost, exact.cost, rel_tol=1e-9):
-            yield f"dpconv cost {fast.cost!r} differs from the exact optimum {exact.cost!r}"
-        totals = service.stats_snapshot()["totals"]
-        if totals["fast_exact"] != 1:
-            yield "fast_exact counter did not record the serving"
-        if totals["degraded"] != 0:
-            yield "fast-exact serving wrongly bumped the degraded total"
-
-    return [Case(
-        f"clique-{_RESILIENCE_N}",
-        baseline=exact_leg,
-        candidate=fast_leg,
         parity=parity,
     )]
 
@@ -788,8 +759,6 @@ GATES = [
          floor=1.5, warmup=False, min_cores=2),
     Gate("resilience", "heuristic ladder vs exact, physical cost model",
          _ladder_cases, ceiling=0.10, strict=True, warmup=False),
-    Gate("resilience", "dpconv rung vs exact enumeration, C_out",
-         _fast_exact_cases, floor=1.0, strict=True, warmup=False),
     Gate("observability", "tracing on vs off, warm cache", _observability_cases,
          ceiling=1.05, strict=True),
     Gate("kernel", "iterative kernel vs the paper's recursion", _kernel_cases,

@@ -94,6 +94,21 @@ class Catalog:
 
     # ------------------------------------------------------------------
 
+    def fingerprint(self) -> tuple:
+        """Exact, hashable identity of the graph and every statistic.
+
+        Nothing is rounded or relabeled: two fingerprints are equal only
+        when the graphs, the relations (names and cardinalities) and the
+        selectivities are, and every value has the same type too, since
+        ``1`` and ``1.0`` key plans differently.
+        """
+        selectivities = tuple(self._selectivity.items())
+        values = [r.cardinality for r in self.relations]
+        values.extend(self._selectivity.values())
+        return (
+            self.graph, self.relations, selectivities, tuple(map(type, values))
+        )
+
     def cardinality(self, vertex: int) -> float:
         """Return the base cardinality of relation ``R_vertex``."""
         return self.relations[vertex].cardinality

@@ -59,7 +59,7 @@ import shutil
 import sys
 import tempfile
 import threading
-from typing import Optional
+from typing import Optional, Sequence
 
 __all__ = [
     "build_dir",
@@ -1051,11 +1051,23 @@ def _import_extension(path: str):
     return module
 
 
-def _compile() -> Optional[str]:
-    """Compile the kernel into the cache dir; return its path or ``None``."""
+#: Compile flags of the serving build.
+CFLAGS = ("-O2", "-ffp-contract=off")
+
+
+def _compile(
+    cflags: Sequence[str] = CFLAGS, directory: Optional[str] = None
+) -> Optional[str]:
+    """Compile the kernel with ``cflags`` into ``directory`` (default: the
+    cache dir); return its path.
+
+    Other flags serve checks of the C source itself, e.g. a sanitizer
+    build into a scratch directory that ``REPRO_NATIVE_BUILD_DIR`` then
+    points at.
+    """
     import cffi
 
-    base = build_dir()
+    base = directory or build_dir()
     os.makedirs(base, exist_ok=True)
     scratch = os.path.join(base, f"build-{os.getpid()}")
     try:
@@ -1064,7 +1076,7 @@ def _compile() -> Optional[str]:
         ffibuilder.set_source(
             MODULE_BASENAME,
             _C_SOURCE,
-            extra_compile_args=["-O2", "-ffp-contract=off"],
+            extra_compile_args=list(cflags),
             # log2 lives in libm on POSIX; MSVC's CRT carries it.
             libraries=[] if sys.platform == "win32" else ["m"],
         )

@@ -476,8 +476,8 @@ def choose_algorithm(
 
     Without a loadable kernel the answer is the last rule's alone.  The
     service passes its own ``dpconv_max_n``
-    (:meth:`repro.service.resilience.ResilienceConfig.dpconv_n_limit`),
-    so ``auto`` never picks a dpconv run that admission then rejects.
+    (:class:`repro.service.resilience.ResilienceConfig`), so ``auto``
+    never picks a dpconv run that admission then rejects.
     """
     graph = catalog.graph
     n = graph.n_vertices

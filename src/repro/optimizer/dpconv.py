@@ -58,20 +58,7 @@ from repro.optimizer.budget import Budget, BudgetExpired
 from repro.plan.builder import PlanBuilder
 from repro.plan.jointree import JoinTree
 
-__all__ = ["DPconvPlanGenerator", "dpconv_split_work"]
-
-
-def dpconv_split_work(n: int) -> int:
-    """Total split-loop iterations for an ``n``-relation query: ``3^n / 2``.
-
-    Every (set, submask-of-set-minus-lowbit) pair is visited exactly
-    once, connected or not: ``sum_S 2^(|S|-1) = 3^n / 2``.  Admission
-    control uses this as the work model when deciding whether the
-    dpconv rung is affordable (:mod:`repro.service.resilience`).
-    """
-    if n < 0:
-        raise OptimizationError(f"n must be >= 0, got {n}")
-    return (3 ** n) // 2
+__all__ = ["DPconvPlanGenerator"]
 
 
 class DPconvPlanGenerator:

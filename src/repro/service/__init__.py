@@ -22,11 +22,10 @@ graph shape, not statistics — so this package adds the serving layer:
   counters (including deadline timeouts, heuristic fallbacks, degraded
   servings and retries) and p50/p95/p99 latency tracking per algorithm.
 * :mod:`repro.service.resilience` — admission control against a ccp
-  budget, the exact→DPconv→IKKBZ→GOO degradation ladder (the DPconv
-  rung answers over-budget symmetric-cost queries with the *exact*
-  optimum via :mod:`repro.optimizer.dpconv`), a per-algorithm circuit
-  breaker, and retry policy/budget types (:class:`ResilienceConfig`
-  bundles the knobs).
+  budget, the exact→anytime→IKKBZ→GOO degradation ladder (the anytime
+  rung runs the exact engine under a deadline and salvages its partial
+  memo), a per-algorithm circuit breaker, and retry policy/budget types
+  (:class:`ResilienceConfig` bundles the knobs).
 * :mod:`repro.service.faults` — deterministic fault injection
   (:class:`FaultSpec` / :class:`FaultInjector`) honored by the process
   executor for chaos testing.
@@ -69,7 +68,6 @@ from repro.service.resilience import (
     ResilienceConfig,
     RetryBudget,
     RetryPolicy,
-    dpconv_admissible,
     estimate_ccps,
 )
 from repro.service.core import OptimizerService, request_signature
@@ -111,7 +109,6 @@ __all__ = [
     "Trace",
     "TraceStore",
     "Tracer",
-    "dpconv_admissible",
     "estimate_ccps",
     "http_status_for_code",
     "render_prometheus",

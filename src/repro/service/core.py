@@ -93,7 +93,6 @@ from repro.service.resilience import (
     CircuitBreaker,
     ResilienceConfig,
     RetryBudget,
-    dpconv_admissible,
     estimate_ccps,
     heuristic_rung_for,
     run_rung,
@@ -258,8 +257,8 @@ def service_signature(
     model the service injects (the request's own, else
     ``default_cost_model``), the engine ``"auto"`` resolves to, and
     :func:`request_signature` over both.  ``"auto"`` gets the service's
-    dpconv limit (:meth:`ResilienceConfig.dpconv_n_limit`), so it never
-    picks a dpconv run that admission then rejects.  The keyword arguments mirror
+    ``ResilienceConfig.dpconv_max_n``, so it never picks a dpconv run
+    that admission then rejects.  The keyword arguments mirror
     :class:`OptimizerService`'s.  The front door, the shard pipeline and
     the metrics label all call this with the shard's settings, so the
     engine — part of the signature — and with it the owning shard are
@@ -277,7 +276,7 @@ def service_signature(
             enable_pruning=request.enable_pruning,
             cost_model=cost_model,
             allow_cross_products=request.allow_cross_products,
-            dpconv_max_n=resilience.dpconv_n_limit(),
+            dpconv_max_n=resilience.dpconv_max_n,
         )
     signature, order = request_signature(
         catalog,
@@ -330,8 +329,8 @@ class _ResolvedKey:
     everything a hit needs to rebind and label the cached plan.
 
     ``request`` is the request as decoded; a memoized key serves a later
-    request only when that request shares its ``query`` object, i.e.
-    :meth:`OptimizerService.recall` returned it.
+    request only when that request shares its ``query`` object — under
+    a wire digest, because :meth:`OptimizerService.recall` returned it.
     """
 
     request: OptimizationRequest
@@ -347,8 +346,9 @@ class _Job:
     """One request moving through the pipeline.
 
     Created as the request enters (trace started, clock running), with
-    the caller's ``digest`` of the wire document when it has one;
-    :meth:`OptimizerService._begin` then fills in the resolved request,
+    the caller's ``digest`` of the wire document when it has one, or
+    ``fingerprinted`` for an :meth:`OptimizerService.optimize` call
+    without one; :meth:`OptimizerService._begin` then fills in the resolved request,
     the cache outcome and the admission decision.  ``hit`` is the ready
     cache-hit result.  Otherwise ``degrade`` names the ladder rung that
     serves the request, or is ``None`` when ``run_request`` — catalog
@@ -361,6 +361,7 @@ class _Job:
     trace: Trace
     started: float
     digest: Optional[str] = None
+    fingerprinted: bool = False
     run_request: Optional[OptimizationRequest] = None
     catalog: Optional[Catalog] = None
     effective: Optional[str] = None
@@ -438,6 +439,7 @@ class OptimizerService:
         check_deadline(default_deadline_seconds)
         self.cache = PlanCache(cache_capacity)
         self._digests = LRUMemo(cache_capacity)
+        self._fingerprints = LRUMemo(cache_capacity)
         self.metrics = ServiceMetrics()
         self.default_algorithm = default_algorithm
         self.default_cost_model = default_cost_model
@@ -533,7 +535,9 @@ class OptimizerService:
         accepts.  ``digest`` names the wire document a request was
         decoded from (see :meth:`recall`): the resolved key is memoized
         under it, and a request that :meth:`recall` returned reuses it.
-        Raises the library's usual typed errors on failure; use
+        Without a digest the key is memoized under the exact fingerprint
+        of the catalog and the signature's options (:meth:`_fingerprint`),
+        and a later call for the same catalog object reuses it.  Raises the library's usual typed errors on failure; use
         :meth:`optimize_batch` for isolated per-item errors.  A failure
         of any type is recorded (an error under the effective label, a
         stored trace with the ``error`` root attribute) before it
@@ -544,6 +548,7 @@ class OptimizerService:
             self._as_request(query, **overrides),
             None if overrides else digest,
         )
+        job.fingerprinted = job.digest is None
         try:
             self._begin(job)
             return self._run_in_thread(job)
@@ -564,15 +569,26 @@ class OptimizerService:
         )
 
     def _resolve(self, job: _Job) -> bool:
-        """Resolve the job's cache key; True when the digest memo had it.
+        """Resolve the job's cache key; True when a memo had it.
 
         A memoized key skips the catalog resolution and
         :func:`service_signature` (canonical labeling plus the ``"auto"``
-        choice).  Otherwise the key is computed, and memoized when the
-        job carries a digest.
+        choice).  A job with a wire digest looks it up in the digest memo;
+        a ``fingerprinted`` one looks up the exact fingerprint of its
+        catalog and signature options (:meth:`_fingerprint`) in a memo of
+        its own, so in-process calls never evict the door's digests.
+        Either way the key must have been resolved for this very query
+        object.  Batch items resolve in full: on a memoized hit tracing
+        costs ~10% of the request, above the 5% the ``observability``
+        gate allows for the batch warm path.
         """
         request = job.request
-        key = self._digests.peek(job.digest) if job.digest is not None else None
+        memo_key = None
+        if job.digest is not None:
+            memo, memo_key = self._digests, job.digest
+        elif job.fingerprinted:
+            memo, memo_key = self._fingerprints, self._fingerprint(request)
+        key = memo.peek(memo_key) if memo_key is not None else None
         memoized = key is not None and key.request.query is request.query
         if not memoized:
             catalog = request.resolved_catalog()
@@ -582,8 +598,8 @@ class OptimizerService:
             key = _ResolvedKey(
                 request, catalog, cost_model, effective, signature, tuple(order)
             )
-            if job.digest is not None:
-                self._digests.put(job.digest, key)
+            if memo_key is not None:
+                memo.put(memo_key, key)
         job.run_request = replace(
             request,
             query=key.catalog,
@@ -595,6 +611,36 @@ class OptimizerService:
         job.signature = key.signature
         job.order = key.order
         return memoized
+
+    def _fingerprint(self, request: OptimizationRequest) -> Optional[tuple]:
+        """Exact memo key of a request without a digest, or None.
+
+        The raw statistics (:meth:`Catalog.fingerprint`, no rounding and
+        no labeling) plus every other input of the signature: algorithm,
+        cost model class and parameters, pruning and cross-product
+        flags, ``stats_epoch`` and ``round_digits``.  Only catalog
+        queries are memoized; a bare graph gets fresh placeholder
+        statistics on every request anyway.
+        """
+        query = request.query
+        if isinstance(query, QueryInstance):
+            query = query.catalog
+        if not isinstance(query, Catalog):
+            return None
+        model = request.cost_model
+        if model is None:
+            model = self.default_cost_model
+        return (
+            query.fingerprint(),
+            request.algorithm,
+            model and (
+                type(model), json.dumps(model.signature_fields(), sort_keys=True)
+            ),
+            request.enable_pruning,
+            request.allow_cross_products,
+            request.stats_epoch,
+            self.round_digits,
+        )
 
     def _begin(self, job: _Job) -> None:
         """Prepare (resolve the key, look it up), then admission.
@@ -786,8 +832,8 @@ class OptimizerService:
         Returns ``None`` to run the exact algorithm, else
         ``(rung, reason, extra_details)``.  Admission prices the engine
         that will run: the ccp budget for the enumerators, and
-        :func:`dpconv_admissible` for dpconv, whose work does not depend
-        on #ccp.  The admission budget is checked *before* the breaker
+        ``dpconv_max_n`` for dpconv, whose work does not depend on #ccp.
+        The admission budget is checked *before* the breaker
         so that over-budget requests never consume a half-open probe
         slot.  When the breaker's ``allow``
         admits the job, the caller owes it a matching
@@ -804,17 +850,20 @@ class OptimizerService:
         if cfg.max_ccp_budget is not None:
             # Price the engine that will run.  The convolution's work
             # depends on n alone, so a dpconv run answers to its own
-            # split-work model, never to the ccp budget.
+            # size limit, never to the ccp budget.  A rejected run goes
+            # straight to a heuristic: the anytime rung would run the
+            # same convolution, whose O(2^n) arrays are allocated before
+            # its first budget check.
             if run.algorithm == "dpconv" and runs_dpconv(
                 run.cost_model, run.enable_pruning
             ):
-                if not dpconv_admissible(graph, run.cost_model, cfg):
+                if graph.n_vertices > cfg.dpconv_max_n:
                     extra = {
                         "admission_estimate": graph.n_vertices,
                         "admission_method": "dpconv-n-limit",
-                        "admission_budget": cfg.dpconv_n_limit(),
+                        "admission_budget": cfg.dpconv_max_n,
                     }
-                    return self._over_budget(job, extra)
+                    return (heuristic_rung_for(graph), "over_budget", extra)
             else:
                 # With cross products enabled the client opted into a
                 # search space bounded by the clique, not the raw
@@ -832,21 +881,13 @@ class OptimizerService:
                         "admission_method": estimate.method,
                         "admission_budget": cfg.max_ccp_budget,
                     }
-                    # Fast-exact rung: an over-budget enumerator whose
-                    # cost model is symmetric and whose size fits the
-                    # convolution budget still gets the exact optimum —
-                    # a cheaper engine, not a cheaper answer.
-                    if not run.enable_pruning and dpconv_admissible(
-                        graph, run.cost_model, cfg
-                    ):
-                        return ("dpconv", "over_budget", extra)
                     return self._over_budget(job, extra)
         if not self.breaker.allow(job.effective):
             return (heuristic_rung_for(graph), "breaker_open", {})
         return None
 
     def _over_budget(self, job: _Job, extra: Dict) -> Tuple[str, str, Dict]:
-        """The ladder below the fast-exact rung for an over-budget job.
+        """The ladder below ``exact`` for an over-budget enumerator.
 
         Anytime rung: instead of jumping straight to a heuristic, run
         the requested exact engine under a cooperative deadline — it
@@ -905,19 +946,15 @@ class OptimizerService:
         and ``fast_exact`` or ``degraded``) that :meth:`_finish` stamps
         onto ``details`` after deciding whether to cache.
 
-        The ``dpconv`` rung is *fast-exact*: it runs the full registry
-        path (``optimize_request``) so counters, kernel provenance, and
-        trace details arrive as usual, and is marked ``fast_exact``
-        instead of ``degraded`` — the plan is still the exact optimum,
-        only the engine changed — so, unlike the heuristic rungs, it
-        **is** cached.
-
         The ``anytime`` rung runs the requested exact engine under a
-        cooperative deadline.  If the engine finishes inside the budget
-        the answer is the exact optimum and is cached like the dpconv
-        rung's; if the budget expires the salvaged plan is marked
-        ``degraded`` with ``rung == "anytime"`` and is **never** cached.
-        If either of these rungs fails, the request falls through to the
+        cooperative deadline, through the full registry path
+        (``optimize_request``) so counters, kernel provenance and trace
+        details arrive as usual.  If the engine finishes inside the
+        budget the answer is the exact optimum: it is marked
+        ``fast_exact`` instead of ``degraded`` and, unlike the heuristic
+        rungs, **is** cached.  If the budget expires the salvaged plan is
+        marked ``degraded`` with ``rung == "anytime"`` and is **never**
+        cached.  If the rung fails, the request falls through to the
         heuristics.
 
         A heuristic result is **not** cached (the cache promises the
@@ -926,16 +963,17 @@ class OptimizerService:
         for this query" apart from ordinary optimization failures.
         """
         started = time.perf_counter()
-        if rung in ("dpconv", "anytime"):
-            stamp: Dict = {"rung": rung, "degrade_reason": reason}
-            if rung == "dpconv":
-                run_request = replace(job.run_request, algorithm="dpconv")
-            else:
-                deadline = self._anytime_deadline(job)
-                run_request = replace(job.run_request, deadline_seconds=deadline)
-                stamp["anytime_deadline_seconds"] = deadline
+        if rung == "anytime":
+            deadline = self._anytime_deadline(job)
+            stamp = {
+                "rung": rung,
+                "degrade_reason": reason,
+                "anytime_deadline_seconds": deadline,
+            }
             try:
-                result = optimize_request(run_request)
+                result = optimize_request(
+                    replace(job.run_request, deadline_seconds=deadline)
+                )
             except ReproError:
                 rung = heuristic_rung_for(job.catalog.graph)
             else:

@@ -167,9 +167,9 @@ class ServiceMetrics:
         either failed (``error=True``) or was served a heuristic plan
         (``fallback=True``) — both still count one timeout.  ``degraded``
         marks a request served a *heuristic* plan from a ladder rung
-        (admission budget or open breaker); ``fast_exact`` marks one
-        served the exact optimum by the dpconv fast-exact rung instead
-        of the over-budget enumerator — mutually exclusive with
+        (admission budget or open breaker); ``fast_exact`` marks an
+        over-budget one whose anytime run finished inside its deadline
+        and so served the exact optimum — mutually exclusive with
         ``degraded`` by construction.  ``anytime`` marks a request served
         a *salvaged* plan by a cooperative-budget run that hit its
         deadline (valid, at most the pure-GOO cost, not exact);
@@ -335,7 +335,7 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
         "timeouts": "Requests that exceeded their deadline.",
         "fallbacks": "Requests served a heuristic fallback plan.",
         "degraded": "Requests served a heuristic plan from a degradation-ladder rung.",
-        "fast_exact": "Over-budget requests served the exact optimum by the dpconv rung.",
+        "fast_exact": "Over-budget requests whose anytime run finished exactly.",
         "anytime": "Requests served a salvaged plan by an expired cooperative budget.",
         "hard_kills_avoided": "Deadline workers that cooperated instead of being killed.",
         "retries": "Extra worker attempts consumed by retries.",
@@ -411,7 +411,7 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
             ("timeouts", "timeouts", "Timeouts per algorithm."),
             ("fallbacks", "fallbacks", "Fallback servings per algorithm."),
             ("degraded", "degraded", "Degraded servings per algorithm."),
-            ("fast_exact", "fast_exact", "Fast-exact dpconv servings per algorithm."),
+            ("fast_exact", "fast_exact", "Exact anytime servings per algorithm."),
             ("anytime", "anytime", "Salvaged anytime servings per algorithm."),
             ("retries", "retries", "Retries per algorithm."),
             ("kernel_fast", "kernel_fast", "Fast-kernel optimizations per algorithm."),

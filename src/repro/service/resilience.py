@@ -12,16 +12,14 @@ it out:
   enumeration counts for small graphs, Table-I closed forms for the
   fixed shapes, and the log-space interpolation of
   :func:`repro.analysis.formulas.ccp_estimate` for everything else.
-* the **degradation ladder** — ``exact → dpconv → anytime → ikkbz →
-  goo``.  ``dpconv`` is the *fast-exact* rung: for symmetric cost
-  models within its work budget (:func:`dpconv_admissible`), a request
-  whose enumerator is over the ccp budget is still answered with the
-  exact optimum via (min,+) subset convolution instead of a heuristic
-  plan.  A request that runs dpconv itself is priced by that same work
-  model, never by #ccp.  Below it, IKKBZ is the polynomial-time
-  *optimal left-deep* rung for acyclic graphs and GOO the universal
-  greedy bushy rung.  :func:`heuristic_rung_for` picks the highest
-  applicable heuristic rung, :func:`run_rung` executes one.
+* the **degradation ladder** — ``exact → anytime → ikkbz → goo``.
+  ``exact`` is whichever engine the request resolved to (``"auto"``
+  already picks dpconv where it is predicted faster, and a dpconv run
+  is admitted by ``n`` alone, never by #ccp).  ``anytime`` runs that
+  engine under a cooperative deadline.  Below it, IKKBZ is the
+  polynomial-time *optimal left-deep* rung for acyclic graphs and GOO
+  the universal greedy bushy rung.  :func:`heuristic_rung_for` picks
+  the highest applicable heuristic rung, :func:`run_rung` executes one.
 * :class:`CircuitBreaker` — per-algorithm-label closed → open →
   half-open breaker over consecutive failures with a cooldown and a
   single half-open probe.
@@ -46,7 +44,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.analysis.formulas import ccp_count, ccp_estimate, ccp_predict
 from repro.catalog.statistics import Catalog
-from repro.cost.base import CostModel
 from repro.enumeration.counting import count_ccps
 from repro.errors import AdmissionError, OptimizationError
 from repro.graph.query_graph import QueryGraph
@@ -59,20 +56,18 @@ __all__ = [
     "ResilienceConfig",
     "RetryBudget",
     "RetryPolicy",
-    "dpconv_admissible",
     "estimate_ccps",
     "heuristic_rung_for",
     "run_rung",
 ]
 
 #: Degradation ladder, best rung first.  ``exact`` is whatever registry
-#: enumerator the request resolved to; ``dpconv`` is the fast-exact
-#: rung (still the true optimum, cheaper engine); ``anytime`` runs the
-#: exact engine under a cooperative deadline and salvages the partial
-#: memo into a valid plan at expiry (at worst the GOO plan, often far
-#: better — and exact whenever the search finishes early); the rest are
-#: polynomial-time heuristics with shrinking plan-quality guarantees.
-LADDER_RUNGS = ("exact", "dpconv", "anytime", "ikkbz", "goo")
+#: engine the request resolved to; ``anytime`` runs that engine under a
+#: cooperative deadline and salvages the partial memo into a valid plan
+#: at expiry (at worst the GOO plan, often far better — and exact
+#: whenever the search finishes early); the rest are polynomial-time
+#: heuristics with shrinking plan-quality guarantees.
+LADDER_RUNGS = ("exact", "anytime", "ikkbz", "goo")
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -106,20 +101,17 @@ class ResilienceConfig:
     #: Cap on *total* retry attempts across one batch, so a batch of
     #: uniformly crashing items cannot multiply its own cost unbounded.
     retry_budget_per_batch: int = 16
-    #: Largest ``n`` the dpconv fast-exact rung will take on.  Its dense
-    #: per-subset arrays are ``O(2^n)`` memory, so this is a hard cap
-    #: independent of the work budget below.
-    dpconv_max_n: int = 16
-    #: Split-loop iteration budget for the dpconv rung: the rung runs
-    #: ``3^n / 2`` iterations (see
-    #: :func:`repro.optimizer.dpconv.dpconv_split_work`); the default
-    #: covers clique-15 (~7.2M) in well under a request deadline.
-    dpconv_split_budget: int = 8_000_000
-    #: Over-budget requests that the dpconv rung cannot take run the
-    #: exact engine under a cooperative deadline (the ``anytime`` rung)
-    #: instead of jumping straight to a heuristic; the salvaged plan is
-    #: never worse than the GOO rung.  Disable to restore the pre-anytime
-    #: ladder.
+    #: Largest ``n`` admission lets a dpconv run take on (only checked
+    #: when ``max_ccp_budget`` is set), and the largest ``n`` ``"auto"``
+    #: resolves to dpconv.  The convolution's work is ``3^n / 2`` split
+    #: iterations over ``O(2^n)`` arrays whatever the shape, so ``n``
+    #: alone prices it; the default covers clique-15 (~7.2M splits) well
+    #: under a request deadline.
+    dpconv_max_n: int = 15
+    #: Over-budget requests run the exact engine under a cooperative
+    #: deadline (the ``anytime`` rung) instead of jumping straight to a
+    #: heuristic; the salvaged plan is never worse than the GOO rung.
+    #: Disable to restore the pre-anytime ladder.
     anytime_enabled: bool = True
     #: Deadline for the anytime rung when the request itself carries
     #: none.  ``None`` means requests without a deadline skip the rung
@@ -153,11 +145,6 @@ class ResilienceConfig:
             raise OptimizationError(
                 f"dpconv_max_n must be >= 0, got {self.dpconv_max_n}"
             )
-        if self.dpconv_split_budget < 0:
-            raise OptimizationError(
-                "dpconv_split_budget must be >= 0, "
-                f"got {self.dpconv_split_budget}"
-            )
         if (
             self.anytime_default_deadline_seconds is not None
             and not self.anytime_default_deadline_seconds > 0
@@ -166,21 +153,6 @@ class ResilienceConfig:
                 "anytime_default_deadline_seconds must be > 0 or None, "
                 f"got {self.anytime_default_deadline_seconds}"
             )
-
-    def dpconv_n_limit(self) -> int:
-        """Largest ``n`` the dpconv engine is admitted for.
-
-        Both dpconv gates in one number: ``dpconv_max_n`` and the largest
-        ``n`` whose split work (``3^n / 2``) fits ``dpconv_split_budget``
-        (15 under the defaults).  ``auto`` resolution gets the same
-        limit, so it never picks a dpconv run admission then rejects.
-        """
-        from repro.optimizer.dpconv import dpconv_split_work
-
-        n = self.dpconv_max_n
-        while n > 0 and dpconv_split_work(n) > self.dpconv_split_budget:
-            n -= 1
-        return n
 
     def retry_policy(self) -> Optional["RetryPolicy"]:
         """Build the batch retry policy, or ``None`` when retry is off."""
@@ -280,32 +252,6 @@ def estimate_ccps(
 # Degradation ladder
 # ----------------------------------------------------------------------
 
-def dpconv_admissible(
-    graph: QueryGraph,
-    cost_model: Optional[CostModel],
-    config: ResilienceConfig,
-) -> bool:
-    """Can dpconv serve this query within its own work budget?
-
-    Admission prices dpconv with this instead of the ccp budget, both
-    for requests that run dpconv and for the fast-exact rung.  Two
-    gates: the cost model must be symmetric (the convolution prices
-    each unordered split once — exact only then), and ``n`` must be at
-    most :meth:`ResilienceConfig.dpconv_n_limit` — the rung's ``O(2^n)``
-    arrays and its ``3^n / 2`` split iterations, connected or not.  The
-    work model is *shape-independent* on purpose: unlike the exact
-    enumerators, the convolution visits every submask pair whether or
-    not it is a ccp, so a chain and a clique of the same ``n`` cost it
-    the same.
-
-    ``cost_model=None`` means the registry default — C_out, which is
-    symmetric — so ``None`` passes the symmetry gate.
-    """
-    if cost_model is not None and not cost_model.is_symmetric():
-        return False
-    return graph.n_vertices <= config.dpconv_n_limit()
-
-
 def heuristic_rung_for(graph: QueryGraph) -> str:
     """Pick the best heuristic rung for a *connected* graph.
 
@@ -319,26 +265,15 @@ def heuristic_rung_for(graph: QueryGraph) -> str:
     return "goo"
 
 
-def run_rung(
-    rung: str, catalog: Catalog, cost_model: Optional[CostModel] = None
-) -> Tuple[JoinTree, str]:
+def run_rung(rung: str, catalog: Catalog) -> Tuple[JoinTree, str]:
     """Execute one degradation ladder rung; return ``(plan, rung_used)``.
 
     Each rung falls through to the next if it cannot handle the query
     (the rung chooser should prevent that, but degradation must not
     introduce a *new* failure mode on the path meant to avoid failures)
-    — the returned rung name reflects what actually ran.  ``cost_model``
-    matters only to the ``dpconv`` rung; the heuristics optimize their
-    own objectives.
+    — the returned rung name reflects what actually ran.  The heuristics
+    optimize their own objectives, whatever the request's cost model.
     """
-    if rung == "dpconv":
-        from repro.optimizer.dpconv import DPconvPlanGenerator
-
-        try:
-            plan = DPconvPlanGenerator(catalog, cost_model=cost_model).optimize()
-            return plan, "dpconv"
-        except OptimizationError:
-            rung = "ikkbz"
     if rung == "ikkbz":
         from repro.heuristics.ikkbz import ikkbz_optimal_left_deep
 

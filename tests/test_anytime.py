@@ -210,9 +210,6 @@ class TestSalvagedPlans:
 
 def over_budget_service(**resilience_kwargs):
     resilience_kwargs.setdefault("max_ccp_budget", 50)
-    # dpconv_max_n=0 disables the fast-exact rung so the anytime rung is
-    # the first intercept for over-budget requests.
-    resilience_kwargs.setdefault("dpconv_max_n", 0)
     return OptimizerService(resilience=ResilienceConfig(**resilience_kwargs))
 
 

@@ -39,7 +39,7 @@ from repro.graph.shapes import (
     star_graph,
 )
 from repro.optimizer.api import OptimizationRequest, optimize_request
-from repro.optimizer.dpconv import DPconvPlanGenerator, dpconv_split_work
+from repro.optimizer.dpconv import DPconvPlanGenerator
 from repro.optimizer.topdown import TopDownPlanGenerator
 from repro.serialize import plan_to_dict
 
@@ -292,19 +292,3 @@ class TestRegistryRouting:
             OptimizationRequest(query=exact_catalog(chain_graph(8)))
         )
         assert result.cost == baseline.cost
-
-
-class TestWorkModel:
-    def test_split_work_closed_form(self):
-        # sum over sets S of 2^(|S|-1) = 3^n / 2 (integer division only
-        # drops the empty set's half-unit).
-        for n in range(1, 12):
-            total = sum(
-                2 ** (bin(s).count("1") - 1) for s in range(1, 2 ** n)
-            )
-            assert dpconv_split_work(n) == total
-        assert dpconv_split_work(0) == 0
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(OptimizationError):
-            dpconv_split_work(-1)

@@ -147,7 +147,6 @@ class TestTable:
             ("service", 10.0, None, False, False, False),
             ("batch", 1.5, None, False, False, False),
             ("resilience", None, 0.10, True, False, False),
-            ("resilience", 1.0, None, True, False, False),
             ("observability", None, 1.05, True, False, False),
             ("kernel", 1.3, None, False, True, False),
             ("kernel", None, None, False, False, False),

@@ -40,7 +40,6 @@ from repro.service import (
     ResilienceConfig,
     RetryBudget,
     RetryPolicy,
-    dpconv_admissible,
     estimate_ccps,
 )
 from repro.service.core import service_signature
@@ -356,12 +355,9 @@ class TestDegradationLadder:
         with pytest.raises(AdmissionError):
             run_rung("exact", catalog)
 
-    # The heuristic-rung tests pin an *asymmetric* cost model: with the
-    # default symmetric C_out these requests now land on the dpconv
-    # fast-exact rung instead (covered by TestDpconvRung below).  They
-    # also disable the anytime rung, which otherwise intercepts every
-    # over-budget request whose engine supports cooperative budgets
-    # (covered by tests/test_anytime.py).
+    # The heuristic-rung tests disable the anytime rung, which otherwise
+    # intercepts every over-budget request whose engine supports
+    # cooperative budgets (covered by tests/test_anytime.py).
 
     def test_over_budget_acyclic_degrades_to_ikkbz(self):
         service = OptimizerService(
@@ -448,57 +444,60 @@ class TestDegradationLadder:
 
 
 # ----------------------------------------------------------------------
-# DPconv fast-exact rung
+# The retired dpconv rung's traffic
 # ----------------------------------------------------------------------
 
 class TestDpconvRung:
-    def test_ladder_names_dpconv_between_exact_and_ikkbz(self):
-        assert LADDER_RUNGS == ("exact", "dpconv", "anytime", "ikkbz", "goo")
+    """Over-budget enumerator requests, which a dpconv ladder rung used
+    to reroute: they now take the anytime rung (exact, and cached, when
+    the engine finishes inside its deadline) or a heuristic rung."""
 
-    def test_symmetric_over_budget_lands_on_dpconv(self):
+    def test_ladder_has_no_dpconv_rung(self):
+        assert LADDER_RUNGS == ("exact", "anytime", "ikkbz", "goo")
+
+    def test_over_budget_enumerator_is_served_exactly_by_anytime(self):
         service = OptimizerService(
             resilience=ResilienceConfig(max_ccp_budget=50)
         )
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
+        exact = OptimizerService().optimize(catalog, algorithm="tdmincutbranch")
         result = service.optimize(catalog, algorithm="tdmincutbranch")
         assert result.ok
         result.plan.validate()
-        assert result.details["rung"] == "dpconv"
+        assert result.details["rung"] == "anytime"
         assert result.details["degrade_reason"] == "over_budget"
         assert result.details["fast_exact"] == 1
-        assert result.details["kernel"] == "dpconv"
+        assert result.details["kernel"] == "fast"
+        assert result.details["backend"] == exact.details["backend"]
         assert "degraded" not in result.details
         assert result.details["admission_estimate"] == ccp_count("chain", 12)
         assert result.details["admission_budget"] == 50
-
-    def test_dpconv_rung_serves_the_exact_optimum(self):
-        catalog = WorkloadGenerator(seed=2).fixed_shape("cycle", 10).catalog
-        degraded = OptimizerService(
-            resilience=ResilienceConfig(max_ccp_budget=10)
-        ).optimize(catalog, algorithm="tdmincutbranch")
-        exact = OptimizerService().optimize(catalog, algorithm="tdmincutbranch")
-        assert degraded.details["rung"] == "dpconv"
-        # Generator stats are arbitrary floats, so the two engines may
-        # associate sums differently; bitwise equality is asserted on
-        # power-of-two statistics in test_dpconv_equivalence.py.
-        assert degraded.cost == pytest.approx(exact.cost, rel=1e-12)
-
-    def test_dpconv_rung_results_are_cached(self):
-        # Unlike the heuristic rungs, the fast-exact rung returns the
-        # true optimum, so its plan may warm the cache — with clean
-        # details (no ladder provenance) on the cached entry.
-        service = OptimizerService(
-            resilience=ResilienceConfig(max_ccp_budget=50)
-        )
-        catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
-        first = service.optimize(catalog, algorithm="tdmincutbranch")
-        assert first.details["rung"] == "dpconv"
+        # The same engine on the same statistics: the same optimum.
+        assert result.cost == exact.cost
+        # The exact answer warms the cache, with clean details.
         assert len(service.cache) == 1
         again = service.optimize(catalog, algorithm="tdmincutbranch")
         assert again.cache_hit
-        assert again.cost == first.cost
+        assert again.cost == result.cost
         assert "rung" not in again.details
         assert "fast_exact" not in again.details
+
+    def test_auto_over_budget_without_the_kernel_gets_a_heuristic(
+        self, monkeypatch
+    ):
+        # Without a C kernel `auto` resolves a dense clique to DPccp,
+        # which has no cooperative budget, so the anytime rung is skipped.
+        pin_dpconv_kernel(monkeypatch, False)
+        service = OptimizerService(
+            resilience=ResilienceConfig(max_ccp_budget=5000)
+        )
+        catalog = WorkloadGenerator(seed=1).fixed_shape("clique", 12).catalog
+        result = service.optimize(catalog)
+        assert result.details["rung"] == "goo"
+        assert result.details["degraded"] == 1
+        assert result.details["degrade_reason"] == "over_budget"
+        assert service.stats_snapshot()["algorithms"].keys() == {"dpccp"}
+        assert len(service.cache) == 0
 
     def test_asymmetric_cost_model_skips_dpconv(self):
         service = OptimizerService(
@@ -519,9 +518,6 @@ class TestDpconvRung:
         assert result.details["degraded"] == 1
 
     def test_open_breaker_never_routes_to_dpconv(self):
-        # breaker_open means "the exact engine is failing", and dpconv
-        # runs in the same process with the same inputs — only the
-        # admission budget selects the fast-exact rung.
         service = OptimizerService(
             resilience=ResilienceConfig(breaker_threshold=2)
         )
@@ -542,25 +538,11 @@ class TestDpconvRung:
         service.optimize(catalog, algorithm="tdmincutbranch")
         snapshot = service.stats_snapshot()
         assert snapshot["totals"]["fast_exact"] == 1
-        assert snapshot["totals"]["kernel_dpconv"] == 1
+        assert snapshot["totals"]["kernel_fast"] == 1
+        assert snapshot["totals"]["kernel_dpconv"] == 0
         assert snapshot["totals"]["degraded"] == 0
         text = render_prometheus(snapshot)
         assert "fast_exact" in text
-        assert "kernel_dpconv" in text
-
-    def test_dpconv_rung_size_gates(self):
-        cfg = ResilienceConfig(dpconv_max_n=8)
-        assert dpconv_admissible(chain_graph(8), CoutCostModel(), cfg)
-        assert not dpconv_admissible(chain_graph(9), CoutCostModel(), cfg)
-        tight = ResilienceConfig(dpconv_split_budget=100)
-        assert not dpconv_admissible(chain_graph(10), CoutCostModel(), tight)
-
-    def test_dpconv_admissible_treats_none_as_default_cout(self):
-        # A request without an explicit cost model runs the registry
-        # default (C_out, symmetric) — so None must pass the gate.
-        cfg = ResilienceConfig()
-        assert dpconv_admissible(chain_graph(8), None, cfg)
-        assert not dpconv_admissible(chain_graph(8), PhysicalCostModel(), cfg)
 
     def test_over_budget_beyond_dpconv_cap_falls_to_heuristics(self):
         service = OptimizerService(
@@ -573,21 +555,21 @@ class TestDpconvRung:
         assert result.details["rung"] == "goo"
         assert result.details["degraded"] == 1
 
-    def test_run_rung_accepts_dpconv(self):
+    def test_run_rung_rejects_dpconv(self):
         catalog = WorkloadGenerator(seed=3).fixed_shape("chain", 7).catalog
-        plan, used = run_rung("dpconv", catalog)
-        assert used == "dpconv"
-        plan.validate()
+        with pytest.raises(AdmissionError):
+            run_rung("dpconv", catalog)
 
 
 class TestAdmissionPricesEachEngine:
     """The ccp budget prices the enumerators; dpconv answers to its own
-    split-work model, because its work does not depend on #ccp."""
+    size limit, ``dpconv_max_n``, because its work does not depend on
+    #ccp."""
 
     def test_explicit_dpconv_over_the_ccp_budget_runs_exact(self):
-        # clique-12 has 261 625 ccps, far over the budget, but dpconv's
-        # split work (3^12 / 2) fits its own budget: the request is
-        # served exactly, not by the anytime rung, and is cached.
+        # clique-12 has 261 625 ccps, far over the budget, but n = 12 is
+        # within dpconv_max_n: the request is served exactly, not by the
+        # anytime rung, and is cached.
         service = OptimizerService(
             resilience=ResilienceConfig(max_ccp_budget=5000)
         )
@@ -614,6 +596,41 @@ class TestAdmissionPricesEachEngine:
         assert result.details["admission_estimate"] == 9
         assert result.details["admission_budget"] == 8
 
+    @pytest.mark.parametrize(
+        "shape, n, config",
+        [
+            ("chain", 17, ResilienceConfig(max_ccp_budget=5000)),
+            ("cycle", 9, ResilienceConfig(max_ccp_budget=5000, dpconv_max_n=8)),
+        ],
+    )
+    def test_dpconv_rejected_by_its_n_limit_never_runs(
+        self, monkeypatch, shape, n, config
+    ):
+        # Regression: the anytime rung used to run the very dpconv that
+        # admission had rejected, allocating its O(2^n) arrays before
+        # the first budget check.  A rejection goes to a heuristic, and
+        # no dpconv engine is even built (not by the budget probe
+        # either).
+        from repro.optimizer.dpconv import DPconvPlanGenerator
+
+        assert config.anytime_enabled
+        built = []
+        original = DPconvPlanGenerator.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(n)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DPconvPlanGenerator, "__init__", spy)
+        catalog = WorkloadGenerator(seed=2).fixed_shape(shape, n).catalog
+        result = OptimizerService(resilience=config).optimize(
+            catalog, algorithm="dpconv"
+        )
+        assert result.details["rung"] == heuristic_rung_for(catalog.graph)
+        assert result.details["degraded"] == 1
+        assert result.details["admission_method"] == "dpconv-n-limit"
+        assert built == []
+
     def test_asymmetric_dpconv_request_is_priced_by_ccps(self):
         # dpconv with an asymmetric model runs the top-down driver, so
         # the ccp budget applies: chain-6 (35 ccps) is admitted.
@@ -625,17 +642,19 @@ class TestAdmissionPricesEachEngine:
         assert "rung" not in result.details
         assert result.details["kernel"] == "fast"
 
-    def test_dpconv_n_limit_folds_both_gates(self):
-        assert ResilienceConfig().dpconv_n_limit() == 15
-        assert ResilienceConfig(dpconv_max_n=8).dpconv_n_limit() == 8
-        assert ResilienceConfig(dpconv_split_budget=100).dpconv_n_limit() == 4
+    def test_dpconv_max_n_defaults_to_15(self):
+        # 15 is where the convolution's 3^n / 2 splits (~7.2M) still fit
+        # well under a request deadline.
+        assert ResilienceConfig().dpconv_max_n == 15
+        with pytest.raises(OptimizationError):
+            ResilienceConfig(dpconv_max_n=-1)
 
     @pytest.mark.parametrize(
         "config",
         [
             ResilienceConfig(max_ccp_budget=5000),
             ResilienceConfig(max_ccp_budget=50, dpconv_max_n=9),
-            ResilienceConfig(max_ccp_budget=50, dpconv_split_budget=10_000),
+            ResilienceConfig(max_ccp_budget=50, dpconv_max_n=12),
         ],
     )
     def test_auto_never_picks_a_dpconv_run_admission_rejects(
@@ -652,7 +671,7 @@ class TestAdmissionPricesEachEngine:
                 )
                 if effective == "dpconv":
                     picked += 1
-                    assert dpconv_admissible(catalog.graph, None, config), (shape, n)
+                    assert n <= config.dpconv_max_n, (shape, n)
         assert picked
 
     def test_auto_resolved_dpconv_is_admitted_exact(self, monkeypatch):

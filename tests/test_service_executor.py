@@ -106,18 +106,23 @@ class TestBackendParity:
     # One pipeline: every executor shares prepare → admission → finish
     # and differs only in where the engine runs, so beyond costs they
     # must agree on provenance, counters, and trace shape.  The budget
-    # sends clique-8 (3025 ccps) to the dpconv rung and the physical
-    # star-9 (1024 ccps) to a heuristic; the mixed batch stays exact.
+    # sends clique-8 (3025 ccps) to the anytime rung, which finishes
+    # exactly and is stored, and the physical star-9 (1024 ccps, on
+    # DPccp, which has no cooperative budget) to a heuristic; the mixed
+    # batch stays exact.
 
     @staticmethod
     def ladder_items():
         generator = WorkloadGenerator(seed=17)
         return mixed_batch() + [
             OptimizationRequest(
-                query=generator.fixed_shape("clique", 8), tag="dpconv"
+                query=generator.fixed_shape("clique", 8),
+                algorithm="tdmincutbranch",
+                tag="anytime",
             ),
             OptimizationRequest(
                 query=generator.fixed_shape("star", 9),
+                algorithm="dpccp",
                 cost_model=PhysicalCostModel(),
                 tag="heuristic",
             ),
@@ -127,7 +132,7 @@ class TestBackendParity:
     def pipeline_view(run):
         """Rows and totals of two passes (the second hits the cache)."""
         service = OptimizerService(
-            resilience=ResilienceConfig(max_ccp_budget=500, anytime_enabled=False)
+            resilience=ResilienceConfig(max_ccp_budget=500)
         )
         rows = []
         for _ in range(2):
@@ -162,8 +167,8 @@ class TestBackendParity:
         assert totals["cache_hits"] == 5
         assert totals["fast_exact"] == 1 and totals["degraded"] == 2
         by_tag = {row[0]: row for row in rows[:8]}
-        assert by_tag["dpconv"][4][:2] == ["dpconv", 1]
-        assert by_tag["dpconv"][5] == [
+        assert by_tag["anytime"][4] == ["anytime", 1, None, "fast"]
+        assert by_tag["anytime"][5] == [
             "prepare", "admission", "degraded_rung", "store",
         ]
         assert by_tag["heuristic"][4][0] == "ikkbz"
