@@ -472,15 +472,55 @@ class TestDpconvRung:
         assert "degraded" not in result.details
         assert result.details["admission_estimate"] == ccp_count("chain", 12)
         assert result.details["admission_budget"] == 50
+
+    def test_dpconv_rung_serves_the_exact_optimum(self):
+        # The traffic the dpconv rung used to serve still gets the true
+        # optimum: the anytime rung runs the requested engine itself.
+        catalog = WorkloadGenerator(seed=2).fixed_shape("cycle", 10).catalog
+        degraded = OptimizerService(
+            resilience=ResilienceConfig(max_ccp_budget=10)
+        ).optimize(catalog, algorithm="tdmincutbranch")
+        exact = OptimizerService().optimize(catalog, algorithm="tdmincutbranch")
+        assert degraded.details["rung"] == "anytime"
+        assert degraded.details["fast_exact"] == 1
         # The same engine on the same statistics: the same optimum.
-        assert result.cost == exact.cost
-        # The exact answer warms the cache, with clean details.
+        assert degraded.cost == exact.cost
+
+    def test_dpconv_rung_results_are_cached(self):
+        # Unlike the heuristic rungs, an exact anytime answer returns the
+        # true optimum, so its plan may warm the cache — with clean
+        # details (no ladder provenance) on the cached entry.
+        service = OptimizerService(
+            resilience=ResilienceConfig(max_ccp_budget=50)
+        )
+        catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
+        first = service.optimize(catalog, algorithm="tdmincutbranch")
+        assert first.details["rung"] == "anytime"
         assert len(service.cache) == 1
         again = service.optimize(catalog, algorithm="tdmincutbranch")
         assert again.cache_hit
-        assert again.cost == result.cost
+        assert again.cost == first.cost
         assert "rung" not in again.details
         assert "fast_exact" not in again.details
+
+    def test_dpconv_admissible_treats_none_as_default_cout(self):
+        # A dpconv request without an explicit cost model runs the
+        # registry default (C_out, symmetric), so admission sizes it by
+        # dpconv_max_n, not by #ccp; an asymmetric model runs the
+        # top-down driver and is priced by its ccps.
+        service = OptimizerService(
+            resilience=ResilienceConfig(max_ccp_budget=50, anytime_enabled=False)
+        )
+        catalog = WorkloadGenerator(seed=3).fixed_shape("chain", 8).catalog
+        assert ccp_count("chain", 8) > 50
+        default = service.optimize(catalog, algorithm="dpconv")
+        assert "rung" not in default.details
+        assert default.details["kernel"] == "dpconv"
+        physical = service.optimize(
+            catalog, algorithm="dpconv", cost_model=PhysicalCostModel()
+        )
+        assert physical.details["rung"] == "ikkbz"
+        assert physical.details["admission_estimate"] == ccp_count("chain", 8)
 
     def test_auto_over_budget_without_the_kernel_gets_a_heuristic(
         self, monkeypatch
