@@ -12,8 +12,9 @@ test:
 # Chaos suite: scripted worker crashes/hangs/corrupted payloads through
 # the fault-injection layer, breaker and admission behaviour, crash-safe
 # cache persistence, and the front door's shard crash, deadline kill,
-# restart and cooperative-deadline salvage (shards and batch workers
-# share one supervisor).
+# restart (three in a row), messages larger than the pipe buffer, and
+# cooperative-deadline salvage (shards and batch workers share one
+# supervisor).
 chaos:
 	$(PYTHON) -m pytest -x -q tests/test_resilience.py \
 		tests/test_frontdoor.py::TestBackpressureAndCrashes \

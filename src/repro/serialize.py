@@ -16,6 +16,10 @@ needed):
 * :func:`request_to_dict` / :func:`request_from_dict`
 * :func:`result_to_dict` / :func:`result_from_dict`
 
+The wire writes these documents as compact JSON
+(``separators=(",", ":")``); :func:`reply_to_json` does so for a reply
+envelope, splicing in a plan already encoded by :func:`plan_to_json`.
+
 All ``*_from_dict`` functions validate through the ordinary constructors,
 so a corrupted document raises the library's usual typed errors rather
 than producing a half-built object.
@@ -23,6 +27,7 @@ than producing a half-built object.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 from typing import Any, Dict, List, Optional, Tuple
@@ -54,6 +59,8 @@ __all__ = [
     "request_from_dict",
     "result_to_dict",
     "result_from_dict",
+    "plan_to_json",
+    "reply_to_json",
 ]
 
 #: Current wire-schema version.  Every document this module emits carries
@@ -63,6 +70,9 @@ __all__ = [
 FORMAT_VERSION = 1
 
 _FORMAT_VERSION = FORMAT_VERSION  # backward-compatible private alias
+
+#: ``json.dumps`` separators of the wire's compact JSON.
+_COMPACT = (",", ":")
 
 
 def _check_kind(document: Dict[str, Any], kind: str) -> None:
@@ -587,6 +597,34 @@ def result_to_dict(result) -> Dict[str, Any]:
         "tag": result.tag,
         "trace_id": result.trace_id,
     }
+
+
+def plan_to_json(plan: JoinTree) -> str:
+    """:func:`plan_to_dict` as compact JSON, the text it takes inside
+    any compact JSON document that embeds it."""
+    return json.dumps(plan_to_dict(plan), separators=_COMPACT)
+
+
+def reply_to_json(envelope: Dict[str, Any], result, plan_json: str) -> bytes:
+    """Compact UTF-8 JSON of ``envelope`` with the result under ``"result"``.
+
+    ``plan_json`` is :func:`plan_to_json` of ``result.plan``, which a
+    caller may keep encoded across replies: it is spliced in as text.
+    JSON encoding is compositional, so the bytes are those of
+    ``json.dumps({**envelope, "result": result_to_dict(result)},
+    separators=(",", ":"))``.
+    """
+    fields = json.dumps(
+        result_to_dict(dataclasses.replace(result, plan=None)),
+        separators=_COMPACT,
+    )
+    # Only the constant "kind" and "version" come before "plan", so the
+    # first null plan in the text is the result's own.
+    before, _, after = fields.partition('"plan":null')
+    head = json.dumps(envelope, separators=_COMPACT)[:-1]
+    if envelope:
+        head += ","
+    return f'{head}"result":{before}"plan":{plan_json}{after}}}'.encode("utf-8")
 
 
 def result_from_dict(document: Dict[str, Any]):

@@ -23,7 +23,9 @@ by a digest of its wire document (the front door forwards the one its
 route memo hashes) skips even that on a replay: a bounded LRU of the
 same capacity as the plan cache maps the digest to the resolved key —
 decoded request, signature, canonical order and the engine ``"auto"``
-chose — so the replay goes straight to the plan cache lookup.
+chose — so the replay goes straight to the plan cache lookup.  The key
+also keeps its last hit's rebound plan: a replay that finds the same
+cache entry again reuses it instead of copying the tree.
 
 Batches run on one of two executors — ``"serial"`` on the calling
 thread, or ``"process"`` (:mod:`repro.service.executor`), which uses
@@ -55,7 +57,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import bitset
 from repro.catalog.statistics import Catalog
@@ -323,7 +325,20 @@ def _rebind_plan(
     )
 
 
-@dataclass(frozen=True)
+class _Served:
+    """A memoized key's last cache hit: the entry it read, the plan
+    rebound from that entry, and the plan's wire JSON (``None`` until
+    the shard's encoder fills it in)."""
+
+    __slots__ = ("entry", "plan", "wire")
+
+    def __init__(self, entry: CacheEntry, plan: JoinTree):
+        self.entry = entry
+        self.plan = plan
+        self.wire: Optional[str] = None
+
+
+@dataclass
 class _ResolvedKey:
     """What the prepare step resolves a request to: its cache key and
     everything a hit needs to rebind and label the cached plan.
@@ -331,6 +346,10 @@ class _ResolvedKey:
     ``request`` is the request as decoded; a memoized key serves a later
     request only when that request shares its ``query`` object — under
     a wire digest, because :meth:`OptimizerService.recall` returned it.
+    Every field but ``served`` is fixed once built.  ``served`` is the
+    key's last hit, replaced whole (never edited) so a concurrent reader
+    sees one consistent entry-and-plan pair; a hit that reads the same
+    entry object again reuses its plan instead of rebinding.
     """
 
     request: OptimizationRequest
@@ -339,6 +358,7 @@ class _ResolvedKey:
     effective: str
     signature: str
     order: Tuple[int, ...]
+    served: Optional[_Served] = None
 
 
 @dataclass
@@ -349,7 +369,9 @@ class _Job:
     the caller's ``digest`` of the wire document when it has one, or
     ``fingerprinted`` for an :meth:`OptimizerService.optimize` call
     without one; :meth:`OptimizerService._begin` then fills in the resolved request,
-    the cache outcome and the admission decision.  ``hit`` is the ready
+    the cache outcome and the admission decision.  ``key`` is the
+    request's memoized key, whose last hit a new hit may reuse (``None``
+    for batch items, which have no memo).  ``hit`` is the ready
     cache-hit result.  Otherwise ``degrade`` names the ladder rung that
     serves the request, or is ``None`` when ``run_request`` — catalog
     materialized, ``"auto"`` resolved, cost model injected — goes to the
@@ -362,6 +384,7 @@ class _Job:
     started: float
     digest: Optional[str] = None
     fingerprinted: bool = False
+    key: Optional[_ResolvedKey] = None
     run_request: Optional[OptimizationRequest] = None
     catalog: Optional[Catalog] = None
     effective: Optional[str] = None
@@ -600,6 +623,8 @@ class OptimizerService:
             )
             if memo_key is not None:
                 memo.put(memo_key, key)
+        if memo_key is not None:
+            job.key = key
         job.run_request = replace(
             request,
             query=key.catalog,
@@ -664,8 +689,9 @@ class OptimizerService:
                 entry = self.cache.get(job.signature)
                 span.set("hit", entry is not None)
             if entry is not None:
-                with trace.span("rebind"):
-                    plan = _rebind_plan(entry.plan, job.order, job.catalog)
+                with trace.span("rebind") as span:
+                    plan, reused = self._rebind_hit(job, entry)
+                    span.set("reused", reused)
                 job.hit = OptimizationResult(
                     plan=plan,
                     algorithm=request.algorithm,
@@ -687,6 +713,46 @@ class OptimizerService:
                 span.annotate(rung=degrade[0], reason=degrade[1], **degrade[2])
         job.degrade = degrade
         job.admitted = degrade is None
+
+    def _rebind_hit(self, job: _Job, entry: CacheEntry) -> Tuple[JoinTree, bool]:
+        """The hit's plan in the request's vertex space; True when reused.
+
+        A memoized key whose last hit read this very ``entry`` object
+        already holds the rebound plan.  Any other entry — recomputed
+        after an eviction, warmed from a snapshot — is rebound afresh
+        and becomes the key's last hit.  ``JoinTree`` is frozen, so the
+        plan is shared between hits safely.
+        """
+        key = job.key
+        served = key.served if key is not None else None
+        if served is not None and served.entry is entry:
+            return served.plan, True
+        plan = _rebind_plan(entry.plan, job.order, job.catalog)
+        if key is not None:
+            key.served = _Served(entry, plan)
+        return plan, False
+
+    def wire_plan(
+        self,
+        digest: Optional[str],
+        plan: JoinTree,
+        encode: Callable[[JoinTree], str],
+    ) -> str:
+        """``encode(plan)``, kept on the key ``digest`` names.
+
+        When ``plan`` is the plan that key's last hit served (the one a
+        cache-hit result of ``optimize(..., digest=digest)`` carries),
+        the text is encoded once and kept until the key's next rebind.
+        Any other plan — a fresh result, a key resolved again since — is
+        encoded on every call.
+        """
+        key = self._digests.peek(digest) if digest is not None else None
+        served = key.served if key is not None else None
+        if served is None or served.plan is not plan:
+            return encode(plan)
+        if served.wire is None:
+            served.wire = encode(plan)
+        return served.wire
 
     def _run_in_thread(self, job: _Job) -> OptimizationResult:
         """Engine stage on this thread, then :meth:`_finish`.

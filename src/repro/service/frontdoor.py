@@ -20,8 +20,11 @@ raw request document once, and that digest keys a bounded LRU **route
 memo** (a replay skips the door's parse and canonical labeling) and
 travels with the job, where it keys the owning shard's digest memo (a
 replay skips the shard's parse and canonical labeling too, and goes
-straight to the plan cache); shards return pre-encoded reply bodies
-so the event loop only frames HTTP bytes.  Admission is two-layered:
+straight to the plan cache, where the key's last rebound plan and its
+reply JSON are reused).  Shards return pre-encoded reply bodies, not
+envelopes, so the event loop only frames HTTP bytes, and it talks to
+each shard's pipe itself, woken by the pipe's readability rather than
+a pipe thread.  Admission is two-layered:
 per-tenant token buckets reject over-quota tenants with 429 before any
 routing work, and each shard's bounded queue rejects overload with 429
 + ``Retry-After`` when the shard cannot keep up.
@@ -128,6 +131,13 @@ class FrontDoor:
             snapshot_path=self.config.snapshot_path,
         )
         self._route_memo = LRUMemo(self.config.route_memo_size)
+        self._routes = {
+            "/v1/optimize": ("POST", self._handle_optimize),
+            "/v1/optimize_batch": ("POST", self._handle_optimize_batch),
+            "/v1/stats": ("GET", self._handle_stats),
+            "/v1/healthz": ("GET", self._handle_healthz),
+            "/metrics": ("GET", self._handle_metrics),
+        }
         self._server: Optional[asyncio.AbstractServer] = None
         self._snapshot_task: Optional[asyncio.Task] = None
         self._draining = False
@@ -345,14 +355,7 @@ class FrontDoor:
                 "application/json",
                 [("Retry-After", "1")],
             )
-        routes = {
-            "/v1/optimize": ("POST", self._handle_optimize),
-            "/v1/optimize_batch": ("POST", self._handle_optimize_batch),
-            "/v1/stats": ("GET", self._handle_stats),
-            "/v1/healthz": ("GET", self._handle_healthz),
-            "/metrics": ("GET", self._handle_metrics),
-        }
-        entry = routes.get(path)
+        entry = self._routes.get(path)
         if entry is None:
             return (
                 404,
@@ -473,8 +476,8 @@ class FrontDoor:
 
         Shared by ``/v1/optimize`` and every ``/v1/optimize_batch``
         item.  Returns ``(http_status, payload, retry_after)``:
-        ``payload`` is the shard's reply (a ``reply`` envelope plus, with
-        ``encode_reply``, its pre-encoded ``body``) or a local rejection
+        ``payload`` is the shard's reply (the ``reply`` envelope, or with
+        ``encode_reply`` its pre-encoded ``body``) or a local rejection
         carrying only the error ``reply``; ``retry_after`` is the
         ``Retry-After`` header value owed to a 429, else None.
         """

@@ -45,7 +45,6 @@ import os
 import time
 import warnings
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -328,20 +327,26 @@ def parse_request_document(document: Dict[str, Any]):
 
 
 def _optimize_on_shard(service, job: Dict[str, Any], shard: int):
-    """Run one optimize op; returns ``(reply_envelope, http_status)``.
+    """Run one optimize op; returns ``(reply, http_status)``.
 
-    Failures become a typed v1 error envelope instead of an exception —
-    the parent never sees a traceback over the pipe.  A wire-supplied
-    ``request_id`` is stamped onto the request's trace root so operators
-    can join client logs against shard traces.  The front door's
-    ``digest`` of the unstamped document lets a replay skip the decode
-    and the canonical labeling (:meth:`OptimizerService.recall`); jobs
-    without one, and unknown or evicted digests, take the full path.
+    ``reply`` is the v1 reply envelope, or — for a job with
+    ``encode_reply`` — its compact JSON bytes.  Failures become a typed
+    v1 error envelope instead of an exception — the parent never sees a
+    traceback over the pipe.  A wire-supplied ``request_id`` is stamped
+    onto the request's trace root so operators can join client logs
+    against shard traces.  The front door's ``digest`` of the unstamped
+    document lets a replay skip the decode and the canonical labeling
+    (:meth:`OptimizerService.recall`); jobs without one, and unknown or
+    evicted digests, take the full path.  A replayed cache hit reuses
+    the plan JSON its digest's key keeps
+    (:meth:`OptimizerService.wire_plan`), so only the result's small
+    fields are encoded around it.
     """
     from repro import serialize
 
     request_id = job.get("request_id")
     digest = job.get("digest")
+    encode = job.get("encode_reply")
     try:
         document = job["request"]
         request = None
@@ -359,6 +364,8 @@ def _optimize_on_shard(service, job: Dict[str, Any], shard: int):
             "shard": shard,
             "error": info.to_dict(),
         }
+        if encode:
+            reply = json.dumps(reply, separators=(",", ":")).encode("utf-8")
         return reply, http_status_for_code(info.code)
     if request_id is not None and result.trace_id is not None:
         trace = service.traces.get(result.trace_id)
@@ -369,8 +376,11 @@ def _optimize_on_shard(service, job: Dict[str, Any], shard: int):
         "kind": "optimize_reply",
         "request_id": request_id,
         "shard": shard,
-        "result": serialize.result_to_dict(result),
     }
+    if encode:
+        plan_json = service.wire_plan(digest, result.plan, serialize.plan_to_json)
+        return serialize.reply_to_json(reply, result, plan_json), 200
+    reply["result"] = serialize.result_to_dict(result)
     return reply, 200
 
 
@@ -386,10 +396,11 @@ def shard_worker_main(
 
     Ops are dicts with an ``"op"`` key; every op gets exactly one reply
     dict carrying ``"version": 1``.  ``optimize`` replies add the HTTP
-    ``status`` the front door should send and — when the job asked with
-    ``encode_reply`` — the pre-encoded JSON ``body`` bytes, so the
-    parent's event loop only frames HTTP around them (keeping front-door
-    CPU out of the serving hot path).  The loop returns on the ``None``
+    ``status`` the front door should send and either the reply envelope
+    (``reply``) or — when the job asked with ``encode_reply`` — only its
+    pre-encoded JSON ``body`` bytes, so the parent's event loop frames
+    HTTP around them and unpickles no envelope (keeping front-door CPU
+    out of the serving hot path).  The loop returns on the ``None``
     sentinel or a closed pipe; ``crash`` hard-exits for chaos tests.
     """
     from repro.service.core import OptimizerService
@@ -417,20 +428,8 @@ def shard_worker_main(
             elif op == "save_cache":
                 reply["entries"] = service.save_cache(job["path"])
             elif op == "optimize":
-                envelope, status = _optimize_on_shard(service, job, shard)
-                reply.update(
-                    status=status,
-                    reply=envelope,
-                    cache_hit=bool(
-                        envelope.get("result", {}).get("cache_hit", False)
-                        if envelope.get("kind") == "optimize_reply"
-                        else False
-                    ),
-                )
-                if job.get("encode_reply"):
-                    reply["body"] = json.dumps(
-                        envelope, separators=(",", ":")
-                    ).encode("utf-8")
+                answer, reply["status"] = _optimize_on_shard(service, job, shard)
+                reply["body" if job.get("encode_reply") else "reply"] = answer
             else:
                 reply.update(
                     ok=False,
@@ -461,8 +460,10 @@ class ShardClient:
     Jobs enter a bounded :class:`asyncio.Queue`; :meth:`submit` raises
     :class:`asyncio.QueueFull` when the shard is saturated, which the
     front door turns into HTTP 429.  One drain task per shard sends jobs
-    over the pipe one at a time (pipe send/recv are blocking, so they run
-    on a dedicated single-thread executor).  The process is a supervised
+    over the pipe one at a time, all on the event loop: the job is sent
+    straight away (the shard is idle and reading by then), and the reply
+    is received once the loop reports the pipe readable, so no thread
+    sits between the loop and a shard.  The process is a supervised
     :class:`~repro.service.executor.Worker`: a job that outlives its
     deadline (and the cooperative grace) gets the shard restarted — the
     only way to preempt a CPU-bound enumeration — and a crashed shard is
@@ -493,9 +494,6 @@ class ShardClient:
         self.hard_kills_avoided = 0
         self._queue: Optional[asyncio.Queue] = None
         self._drain_task: Optional[asyncio.Task] = None
-        self._pipe_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-shard{index}-pipe"
-        )
         self._worker = Worker(
             shard_worker_main, self._worker_args(), name=f"repro-shard-{index}"
         )
@@ -598,22 +596,21 @@ class ShardClient:
             # salvages, and restart the shard only past the grace.
             job = dict(job, request=stamp_deadline(job["request"], timeout))
         conn = self._worker.connection
-
-        def call():
-            conn.send(job)
-            return conn.recv()
-
-        pipe_future = loop.run_in_executor(self._pipe_executor, call)
-        # The shield keeps a timeout from cancelling the executor future
-        # (the thread is stuck in a blocking recv either way); closing
-        # the pipe on restart is what actually unblocks it.
-        pipe_future.add_done_callback(_swallow_exception)
         started = loop.time()
         try:
-            payload = await asyncio.wait_for(
-                asyncio.shield(pipe_future),
-                None if timeout is None else hard_deadline(job.get("request"), timeout),
-            )
+            conn.send(job)
+            readable = loop.create_future()
+            fd = conn.fileno()
+            loop.add_reader(fd, _resolve_once, readable)
+            try:
+                await asyncio.wait_for(
+                    readable,
+                    None if timeout is None else hard_deadline(job.get("request"), timeout),
+                )
+            finally:
+                # Before any restart closes the pipe under the reader.
+                loop.remove_reader(fd)
+            payload = conn.recv()
             if timeout is not None and loop.time() - started > timeout:
                 # The engine cooperated inside the grace window; without
                 # it this would have been a kill + restart.
@@ -628,7 +625,7 @@ class ShardClient:
                 retryable=True,
                 request_id=job.get("request_id"),
             )
-        except (EOFError, OSError, BrokenPipeError):
+        except (EOFError, OSError):
             self._restart()
             return self._local_error(
                 "shard_crashed",
@@ -658,7 +655,6 @@ class ShardClient:
             "shard": self.index,
             "status": http_status_for_code(code),
             "reply": envelope,
-            "cache_hit": False,
             "body": json.dumps(envelope, separators=(",", ":")).encode("utf-8"),
         }
 
@@ -696,18 +692,12 @@ class ShardClient:
                 pass
             self._drain_task = None
         self._worker.stop()
-        self._pipe_executor.shutdown(wait=False)
 
 
-def _swallow_exception(future) -> None:
-    """Retrieve (and drop) an abandoned pipe future's exception.
-
-    After a deadline kill the orphaned recv errors out once the pipe
-    closes; nobody awaits that future anymore, so pull the exception to
-    keep asyncio's "exception was never retrieved" warning out of logs.
-    """
-    if not future.cancelled():
-        future.exception()
+def _resolve_once(future) -> None:
+    """Reader callback: mark the shard's pipe readable (reply or EOF)."""
+    if not future.done():
+        future.set_result(None)
 
 
 class ShardPool:

@@ -571,6 +571,49 @@ class TestBackpressureAndCrashes:
         run(body())
 
 
+    def test_request_and_reply_larger_than_the_pipe_buffer(self):
+        # A 64 KiB pipe buffer cannot hold either message whole, so the
+        # door's send and the shard's reply both cross it in pieces.
+        async def body():
+            async with door_on(shards=2) as door:
+                document = request_document(seed=23, n=6)
+                document["tag"] = "t" * (96 * 1024)
+                for hit in (False, True, True):
+                    status, _, reply = await http_request(
+                        door.port, "POST", "/v1/optimize",
+                        envelope(document, request_id="big"),
+                    )
+                    assert status == 200, reply
+                    assert reply["request_id"] == "big"
+                    assert reply["result"]["tag"] == document["tag"]
+                    assert reply["result"]["cache_hit"] is hit
+                assert all(client.restarts == 0 for client in door.shards.clients)
+
+        run(body())
+
+    def test_three_deadline_recycles_in_a_row_then_twenty_requests(self):
+        async def body():
+            async with door_on(shards=1) as door:
+                client = door.shards.clients[0]
+                for recycle in range(1, 4):
+                    payload = await client.submit(
+                        {"op": "sleep", "seconds": 10.0}, deadline_seconds=0.3
+                    )
+                    assert payload["status"] == 504
+                    assert payload["reply"]["error"]["code"] == "deadline_exceeded"
+                    assert client.restarts == recycle
+                for index in range(20):
+                    document = request_document(seed=29 + index % 4, n=5)
+                    status, _, reply = await http_request(
+                        door.port, "POST", "/v1/optimize", envelope(document)
+                    )
+                    assert status == 200, reply
+                    assert reply["result"]["cache_hit"] is (index >= 4)
+                assert client.restarts == 3 and client.alive
+
+        run(body())
+
+
 # ----------------------------------------------------------------------
 # Observability endpoints and cache warming
 # ----------------------------------------------------------------------
