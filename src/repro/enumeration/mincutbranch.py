@@ -55,14 +55,18 @@ class MinCutBranch(PartitioningStrategy):
     def __init__(self, graph, use_optimizations: bool = True):
         super().__init__(graph)
         self.use_optimizations = use_optimizations
-        # Adjacency keyed by single-vertex bitset: the recursion always
+
+    def __getattr__(self, name):
+        # Only reached while ``_adj`` is unset: the adjacency keyed by
+        # single-vertex bitset is built on the first enumeration, so a run
+        # the C kernel takes never pays for it.  The recursion always
         # holds the vertex it wants neighbors of as a one-bit set, so
         # keying by bit removes the bit->index conversion from the
         # hottest lines of the algorithm.
-        self._adj = {
-            1 << v: graph.neighbors_of_vertex(v)
-            for v in range(graph.n_vertices)
-        }
+        if name != "_adj":
+            raise AttributeError(name)
+        adj = self._adj = {1 << v: a for v, a in enumerate(self.graph._adjacency)}
+        return adj
 
     # ------------------------------------------------------------------
 

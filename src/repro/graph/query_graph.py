@@ -129,14 +129,16 @@ class QueryGraph:
 
         ``seed`` is a single-bit set contained in ``universe``.  Expansion is
         a frontier BFS on bitmasks: each step ORs the adjacency of the whole
-        frontier.
+        frontier, taking its vertices low bit first.
         """
-        component = seed
-        frontier = seed
+        adjacency = self._adjacency
+        component = frontier = seed
         while frontier:
             grow = 0
-            for index in bitset.iter_indices(frontier):
-                grow |= self._adjacency[index]
+            while frontier:
+                low = frontier & -frontier
+                grow |= adjacency[low.bit_length() - 1]
+                frontier ^= low
             frontier = grow & universe & ~component
             component |= frontier
         return component

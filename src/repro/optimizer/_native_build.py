@@ -8,22 +8,24 @@ One C source, one module, two engines:
   ascending set order, same descending-submask split scan with a strict
   ``<`` winner, same ``(left_card * right_card) * selectivity``
   multiplication order.
-* ``td_run`` (with ``td_new`` / ``td_physical`` / ``td_seed`` /
-  ``td_push`` / ``td_unfinished`` / ``td_free``) transcribes MinCutBranch
-  (:mod:`repro.enumeration.mincutbranch`) and the iterative TDPGSUB of
-  :mod:`repro.optimizer.kernel`, pricing ``C_out`` inline or, after
-  ``td_physical``, :class:`repro.cost.physical.PhysicalCostModel` with
-  both orientations per ccp (``td_price``, libm's ``log2`` as CPython's
-  ``math.log2``): same ccp emission order, same deferral, same
-  first-priced pair seeding the cardinality, strict ``<`` ties, same
-  operation order, the winning implementation's index out in ``o_impl``.  A
+* ``td_run`` (with ``td_new`` / ``td_unfinished`` / ``td_free``)
+  transcribes MinCutBranch (:mod:`repro.enumeration.mincutbranch`) and
+  the iterative TDPGSUB of :mod:`repro.optimizer.kernel`, pricing
+  ``C_out`` inline or, given an implementation table,
+  :class:`repro.cost.physical.PhysicalCostModel` with both orientations
+  per ccp (``td_price``, libm's ``log2`` as CPython's ``math.log2``):
+  same ccp emission order, same deferral, same first-priced pair
+  seeding the cardinality, strict ``<`` ties, same operation order, the
+  winning implementation's index out in ``o_impl``.  A
   set is one ``uint64`` mask (n <= 64); the memo is an open-addressing
   table keyed by mask, and the state lives in a C-owned ``td_ctx`` so
-  the python driver can charge node budgets between calls; deadlines are
-  checked through ``td_check``, an ``extern "Python"`` callback the
-  driver defines (see :func:`repro.optimizer.native.run_c_topdown`).
-  ``td_plan`` then walks the root's best splits and writes only the
-  plan's rows, so the driver builds the plan without the memo.
+  the python driver can charge node budgets between calls.  ``td_new``
+  is the whole set-up: graph, leaves, pricing and root in one call.
+  Deadlines are checked through ``td_check``, an ``extern "Python"``
+  callback the driver defines (see
+  :func:`repro.optimizer.native.run_c_topdown`).  ``td_plan`` then walks
+  the root's best splits and writes only the plan's rows, into the
+  context, so the driver builds the plan without the memo.
 
 Both share a ``sel_between`` that replicates
 :meth:`repro.catalog.statistics.Catalog.selectivity_between` exactly —
@@ -70,6 +72,15 @@ __all__ = [
 ]
 
 _CDEF = """
+void graph_layout(
+    int n,
+    int m,
+    const int *edges,
+    const double *sels,
+    unsigned long long *adj,
+    int *sel_off,
+    unsigned long long *sel_nbit,
+    double *sel_val);
 long long dpconv_cout_range(
     unsigned long long start,
     unsigned long long end,
@@ -84,6 +95,15 @@ long long dpconv_cout_range(
     unsigned long long *best_left,
     unsigned long long *best_right,
     long long *priced_out);
+
+typedef struct {
+    unsigned long long set;
+    double card;
+    double cost;
+    unsigned long long left;
+    unsigned long long right;
+    long long impl;
+} td_row;
 
 typedef struct {
     void *check_arg;
@@ -102,36 +122,29 @@ typedef struct {
     double *o_cost;
     int *o_impl;
     long long o_unnamed;
+    td_row *p_rows;
     ...;
 } td_ctx;
 
 td_ctx *td_new(
     int n,
-    const unsigned long long *adj,
-    const int *sel_off,
-    const unsigned long long *sel_nbit,
-    const double *sel_val,
-    long long max_items);
-void td_free(td_ctx *ctx);
-int td_physical(
-    td_ctx *ctx,
-    int count,
+    int m,
+    const int *edges,
+    const double *sels,
+    const double *cards,
+    double leaf_cost,
+    int n_impl,
     const int *kinds,
     const double *first,
     const double *second,
-    double output_weight);
-int td_seed(td_ctx *ctx, unsigned long long set, double card, double cost);
-int td_push(td_ctx *ctx, unsigned long long set);
+    double output_weight,
+    unsigned long long root,
+    long long max_items);
+void td_free(td_ctx *ctx);
 int td_run(td_ctx *ctx);
 long long td_unfinished(td_ctx *ctx);
-int td_plan(
-    td_ctx *ctx,
-    unsigned long long root,
-    int cap,
-    unsigned long long *sets,
-    double *cards,
-    double *costs,
-    int *impls);
+void td_rows(td_ctx *ctx, td_row *out);
+int td_plan(td_ctx *ctx, unsigned long long root);
 extern "Python" int td_check(void *);
 """
 
@@ -182,6 +195,34 @@ static double sel_between(
         }
     }
     return product;
+}
+
+/* The graph in the layout sel_between walks, from the catalog's m edges
+ * in the order of its selectivity mapping (edges[2i] < edges[2i + 1],
+ * selectivity sels[i]): the adjacency masks, and per vertex its
+ * (neighbor bit, selectivity) list from sel_off[v] to sel_off[v + 1],
+ * appended edge by edge -- first to the lower end, then to the upper
+ * -- in the order Catalog builds _vertex_selectivity, so sel_between
+ * multiplies in the python order. */
+void graph_layout(int n, int m, const int *edges, const double *sels,
+                  unsigned long long *adj, int *sel_off,
+                  unsigned long long *sel_nbit, double *sel_val)
+{
+    int fill[65];
+    memset(adj, 0, (size_t)n * sizeof(unsigned long long));
+    memset(sel_off, 0, (size_t)(n + 1) * sizeof(int));
+    for (int i = 0; i < 2 * m; i++) sel_off[edges[i] + 1]++;
+    for (int v = 0; v < n; v++) sel_off[v + 1] += sel_off[v];
+    memcpy(fill, sel_off, (size_t)n * sizeof(int));
+    for (int i = 0; i < m; i++) {
+        int u = edges[2 * i], v = edges[2 * i + 1];
+        adj[u] |= 1ULL << v;
+        adj[v] |= 1ULL << u;
+        sel_nbit[fill[u]] = 1ULL << v;
+        sel_val[fill[u]++] = sels[i];
+        sel_nbit[fill[v]] = 1ULL << u;
+        sel_val[fill[v]++] = sels[i];
+    }
 }
 
 /* Process s_set in [start, end) against caller-persistent state arrays
@@ -321,6 +362,16 @@ typedef struct {
     double second;
 } td_impl;
 
+/* One finished set, as td_rows and td_plan hand it out. */
+typedef struct {
+    unsigned long long set;
+    double card;
+    double cost;
+    unsigned long long left;
+    unsigned long long right;
+    long long impl;            /* index of the winning implementation; -1 none */
+} td_row;
+
 typedef struct {
     /* shared with the python driver (declared in _CDEF) */
     void *check_arg;           /* td_check's argument; NULL: unbudgeted */
@@ -339,7 +390,9 @@ typedef struct {
     double *o_cost;
     int *o_impl;               /* index of the winning implementation; -1 none */
     long long o_unnamed;       /* settled sets with index -1 */
+    td_row *p_rows;            /* td_plan's rows, 2n - 1 of them */
     /* private */
+    int n;
     long long sp;
     int n_impl;                /* 0: C_out; else PhysicalCostModel's table */
     td_impl *impls;
@@ -711,63 +764,6 @@ static unsigned long long td_mincut(
     return r_set | l_set;                                         /* line 30 */
 }
 
-td_ctx *td_new(
-    int n,
-    const unsigned long long *adj,
-    const int *sel_off,
-    const unsigned long long *sel_nbit,
-    const double *sel_val,
-    long long max_items)
-{
-    if (n < 1 || n > 64) return NULL;
-    td_ctx *c = (td_ctx *)calloc(1, sizeof(td_ctx));
-    if (!c) return NULL;
-    int count = sel_off[n];
-    memcpy(c->adj, adj, (size_t)n * sizeof(unsigned long long));
-    memcpy(c->sel_off, sel_off, (size_t)(n + 1) * sizeof(int));
-    c->max_items = max_items;
-    c->tick = TD_CHECK_STRIDE;
-    c->sel_nbit = (unsigned long long *)malloc(
-        (size_t)(count ? count : 1) * sizeof(unsigned long long));
-    c->sel_val = (double *)malloc((size_t)(count ? count : 1) * sizeof(double));
-    if (!c->sel_nbit || !c->sel_val || td_rehash(c, 64 - 8)) {
-        free(c->sel_nbit);
-        free(c->sel_val);
-        free(c->slots);
-        free(c);
-        return NULL;
-    }
-    memcpy(c->sel_nbit, sel_nbit, (size_t)count * sizeof(unsigned long long));
-    memcpy(c->sel_val, sel_val, (size_t)count * sizeof(double));
-    return c;
-}
-
-/* Price with PhysicalCostModel: ``count`` implementations, each a kind
- * (TD_NESTED_LOOP, TD_HASH, TD_SORT_MERGE) and its parameters, in the
- * model's order.  Without this call the context prices C_out. */
-int td_physical(
-    td_ctx *c,
-    int count,
-    const int *kinds,
-    const double *first,
-    const double *second,
-    double output_weight)
-{
-    if (count < 1) return -1;
-    td_impl *impls = (td_impl *)malloc((size_t)count * sizeof(td_impl));
-    if (!impls) return -1;
-    for (int i = 0; i < count; i++) {
-        impls[i].kind = kinds[i];
-        impls[i].first = first[i];
-        impls[i].second = second[i];
-    }
-    free(c->impls);
-    c->impls = impls;
-    c->n_impl = count;
-    c->output_weight = output_weight;
-    return 0;
-}
-
 void td_free(td_ctx *c)
 {
     if (!c) return;
@@ -784,27 +780,74 @@ void td_free(td_ctx *c)
     free(c->o_card);
     free(c->o_cost);
     free(c->o_impl);
+    free(c->p_rows);
     free(c);
 }
 
-/* A set that is final before the run starts (a leaf): in the table,
- * not in the finish order. */
-int td_seed(td_ctx *c, unsigned long long set, double card, double cost)
+/* The whole set-up of a run: the graph (its m edges and selectivities,
+ * laid out by graph_layout), the n leaves (final before the run starts,
+ * in the table but not in the finish order: cardinality cards[v], cost
+ * leaf_cost), the pricing (n_impl == 0: C_out; else PhysicalCostModel's
+ * n_impl implementations, each a kind -- TD_NESTED_LOOP, TD_HASH,
+ * TD_SORT_MERGE -- and its parameters, in the model's order) and the
+ * root, scheduled for exploration.  NULL when out of memory or n is out
+ * of range. */
+td_ctx *td_new(
+    int n,
+    int m,
+    const int *edges,
+    const double *sels,
+    const double *cards,
+    double leaf_cost,
+    int n_impl,
+    const int *kinds,
+    const double *first,
+    const double *second,
+    double output_weight,
+    unsigned long long root,
+    long long max_items)
 {
-    td_slot *slot = td_insert(c, set);
-    if (!slot) return -1;
-    slot->state = TD_DONE;
-    slot->card = card;
-    slot->cost = cost;
-    return 0;
-}
-
-/* Schedule ``set`` for exploration (the root). */
-int td_push(td_ctx *c, unsigned long long set)
-{
-    if (!td_insert(c, set)) return -1;
-    td_frame frame = {set, -1, 0, 0.0, 0.0, 0, 0, 0, -1};
-    return td_push_frame(c, &frame);
+    if (n < 1 || n > 64 || m < 0 || n_impl < 0) return NULL;
+    td_ctx *c = (td_ctx *)calloc(1, sizeof(td_ctx));
+    if (!c) return NULL;
+    int count = 2 * m;
+    c->n = n;
+    c->max_items = max_items;
+    c->tick = TD_CHECK_STRIDE;
+    c->n_impl = n_impl;
+    c->output_weight = output_weight;
+    c->sel_nbit = (unsigned long long *)malloc(
+        (size_t)(count ? count : 1) * sizeof(unsigned long long));
+    c->sel_val = (double *)malloc((size_t)(count ? count : 1) * sizeof(double));
+    c->impls = (td_impl *)malloc((size_t)(n_impl ? n_impl : 1) * sizeof(td_impl));
+    c->p_rows = (td_row *)malloc((size_t)(2 * n - 1) * sizeof(td_row));
+    if (!c->sel_nbit || !c->sel_val || !c->impls || !c->p_rows
+        || td_rehash(c, 64 - 8)) {
+        td_free(c);
+        return NULL;
+    }
+    graph_layout(n, m, edges, sels, c->adj, c->sel_off, c->sel_nbit, c->sel_val);
+    for (int i = 0; i < n_impl; i++) {
+        c->impls[i].kind = kinds[i];
+        c->impls[i].first = first[i];
+        c->impls[i].second = second[i];
+    }
+    for (int v = 0; v < n; v++) {
+        td_slot *slot = td_insert(c, 1ULL << v);
+        if (!slot) {
+            td_free(c);
+            return NULL;
+        }
+        slot->state = TD_DONE;
+        slot->card = cards[v];
+        slot->cost = leaf_cost;
+    }
+    td_frame frame = {root, -1, 0, 0.0, 0.0, 0, 0, 0, -1};
+    if (!td_insert(c, root) || td_push_frame(c, &frame)) {
+        td_free(c);
+        return NULL;
+    }
+    return c;
 }
 
 /* Run the work stack.  Returns 0 once it is empty; 1 when the node
@@ -910,18 +953,32 @@ int td_run(td_ctx *c)
     return 0;
 }
 
-/* The plan of the finished set ``root``: one row per node into the
- * caller's arrays of ``cap`` (2n - 1) rows, children before parents and
- * the left subtree first -- a post-order walk of the best splits --
- * with implementation -1 for a leaf.  The python driver assembles the
- * tree from these rows with a stack.  Returns the row count; -1, with the set
- * in sets[0], when a set on the walk has no plan (cost inf), checked in
- * the order MemoTable.extract_plan checks them; -2 when a set on the
- * walk is not finished or the rows overflow ``cap`` (never expected).
- * A set's row is settled, so ``max_items`` (< 2^32) bounds it. */
-int td_plan(td_ctx *c, unsigned long long root, int cap,
-            unsigned long long *sets, double *cards, double *costs, int *impls)
+/* The finish order, one row per settled set, into the caller's array of
+ * o_len rows.  The run keeps it as columns: one array each, grown in
+ * step, keeps the allocations of a large run from crossing the heap's
+ * trim and mmap thresholds every run, as one array of rows did. */
+void td_rows(td_ctx *c, td_row *out)
 {
+    for (long long i = 0; i < c->o_len; i++) {
+        td_row row = {c->o_set[i], c->o_card[i], c->o_cost[i],
+                      c->o_left[i], c->o_right[i], c->o_impl[i]};
+        out[i] = row;
+    }
+}
+
+/* The plan of the finished set ``root``: one row per node into p_rows
+ * (2n - 1 of them), children before parents and the left subtree first
+ * -- a post-order walk of the best splits -- with implementation -1 for
+ * a leaf.  The python driver assembles the tree from these rows with a
+ * stack.  Returns the row count; -1, with the set in p_rows[0], when a
+ * set on the walk has no plan (cost inf), checked in the order
+ * MemoTable.extract_plan checks them; -2 when a set on the walk is not
+ * finished or the rows overflow p_rows (never expected).  A set's row
+ * is settled, so ``max_items`` (< 2^32) bounds it. */
+int td_plan(td_ctx *c, unsigned long long root)
+{
+    td_row *rows = c->p_rows;
+    int cap = 2 * c->n - 1;
     /* A pending entry is a node to visit, or (expanded) one whose
      * subtrees are written; at most 2 * depth + 1 <= 127 are pending. */
     unsigned long long stack[128];
@@ -934,23 +991,17 @@ int td_plan(td_ctx *c, unsigned long long root, int cap,
         const td_slot *slot = td_find(c, set);
         if (!slot || slot->state != TD_DONE || count == cap) return -2;
         if (expanded[sp]) {
-            sets[count] = set;
-            cards[count] = slot->card;
-            costs[count] = slot->cost;
-            impls[count] = c->o_impl[slot->row];
-            count++;
+            td_row node = {set, slot->card, slot->cost, 0, 0, c->o_impl[slot->row]};
+            rows[count++] = node;
             continue;
         }
         if (slot->cost == INFINITY) {
-            sets[0] = set;
+            rows[0].set = set;
             return -1;
         }
         if (!(set & (set - 1))) {
-            sets[count] = set;
-            cards[count] = slot->card;
-            costs[count] = slot->cost;
-            impls[count] = -1;
-            count++;
+            td_row leaf = {set, slot->card, slot->cost, 0, 0, -1};
+            rows[count++] = leaf;
             continue;
         }
         if (sp > 125) return -2;

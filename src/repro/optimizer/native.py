@@ -56,13 +56,22 @@ dpconv walks its best-split arrays, so neither builds the memo to
 extract one plan.  The memo's rows are deferred
 (:meth:`~repro.plan.memo.MemoTable.defer`): its length is exact at
 once, and after its first read it is the memo the pure engine fills.
+
+C top-down's python shell is thin: ``td_new`` is the whole set-up
+(graph, leaves, pricing, root), ``td_plan`` writes into the context,
+nodes come from :func:`~repro.plan.jointree._node`, and no step reads
+the memo.  Per request on ``compile_sparse``'s p50 band, in µs, before
+-> after (``docs/ALGORITHMS.md`` has the method): ``td_run`` 88 -> 88,
+plan assembly 60 -> 24, generator construction 17 -> 6, connectivity
+and eligibility 14 -> 9, set-up and leaves 19 -> 10, memo rows 10 -> 6,
+``td_plan`` 3 -> 1; the shell around ``td_run``, 133 -> 65.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional
 
 from repro.bitset import format_set
@@ -73,10 +82,12 @@ from repro.cost.physical import (
     PhysicalCostModel,
     SortMergeJoin,
 )
+from repro.enumeration.mincutbranch import MinCutBranch
 from repro.errors import OptimizationError
 from repro.optimizer import _native_build
 from repro.optimizer.budget import BudgetExpired
-from repro.plan.jointree import JoinTree
+from repro.optimizer.kernel import next_charge_chunk
+from repro.plan.jointree import JoinTree, _node
 
 __all__ = [
     "BACKENDS",
@@ -126,6 +137,14 @@ _C_IMPLEMENTATIONS = {
     SortMergeJoin: lambda impl: (2, 0.0, 0.0),
 }
 
+#: C top-down's pricing of ``C_out``: one implementation name, no table.
+_COUT_PRICING = (("join",), 0, (), (), (), 0.0)
+
+#: A ``td_row`` of the C source (set, card, cost, left, right, impl),
+#: unpacked as the plan rows :func:`_assemble` reads: set, card, cost,
+#: impl.
+_ROW = struct.Struct("Qdd16xq")
+
 
 #: memoized numpy module (or None when unavailable).  numpy selects no
 #: engine; it only speeds up collecting the settled sets after a C
@@ -161,20 +180,28 @@ def check_backend(requested) -> str:
     return mode
 
 
-def _physical_rows(cost_model):
-    """``(kind, first, second)`` per implementation when C top-down can
-    price ``cost_model`` as exactly :class:`PhysicalCostModel` over the
-    three bundled implementations (any order, any parameters), else
-    ``None``."""
-    if type(cost_model) is not PhysicalCostModel:
+def _pricing(cost_model):
+    """How C top-down prices ``cost_model``, or ``None`` when it cannot:
+    the implementation names the plan and memo carry, then ``td_new``'s
+    table -- ``count`` implementations' kinds and two parameters each,
+    and the output weight.  It is empty for exactly
+    :class:`CoutCostModel`; exactly :class:`PhysicalCostModel` over the
+    three bundled implementations (any order, any parameters) has one
+    row per implementation."""
+    model = type(cost_model)
+    if model is CoutCostModel:
+        return _COUT_PRICING
+    if model is not PhysicalCostModel:
         return None
+    implementations = cost_model.implementations
     rows = []
-    for implementation in cost_model.implementations:
+    for implementation in implementations:
         row = _C_IMPLEMENTATIONS.get(type(implementation))
         if row is None:
             return None
         rows.append(row(implementation))
-    return rows
+    names = tuple(implementation.name for implementation in implementations)
+    return (names, len(rows), *zip(*rows), cost_model.output_weight)
 
 
 def resolve_backend(cost_model, requested=None, n=None, engine="dpconv"):
@@ -198,7 +225,7 @@ def resolve_backend(cost_model, requested=None, n=None, engine="dpconv"):
     # join_cost; a subclass may override it, so require the exact types
     # (mirrors the pure engines' own ``cout_fast`` check).
     if cost_model is not None and type(cost_model) is not CoutCostModel:
-        if engine != "topdown" or _physical_rows(cost_model) is None:
+        if engine != "topdown" or _pricing(cost_model) is None:
             return None
     if n is not None and n > _MAX_N[engine]:
         return None
@@ -243,26 +270,13 @@ def native_backend_status() -> dict:
 # Drivers
 
 
-def _graph_arrays(ffi, catalog):
-    """Adjacency and selectivity arrays in the layout ``sel_between`` walks:
-    per vertex, its ``(neighbor bit, selectivity)`` list in stored order."""
-    graph = catalog.graph
-    n = graph.n_vertices
-    adj_list = [graph.neighbors_of_vertex(v) for v in range(n)]
-    sel_offsets = [0]
-    sel_nbits: list = []
-    sel_vals: list = []
-    for vertex in range(n):
-        for neighbor_bit, sel in catalog._vertex_selectivity[vertex]:
-            sel_nbits.append(neighbor_bit)
-            sel_vals.append(sel)
-        sel_offsets.append(len(sel_nbits))
-    return (
-        adj_list,
-        ffi.new("unsigned long long[]", adj_list),
-        ffi.new("int[]", sel_offsets),
-        ffi.new("unsigned long long[]", sel_nbits),
-        ffi.new("double[]", sel_vals),
+def _edges(catalog):
+    """The catalog's edges flattened (``u0, v0, u1, v1, ...``) and their
+    selectivities, in the order its per-vertex selectivity lists were
+    built: what the C ``graph_layout`` rebuilds those lists from."""
+    selectivity = catalog._selectivity
+    return len(selectivity), list(chain.from_iterable(selectivity)), list(
+        selectivity.values()
     )
 
 
@@ -279,25 +293,14 @@ def _assemble(rows, names, relations) -> JoinTree:
     push, pop = stack.append, stack.pop
     for vertex_set, cardinality, cost, implementation in rows:
         if implementation < 0:
-            push(
-                JoinTree(
-                    vertex_set=vertex_set,
-                    cardinality=cardinality,
-                    cost=cost,
-                    relation=relations[vertex_set.bit_length() - 1].name,
-                )
-            )
+            name = relations[vertex_set.bit_length() - 1].name
+            push(_node(vertex_set, cardinality, cost, name, None, None, None))
         else:
             right = pop()
-            left = pop()
             push(
-                JoinTree(
-                    vertex_set=vertex_set,
-                    cardinality=cardinality,
-                    cost=cost,
-                    left=left,
-                    right=right,
-                    implementation=names[implementation],
+                _node(
+                    vertex_set, cardinality, cost, None, pop(), right,
+                    names[implementation],
                 )
             )
     return stack[0]
@@ -332,7 +335,12 @@ def run_c_convolution(generator, full: int) -> JoinTree:
     n = graph.n_vertices
     size = full + 1
 
-    adj_list, adj, sel_off, sel_nbit, sel_val = _graph_arrays(ffi, catalog)
+    m, edges, sels = _edges(catalog)
+    adj = ffi.new("unsigned long long[]", n)
+    sel_off = ffi.new("int[]", n + 1)
+    sel_nbit = ffi.new("unsigned long long[]", 2 * m)
+    sel_val = ffi.new("double[]", 2 * m)
+    lib.graph_layout(n, m, edges, sels, adj, sel_off, sel_nbit, sel_val)
 
     dp = ffi.new("double[]", size)
     ffi.buffer(dp)[:] = struct.pack("=d", math.inf) * size
@@ -344,13 +352,13 @@ def run_c_convolution(generator, full: int) -> JoinTree:
     best_right = ffi.new("unsigned long long[]", size)
     priced = ffi.new("long long *", 0)
 
-    for entry in memo.entries():
-        leaf = entry.vertex_set
-        vertex = leaf.bit_length() - 1
-        dp[leaf] = entry.cost
-        card[leaf] = entry.cardinality
+    # The leaves as the memo holds them, read without loading it.
+    for vertex, relation in enumerate(catalog.relations):
+        leaf = 1 << vertex
+        dp[leaf] = memo._leaf_cost
+        card[leaf] = relation.cardinality
         conn[leaf] = 1
-        nbr[leaf] = adj_list[vertex]
+        nbr[leaf] = adj[vertex]
 
     # A set's submask scan costs up to 2^(n-1) iterations, so size the
     # mask range per call to bound budget overshoot to ~4M iterations.
@@ -441,22 +449,26 @@ def run_c_convolution(generator, full: int) -> JoinTree:
     return _assemble(rows, ("join",), catalog.relations)
 
 
-def run_c_topdown(driver, root_set: int) -> JoinTree:
+def run_c_topdown(driver, root_set: int) -> Optional[JoinTree]:
     """Run the compiled kernel over a top-down driver's query; return the plan.
 
-    Only called after :func:`resolve_backend` returned ``"c"`` for a
-    ``MinCutBranch`` driver without pruning.  Same contract as
-    :func:`~repro.optimizer.kernel.run_fast_kernel` without a bound
-    followed by ``extract_plan(root_set)``: the plan is the same tree,
-    built from the ``2n - 1`` rows ``td_plan`` walks out of the kernel's
-    own state; after its first read the memo holds the same entries
-    (implementation names included) in the same order -- the kernel's
-    rows are deferred (:meth:`MemoTable.defer
+    Returns ``None`` without running when the kernel cannot run this
+    driver: a partitioner other than exactly the optimized
+    ``MinCutBranch`` (a subclass may change emission), or whatever
+    :func:`resolve_backend` refuses; otherwise ``driver.last_backend``
+    becomes ``"c"``.  The driver calls it only without pruning.  Same
+    contract as :func:`~repro.optimizer.kernel.run_fast_kernel` without
+    a bound followed by ``extract_plan(root_set)``: the plan is the same
+    tree, built from the ``2n - 1`` rows ``td_plan`` walks out of the
+    kernel's own state; after its first read the memo holds the same
+    entries (implementation names included) in the same order -- the
+    kernel's rows are deferred behind the leaves (:meth:`MemoTable.defer
     <repro.plan.memo.MemoTable.defer>`), and ``len`` is exact before
     that read; and the partitioner's
     :class:`~repro.enumeration.base.PartitionStats`,
     ``cost_evaluations`` and ``estimations`` advance by the same
-    amounts.
+    amounts.  ``td_new`` seeds the leaves from the catalog, so the run
+    never reads the memo.
 
     With a budget the C loop returns when its node countdown reaches an
     expansion (the budget is charged before that expansion runs, as in
@@ -469,40 +481,39 @@ def run_c_topdown(driver, root_set: int) -> JoinTree:
     raised, as the python kernel does.  Without a budget, the state cap raises
     :class:`~repro.errors.OptimizationError`.
     """
-    from repro.optimizer.kernel import next_charge_chunk
+    partitioner = driver.partitioner
+    builder = driver.builder
+    pricing = _pricing(builder.cost_model)
+    n = driver.graph.n_vertices
+    if (
+        pricing is None
+        or type(partitioner) is not MinCutBranch
+        or not partitioner.use_optimizations
+        or resolve_backend(None, driver.native_backend, n, "topdown") is None
+    ):
+        return None
+    driver.last_backend = "c"
+    memo = builder.memo
+    if not root_set & (root_set - 1):
+        return memo.extract_plan(root_set)  # a leaf: nothing to enumerate
 
     module = _native_build.load_c_kernel()
     ffi, lib = module.ffi, module.lib
-    builder = driver.builder
-    memo = builder.memo
     budget = driver.budget
-    if memo.lookup(root_set) is not None:
-        return memo.extract_plan(root_set)  # a leaf: nothing to enumerate
-
-    _, adj, sel_off, sel_nbit, sel_val = _graph_arrays(ffi, driver.catalog)
+    catalog = driver.catalog
+    names, count = pricing[:2]
     ctx = lib.td_new(
-        driver.graph.n_vertices, adj, sel_off, sel_nbit, sel_val, _TOPDOWN_MAX_ITEMS
+        n,
+        *_edges(catalog),
+        [relation.cardinality for relation in catalog.relations],
+        memo._leaf_cost,
+        *pricing[1:],
+        root_set,
+        _TOPDOWN_MAX_ITEMS,
     )
     if ctx == ffi.NULL:
         raise MemoryError("cannot allocate the C top-down kernel's state")
     try:
-        cost_model = builder.cost_model
-        rows = _physical_rows(cost_model)
-        if rows is None:
-            names, per_ccp = ("join",), 1
-        else:
-            per_ccp = 2
-            names = tuple(impl.name for impl in cost_model.implementations)
-            kinds, first, second = zip(*rows)
-            if lib.td_physical(
-                ctx, len(rows), kinds, first, second, cost_model.output_weight
-            ):
-                raise MemoryError("C top-down kernel out of memory")
-        for entry in memo.entries():
-            if lib.td_seed(ctx, entry.vertex_set, entry.cardinality, entry.cost):
-                raise MemoryError("C top-down kernel out of memory")
-        if lib.td_push(ctx, root_set):
-            raise MemoryError("C top-down kernel out of memory")
         expired = None
         if budget is None:
             ctx.countdown = _UNLIMITED
@@ -542,7 +553,7 @@ def run_c_topdown(driver, root_set: int) -> JoinTree:
         if status == -2:
             raise OptimizationError("C top-down kernel priced an unfinished set")
 
-        stats = driver.partitioner.stats
+        stats = partitioner.stats
         stats.calls += ctx.calls
         stats.loop_iterations += ctx.loops
         stats.emitted += ctx.emitted
@@ -552,29 +563,14 @@ def run_c_topdown(driver, root_set: int) -> JoinTree:
         # One C_out or two physical evaluations (both orientations) per
         # emitted ccp, derived as the python kernel derives it (an upper
         # bound on an aborted run).
-        builder.cost_evaluations += per_ccp * ctx.emitted
+        builder.cost_evaluations += (2 if count else 1) * ctx.emitted
 
         # The memo's rows: the finish order is the python kernel's
         # ``done`` insertion order, so the memo's iteration order
-        # matches too.  A set no candidate won (every total inf or NaN)
-        # has no split and no implementation (index -1), as in python.
-        # Each column is one copy out of the C state, read lazily.
-        count = ctx.o_len
-        if len(names) == 1 and not ctx.o_unnamed:
-            named = repeat(names[0])
-        else:
-            named = map(
-                (names + (None,)).__getitem__, _column(ffi, ctx.o_impl, count, "i")
-            )
-        rows = zip(
-            _column(ffi, ctx.o_set, count, "Q"),
-            _column(ffi, ctx.o_card, count, "d"),
-            _column(ffi, ctx.o_cost, count, "d"),
-            _column(ffi, ctx.o_left, count, "Q"),
-            _column(ffi, ctx.o_right, count, "Q"),
-            named,
-            repeat(True),
-        )
+        # matches too.  ``td_rows`` copies them out of the C state.
+        finished = ffi.new("td_row[]", ctx.o_len)
+        lib.td_rows(ctx, finished)
+        rows = _finished_rows(ffi.buffer(finished), names, ctx.o_unnamed)
         if expired is not None:
             # Salvage reads the whole memo: flush now.  Only the root
             # becomes a placeholder row; the other unfinished sets are
@@ -583,34 +579,32 @@ def run_c_topdown(driver, root_set: int) -> JoinTree:
             memo.bulk_load(rows)
             memo.bulk_load(((root_set, None, math.inf, 0, 0, None, False),))
             raise BudgetExpired(expired)
-        memo.defer(rows, count)
+        memo.defer(rows, len(finished))
 
-        size = 2 * driver.graph.n_vertices - 1
-        sets = ffi.new("unsigned long long[]", size)
-        cards = ffi.new("double[]", size)
-        costs = ffi.new("double[]", size)
-        impls = ffi.new("int[]", size)
-        nodes = lib.td_plan(ctx, root_set, size, sets, cards, costs, impls)
+        nodes = lib.td_plan(ctx, root_set)
         if nodes == -1:
-            raise _no_plan(sets[0])
+            raise _no_plan(ctx.p_rows[0].set)
         if nodes < 0:
             raise OptimizationError("C top-down kernel lost a set of the plan")
-        return _assemble(
-            zip(
-                ffi.unpack(sets, nodes),
-                ffi.unpack(cards, nodes),
-                ffi.unpack(costs, nodes),
-                ffi.unpack(impls, nodes),
-            ),
-            names,
-            driver.catalog.relations,
-        )
+        plan = ffi.buffer(ctx.p_rows, nodes * _ROW.size)
+        return _assemble(_ROW.iter_unpack(plan), names, catalog.relations)
     finally:
         lib.td_free(ctx)
 
 
-def _column(ffi, pointer, count: int, code: str) -> memoryview:
-    """A copy of ``count`` items of a C array, as a typed memoryview
-    (``code`` is its :mod:`struct` format: ``"Q"``, ``"d"`` or ``"i"``)."""
-    data = ffi.buffer(pointer, count * struct.calcsize(code))[:] if count else b""
-    return memoryview(data).cast(code)
+def _finished_rows(data, names, unnamed: int):
+    """The :meth:`~repro.plan.memo.MemoTable.bulk_load` rows of C
+    top-down's finish order, read lazily from its ``td_row`` array as
+    strided columns.  A set no candidate won (every total inf or NaN)
+    has no split and no implementation (index -1), as in python;
+    ``unnamed`` counts them."""
+    view = memoryview(data)
+    words, floats = view.cast("Q"), view.cast("d")
+    if len(names) == 1 and not unnamed:
+        named = repeat(names[0])
+    else:
+        named = map((names + (None,)).__getitem__, view.cast("q")[5::6])
+    yield from zip(
+        words[0::6], floats[1::6], floats[2::6], words[3::6], words[4::6],
+        named, repeat(True),
+    )

@@ -25,8 +25,8 @@ from repro.catalog.statistics import Catalog
 from repro.cost.base import CostModel
 from repro.cost.cout import CoutCostModel
 from repro.enumeration.base import PartitioningStrategy
-from repro.enumeration.mincutbranch import MinCutBranch
 from repro.errors import DisconnectedGraphError
+from repro.optimizer import native
 from repro.optimizer.budget import Budget, BudgetExpired
 from repro.optimizer.kernel import run_fast_kernel
 from repro.plan.builder import PlanBuilder
@@ -98,9 +98,7 @@ class TopDownPlanGenerator:
         self.budget_expired = False
         self.salvage_report = None
         self.last_kernel: Optional[str] = None
-        from repro.optimizer.native import check_backend
-
-        check_backend(native_backend)
+        native.check_backend(native_backend)
         self.native_backend = native_backend
         #: Engine that ran the last ``optimize()``: ``"python"`` or
         #: ``"c"`` (see :mod:`repro.optimizer.native`).
@@ -129,13 +127,12 @@ class TopDownPlanGenerator:
         self.last_backend = "python"
         self.unfinished_sets = 0
         try:
-            if bound is None and self._c_eligible():
-                from repro.optimizer import native
-
-                # The C kernel hands the plan out itself and defers the
-                # memo until something reads it.
-                self.last_backend = "c"
-                return native.run_c_topdown(self, all_vertices)
+            if bound is None:
+                # The C kernel, when it runs, hands the plan out itself
+                # and defers the memo until something reads it.
+                plan = native.run_c_topdown(self, all_vertices)
+                if plan is not None:
+                    return plan
             run_fast_kernel(self, all_vertices, bound)
         except BudgetExpired:
             # Complete the partial memo into a valid plan.
@@ -151,23 +148,6 @@ class TopDownPlanGenerator:
             )
             return plan
         return self.builder.memo.extract_plan(all_vertices)
-
-    def _c_eligible(self) -> bool:
-        """True when the C top-down kernel runs this query: exactly the
-        optimized ``MinCutBranch`` (a subclass may change emission) and
-        whatever :func:`repro.optimizer.native.resolve_backend` allows."""
-        partitioner = self.partitioner
-        if type(partitioner) is not MinCutBranch or not partitioner.use_optimizations:
-            return False
-        from repro.optimizer import native
-
-        backend = native.resolve_backend(
-            self.cost_model,
-            requested=self.native_backend,
-            n=self.graph.n_vertices,
-            engine="topdown",
-        )
-        return backend == "c"
 
     def _initial_upper_bound(self) -> float:
         """Seed the branch-and-bound bound with a greedy plan's cost.

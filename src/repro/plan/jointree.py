@@ -3,7 +3,8 @@
 A join tree (Sec. II-A) is a binary tree whose leaves are base relations
 and whose inner nodes are two-way joins.  During search, the optimizers
 work on the compact memo representation (:mod:`repro.plan.memo`); a
-:class:`JoinTree` is materialized on demand from the winning memo entries.
+:class:`JoinTree` is materialized on demand from the winning memo entries,
+through :func:`_node` on the paths that build whole trees at once.
 """
 
 from __future__ import annotations
@@ -119,3 +120,28 @@ class JoinTree:
 
     def __str__(self) -> str:
         return self.to_expression()
+
+
+_new = object.__new__
+
+
+def _node(vertex_set, cardinality, cost, relation, left, right, implementation):
+    """A :class:`JoinTree` built without the dataclass ``__init__``.
+
+    The frozen ``__init__`` pays one ``object.__setattr__`` per field;
+    this fills the instance ``__dict__`` directly, in field order, at
+    about half the cost.  The node is the one ``JoinTree(...)`` makes:
+    equal, same hash and repr, picklable, and still frozen.  Plan
+    extraction, the C engines, cache-hit rebinding and wire decoding
+    build every node of a tree through it.
+    """
+    node = _new(JoinTree)
+    fields = node.__dict__
+    fields["vertex_set"] = vertex_set
+    fields["cardinality"] = cardinality
+    fields["cost"] = cost
+    fields["relation"] = relation
+    fields["left"] = left
+    fields["right"] = right
+    fields["implementation"] = implementation
+    return node

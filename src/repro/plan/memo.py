@@ -22,12 +22,13 @@ it, and one that does sees exactly the eagerly filled table.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Dict, Iterator, Optional
 
 from repro import bitset
 from repro.catalog.statistics import Catalog
 from repro.errors import OptimizationError
-from repro.plan.jointree import JoinTree
+from repro.plan.jointree import JoinTree, _node
 
 __all__ = ["MemoEntry", "MemoTable"]
 
@@ -85,25 +86,22 @@ class MemoTable:
     Also owns leaf initialization (Fig. 1 lines 1-2: ``BestTree({R_i}) <- R_i``)
     and final plan extraction.
 
-    While rows are deferred (:meth:`defer`) the ``_entries`` slot is
-    unset and :meth:`__getattr__` loads them on the first access, so the
-    accessors the enumerators call in their hot loops carry no check.
+    While rows are deferred (:meth:`defer`, and the leaves from
+    construction until the first read) the ``_entries`` slot is unset and
+    :meth:`__getattr__` loads them on the first access, so the accessors
+    the enumerators call in their hot loops carry no check.
     """
 
     __slots__ = ("catalog", "_entries", "_leaf_cost", "_pending")
 
     def __init__(self, catalog: Catalog, leaf_cost: float = 0.0):
         self.catalog = catalog
-        self._entries: Dict[int, MemoEntry] = {}
         self._leaf_cost = leaf_cost
         #: ``(entries, rows, count)`` while rows are deferred, else None.
-        self._pending = None
-        for vertex in range(catalog.graph.n_vertices):
-            entry = MemoEntry(1 << vertex)
-            entry.cardinality = catalog.cardinality(vertex)
-            entry.cost = leaf_cost
-            entry.explored = True  # leaves need no partitioning (Fig. 1 l.1-2)
-            self._entries[1 << vertex] = entry
+        #: The leaves are deferred from the start: a compiled engine that
+        #: hands its plan out itself never reads them.
+        n = catalog.graph.n_vertices
+        self._pending = ({}, _leaf_rows(catalog, leaf_cost, n), n)
 
     # ------------------------------------------------------------------
 
@@ -145,8 +143,8 @@ class MemoTable:
 
         ``rows`` yields ``(vertex_set, cardinality, cost, best_left,
         best_right, implementation, explored)`` tuples — the fast
-        kernel's struct-of-arrays memo, zipped.  Existing entries (the
-        leaves) are updated in place; everything else is created.  After
+        kernel's struct-of-arrays memo, zipped.  Existing entries are
+        updated in place; everything else is created.  After
         this call the table is indistinguishable from one filled by the
         reference driver, so extraction, validation, and explain need no
         kernel-specific code paths.  Deferred rows (:meth:`defer`) are
@@ -179,11 +177,16 @@ class MemoTable:
         loading.  The first :meth:`lookup`, ``[]``, ``in``,
         :meth:`entries`, :meth:`get_or_create` or :meth:`bulk_load` feeds
         them to :meth:`bulk_load`; the table then equals one loaded
-        eagerly, row for row and in the same order.
+        eagerly, row for row and in the same order.  Rows deferred
+        earlier (the leaves, at least, until the first read) come first.
         """
-        # Reading ``_entries`` first loads rows deferred earlier.
-        self._pending = (self._entries, rows, count)
-        del self._entries
+        pending = self._pending
+        if pending is None:
+            self._pending = (self._entries, rows, count)
+            del self._entries
+        else:
+            entries, earlier, known = pending
+            self._pending = (entries, chain(earlier, rows), known + count)
 
     def __getattr__(self, name):
         # Only reached for an unset slot: ``_entries`` while rows are
@@ -209,6 +212,7 @@ class MemoTable:
         ``RecursionError`` after the search itself had succeeded.
         """
         built: Dict[int, JoinTree] = {}
+        relations = self.catalog.relations
         stack = [vertex_set]
         while stack:
             current = stack.pop()
@@ -219,13 +223,15 @@ class MemoTable:
                 raise OptimizationError(
                     f"no plan was found for {bitset.format_set(current)}"
                 )
-            if bitset.popcount(current) == 1:
-                vertex = bitset.lowest_index(current)
-                built[current] = JoinTree(
-                    vertex_set=current,
-                    cardinality=entry.cardinality,
-                    cost=entry.cost,
-                    relation=self.catalog.relations[vertex].name,
+            if not current & (current - 1):
+                built[current] = _node(
+                    current,
+                    entry.cardinality,
+                    entry.cost,
+                    relations[current.bit_length() - 1].name,
+                    None,
+                    None,
+                    None,
                 )
                 continue
             left = built.get(entry.best_left)
@@ -237,12 +243,21 @@ class MemoTable:
                 if left is None:
                     stack.append(entry.best_left)
                 continue
-            built[current] = JoinTree(
-                vertex_set=current,
-                cardinality=entry.cardinality,
-                cost=entry.cost,
-                left=left,
-                right=right,
-                implementation=entry.implementation,
+            built[current] = _node(
+                current,
+                entry.cardinality,
+                entry.cost,
+                None,
+                left,
+                right,
+                entry.implementation,
             )
         return built[vertex_set]
+
+
+def _leaf_rows(catalog: Catalog, leaf_cost: float, n: int):
+    """The :meth:`MemoTable.bulk_load` rows of the ``n`` leaves, in vertex
+    order: final and explored (Fig. 1 lines 1-2), each with
+    ``catalog.cardinality(v)`` as it is (an int stays an int)."""
+    for vertex in range(n):
+        yield (1 << vertex, catalog.cardinality(vertex), leaf_cost, 0, 0, None, True)

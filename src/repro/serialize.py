@@ -37,7 +37,7 @@ from repro.catalog.statistics import Catalog, Relation
 from repro.errors import ErrorInfo, ReproError, UnsupportedVersionError
 from repro.graph.hypergraph import Hyperedge, Hypergraph
 from repro.graph.query_graph import QueryGraph
-from repro.plan.jointree import JoinTree
+from repro.plan.jointree import JoinTree, _node
 
 __all__ = [
     "FORMAT_VERSION",
@@ -199,19 +199,23 @@ def plan_from_dict(document: Dict[str, Any]) -> JoinTree:
 
     def decode(node: Dict[str, Any]) -> JoinTree:
         if "relation" in node:
-            return JoinTree(
-                vertex_set=node["vertex_set"],
-                cardinality=node["cardinality"],
-                cost=node["cost"],
-                relation=node["relation"],
+            return _node(
+                node["vertex_set"],
+                node["cardinality"],
+                node["cost"],
+                node["relation"],
+                None,
+                None,
+                None,
             )
-        return JoinTree(
-            vertex_set=node["vertex_set"],
-            cardinality=node["cardinality"],
-            cost=node["cost"],
-            left=decode(node["left"]),
-            right=decode(node["right"]),
-            implementation=node.get("implementation"),
+        return _node(
+            node["vertex_set"],
+            node["cardinality"],
+            node["cost"],
+            None,
+            decode(node["left"]),
+            decode(node["right"]),
+            node.get("implementation"),
         )
 
     plan = decode(document["root"])

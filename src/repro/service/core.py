@@ -79,7 +79,7 @@ from repro.optimizer.api import (
     optimize_request,
     runs_dpconv,
 )
-from repro.plan.jointree import JoinTree
+from repro.plan.jointree import JoinTree, _node
 from repro.service.cache import CacheEntry, LRUMemo, PlanCache
 from repro.service.executor import (
     EXECUTORS,
@@ -309,19 +309,15 @@ def _rebind_plan(
     if node.is_leaf:
         vertex = mapped_set.bit_length() - 1
         name = catalog.relations[vertex].name if catalog else f"C{vertex}"
-        return JoinTree(
-            vertex_set=mapped_set,
-            cardinality=node.cardinality,
-            cost=node.cost,
-            relation=name,
-        )
-    return JoinTree(
-        vertex_set=mapped_set,
-        cardinality=node.cardinality,
-        cost=node.cost,
-        left=_rebind_plan(node.left, vertex_of_position, catalog),
-        right=_rebind_plan(node.right, vertex_of_position, catalog),
-        implementation=node.implementation,
+        return _node(mapped_set, node.cardinality, node.cost, name, None, None, None)
+    return _node(
+        mapped_set,
+        node.cardinality,
+        node.cost,
+        None,
+        _rebind_plan(node.left, vertex_of_position, catalog),
+        _rebind_plan(node.right, vertex_of_position, catalog),
+        node.implementation,
     )
 
 

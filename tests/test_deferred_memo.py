@@ -6,11 +6,17 @@ loaded through ``bulk_load`` on the first read.  These tests pin that
 contract: ``len`` is exact before the load; the loaded memo equals the
 python engine's row for row, in order, implementation names included;
 any accessor loads it; an expired run still hands salvage a full memo;
-and the python engines never defer.
+and the python engines never defer.  The C top-down run's one-call
+set-up (``td_new`` seeds the leaves from the catalog, the memo's leaves
+stay deferred) is pinned on 1, 2 and 64 relations, int and float leaf
+cardinalities and both cost models.
 """
+
+import random
 
 import pytest
 
+from repro.catalog.statistics import Catalog, Relation
 from repro.catalog.workload import attach_random_statistics, uniform_statistics
 from repro.cost.physical import (
     HashJoin,
@@ -19,7 +25,10 @@ from repro.cost.physical import (
     SortMergeJoin,
 )
 from repro.enumeration.mincutbranch import MinCutBranch
+from repro.errors import DisconnectedGraphError
+from repro.graph.query_graph import QueryGraph
 from repro.graph.shapes import chain_graph, clique_graph, cycle_graph, star_graph
+from repro.optimizer import _native_build
 from repro.optimizer._native_build import load_c_kernel
 from repro.optimizer.budget import Budget
 from repro.optimizer.dpccp import DPccp
@@ -184,6 +193,104 @@ def test_python_engines_never_defer(monkeypatch):
     conv.optimize()
     for optimizer in (dpccp, reference, kernel, conv):
         assert optimizer.builder.memo._pending is None
+
+
+def typed_rows(memo):
+    return [tuple((type(value), value) for value in row) for row in rows(memo)]
+
+
+def catalog_with(graph, cards, seed):
+    """``graph`` with int (1..1000) or float leaf cardinalities."""
+    rng = random.Random(seed)
+    draw = (lambda: rng.randint(1, 1000)) if cards == "int" else (
+        lambda: rng.uniform(1.0, 1000.0)
+    )
+    relations = [Relation(f"R{v}", draw()) for v in range(graph.n_vertices)]
+    sels = {edge: rng.choice([1.0, 0.5, 0.1, 0.013]) for edge in graph.edges}
+    return Catalog(graph, relations, sels)
+
+
+SET_UP_GRAPHS = {
+    "single": QueryGraph(1, []),
+    "pair": chain_graph(2),
+    "chain-64": chain_graph(64),
+    "cycle-64": cycle_graph(64),
+}
+
+
+@needs_c
+@pytest.mark.parametrize("cards", ["int", "float"])
+@pytest.mark.parametrize("graph", sorted(SET_UP_GRAPHS))
+@pytest.mark.parametrize("engine", ["topdown-cout", "topdown-physical"])
+class TestOneCallSetUp:
+    def test_plan_and_memo_equal_the_python_kernel(self, engine, graph, cards, loads):
+        catalog = catalog_with(SET_UP_GRAPHS[graph], cards, seed=7)
+        c_run = make(engine, catalog, "c")
+        c_plan = c_run.optimize()
+        python = make(engine, catalog, "off")
+        python_plan = python.optimize()
+        assert (c_run.last_backend, python.last_backend) == ("c", "python")
+        n = catalog.graph.n_vertices
+        if n > 1:
+            # The run read neither the leaves nor its own rows.
+            assert c_run.builder.memo not in loads
+        assert len(c_run.builder.memo) == len(python.builder.memo)
+        assert c_plan == python_plan
+        c_plan.validate()
+        # The leaves keep the catalog's values and types after the load.
+        assert typed_rows(c_run.builder.memo) == typed_rows(python.builder.memo)
+        for vertex in range(n):
+            leaf = c_run.builder.memo[1 << vertex]
+            assert type(leaf.cardinality) is type(catalog.cardinality(vertex))
+            assert leaf.cardinality == catalog.cardinality(vertex)
+        assert c_run.partitioner.stats == python.partitioner.stats
+        assert c_run.builder.cost_evaluations == python.builder.cost_evaluations
+        assert (
+            c_run.builder.estimator.estimations
+            == python.builder.estimator.estimations
+        )
+
+
+@needs_c
+@pytest.mark.parametrize("engine", ["topdown-cout", "topdown-physical"])
+def test_disconnected_graph_raises_before_any_c_call(engine, monkeypatch):
+    catalog = catalog_with(QueryGraph(4, [(0, 1), (2, 3)]), "int", seed=3)
+    with pytest.raises(DisconnectedGraphError) as python_error:
+        make(engine, catalog, "off").optimize()
+
+    def refuse(build=False):
+        raise AssertionError("the C kernel was reached")
+
+    monkeypatch.setattr(_native_build, "load_c_kernel", refuse)
+    with pytest.raises(DisconnectedGraphError) as c_error:
+        make(engine, catalog, "c").optimize()
+    assert str(c_error.value) == str(python_error.value)
+
+
+@needs_c
+@pytest.mark.parametrize("cards", ["int", "float"])
+@pytest.mark.parametrize("engine", ["topdown-cout", "topdown-physical"])
+def test_expired_one_call_run_hands_salvage_a_full_memo(engine, cards, monkeypatch):
+    import repro.plan.salvage as salvage
+
+    seen = []
+    original = salvage.salvage_plan
+
+    def spy(memo, *args, **kwargs):
+        seen.append((memo._pending, len(memo), typed_rows(memo)))
+        return original(memo, *args, **kwargs)
+
+    monkeypatch.setattr(salvage, "salvage_plan", spy)
+    catalog = catalog_with(cycle_graph(64), cards, seed=5)
+    c_run = make(engine, catalog, "c", budget=Budget(node_cap=50))
+    c_run.optimize().validate()
+    python = make(engine, catalog, "off", budget=Budget(node_cap=50))
+    python.optimize().validate()
+    assert c_run.last_backend == "c" and c_run.budget_expired
+    [(pending, length, c_rows), (_, python_length, python_rows)] = seen
+    assert pending is None
+    assert length == len(c_rows) == python_length > catalog.graph.n_vertices
+    assert c_rows == python_rows
 
 
 class TestDefer:

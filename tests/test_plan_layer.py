@@ -1,6 +1,8 @@
 """Unit tests for JoinTree, MemoTable and PlanBuilder."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro import (
     uniform_statistics,
 )
 from repro.errors import OptimizationError
+from repro.plan.jointree import _node
 from repro.plan.memo import MemoTable
 
 
@@ -89,6 +92,64 @@ class TestJoinTree:
         out = t.pretty()
         assert "hash" in out
         assert "card=35" in out
+
+
+def _fast_copy(tree):
+    """``tree`` rebuilt node by node through the fast constructor."""
+    if tree.is_leaf:
+        return _node(
+            tree.vertex_set, tree.cardinality, tree.cost, tree.relation,
+            None, None, None,
+        )
+    return _node(
+        tree.vertex_set, tree.cardinality, tree.cost, None,
+        _fast_copy(tree.left), _fast_copy(tree.right), tree.implementation,
+    )
+
+
+class TestFastNode:
+    """Nodes of the private fast constructor are the ones ``JoinTree(...)``
+    builds: equal, same hash, repr and pickle, frozen, valid."""
+
+    def tree(self):
+        a, b, c = (_leaf(i, f"R{i}", 10 * (i + 1)) for i in range(3))
+        return _join(_join(a, b, 200.0, 200.0, "hash"), c, 6000.5, 6200.5)
+
+    def test_equal_hash_and_repr(self):
+        tree = self.tree()
+        fast = _fast_copy(tree)
+        assert fast == tree and tree == fast
+        assert hash(fast) == hash(tree)
+        assert repr(fast) == repr(tree)
+        assert fast.left.left == tree.left.left
+        assert hash(fast.left.left) == hash(tree.left.left)
+        assert {fast: 1}[tree] == 1
+        assert fast != _fast_copy(_join(tree.left, tree.right, 1.0, 1.0))
+
+    def test_pickle_round_trip(self):
+        tree = self.tree()
+        fast = _fast_copy(tree)
+        restored = pickle.loads(pickle.dumps(fast))
+        assert restored == tree and hash(restored) == hash(tree)
+        assert pickle.loads(pickle.dumps(tree)) == fast
+        assert repr(restored) == repr(tree)
+
+    def test_frozen(self):
+        fast = _fast_copy(self.tree())
+        for field in dataclasses.fields(fast):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(fast, field.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fast.left.relation = "R9"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del fast.cost
+
+    def test_validates(self):
+        fast = _fast_copy(self.tree())
+        fast.validate()
+        assert fast.n_joins() == 2 and fast.depth() == 2
+        assert fast.to_expression() == "((R0 ⋈ R1) ⋈ R2)"
+        assert dataclasses.asdict(fast) == dataclasses.asdict(self.tree())
 
 
 class TestMemoTable:

@@ -1,6 +1,8 @@
 """Unit tests for QueryGraph."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import QueryGraph, bitset
 from repro.errors import DisconnectedGraphError, GraphError
@@ -126,6 +128,64 @@ class TestConnectivity:
         g.require_connected(0b011)
         with pytest.raises(DisconnectedGraphError):
             g.require_connected(0b101)
+
+
+@st.composite
+def graphs_and_sets(draw):
+    """A random graph (often disconnected, up to 70 vertices) and a vertex
+    set of it: empty, a singleton, or any subset."""
+    n = draw(st.integers(1, 70))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)] if n <= 12 else None
+    if pairs is not None:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    else:
+        edges = draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda e: e[0] != e[1]),
+                max_size=3 * n,
+            )
+        )
+    full = (1 << n) - 1
+    vertex_set = draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, n - 1).map(lambda v: 1 << v),
+            st.just(full),
+            st.integers(0, full),
+        )
+    )
+    return QueryGraph(n, edges), vertex_set
+
+
+class TestConnectivityAgainstReference:
+    """``is_connected`` and ``connected_component`` against the reference
+    BFS on random graphs, including empty, singleton and disconnected sets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_sets())
+    def test_is_connected(self, case):
+        graph, vertex_set = case
+        adj = adjacency_map(graph.n_vertices, graph.edges)
+        expected = is_connected_ref(bitset_to_frozenset(vertex_set), adj)
+        assert graph.is_connected(vertex_set) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_sets(), st.data())
+    def test_connected_component(self, case, data):
+        graph, universe = case
+        if not universe:
+            return
+        seed = 1 << data.draw(st.sampled_from(bitset.to_indices(universe)))
+        component = graph.connected_component(seed, universe)
+        adj = adjacency_map(graph.n_vertices, graph.edges)
+        members = bitset_to_frozenset(component)
+        # The component of the seed is the one connected part of the
+        # universe that holds the seed and has no neighbor left in it.
+        assert seed & component and component & ~universe == 0
+        assert is_connected_ref(members, adj)
+        outside = bitset_to_frozenset(universe & ~component)
+        assert not any(adj[v] & outside for v in members)
 
 
 class TestInducedEdges:
