@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import List, Optional
 
 from repro.catalog.statistics import Catalog, Relation
@@ -592,21 +591,6 @@ def _serve_main(argv: List[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def _result_document(result) -> dict:
-    """Deprecated: build the JSON document for one optimization result.
-
-    .. deprecated::
-        Use :meth:`repro.optimizer.api.OptimizationResult.to_dict`
-        directly; this shim remains only for scripts that imported it.
-    """
-    warnings.warn(
-        "_result_document is deprecated; use OptimizationResult.to_dict()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return result.to_dict()
 
 
 #: Subcommand name -> entry point; checked before flat-flag parsing.

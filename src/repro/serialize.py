@@ -69,8 +69,6 @@ __all__ = [
 #: raise :class:`~repro.errors.UnsupportedVersionError` beyond it.
 FORMAT_VERSION = 1
 
-_FORMAT_VERSION = FORMAT_VERSION  # backward-compatible private alias
-
 #: ``json.dumps`` separators of the wire's compact JSON.
 _COMPACT = (",", ":")
 
@@ -111,7 +109,7 @@ def graph_to_dict(graph: QueryGraph) -> Dict[str, Any]:
     """Serialize a query graph."""
     return {
         "kind": "query_graph",
-        "version": _FORMAT_VERSION,
+        "version": FORMAT_VERSION,
         "n_vertices": graph.n_vertices,
         "edges": [list(edge) for edge in graph.edges],
     }
@@ -134,7 +132,7 @@ def catalog_to_dict(catalog: Catalog) -> Dict[str, Any]:
     """Serialize a catalog (graph + relations + selectivities)."""
     return {
         "kind": "catalog",
-        "version": _FORMAT_VERSION,
+        "version": FORMAT_VERSION,
         "graph": graph_to_dict(catalog.graph),
         "relations": [
             {"name": r.name, "cardinality": r.cardinality}
@@ -188,7 +186,7 @@ def plan_to_dict(plan: JoinTree) -> Dict[str, Any]:
 
     return {
         "kind": "join_tree",
-        "version": _FORMAT_VERSION,
+        "version": FORMAT_VERSION,
         "root": encode(plan),
     }
 
@@ -265,7 +263,7 @@ def plan_cache_to_dict(cache) -> Dict[str, Any]:
         entries.append(item)
     return {
         "kind": "plan_cache",
-        "version": _FORMAT_VERSION,
+        "version": FORMAT_VERSION,
         "capacity": cache.capacity,
         "entries": entries,
     }
@@ -347,7 +345,7 @@ def hypergraph_to_dict(hypergraph: Hypergraph) -> Dict[str, Any]:
     """Serialize a hypergraph; endpoint sets as index lists."""
     return {
         "kind": "hypergraph",
-        "version": _FORMAT_VERSION,
+        "version": FORMAT_VERSION,
         "n_vertices": hypergraph.n_vertices,
         "edges": [
             {
@@ -448,7 +446,7 @@ def cost_model_to_dict(cost_model) -> Dict[str, Any]:
         )
     return {
         "kind": "cost_model",
-        "version": _FORMAT_VERSION,
+        "version": FORMAT_VERSION,
         "class": name,
         "params": cost_model.signature_fields(),
     }
@@ -497,7 +495,7 @@ def request_to_dict(request) -> Dict[str, Any]:
     if isinstance(query, QueryInstance):
         query_document: Dict[str, Any] = {
             "kind": "query_instance",
-            "version": _FORMAT_VERSION,
+            "version": FORMAT_VERSION,
             "catalog": catalog_to_dict(query.catalog),
             "shape": query.shape,
             "seed": query.seed,
@@ -512,7 +510,7 @@ def request_to_dict(request) -> Dict[str, Any]:
         )
     return {
         "kind": "optimization_request",
-        "version": _FORMAT_VERSION,
+        "version": FORMAT_VERSION,
         "query": query_document,
         "algorithm": request.algorithm,
         "cost_model": (
@@ -587,7 +585,7 @@ def result_to_dict(result) -> Dict[str, Any]:
     error = ErrorInfo.coerce(result.error)
     return {
         "kind": "optimization_result",
-        "version": _FORMAT_VERSION,
+        "version": FORMAT_VERSION,
         "plan": plan_to_dict(result.plan) if result.plan is not None else None,
         "algorithm": result.algorithm,
         "elapsed_seconds": result.elapsed_seconds,

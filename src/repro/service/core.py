@@ -602,12 +602,15 @@ class OptimizerService:
         gate allows for the batch warm path.
         """
         request = job.request
-        memo_key = None
+        memo_key = key = None
         if job.digest is not None:
+            # recall() already counted this lookup and refreshed the key.
             memo, memo_key = self._digests, job.digest
+            key = memo.peek(memo_key)
         elif job.fingerprinted:
             memo, memo_key = self._fingerprints, self._fingerprint(request)
-        key = memo.peek(memo_key) if memo_key is not None else None
+            if memo_key is not None:
+                key = memo.get(memo_key)
         memoized = key is not None and key.request.query is request.query
         if not memoized:
             catalog = request.resolved_catalog()

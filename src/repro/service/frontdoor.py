@@ -21,13 +21,15 @@ memo** (a replay skips the door's parse and canonical labeling) and
 travels with the job, where it keys the owning shard's digest memo (a
 replay skips the shard's parse and canonical labeling too, and goes
 straight to the plan cache, where the key's last rebound plan and its
-reply JSON are reused).  Shards return pre-encoded reply bodies, not
-envelopes, so the event loop only frames HTTP bytes, and it talks to
-each shard's pipe itself, woken by the pipe's readability rather than
-a pipe thread.  Admission is two-layered:
-per-tenant token buckets reject over-quota tenants with 429 before any
-routing work, and each shard's bounded queue rejects overload with 429
-+ ``Retry-After`` when the shard cannot keep up.
+reply JSON are reused).  Every optimize answer crosses the shard pipe in
+one form, its encoded v1 reply body: ``/v1/optimize`` frames HTTP around
+those bytes and ``/v1/optimize_batch`` splices them into its envelope,
+so the door decodes no reply.  The event loop talks to each shard's pipe
+itself, woken by the pipe's readability rather than a pipe thread.
+Admission is two-layered: per-tenant token buckets reject over-quota
+tenants with 429 before any routing work, and each shard's bounded queue
+rejects overload with 429 + ``Retry-After`` when the shard cannot keep
+up.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.service.metrics import render_prometheus
 from repro.service.sharding import (
     ShardPool,
     TenantQuotas,
+    error_body,
     http_status_for_code,
 )
 
@@ -329,7 +332,7 @@ class FrontDoor:
     async def _write_error(
         self, writer, status: int, code: str, message: str
     ) -> None:
-        body = _error_body(code, message)
+        body = error_body(code, message)
         await self._write_response(
             writer, status, body, "application/json", keep_alive=False
         )
@@ -347,7 +350,7 @@ class FrontDoor:
             self._reject("draining")
             return (
                 503,
-                _error_body(
+                error_body(
                     "draining",
                     "server is draining for shutdown",
                     retryable=True,
@@ -359,7 +362,7 @@ class FrontDoor:
         if entry is None:
             return (
                 404,
-                _error_body("not_found", f"no such endpoint: {path}"),
+                error_body("not_found", f"no such endpoint: {path}"),
                 "application/json",
                 None,
             )
@@ -367,7 +370,7 @@ class FrontDoor:
         if method != expected_method:
             return (
                 405,
-                _error_body(
+                error_body(
                     "method_not_allowed",
                     f"{path} only accepts {expected_method}",
                 ),
@@ -433,13 +436,13 @@ class FrontDoor:
             self._reject("malformed_json")
             return None, (
                 400,
-                _error_body("malformed_json", f"request body is not JSON: {exc}"),
+                error_body("malformed_json", f"request body is not JSON: {exc}"),
             )
         if not isinstance(envelope, dict):
             self._reject("malformed_json")
             return None, (
                 400,
-                _error_body(
+                error_body(
                     "malformed_json",
                     "request body must be a JSON object envelope",
                 ),
@@ -454,7 +457,7 @@ class FrontDoor:
             self._reject("unsupported_version")
             return None, (
                 400,
-                _error_body(
+                error_body(
                     "unsupported_version",
                     f"envelope version {version!r} is not supported; this "
                     f"server speaks versions 1..{WIRE_VERSION}",
@@ -470,24 +473,24 @@ class FrontDoor:
         document: Dict[str, Any],
         tenant: str,
         request_id: Optional[str],
-        encode_reply: bool = False,
-    ) -> Tuple[int, Dict[str, Any], Optional[str]]:
+    ) -> Tuple[int, bytes, Optional[str]]:
         """Quota → route → submit → await for one request document.
 
         Shared by ``/v1/optimize`` and every ``/v1/optimize_batch``
-        item.  Returns ``(http_status, payload, retry_after)``:
-        ``payload`` is the shard's reply (the ``reply`` envelope, or with
-        ``encode_reply`` its pre-encoded ``body``) or a local rejection
-        carrying only the error ``reply``; ``retry_after`` is the
-        ``Retry-After`` header value owed to a 429, else None.
+        item.  Returns ``(http_status, body, retry_after)``: ``body`` is
+        the encoded v1 reply envelope — the shard's, or the error
+        envelope of a local rejection — and ``retry_after`` is the
+        ``Retry-After`` header value owed to a 429, else None.  A shard
+        payload without a body (the op raised outside its own error
+        handling) becomes a typed ``internal`` error here.
         """
 
         def rejected(status, code, message, retryable=False, retry_after=None):
             self._reject(code)
-            reply = _error_envelope(
+            body = error_body(
                 code, message, retryable=retryable, request_id=request_id
             )
-            return status, {"reply": reply}, retry_after
+            return status, body, retry_after
 
         if not self.quotas.try_acquire(tenant):
             return rejected(
@@ -517,8 +520,6 @@ class FrontDoor:
             "request_id": request_id,
             "digest": digest,
         }
-        if encode_reply:
-            job["encode_reply"] = True
         try:
             future = client.submit(
                 job, deadline_seconds=self.config.deadline_seconds
@@ -533,8 +534,18 @@ class FrontDoor:
                 retry_after="1",
             )
         payload = await future
-        status = payload.get("status", 500)
-        return status, payload, "1" if status == 429 else None
+        body = payload.get("body")
+        if body is None:
+            error = payload.get("error") or {}
+            body = error_body(
+                "internal",
+                error.get("message", "shard returned no reply"),
+                request_id=request_id,
+                shard=payload.get("shard"),
+            )
+            return http_status_for_code("internal"), body, None
+        status = payload["status"]
+        return status, body, "1" if status == 429 else None
 
     async def _handle_optimize(self, body: bytes):
         envelope, rejection = self._check_envelope(body)
@@ -547,7 +558,7 @@ class FrontDoor:
             self._reject("invalid_request")
             return (
                 400,
-                _error_body(
+                error_body(
                     "invalid_request",
                     "envelope must carry a 'request' object "
                     "(a serialized optimization_request)",
@@ -557,14 +568,9 @@ class FrontDoor:
                 None,
             )
         tenant = str(envelope.get("tenant") or "default")
-        status, payload, retry_after = await self._optimize_one(
-            document, tenant, request_id, encode_reply=True
+        status, reply_body, retry_after = await self._optimize_one(
+            document, tenant, request_id
         )
-        reply_body = payload.get("body")
-        if reply_body is None:
-            reply_body = json.dumps(
-                payload.get("reply", {}), separators=(",", ":")
-            ).encode("utf-8")
         extra = None
         if retry_after is not None:
             extra = [("Retry-After", retry_after)]
@@ -581,7 +587,7 @@ class FrontDoor:
             self._reject("invalid_request")
             return (
                 400,
-                _error_body(
+                error_body(
                     "invalid_request",
                     "envelope must carry a 'requests' list",
                     request_id=request_id,
@@ -591,59 +597,62 @@ class FrontDoor:
             )
         tenant = str(envelope.get("tenant") or "default")
 
-        async def run_item(index: int, document: Any) -> Dict[str, Any]:
+        async def run_item(index: int, document: Any) -> bytes:
             item_id = (
                 f"{request_id}/{index}" if request_id is not None else None
             )
             if not isinstance(document, dict):
-                return _error_envelope(
+                return error_body(
                     "invalid_request",
                     f"requests[{index}] must be a serialized "
                     "optimization_request object",
                     request_id=item_id,
                 )
-            _status, payload, _retry_after = await self._optimize_one(
+            _status, item_body, _retry_after = await self._optimize_one(
                 document, tenant, item_id
             )
-            return payload.get(
-                "reply",
-                _error_envelope("internal", "shard returned no reply"),
-            )
+            return item_body
 
         results = await asyncio.gather(
             *(run_item(i, doc) for i, doc in enumerate(documents))
         )
-        reply = {
-            "version": WIRE_VERSION,
-            "kind": "optimize_batch_reply",
-            "request_id": request_id,
-            "results": list(results),
-        }
-        return (
-            200,
-            json.dumps(reply, separators=(",", ":")).encode("utf-8"),
-            "application/json",
-            None,
+        reply = _compact(
+            {
+                "version": WIRE_VERSION,
+                "kind": "optimize_batch_reply",
+                "request_id": request_id,
+                "results": [],
+            }
         )
+        # The items go between the closing "[]}" brackets as the encoded
+        # envelopes they are: JSON encoding is compositional, so this is
+        # the encoding of the decoded items.
+        reply = reply[:-2] + b",".join(results) + reply[-2:]
+        return 200, reply, "application/json", None
+
+    async def _shard_stats(self, client) -> Dict[str, Any]:
+        """One shard's ``stats`` op, through the same queue as requests.
+
+        Returns the op's reply; a failed op's reply carries a top-level
+        ``error`` dict, and a saturated queue reads as the error
+        ``queue_full`` without taking a slot.
+        """
+        try:
+            future = client.submit({"op": "stats"}, deadline_seconds=5.0)
+        except asyncio.QueueFull:
+            return {"ok": False, "error": {"code": "queue_full"}}
+        return await future
 
     async def _handle_stats(self, body: bytes):
         async def shard_stats(client) -> Dict[str, Any]:
             base = client.health()
-            try:
-                future = client.submit({"op": "stats"}, deadline_seconds=5.0)
-            except asyncio.QueueFull:
-                base["unavailable"] = "queue_full"
-                return base
-            payload = await future
+            payload = await self._shard_stats(client)
             if payload.get("ok") and "stats" in payload:
                 base["warmed_entries"] = payload.get("warmed_entries", 0)
                 base["stats"] = payload["stats"]
             else:
-                base["unavailable"] = (
-                    payload.get("reply", {}).get("error", {}).get(
-                        "code", "unavailable"
-                    )
-                )
+                error = payload.get("error") or {}
+                base["unavailable"] = error.get("code", "unavailable")
             return base
 
         shards = await asyncio.gather(
@@ -655,12 +664,7 @@ class FrontDoor:
             "frontdoor": self._frontdoor_counters(),
             "shards": list(shards),
         }
-        return (
-            200,
-            json.dumps(reply, separators=(",", ":")).encode("utf-8"),
-            "application/json",
-            None,
-        )
+        return 200, _compact(reply), "application/json", None
 
     async def _handle_healthz(self, body: bytes):
         reply = {
@@ -669,12 +673,7 @@ class FrontDoor:
             "status": "draining" if self._draining else "ok",
             "shards": [client.health() for client in self.shards.clients],
         }
-        return (
-            200,
-            json.dumps(reply, separators=(",", ":")).encode("utf-8"),
-            "application/json",
-            None,
-        )
+        return 200, _compact(reply), "application/json", None
 
     async def _handle_metrics(self, body: bytes):
         """Prometheus exposition: shard service families + front-door gauges.
@@ -685,11 +684,7 @@ class FrontDoor:
         """
         blocks: List[str] = []
         for client in self.shards.clients:
-            try:
-                future = client.submit({"op": "stats"}, deadline_seconds=5.0)
-            except asyncio.QueueFull:
-                continue
-            payload = await future
+            payload = await self._shard_stats(client)
             if payload.get("ok") and "stats" in payload:
                 blocks.append(
                     render_prometheus(
@@ -795,14 +790,22 @@ class FrontDoor:
 
 
 def _request_digest(document: Dict[str, Any]) -> str:
-    """SHA-256 of a request document's canonical JSON.
+    """SHA-256 of a request document's compact JSON, in its own key order.
 
     Computed once per request by the door, before the shard stamps its
     deadline, so every replay of one document shares the digest and any
     change to it — statistics, ``stats_epoch``, tag — yields a new one.
+    The keys are not sorted: a client replays the bytes it sent, and a
+    reordered document only misses the memos and takes the full path,
+    whose signature still routes it to the same shard.
     """
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(document, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _compact(document: Dict[str, Any]) -> bytes:
+    """The wire's compact JSON encoding of a reply document."""
+    return json.dumps(document, separators=(",", ":")).encode("utf-8")
 
 
 def _request_id_of(envelope: Dict[str, Any]) -> Optional[str]:
@@ -810,32 +813,6 @@ def _request_id_of(envelope: Dict[str, Any]) -> Optional[str]:
     if request_id is None:
         return None
     return str(request_id)
-
-
-def _error_envelope(
-    code: str,
-    message: str,
-    retryable: bool = False,
-    request_id: Optional[str] = None,
-) -> Dict[str, Any]:
-    return {
-        "version": WIRE_VERSION,
-        "kind": "error",
-        "request_id": request_id,
-        "error": ErrorInfo(message, code=code, retryable=retryable).to_dict(),
-    }
-
-
-def _error_body(
-    code: str,
-    message: str,
-    retryable: bool = False,
-    request_id: Optional[str] = None,
-) -> bytes:
-    return json.dumps(
-        _error_envelope(code, message, retryable, request_id),
-        separators=(",", ":"),
-    ).encode("utf-8")
 
 
 def _retry_after_header(seconds: float) -> str:

@@ -88,6 +88,72 @@ class LatencyHistogram:
         }
 
 
+#: Every request-outcome counter, once: ``(counter, help text of its
+#: total, help text of its per-algorithm counter or None)``.  The order is
+#: that of ``snapshot()["totals"]`` and of each per-algorithm block; the
+#: per-algorithm request counter reads ``count`` there.  ``retries`` adds
+#: the attempts a request consumed, every other counter one per request.
+_COUNTERS = (
+    ("requests", "Requests observed by the service.", "Requests per algorithm."),
+    ("errors", "Requests that raised an optimizer error.", "Errors per algorithm."),
+    ("cache_hits", "Requests served from the plan cache.", "Cache hits per algorithm."),
+    ("cache_misses", "Requests that missed the plan cache.", None),
+    ("timeouts", "Requests that exceeded their deadline.", "Timeouts per algorithm."),
+    (
+        "fallbacks",
+        "Requests served a heuristic fallback plan.",
+        "Fallback servings per algorithm.",
+    ),
+    (
+        "degraded",
+        "Requests served a heuristic plan from a degradation-ladder rung.",
+        "Degraded servings per algorithm.",
+    ),
+    (
+        "fast_exact",
+        "Over-budget requests whose anytime run finished exactly.",
+        "Exact anytime servings per algorithm.",
+    ),
+    (
+        "anytime",
+        "Requests served a salvaged plan by an expired cooperative budget.",
+        "Salvaged anytime servings per algorithm.",
+    ),
+    (
+        "hard_kills_avoided",
+        "Deadline workers that cooperated instead of being killed.",
+        None,
+    ),
+    ("retries", "Extra worker attempts consumed by retries.", "Retries per algorithm."),
+    (
+        "kernel_fast",
+        "Fresh optimizations run on the fast enumeration kernel.",
+        "Fast-kernel optimizations per algorithm.",
+    ),
+    (
+        "kernel_dpconv",
+        "Fresh optimizations run on the dpconv convolution engine.",
+        "Dpconv-engine optimizations per algorithm.",
+    ),
+    (
+        "kernel_native_c",
+        "Fresh optimizations served by the compiled C backend.",
+        "Compiled-C-backend optimizations per algorithm.",
+    ),
+)
+
+#: ``(counter, snapshot key, help text)`` of the counters kept per
+#: algorithm.
+_ALGORITHM_COUNTERS = tuple(
+    (counter, "count" if counter == "requests" else counter, algorithm_help)
+    for counter, _help, algorithm_help in _COUNTERS
+    if algorithm_help is not None
+)
+
+#: The counter each ``observe(kernel=...)`` value increments.
+_KERNEL_COUNTERS = {"fast": "kernel_fast", "dpconv": "kernel_dpconv"}
+
+
 class ServiceMetrics:
     """Thread-safe counters and per-algorithm latency histograms.
 
@@ -95,28 +161,15 @@ class ServiceMetrics:
     ``observe`` is the single write path, ``snapshot`` the single read
     path.  Counters are monotonic — ``reset()`` starts a new observation
     epoch rather than mutating in place, which keeps concurrent readers
-    coherent.
+    coherent.  :data:`_COUNTERS` names every counter.
     """
 
     def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES):
         self._lock = threading.Lock()
         self._max_samples = max_samples
-        self._totals: Dict[str, int] = {
-            "requests": 0,
-            "errors": 0,
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "timeouts": 0,
-            "fallbacks": 0,
-            "degraded": 0,
-            "fast_exact": 0,
-            "anytime": 0,
-            "hard_kills_avoided": 0,
-            "retries": 0,
-            "kernel_fast": 0,
-            "kernel_dpconv": 0,
-            "kernel_native_c": 0,
-        }
+        self._totals: Dict[str, int] = dict.fromkeys(
+            [counter for counter, _help, _algorithm_help in _COUNTERS], 0
+        )
         self._algorithms: Dict[str, Dict] = {}
         # Fraction of the memo each salvaged anytime answer had solved
         # exactly when its budget expired (0 = pure GOO, 1 = finished).
@@ -125,21 +178,10 @@ class ServiceMetrics:
     def _algorithm_slot(self, algorithm: str) -> Dict:
         slot = self._algorithms.get(algorithm)
         if slot is None:
-            slot = {
-                "count": 0,
-                "errors": 0,
-                "cache_hits": 0,
-                "timeouts": 0,
-                "fallbacks": 0,
-                "degraded": 0,
-                "fast_exact": 0,
-                "anytime": 0,
-                "retries": 0,
-                "kernel_fast": 0,
-                "kernel_dpconv": 0,
-                "kernel_native_c": 0,
-                "histogram": LatencyHistogram(self._max_samples),
-            }
+            # Every counter, so observe() bumps a slot like the totals;
+            # the snapshot reports those of _ALGORITHM_COUNTERS.
+            slot = dict.fromkeys(self._totals, 0)
+            slot["histogram"] = LatencyHistogram(self._max_samples)
             self._algorithms[algorithm] = slot
         return slot
 
@@ -188,50 +230,45 @@ class ServiceMetrics:
         hosts from pure-python ones; ``"python"`` adds nothing (it is
         the implied default everywhere else).
         """
+        outcome = "errors" if error else "cache_hits" if cache_hit else "cache_misses"
+        kernel_counter = _KERNEL_COUNTERS.get(kernel)
         with self._lock:
-            self._totals["requests"] += 1
+            totals = self._totals
             slot = self._algorithm_slot(algorithm)
-            slot["count"] += 1
             slot["histogram"].record(seconds)
+            totals["requests"] += 1
+            slot["requests"] += 1
+            totals[outcome] += 1
+            slot[outcome] += 1
             if timeout:
-                self._totals["timeouts"] += 1
+                totals["timeouts"] += 1
                 slot["timeouts"] += 1
             if fallback:
-                self._totals["fallbacks"] += 1
+                totals["fallbacks"] += 1
                 slot["fallbacks"] += 1
             if degraded:
-                self._totals["degraded"] += 1
+                totals["degraded"] += 1
                 slot["degraded"] += 1
             if fast_exact:
-                self._totals["fast_exact"] += 1
+                totals["fast_exact"] += 1
                 slot["fast_exact"] += 1
             if anytime:
-                self._totals["anytime"] += 1
+                totals["anytime"] += 1
                 slot["anytime"] += 1
             if hard_kill_avoided:
-                self._totals["hard_kills_avoided"] += 1
+                totals["hard_kills_avoided"] += 1
+                slot["hard_kills_avoided"] += 1
+            if retries:
+                totals["retries"] += retries
+                slot["retries"] += retries
+            if kernel_counter is not None:
+                totals[kernel_counter] += 1
+                slot[kernel_counter] += 1
+            if backend == "c":
+                totals["kernel_native_c"] += 1
+                slot["kernel_native_c"] += 1
             if salvage_fraction is not None:
                 self._salvage.record(float(salvage_fraction))
-            if retries:
-                self._totals["retries"] += retries
-                slot["retries"] += retries
-            if kernel == "fast":
-                self._totals["kernel_fast"] += 1
-                slot["kernel_fast"] += 1
-            elif kernel == "dpconv":
-                self._totals["kernel_dpconv"] += 1
-                slot["kernel_dpconv"] += 1
-            if backend == "c":
-                self._totals["kernel_native_c"] += 1
-                slot["kernel_native_c"] += 1
-            if error:
-                self._totals["errors"] += 1
-                slot["errors"] += 1
-            elif cache_hit:
-                self._totals["cache_hits"] += 1
-                slot["cache_hits"] += 1
-            else:
-                self._totals["cache_misses"] += 1
 
     def snapshot(self) -> Dict:
         """Return a JSON-ready copy of all counters and histograms."""
@@ -246,18 +283,7 @@ class ServiceMetrics:
                 },
                 "algorithms": {
                     name: {
-                        "count": slot["count"],
-                        "errors": slot["errors"],
-                        "cache_hits": slot["cache_hits"],
-                        "timeouts": slot["timeouts"],
-                        "fallbacks": slot["fallbacks"],
-                        "degraded": slot["degraded"],
-                        "fast_exact": slot["fast_exact"],
-                        "anytime": slot["anytime"],
-                        "retries": slot["retries"],
-                        "kernel_fast": slot["kernel_fast"],
-                        "kernel_dpconv": slot["kernel_dpconv"],
-                        "kernel_native_c": slot["kernel_native_c"],
+                        **{key: slot[counter] for counter, key, _ in _ALGORITHM_COUNTERS},
                         "latency": slot["histogram"].snapshot(),
                     }
                     for name, slot in sorted(self._algorithms.items())
@@ -327,22 +353,7 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
             lines.append(f"{name} {_format_value(value)}")
 
     totals = snapshot.get("totals", {})
-    total_help = {
-        "requests": "Requests observed by the service.",
-        "errors": "Requests that raised an optimizer error.",
-        "cache_hits": "Requests served from the plan cache.",
-        "cache_misses": "Requests that missed the plan cache.",
-        "timeouts": "Requests that exceeded their deadline.",
-        "fallbacks": "Requests served a heuristic fallback plan.",
-        "degraded": "Requests served a heuristic plan from a degradation-ladder rung.",
-        "fast_exact": "Over-budget requests whose anytime run finished exactly.",
-        "anytime": "Requests served a salvaged plan by an expired cooperative budget.",
-        "hard_kills_avoided": "Deadline workers that cooperated instead of being killed.",
-        "retries": "Extra worker attempts consumed by retries.",
-        "kernel_fast": "Fresh optimizations run on the fast enumeration kernel.",
-        "kernel_dpconv": "Fresh optimizations run on the dpconv convolution engine.",
-        "kernel_native_c": "Fresh optimizations served by the compiled C backend.",
-    }
+    total_help = {counter: help_text for counter, help_text, _ in _COUNTERS}
     for key, value in totals.items():
         name = f"{prefix}_{key}_total"
         family(name, "counter", total_help.get(key, f"Total {key}."))
@@ -404,30 +415,8 @@ def render_prometheus(snapshot: Dict, prefix: str = "repro") -> str:
 
     algorithms = snapshot.get("algorithms", {})
     if algorithms:
-        algo_counters = (
-            ("count", "requests", "Requests per algorithm."),
-            ("errors", "errors", "Errors per algorithm."),
-            ("cache_hits", "cache_hits", "Cache hits per algorithm."),
-            ("timeouts", "timeouts", "Timeouts per algorithm."),
-            ("fallbacks", "fallbacks", "Fallback servings per algorithm."),
-            ("degraded", "degraded", "Degraded servings per algorithm."),
-            ("fast_exact", "fast_exact", "Exact anytime servings per algorithm."),
-            ("anytime", "anytime", "Salvaged anytime servings per algorithm."),
-            ("retries", "retries", "Retries per algorithm."),
-            ("kernel_fast", "kernel_fast", "Fast-kernel optimizations per algorithm."),
-            (
-                "kernel_dpconv",
-                "kernel_dpconv",
-                "Dpconv-engine optimizations per algorithm.",
-            ),
-            (
-                "kernel_native_c",
-                "kernel_native_c",
-                "Compiled-C-backend optimizations per algorithm.",
-            ),
-        )
-        for key, metric, help_text in algo_counters:
-            name = f"{prefix}_algorithm_{metric}_total"
+        for counter, key, help_text in _ALGORITHM_COUNTERS:
+            name = f"{prefix}_algorithm_{counter}_total"
             family(name, "counter", help_text)
             for label, slot in algorithms.items():
                 sample(name, slot.get(key, 0), {"algorithm": label})

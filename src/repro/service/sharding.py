@@ -64,6 +64,7 @@ __all__ = [
     "ShardPool",
     "TenantQuotas",
     "TokenBucket",
+    "error_body",
     "http_status_for_code",
     "parse_request_document",
     "shard_worker_main",
@@ -326,19 +327,40 @@ def parse_request_document(document: Dict[str, Any]):
         ) from exc
 
 
-def _optimize_on_shard(service, job: Dict[str, Any], shard: int):
-    """Run one optimize op; returns ``(reply, http_status)``.
+def error_body(
+    code: str,
+    message: str,
+    retryable: bool = False,
+    request_id: Optional[str] = None,
+    shard: Optional[int] = None,
+) -> bytes:
+    """The v1 ``error`` envelope as compact JSON bytes.
 
-    ``reply`` is the v1 reply envelope, or — for a job with
-    ``encode_reply`` — its compact JSON bytes.  Failures become a typed
-    v1 error envelope instead of an exception — the parent never sees a
-    traceback over the pipe.  A wire-supplied ``request_id`` is stamped
-    onto the request's trace root so operators can join client logs
-    against shard traces.  The front door's ``digest`` of the unstamped
-    document lets a replay skip the decode and the canonical labeling
-    (:meth:`OptimizerService.recall`); jobs without one, and unknown or
-    evicted digests, take the full path.  A replayed cache hit reuses
-    the plan JSON its digest's key keeps
+    The one writer of that envelope: the door's own rejections, a
+    shard's failed optimize op and the errors the parent mints for a
+    shard (:meth:`ShardClient._local_error`) all go through it.
+    ``"shard"`` is written only when given.
+    """
+    envelope: Dict[str, Any] = {"version": 1, "kind": "error", "request_id": request_id}
+    if shard is not None:
+        envelope["shard"] = shard
+    envelope["error"] = ErrorInfo(message, code=code, retryable=retryable).to_dict()
+    return json.dumps(envelope, separators=(",", ":")).encode("utf-8")
+
+
+def _optimize_on_shard(service, job: Dict[str, Any], shard: int):
+    """Run one optimize op; returns ``(body, http_status)``.
+
+    ``body`` is the compact JSON bytes of the v1 reply envelope, the only
+    form an optimize answer takes on the pipe: an ``optimize_reply`` on
+    success, a typed ``error`` envelope (:func:`error_body`) on failure —
+    the parent never sees a traceback over the pipe.  A wire-supplied
+    ``request_id`` is stamped onto the request's trace root so operators
+    can join client logs against shard traces.  The front door's
+    ``digest`` of the unstamped document lets a replay skip the decode
+    and the canonical labeling (:meth:`OptimizerService.recall`); jobs
+    without one, and unknown or evicted digests, take the full path.  A
+    replayed cache hit reuses the plan JSON its digest's key keeps
     (:meth:`OptimizerService.wire_plan`), so only the result's small
     fields are encoded around it.
     """
@@ -346,7 +368,6 @@ def _optimize_on_shard(service, job: Dict[str, Any], shard: int):
 
     request_id = job.get("request_id")
     digest = job.get("digest")
-    encode = job.get("encode_reply")
     try:
         document = job["request"]
         request = None
@@ -357,16 +378,8 @@ def _optimize_on_shard(service, job: Dict[str, Any], shard: int):
         result = service.optimize(request, digest=digest)
     except Exception as exc:
         info = ErrorInfo.from_exception(exc)
-        reply = {
-            "version": 1,
-            "kind": "error",
-            "request_id": request_id,
-            "shard": shard,
-            "error": info.to_dict(),
-        }
-        if encode:
-            reply = json.dumps(reply, separators=(",", ":")).encode("utf-8")
-        return reply, http_status_for_code(info.code)
+        body = error_body(info.code, str(info), info.retryable, request_id, shard)
+        return body, http_status_for_code(info.code)
     if request_id is not None and result.trace_id is not None:
         trace = service.traces.get(result.trace_id)
         if trace is not None:
@@ -377,11 +390,8 @@ def _optimize_on_shard(service, job: Dict[str, Any], shard: int):
         "request_id": request_id,
         "shard": shard,
     }
-    if encode:
-        plan_json = service.wire_plan(digest, result.plan, serialize.plan_to_json)
-        return serialize.reply_to_json(reply, result, plan_json), 200
-    reply["result"] = serialize.result_to_dict(result)
-    return reply, 200
+    plan_json = service.wire_plan(digest, result.plan, serialize.plan_to_json)
+    return serialize.reply_to_json(reply, result, plan_json), 200
 
 
 def shard_worker_main(
@@ -396,12 +406,13 @@ def shard_worker_main(
 
     Ops are dicts with an ``"op"`` key; every op gets exactly one reply
     dict carrying ``"version": 1``.  ``optimize`` replies add the HTTP
-    ``status`` the front door should send and either the reply envelope
-    (``reply``) or — when the job asked with ``encode_reply`` — only its
-    pre-encoded JSON ``body`` bytes, so the parent's event loop frames
-    HTTP around them and unpickles no envelope (keeping front-door CPU
-    out of the serving hot path).  The loop returns on the ``None``
-    sentinel or a closed pipe; ``crash`` hard-exits for chaos tests.
+    ``status`` the front door should send and the reply envelope's
+    encoded JSON ``body`` (:func:`_optimize_on_shard`), so the parent's
+    event loop frames HTTP around those bytes and decodes no envelope
+    (keeping front-door CPU out of the serving hot path).  A failed op of
+    any kind carries ``"ok": False`` and a top-level ``error`` dict
+    instead.  The loop returns on the ``None`` sentinel or a closed pipe;
+    ``crash`` hard-exits for chaos tests.
     """
     from repro.service.core import OptimizerService
 
@@ -428,8 +439,9 @@ def shard_worker_main(
             elif op == "save_cache":
                 reply["entries"] = service.save_cache(job["path"])
             elif op == "optimize":
-                answer, reply["status"] = _optimize_on_shard(service, job, shard)
-                reply["body" if job.get("encode_reply") else "reply"] = answer
+                reply["body"], reply["status"] = _optimize_on_shard(
+                    service, job, shard
+                )
             else:
                 reply.update(
                     ok=False,
@@ -641,21 +653,15 @@ class ShardClient:
         retryable: bool,
         request_id: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """A payload shaped like a worker reply, minted in the parent."""
-        envelope = {
-            "version": 1,
-            "kind": "error",
-            "request_id": request_id,
-            "shard": self.index,
-            "error": ErrorInfo(message, code=code, retryable=retryable).to_dict(),
-        }
+        """A payload shaped like a worker reply, minted in the parent: an
+        optimize op reads its ``status`` and ``body``, any op its ``error``."""
         return {
             "version": 1,
             "ok": True,
             "shard": self.index,
             "status": http_status_for_code(code),
-            "reply": envelope,
-            "body": json.dumps(envelope, separators=(",", ":")).encode("utf-8"),
+            "body": error_body(code, message, retryable, request_id, self.index),
+            "error": ErrorInfo(message, code=code, retryable=retryable).to_dict(),
         }
 
     async def save_snapshot(

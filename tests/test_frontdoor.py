@@ -22,8 +22,8 @@ from repro.service import (
     OptimizerService,
     ResilienceConfig,
 )
-from repro.service.frontdoor import _retry_after_header
-from repro.service.sharding import TenantQuotas, TokenBucket
+from repro.service.frontdoor import _request_digest, _retry_after_header
+from repro.service.sharding import TenantQuotas, TokenBucket, error_body
 
 from .conftest import chain3_catalog, pin_dpconv_kernel, relabelled_catalog
 
@@ -38,8 +38,11 @@ def run(coro):
     asyncio.run(asyncio.wait_for(coro, timeout=120.0))
 
 
-async def http_request(port, method, path, body=None, raw_body=None):
-    """One HTTP exchange; returns (status, headers, parsed-or-raw body)."""
+async def http_request(port, method, path, body=None, raw_body=None, parse=True):
+    """One HTTP exchange; returns (status, headers, parsed-or-raw body).
+
+    ``parse=False`` returns the body bytes as sent.
+    """
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         payload = raw_body
@@ -67,11 +70,18 @@ async def http_request(port, method, path, body=None, raw_body=None):
     for line in lines[1:]:
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
+    if not parse:
+        return status, headers, body_bytes
     try:
         parsed = json.loads(body_bytes)
     except ValueError:
         parsed = body_bytes
     return status, headers, parsed
+
+
+def compact(document):
+    """The wire's compact JSON encoding of a decoded document."""
+    return json.dumps(document, separators=(",", ":")).encode("utf-8")
 
 
 class door_on:
@@ -193,6 +203,54 @@ class TestOptimizeEndpoint:
 
         run(body())
 
+    def test_batch_reply_is_the_compact_encoding_of_its_items(self):
+        # Item bodies are spliced into the envelope as bytes; the reply
+        # must equal encoding the decoded envelope, whatever each item
+        # is: a miss, a hit, a non-object, a route rejection or a quota
+        # rejection.  A burst of 3 admits the first three dict items.
+        async def body():
+            async with door_on(quota_rate=0.0, quota_burst=3) as door:
+                good = request_document(seed=31, n=6)
+                other = request_document(seed=32, shape="star", n=5)
+                status, _, raw = await http_request(
+                    door.port, "POST", "/v1/optimize_batch",
+                    {
+                        "version": 1,
+                        "request_id": "sp",
+                        "tenant": "t",
+                        "requests": [good, 7, {"kind": "junk"}, good, other],
+                    },
+                    parse=False,
+                )
+                assert status == 200
+                reply = json.loads(raw)
+                assert raw == compact(reply)
+                items = reply["results"]
+                assert [item["kind"] for item in items] == [
+                    "optimize_reply", "error", "error", "optimize_reply", "error"
+                ]
+                assert [item["request_id"] for item in items] == [
+                    f"sp/{index}" for index in range(5)
+                ]
+                codes = [items[index]["error"]["code"] for index in (1, 2, 4)]
+                assert codes == ["invalid_request"] * 2 + ["quota_exhausted"]
+                assert items[3]["result"]["cache_hit"] is True
+                status, _, raw = await http_request(
+                    door.port, "POST", "/v1/optimize_batch",
+                    {"requests": []}, parse=False,
+                )
+                assert status == 200
+                assert raw == compact(
+                    {
+                        "version": 1,
+                        "kind": "optimize_batch_reply",
+                        "request_id": None,
+                        "results": [],
+                    }
+                )
+
+        run(body())
+
     def test_missing_version_field_is_read_as_v1(self):
         async def body():
             async with door_on() as door:
@@ -277,6 +335,53 @@ class TestRouting:
 
 
 class TestRejections:
+    def test_the_error_envelope_names_its_shard_only_when_given(self):
+        assert error_body("internal", "m", request_id="r") == (
+            b'{"version":1,"kind":"error","request_id":"r",'
+            b'"error":{"code":"internal","message":"m","retryable":false}}'
+        )
+        assert error_body("shard_crashed", "m", True, None, 2) == (
+            b'{"version":1,"kind":"error","request_id":null,"shard":2,'
+            b'"error":{"code":"shard_crashed","message":"m","retryable":true}}'
+        )
+
+    def test_a_shard_op_failing_outside_its_handling_is_a_typed_500(
+        self, monkeypatch
+    ):
+        # Patched before the shards fork: every reply encode raises after
+        # the optimization ran, outside the op's own error envelope, so
+        # the shard sends a payload without a body.
+        def broken(*args, **kwargs):
+            raise RuntimeError("encoder down")
+
+        monkeypatch.setattr(serialize, "reply_to_json", broken)
+
+        async def body():
+            async with door_on() as door:
+                status, _, raw = await http_request(
+                    door.port, "POST", "/v1/optimize",
+                    envelope(request_document(seed=33), request_id="enc"),
+                    parse=False,
+                )
+                assert status == 500
+                reply = json.loads(raw)
+                assert raw == compact(reply)
+                assert reply["kind"] == "error"
+                assert reply["request_id"] == "enc"
+                assert reply["error"]["code"] == "internal"
+                assert "encoder down" in reply["error"]["message"]
+                status, _, reply = await http_request(
+                    door.port, "POST", "/v1/optimize_batch",
+                    {"request_id": "encb", "requests": [request_document(seed=34)]},
+                )
+                assert status == 200
+                [item] = reply["results"]
+                assert item["error"]["code"] == "internal"
+                assert item["request_id"] == "encb/0"
+                assert all(client.restarts == 0 for client in door.shards.clients)
+
+        run(body())
+
     def test_malformed_json_is_400_typed(self):
         async def body():
             async with door_on() as door:
@@ -535,11 +640,18 @@ class TestBackpressureAndCrashes:
                     deadline_seconds=30.0,
                 )
                 crash_payload = await crash_future
-                assert crash_payload["reply"]["error"]["code"] == "shard_crashed"
+                crash_reply = json.loads(crash_payload["body"])
+                assert crash_reply["kind"] == "error"
+                assert crash_reply["shard"] == target
+                assert crash_reply["error"]["code"] == "shard_crashed"
+                assert crash_payload["error"] == crash_reply["error"]
                 assert crash_payload["status"] == 503
                 after_payload = await after_future
                 assert after_payload["status"] == 200
-                assert after_payload["reply"]["kind"] == "optimize_reply"
+                after_reply = json.loads(after_payload["body"])
+                assert after_reply["kind"] == "optimize_reply"
+                assert after_reply["request_id"] == "after-crash"
+                assert after_reply["shard"] == target
                 assert victim.restarts == restarts_before + 1
                 assert victim.alive
                 assert other.restarts == 0
@@ -559,7 +671,10 @@ class TestBackpressureAndCrashes:
                     {"op": "sleep", "seconds": 10.0}, deadline_seconds=0.3
                 )
                 assert payload["status"] == 504
-                assert payload["reply"]["error"]["code"] == "deadline_exceeded"
+                reply = json.loads(payload["body"])
+                assert reply["kind"] == "error" and reply["shard"] == 0
+                assert reply["error"]["code"] == "deadline_exceeded"
+                assert reply["error"]["retryable"] is True
                 assert client.restarts == 1
                 # Respawned shard serves again.
                 status, _, reply = await http_request(
@@ -600,7 +715,9 @@ class TestBackpressureAndCrashes:
                         {"op": "sleep", "seconds": 10.0}, deadline_seconds=0.3
                     )
                     assert payload["status"] == 504
-                    assert payload["reply"]["error"]["code"] == "deadline_exceeded"
+                    reply = json.loads(payload["body"])
+                    assert reply["kind"] == "error"
+                    assert reply["error"]["code"] == "deadline_exceeded"
                     assert client.restarts == recycle
                 for index in range(20):
                     document = request_document(seed=29 + index % 4, n=5)
@@ -620,6 +737,32 @@ class TestBackpressureAndCrashes:
 
 
 class TestObservabilityAndWarming:
+    def test_a_failed_stats_op_reports_its_error_code(self, monkeypatch):
+        # Patched before the shards fork, so each shard's stats op raises.
+        def broken(self):
+            raise RuntimeError("stats down")
+
+        monkeypatch.setattr(OptimizerService, "stats_snapshot", broken)
+
+        async def body():
+            async with door_on(shards=2) as door:
+                status, _, stats = await http_request(
+                    door.port, "GET", "/v1/stats"
+                )
+                assert status == 200
+                for shard in stats["shards"]:
+                    assert shard["unavailable"] == "internal"
+                    assert "stats" not in shard
+                status, _, text = await http_request(
+                    door.port, "GET", "/metrics"
+                )
+                assert status == 200
+                exposition = text.decode()
+                assert "repro_shard" not in exposition
+                assert "repro_frontdoor_requests_total" in exposition
+
+        run(body())
+
     def test_stats_healthz_and_metrics_shapes(self):
         async def body():
             async with door_on(shards=2) as door:
@@ -868,6 +1011,37 @@ class TestDrainAndCooperativeDeadlines:
         run(body())
 
 
+class TestRequestDigest:
+    def test_a_replay_shares_the_digest_and_any_change_gets_a_new_one(self):
+        document = request_document(seed=37, n=5)
+        digest = _request_digest(document)
+        # A replay decodes to an equal document in the same key order.
+        replay = json.loads(json.dumps(document))
+        assert _request_digest(replay) == digest
+
+        def changed(edit):
+            copy = json.loads(json.dumps(document))
+            edit(copy)
+            return _request_digest(copy)
+
+        def cardinality(copy):
+            copy["query"]["relations"][0]["cardinality"] *= 1.0 + 1e-12
+
+        def selectivity(copy):
+            copy["query"]["selectivities"][-1]["selectivity"] *= 0.5
+
+        def epoch(copy):
+            copy["stats_epoch"] = copy.get("stats_epoch", 0) + 1
+
+        def tag(copy):
+            copy["tag"] = "other"
+
+        digests = {digest} | {
+            changed(edit) for edit in (cardinality, selectivity, epoch, tag)
+        }
+        assert len(digests) == 5
+
+
 class TestRequestIdTracePropagation:
     def test_request_id_lands_on_the_shard_trace_root(self):
         # Exercised at the worker layer (the trace store lives in the
@@ -882,8 +1056,10 @@ class TestRequestIdTracePropagation:
             "request": request_document(seed=29, n=5),
             "request_id": "trace-me",
         }
-        reply, status = _optimize_on_shard(service, job, shard=0)
+        body, status = _optimize_on_shard(service, job, shard=0)
         assert status == 200
+        reply = json.loads(body)
+        assert reply["request_id"] == "trace-me"
         trace = service.traces.get(reply["result"]["trace_id"])
         assert trace is not None
         assert trace.root.attributes["request_id"] == "trace-me"

@@ -159,3 +159,17 @@ def test_repeats_reuse_the_key_until_statistics_or_epoch_change():
     assert served_memoized(stats_epoch=1)
     # An equal-valued but distinct catalog resolves its own key.
     assert not memoized(service, service.optimize(chain3_catalog()))
+
+
+def test_a_memoized_hit_refreshes_its_key():
+    # The memo is LRU, not FIFO: at capacity 2 the calls A, B, A, C
+    # evict B, the key A's hit refreshed last being newer.
+    service = OptimizerService(cache_capacity=2)
+    a, b, c = (
+        WorkloadGenerator(seed=seed).fixed_shape("chain", 5).catalog
+        for seed in (1, 2, 3)
+    )
+    served = [memoized(service, service.optimize(catalog)) for catalog in (a, b, a, c)]
+    assert served == [False, False, True, False]
+    assert memoized(service, service.optimize(a))
+    assert not memoized(service, service.optimize(b))

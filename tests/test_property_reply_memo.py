@@ -1,13 +1,13 @@
 """Property: a memoized cache hit serves the plan and bytes a fresh one would.
 
 Random sequences of wire documents go through the shard's encode path,
-``sharding._optimize_on_shard`` with ``encode_reply``, the way the front
-door sends them: the digest of the unstamped document, the deadline
-stamped on top.  Each step repeats a document, relabels it
-isomorphically, drifts its statistics past the rounding quantum, nudges
-them below it (same signature, so a recomputed entry may replace the
-one a key last served), or nudges them while bumping ``stats_epoch``;
-each is sent with or without a digest.  Small cache capacities make
+``sharding._optimize_on_shard``, the way the front door sends them: the
+digest of the unstamped document, the deadline stamped on top.  Each
+step repeats a document, relabels it isomorphically, drifts its
+statistics past the rounding quantum, nudges them below it (same
+signature, so a recomputed entry may replace the one a key last served),
+or nudges them while bumping ``stats_epoch``; each is sent with or
+without a digest.  Small cache capacities make
 evictions and recomputations common.
 
 Every reply body must be, byte for byte, ``json.dumps`` of the full
@@ -121,7 +121,6 @@ class Shard:
             "request": stamp_deadline(document, 30.0),
             "request_id": request_id,
             "digest": _request_digest(document) if digest else None,
-            "encode_reply": True,
         }
         body, status = _optimize_on_shard(self.service, job, 0)
         assert status == 200, body

@@ -606,8 +606,10 @@ class TestDigestMemo:
             "request": stamp_deadline(document, deadline),
             "digest": _request_digest(document) if digest else None,
         }
-        reply, status = _optimize_on_shard(service, job, shard=0)
-        assert status == 200, reply
+        body, status = _optimize_on_shard(service, job, shard=0)
+        assert status == 200, body
+        reply = json.loads(body)
+        assert reply["kind"] == "optimize_reply"
         return reply["result"]
 
     @pytest.fixture

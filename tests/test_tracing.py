@@ -440,6 +440,59 @@ class TestKernelObservability:
         assert 'repro_algorithm_kernel_fast_total{algorithm="tdmincutbranch"} 1' in text
 
 
+GOLDEN_SNAPSHOT = os.path.join(
+    os.path.dirname(__file__), "data", "metrics_snapshot.json"
+)
+GOLDEN_EXPOSITION = os.path.join(
+    os.path.dirname(__file__), "data", "metrics_exposition.prom"
+)
+
+
+def populated_metrics():
+    """A metrics object with every counter moved, on fixed latencies."""
+    from repro.service.metrics import ServiceMetrics
+
+    metrics = ServiceMetrics(max_samples=4)
+    metrics.observe("dpccp", 0.002)
+    metrics.observe("dpccp", 0.001, cache_hit=True)
+    metrics.observe("dpccp", 0.004, error=True, timeout=True, retries=2)
+    metrics.observe("auto", 0.003, kernel="dpconv", backend="c")
+    metrics.observe("auto", 0.0005, cache_hit=True)
+    metrics.observe("auto", 0.006, kernel="fast", fast_exact=True)
+    metrics.observe(
+        "tdmincutbranch", 0.05, anytime=True, hard_kill_avoided=True,
+        salvage_fraction=0.25, timeout=True,
+    )
+    metrics.observe(
+        "tdmincutbranch", 0.03, anytime=True, salvage_fraction=0.75, retries=1
+    )
+    metrics.observe(
+        "tdmincutbranch", 0.02, degraded=True, fallback=True, timeout=True
+    )
+    metrics.observe(
+        "tdmincutbranch", 0.01, degraded=True, backend="python", kernel="fast"
+    )
+    metrics.observe("goo", 0.0001, cache_hit=True, error=True)
+    return metrics
+
+
+def golden_exposition():
+    """A service-shaped snapshot rendered plain, and a bare one as a shard."""
+    snapshot = populated_metrics().snapshot()
+    service = dict(
+        snapshot,
+        cache={"size": 3, "capacity": 8, "hits": 5, "misses": 7, "evictions": 1},
+        digest_memo={"size": 2, "capacity": 8, "hits": 4, "misses": 2},
+        breaker={
+            "dpccp": {"state": "open", "consecutive_failures": 3},
+            "auto": {"state": "closed", "consecutive_failures": 0},
+        },
+    )
+    return render_prometheus(service) + render_prometheus(
+        snapshot, prefix="repro_shard1"
+    )
+
+
 class TestPrometheusRender:
     def _snapshot(self):
         service = OptimizerService()
@@ -506,6 +559,16 @@ class TestPrometheusRender:
         assert "repro_requests_total 1" in text
         assert "plan_cache" not in text
         assert "breaker" not in text
+
+    def test_snapshot_and_exposition_are_pinned(self):
+        # Byte for byte against golden files: every counter, its order,
+        # its per-algorithm twin and every help text.
+        with open(GOLDEN_SNAPSHOT, encoding="utf-8") as handle:
+            assert json.dumps(populated_metrics().snapshot(), indent=1) + "\n" == (
+                handle.read()
+            )
+        with open(GOLDEN_EXPOSITION, encoding="utf-8") as handle:
+            assert golden_exposition() == handle.read()
 
     def test_cli_prometheus_format(self, capsys):
         from repro.cli import main

@@ -326,22 +326,6 @@ class TestApiDictMethods:
         assert results[0].error_info.code == "invalid_query"
         assert results[0].error_info.retryable is False
 
-    def test_cli_result_document_shim_warns(self):
-        from repro.cli import _result_document
-
-        result = OptimizationResult(
-            plan=None,
-            algorithm="goo",
-            elapsed_seconds=0.0,
-            memo_entries=0,
-            cost_evaluations=0,
-            cardinality_estimations=0,
-        )
-        with pytest.deprecated_call():
-            document = _result_document(result)
-        assert document["kind"] == "optimization_result"
-        assert document["version"] == 1
-
 
 # ----------------------------------------------------------------------
 # _round_significant edge cases + pinned signatures
