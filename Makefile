@@ -11,10 +11,10 @@ test:
 
 # Chaos suite: scripted worker crashes/hangs/corrupted payloads through
 # the fault-injection layer, breaker and admission behaviour, crash-safe
-# cache persistence, and the front door's shard crash, deadline kill,
-# restart (three in a row), messages larger than the pipe buffer, and
-# cooperative-deadline salvage (shards and batch workers share one
-# supervisor).
+# cache persistence, and the front door's shard crash, failed respawn,
+# deadline kill, restart (three in a row), messages larger than the pipe
+# buffer, and cooperative-deadline salvage (shards and batch workers
+# share one supervisor and one round trip, Worker.roundtrip).
 chaos:
 	$(PYTHON) -m pytest -x -q tests/test_resilience.py \
 		tests/test_frontdoor.py::TestBackpressureAndCrashes \

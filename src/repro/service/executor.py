@@ -6,7 +6,8 @@ the only way to both use several cores and preempt a runaway query.
 :class:`Worker` is the one supervisor of such processes in
 :mod:`repro.service`: :class:`ProcessPoolExecutor` (the batch pool) and
 :class:`~repro.service.sharding.ShardClient` (one front-door shard) both
-hold workers and differ only in the loop they run and how they dispatch.
+hold workers and send them jobs through one round trip; they differ in
+what they queue and how they type a failure for their callers.
 
 Design notes:
 
@@ -27,6 +28,11 @@ Design notes:
   stop followed by a fresh spawn.  Workers shed inherited signal
   plumbing at start, so ``terminate`` always works and an interrupt in
   the terminal is left to the supervisor.
+* **One round trip.** :meth:`Worker.roundtrip` is the only place a
+  worker pipe is waited on: send, wait on the event loop until the pipe
+  is readable or a hard timeout passes, receive.  A timeout, a broken
+  pipe or a failed respawn restarts the worker and comes back as one
+  typed failure, ``"timeout"`` or ``"crashed"``.
 * **One deadline rule.** :func:`check_deadline` accepts a batch
   deadline only when it is finite and positive; :func:`stamp_deadline`
   ships ``min(own, remaining)`` to the engine as its cooperative
@@ -38,21 +44,24 @@ Design notes:
 
 The batch pool on top of that:
 
-* A worker that exceeds its deadline is **terminated and restarted**;
-  the batch keeps draining on the remaining workers.  A worker that dies
-  on its own (OOM kill, segfault) is detected via EOF and likewise
-  restarted.  Either way the batch finishes.
+* One **drain coroutine per worker** takes jobs from one shared queue
+  on a private event loop.  A worker that exceeds its deadline is
+  **terminated and restarted** by the round trip while the other drains
+  keep going; a worker that dies on its own (OOM kill, segfault) is
+  detected via EOF and likewise restarted.  Either way the batch
+  finishes.
 * **Transient failures are retried**: with a :class:`~repro.service.resilience.RetryPolicy`
   installed, a crash, pipe EOF, or corrupted payload re-queues the item
   with exponential backoff + deterministic jitter, up to the policy's
   attempt cap and the batch-wide :class:`~repro.service.resilience.RetryBudget`.
+  A job that is backing off waits on a timer, not on a worker.
   Deadline timeouts are *not* retried — the time budget is already
   spent; the service's degradation ladder owns that case.
 * A **corrupted payload** — a message that is not the protocol's
   ``(index, ("ok"|"error", ...))`` shape, or that names the wrong job —
-  is isolated to its item: the worker is recycled (its pipe can no
-  longer be trusted) and the item resolves or retries on its own,
-  leaving its batch siblings untouched.
+  is isolated to its item: the worker is stopped (its pipe can no
+  longer be trusted; the next round trip respawns it) and the item
+  resolves or retries on its own, leaving its batch siblings untouched.
 * Deterministic **fault injection** for chaos tests: the parent resolves
   a :class:`~repro.service.faults.FaultInjector` directive per
   ``(tag, attempt)`` and ships it with the job message; the worker
@@ -67,15 +76,13 @@ The batch pool on top of that:
 
 from __future__ import annotations
 
+import asyncio
 import math
 import multiprocessing
 import os
 import signal
-import time
-from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _connection_wait
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import OptimizationError
 
@@ -118,8 +125,8 @@ _COOPERATIVE_GRACE = 1.0
 def check_deadline(deadline_seconds: Optional[float]) -> None:
     """Reject a batch deadline unless it is ``None`` or finite and > 0.
 
-    ``inf`` would overflow the supervisor's poll timeout, ``nan`` passes
-    every ``<=`` comparison, and neither means anything as a budget.
+    ``nan`` passes every ``<=`` comparison, and neither it nor ``inf``
+    means anything as a budget.
     """
     if deadline_seconds is None:
         return
@@ -297,21 +304,11 @@ class Worker:
     """One supervised worker process plus its private duplex pipe.
 
     The process runs ``target(connection, *args)`` — a loop built on
-    :func:`serve_pipe`.  The ``busy_*`` slots are the batch pool's
-    record of the job in flight; shards leave them empty.
+    :func:`serve_pipe` — and :meth:`roundtrip` is how its supervisor
+    talks to it.
     """
 
-    __slots__ = (
-        "target",
-        "args",
-        "name",
-        "connection",
-        "process",
-        "busy_index",
-        "busy_document",
-        "busy_attempt",
-        "started_at",
-    )
+    __slots__ = ("target", "args", "name", "connection", "process")
 
     def __init__(
         self,
@@ -322,41 +319,66 @@ class Worker:
         self.target = target
         self.args = args
         self.name = name
-        self.release()
         self._spawn()
 
     def _spawn(self) -> None:
         self.connection, child_connection = _CONTEXT.Pipe(duplex=True)
-        self.process = _CONTEXT.Process(
-            target=_worker_bootstrap,
-            args=(child_connection, self.target, self.args),
-            daemon=True,
-            name=self.name,
-        )
-        self.process.start()
-        child_connection.close()
+        try:
+            self.process = _CONTEXT.Process(
+                target=_worker_bootstrap,
+                args=(child_connection, self.target, self.args),
+                daemon=True,
+                name=self.name,
+            )
+            self.process.start()
+        except BaseException:
+            # No process to answer: leave the pipe closed, so the next
+            # round trip respawns instead of waiting on it.
+            self.connection.close()
+            raise
+        finally:
+            child_connection.close()
 
-    def assign(
+    async def roundtrip(
         self,
-        index: int,
-        document: Dict[str, Any],
-        attempt: int,
-        fault: Optional[Dict[str, Any]],
-    ) -> None:
-        self.busy_index = index
-        self.busy_document = document
-        self.busy_attempt = attempt
-        self.started_at = time.monotonic()
-        self.connection.send((index, document, fault))
+        loop: asyncio.AbstractEventLoop,
+        message: Any,
+        timeout: Optional[float] = None,
+        restart: Optional[Callable[[], None]] = None,
+    ) -> Tuple[str, Any]:
+        """Send ``message`` and await the reply for at most ``timeout`` seconds.
 
-    def release(self) -> None:
-        self.busy_index = None
-        self.busy_document = None
-        self.busy_attempt = 0
-        self.started_at = None
-
-    def elapsed(self) -> float:
-        return 0.0 if self.started_at is None else time.monotonic() - self.started_at
+        Returns ``("ok", reply)``.  When the wait times out, the pipe
+        breaks (EOF, ``OSError``) or a respawn fails, the worker is
+        restarted with ``restart`` (default :meth:`restart`) and the
+        result is ``("timeout" | "crashed", exit_code)`` — the exit code
+        of the process that was reaped.  A respawn that fails leaves the
+        pipe closed, and a closed pipe is respawned before the next send.
+        """
+        restart = restart or self.restart
+        try:
+            if self.connection.closed:
+                restart()
+            self.connection.send(message)
+            readable = loop.create_future()
+            fd = self.connection.fileno()
+            loop.add_reader(fd, _resolve_once, readable)
+            try:
+                await asyncio.wait_for(readable, timeout)
+            finally:
+                # Before any restart closes the pipe under the reader.
+                loop.remove_reader(fd)
+            return "ok", self.connection.recv()
+        except asyncio.TimeoutError:
+            status = "timeout"
+        except (EOFError, OSError):
+            status = "crashed"
+        reaped = self.process
+        try:
+            restart()
+        except OSError:
+            pass  # the pipe stays closed; the next round trip respawns
+        return status, reaped.exitcode
 
     def stop(self, graceful: bool = True) -> None:
         """Shut the worker down; escalate if it will not die.
@@ -392,8 +414,13 @@ class Worker:
         self.stop(graceful=False)
         if args is not None:
             self.args = args
-        self.release()
         self._spawn()
+
+
+def _resolve_once(future) -> None:
+    """Reader callback: mark a worker's pipe readable (reply or EOF)."""
+    if not future.done():
+        future.set_result(None)
 
 
 class ProcessPoolExecutor:
@@ -458,128 +485,125 @@ class ProcessPoolExecutor:
         whatever the workers produce.  The call returns only when every
         job has an outcome — a hung worker is reaped at its deadline, so
         with a deadline set the batch provably terminates (retried items
-        restart their deadline clock per attempt).
+        restart their deadline clock per attempt).  No worker outlives
+        the call, whatever it raises.
         """
         if not jobs:
             return {}
         outcomes: Dict[int, JobOutcome] = {}
-        # Each pending entry is (index, document, attempt, ready_at):
-        # fresh jobs are ready immediately, retries carry a backoff
-        # timestamp and wait in the queue until it passes.
-        pending: Deque[Tuple[int, Dict[str, Any], int, float]] = deque(
-            (index, document, 0, 0.0) for index, document in jobs
-        )
-        pool: List[Worker] = [
-            Worker() for _ in range(min(self.workers, len(jobs)))
-        ]
-        idle: List[Worker] = list(pool)
-        busy: List[Worker] = []
+        pool: List[Worker] = []
+        # The drains run on a private loop on the calling thread.  A
+        # caller inside a coroutine blocks on the batch as on any
+        # synchronous call; its loop is set aside meanwhile, never
+        # replaced or closed.
+        outer = asyncio.events._get_running_loop()
+        loop = asyncio.new_event_loop()
+        asyncio.events._set_running_loop(None)
+        finished = False
         try:
-            while pending or busy:
-                now = time.monotonic()
-                while idle and pending:
-                    slot = next(
-                        (
-                            position
-                            for position, entry in enumerate(pending)
-                            if entry[3] <= now
-                        ),
-                        None,
-                    )
-                    if slot is None:
-                        break  # every queued job is still backing off
-                    index, document, attempt, _ = pending[slot]
-                    del pending[slot]
-                    worker = idle.pop()
-                    fault = self._fault_for(document, attempt)
-                    try:
-                        worker.assign(index, document, attempt, fault)
-                    except (BrokenPipeError, OSError):
-                        # Worker died before it could accept work; this
-                        # is the pool's fault, not the job's — requeue
-                        # at the same attempt and restart the worker.
-                        pending.appendleft((index, document, attempt, 0.0))
-                        worker.restart()
-                        idle.append(worker)
-                        continue
-                    busy.append(worker)
-                ready = _connection_wait(
-                    [worker.connection for worker in busy],
-                    timeout=self._poll_timeout(busy, pending),
-                )
-                for connection in ready:
-                    worker = next(
-                        w for w in busy if w.connection is connection
-                    )
-                    try:
-                        message = worker.connection.recv()
-                    except (EOFError, OSError):
-                        self._resolve_failure(
-                            worker,
-                            "crashed",
-                            "worker process died unexpectedly "
-                            f"(exit code {worker.process.exitcode})",
-                            outcomes,
-                            pending,
-                        )
-                        self._recycle(worker, pool, busy, idle, bool(pending))
-                        continue
-                    payload = self._validate_message(worker, message)
-                    if payload is None:
-                        # Corrupted payload: the pipe framing survived
-                        # but the content is garbage — the worker can no
-                        # longer be trusted, so recycle it; the *item*
-                        # retries or fails alone, siblings are unharmed.
-                        self._resolve_failure(
-                            worker,
-                            "crashed",
-                            "worker returned a corrupted payload",
-                            outcomes,
-                            pending,
-                        )
-                        self._recycle(worker, pool, busy, idle, bool(pending))
-                        continue
-                    index = worker.busy_index
-                    if payload[0] == "ok":
-                        outcomes[index] = JobOutcome(
-                            status="ok",
-                            elapsed_seconds=worker.elapsed(),
-                            document=payload[1],
-                            retries=worker.busy_attempt,
-                            spans=payload[2] if len(payload) == 3 else None,
-                        )
-                    else:
-                        outcomes[index] = JobOutcome(
-                            status="error",
-                            elapsed_seconds=worker.elapsed(),
-                            error=f"{payload[1]}: {payload[2]}",
-                            retries=worker.busy_attempt,
-                            spans=payload[3] if len(payload) == 4 else None,
-                        )
-                    worker.release()
-                    busy.remove(worker)
-                    idle.append(worker)
-                if self.deadline_seconds is not None:
-                    for worker in list(busy):
-                        if worker.elapsed() >= self._hard_deadline(worker):
-                            outcomes[worker.busy_index] = JobOutcome(
-                                status="timeout",
-                                elapsed_seconds=worker.elapsed(),
-                                retries=worker.busy_attempt,
-                            )
-                            self._recycle(
-                                worker, pool, busy, idle, bool(pending)
-                            )
+            for _ in range(min(self.workers, len(jobs))):
+                pool.append(Worker())
+            loop.run_until_complete(self._drain_all(loop, pool, jobs, outcomes))
+            finished = True
         finally:
+            asyncio.events._set_running_loop(outer)
             for worker in pool:
-                worker.stop(graceful=worker.busy_index is None)
+                worker.stop(graceful=finished)
+            loop.close()
         return outcomes
 
     # ------------------------------------------------------------------
 
-    def _hard_deadline(self, worker: Worker) -> float:
-        """Wall-clock bound after which this worker's job is forcibly reaped."""
-        return hard_deadline(worker.busy_document, self.deadline_seconds)
+    async def _drain_all(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        pool: List[Worker],
+        jobs: Sequence[Tuple[int, Dict[str, Any]]],
+        outcomes: Dict[int, JobOutcome],
+    ) -> None:
+        """One drain per worker on one shared queue, until every job resolves.
+
+        A retry re-enters the queue when its backoff timer fires; the
+        drain that records the last outcome wakes every drain to return.
+        """
+        queue: asyncio.Queue = asyncio.Queue()
+        for index, document in jobs:
+            queue.put_nowait((index, document, 0))
+        unresolved = len(jobs)
+
+        async def drain(worker: Worker) -> None:
+            nonlocal unresolved
+            while True:
+                entry = await queue.get()
+                if entry is None:
+                    return
+                outcome = await self._attempt(loop, worker, *entry)
+                if outcome.status == "crashed":
+                    outcome = self._retry_or_resolve(loop, queue, *entry, outcome)
+                    if outcome is None:
+                        continue
+                outcomes[entry[0]] = outcome
+                unresolved -= 1
+                if not unresolved:
+                    for _ in pool:
+                        queue.put_nowait(None)
+
+        await asyncio.gather(*(drain(worker) for worker in pool))
+
+    async def _attempt(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        worker: Worker,
+        index: int,
+        document: Dict[str, Any],
+        attempt: int,
+    ) -> JobOutcome:
+        """Run one attempt of one job on ``worker`` and type its outcome."""
+        timeout = None
+        if self.deadline_seconds is not None:
+            timeout = hard_deadline(document, self.deadline_seconds)
+        started = loop.time()
+        status, reply = await worker.roundtrip(
+            loop, (index, document, self._fault_for(document, attempt)), timeout
+        )
+        elapsed = loop.time() - started
+        if status == "timeout":
+            return JobOutcome("timeout", elapsed, retries=attempt)
+        if status == "crashed":
+            return JobOutcome(
+                "crashed",
+                elapsed,
+                error=f"worker process died unexpectedly (exit code {reply})",
+                retries=attempt,
+            )
+        payload = self._validate_message(index, reply)
+        if payload is None:
+            # Corrupted payload: the pipe framing survived but the
+            # content is garbage — the worker can no longer be trusted,
+            # so stop it (the next round trip respawns it); the *item*
+            # retries or fails alone, siblings are unharmed.
+            worker.stop(graceful=False)
+            return JobOutcome(
+                "crashed",
+                elapsed,
+                error="worker returned a corrupted payload",
+                retries=attempt,
+            )
+        if payload[0] == "ok":
+            return JobOutcome(
+                "ok",
+                elapsed,
+                document=payload[1],
+                retries=attempt,
+                spans=payload[2] if len(payload) == 3 else None,
+            )
+        return JobOutcome(
+            "error",
+            elapsed,
+            error=f"{payload[1]}: {payload[2]}",
+            retries=attempt,
+            spans=payload[3] if len(payload) == 4 else None,
+        )
 
     def _fault_for(
         self, document: Dict[str, Any], attempt: int
@@ -590,18 +614,18 @@ class ProcessPoolExecutor:
         spec = self.fault_injector.fault_for(document.get("tag"), attempt)
         return spec.to_dict() if spec is not None else None
 
-    def _validate_message(self, worker: Worker, message) -> Optional[Tuple]:
+    def _validate_message(self, index: int, message) -> Optional[Tuple]:
         """Return the payload of a protocol-conforming message, else None.
 
         The index inside the message must name the job this worker was
-        actually assigned — a corrupted worker must not be able to
+        actually sent — a corrupted worker must not be able to
         overwrite a sibling item's outcome.
         """
         if not isinstance(message, tuple) or len(message) != 2:
             return None
-        index, payload = message
-        if index != worker.busy_index:
+        if message[0] != index:
             return None
+        payload = message[1]
         if not isinstance(payload, tuple) or not payload:
             return None
         # ("ok", result_doc) or ("error", type_name, message), each
@@ -621,78 +645,29 @@ class ProcessPoolExecutor:
             return payload
         return None
 
-    def _resolve_failure(
+    def _retry_or_resolve(
         self,
-        worker: Worker,
-        status: str,
-        error: str,
-        outcomes: Dict[int, JobOutcome],
-        pending: Deque[Tuple[int, Dict[str, Any], int, float]],
-    ) -> None:
-        """Retry a transient worker failure, or record its final outcome."""
-        index = worker.busy_index
-        document = worker.busy_document
-        attempt = worker.busy_attempt
+        loop: asyncio.AbstractEventLoop,
+        queue: asyncio.Queue,
+        index: int,
+        document: Dict[str, Any],
+        attempt: int,
+        outcome: JobOutcome,
+    ) -> Optional[JobOutcome]:
+        """Requeue a crashed attempt after its backoff (``None``), or
+        return its final outcome."""
         if self.retry_policy is not None and attempt < self.retry_policy.max_retries:
             if self.retry_budget is None or self.retry_budget.try_acquire():
                 token = document.get("tag") or f"#{index}"
-                delay = self.retry_policy.delay(attempt, token)
-                pending.append(
-                    (index, document, attempt + 1, time.monotonic() + delay)
+                loop.call_later(
+                    self.retry_policy.delay(attempt, token),
+                    queue.put_nowait,
+                    (index, document, attempt + 1),
                 )
-                return
-            error = f"{error} [RetryExhaustedError: batch retry budget spent]"
+                return None
+            outcome.error += " [RetryExhaustedError: batch retry budget spent]"
         elif self.retry_policy is not None and attempt > 0:
-            error = (
-                f"{error} [RetryExhaustedError: failed on all "
-                f"{attempt + 1} attempts]"
+            outcome.error += (
+                f" [RetryExhaustedError: failed on all {attempt + 1} attempts]"
             )
-        outcomes[index] = JobOutcome(
-            status=status,
-            elapsed_seconds=worker.elapsed(),
-            error=error,
-            retries=attempt,
-        )
-
-    def _poll_timeout(
-        self,
-        busy: Sequence[Worker],
-        pending: Sequence[Tuple[int, Dict[str, Any], int, float]],
-    ) -> Optional[float]:
-        """Sleep until the next result, deadline expiry, or retry ready-time."""
-        candidates: List[float] = []
-        if self.deadline_seconds is not None and busy:
-            candidates.append(
-                min(
-                    self._hard_deadline(worker) - worker.elapsed()
-                    for worker in busy
-                )
-            )
-        if pending and not any(entry[3] == 0.0 for entry in pending):
-            now = time.monotonic()
-            candidates.append(min(entry[3] for entry in pending) - now)
-        if not candidates:
-            # No deadline and no backoff to wake for: block until a
-            # worker reports (there is always at least one busy worker
-            # here, otherwise pending would have been dispatchable).
-            return None if busy else 0.01
-        # A small floor keeps the loop from busy-spinning when a
-        # deadline is imminent; expiry is re-checked right after.
-        return max(0.01, min(candidates))
-
-    def _recycle(
-        self,
-        worker: Worker,
-        pool: List[Worker],
-        busy: List[Worker],
-        idle: List[Worker],
-        need_replacement: bool,
-    ) -> None:
-        """Restart a worker if jobs are still queued, else stop it."""
-        busy.remove(worker)
-        if need_replacement:
-            worker.restart()
-            idle.append(worker)
-        else:
-            pool.remove(worker)
-            worker.stop(graceful=False)
+        return outcome

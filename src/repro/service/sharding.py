@@ -25,7 +25,9 @@ breaker state.  This module holds the pieces that make that work:
   the grace on top is also missed), and crash detection with automatic
   restart that preserves the queue.  The process itself is a
   :class:`repro.service.executor.Worker`, the same supervisor as the
-  batch pool's.  A restarted shard re-warms from the latest
+  batch pool's, and every op crosses its pipe through the batch pool's
+  round trip (:meth:`~repro.service.executor.Worker.roundtrip`).  A
+  restarted shard re-warms from the latest
   ring-filtered snapshot (:meth:`ShardClient.save_snapshot`) when one
   exists, falling back to the startup snapshot.
 
@@ -472,16 +474,17 @@ class ShardClient:
     Jobs enter a bounded :class:`asyncio.Queue`; :meth:`submit` raises
     :class:`asyncio.QueueFull` when the shard is saturated, which the
     front door turns into HTTP 429.  One drain task per shard sends jobs
-    over the pipe one at a time, all on the event loop: the job is sent
-    straight away (the shard is idle and reading by then), and the reply
-    is received once the loop reports the pipe readable, so no thread
-    sits between the loop and a shard.  The process is a supervised
-    :class:`~repro.service.executor.Worker`: a job that outlives its
-    deadline (and the cooperative grace) gets the shard restarted — the
-    only way to preempt a CPU-bound enumeration — and a crashed shard is
-    detected by the broken pipe and restarted the same way.  The queue
-    lives in the parent, so a restart never drops the jobs waiting
-    behind the one that died.
+    over the pipe one at a time, all on the event loop, through
+    :meth:`Worker.roundtrip <repro.service.executor.Worker.roundtrip>`:
+    the job is sent straight away (the shard is idle and reading by
+    then), and the reply is received once the loop reports the pipe
+    readable, so no thread sits between the loop and a shard.  A job
+    that outlives its deadline (and the cooperative grace) gets the
+    shard restarted — the only way to preempt a CPU-bound enumeration —
+    and a crashed shard is detected by the broken pipe and restarted the
+    same way; a respawn that fails types its job ``shard_crashed`` and
+    the next job respawns again.  The queue lives in the parent, so a
+    restart never drops the jobs waiting behind the one that died.
     """
 
     def __init__(
@@ -592,7 +595,7 @@ class ShardClient:
 
     async def _roundtrip(self, loop, job: Dict[str, Any]) -> Dict[str, Any]:
         deadline_at = job.pop("_deadline_at", None)
-        timeout = None
+        timeout = hard = None
         if deadline_at is not None:
             timeout = deadline_at - loop.time()
             if timeout <= 0:
@@ -602,34 +605,21 @@ class ShardClient:
                     retryable=True,
                     request_id=job.get("request_id"),
                 )
-        if timeout is not None and isinstance(job.get("request"), dict):
-            # The service's one cooperative-deadline rule: ship the
-            # remaining budget so the shard's engine stops itself and
-            # salvages, and restart the shard only past the grace.
-            job = dict(job, request=stamp_deadline(job["request"], timeout))
-        conn = self._worker.connection
+            if isinstance(job.get("request"), dict):
+                # The service's one cooperative-deadline rule: ship the
+                # remaining budget so the shard's engine stops itself and
+                # salvages, and restart the shard only past the grace.
+                job = dict(job, request=stamp_deadline(job["request"], timeout))
+            hard = hard_deadline(job.get("request"), timeout)
         started = loop.time()
-        try:
-            conn.send(job)
-            readable = loop.create_future()
-            fd = conn.fileno()
-            loop.add_reader(fd, _resolve_once, readable)
-            try:
-                await asyncio.wait_for(
-                    readable,
-                    None if timeout is None else hard_deadline(job.get("request"), timeout),
-                )
-            finally:
-                # Before any restart closes the pipe under the reader.
-                loop.remove_reader(fd)
-            payload = conn.recv()
+        status, reply = await self._worker.roundtrip(loop, job, hard, self._restart)
+        if status == "ok":
             if timeout is not None and loop.time() - started > timeout:
                 # The engine cooperated inside the grace window; without
                 # it this would have been a kill + restart.
                 self.hard_kills_avoided += 1
-            return payload
-        except asyncio.TimeoutError:
-            self._restart()
+            return reply
+        if status == "timeout":
             return self._local_error(
                 "deadline_exceeded",
                 f"shard {self.index} exceeded the request deadline; "
@@ -637,14 +627,12 @@ class ShardClient:
                 retryable=True,
                 request_id=job.get("request_id"),
             )
-        except (EOFError, OSError):
-            self._restart()
-            return self._local_error(
-                "shard_crashed",
-                f"shard {self.index} died mid-request and was respawned",
-                retryable=True,
-                request_id=job.get("request_id"),
-            )
+        return self._local_error(
+            "shard_crashed",
+            f"shard {self.index} died mid-request and was respawned",
+            retryable=True,
+            request_id=job.get("request_id"),
+        )
 
     def _local_error(
         self,
@@ -698,12 +686,6 @@ class ShardClient:
                 pass
             self._drain_task = None
         self._worker.stop()
-
-
-def _resolve_once(future) -> None:
-    """Reader callback: mark the shard's pipe readable (reply or EOF)."""
-    if not future.done():
-        future.set_result(None)
 
 
 class ShardPool:

@@ -7,6 +7,7 @@ client — the same bytes a production client would send.
 """
 
 import asyncio
+import errno
 import json
 
 import pytest
@@ -660,6 +661,36 @@ class TestBackpressureAndCrashes:
                     door.port, "GET", "/v1/healthz"
                 )
                 assert status == 200 and health["status"] == "ok"
+
+        run(body())
+
+    def test_a_failed_respawn_fails_one_job_and_the_shard_keeps_serving(self):
+        async def body():
+            async with door_on(shards=1) as door:
+                client = door.shards.clients[0]
+                respawn = client._restart
+
+                def fork_fails_once():
+                    # The dead process is reaped, but no new one starts.
+                    client._restart = respawn
+                    client._worker.stop(graceful=False)
+                    raise BlockingIOError(errno.EAGAIN, "fork: try again")
+
+                client._restart = fork_fails_once
+                crash = await asyncio.wait_for(client.submit({"op": "crash"}), 5.0)
+                assert crash["status"] == 503
+                reply = json.loads(crash["body"])
+                assert reply["error"]["code"] == "shard_crashed"
+                assert not client.alive
+                # The drain survived: the next op respawns the shard first.
+                ping = await asyncio.wait_for(client.submit({"op": "ping"}), 5.0)
+                assert ping["ok"] and ping["pid"] == client._worker.process.pid
+                assert client.alive and client.restarts == 1
+                status, _, reply = await http_request(
+                    door.port, "POST", "/v1/optimize",
+                    envelope(request_document(seed=31, n=5)),
+                )
+                assert status == 200 and reply["kind"] == "optimize_reply"
 
         run(body())
 

@@ -8,6 +8,9 @@ custom cost models crossing the process boundary, and worker-crash
 isolation.
 """
 
+import asyncio
+import errno
+import multiprocessing
 import os
 import signal
 import socket
@@ -43,6 +46,7 @@ from repro.service.executor import (
     ProcessPoolExecutor,
     Worker,
     hard_deadline,
+    serve_pipe,
     stamp_deadline,
 )
 
@@ -225,6 +229,32 @@ class TestBackendParity:
             [fast_request()], workers=1, executor="process"
         )
         assert results[0].ok
+
+    def test_process_batch_called_from_inside_a_coroutine(self):
+        # The pool drives its workers on a private event loop; a caller
+        # with a loop running on the same thread gets the serial costs
+        # and keeps its own loop, neither replaced nor closed.
+        requests = [fast_request("a"), slow_request(n=8, tag="b")]
+        serial = OptimizerService().optimize_batch(requests, executor="serial")
+
+        async def caller():
+            loop = asyncio.get_running_loop()
+            results = OptimizerService().optimize_batch(
+                requests, workers=2, executor="process"
+            )
+            assert asyncio.get_running_loop() is loop
+            await asyncio.sleep(0)
+            return loop, results
+
+        outer = asyncio.new_event_loop()
+        try:
+            loop, results = outer.run_until_complete(caller())
+            assert loop is outer and not outer.is_closed()
+            assert [r.cost for r in results] == [r.cost for r in serial]
+            assert all(r.ok for r in results)
+            assert outer.run_until_complete(asyncio.sleep(0, "alive")) == "alive"
+        finally:
+            outer.close()
 
 
 class TestCacheAcrossExecutors:
@@ -413,6 +443,29 @@ class TestWorkerFailures:
         finally:
             unregister_algorithm("_test_suicide")
 
+    def test_a_failed_spawn_leaves_no_worker_behind(self, monkeypatch):
+        # The second worker's fork fails: run raises, and the first
+        # worker is stopped with it instead of outliving the batch.
+        spawn = Worker._spawn
+        calls = []
+
+        def spawn_fails_on_second_call(worker):
+            calls.append(worker)
+            if len(calls) == 2:
+                raise BlockingIOError(errno.EAGAIN, "fork: try again")
+            spawn(worker)
+
+        monkeypatch.setattr(Worker, "_spawn", spawn_fails_on_second_call)
+        documents = [(0, {"tag": "a"}), (1, {"tag": "b"})]
+        with pytest.raises(BlockingIOError):
+            ProcessPoolExecutor(workers=2).run(documents)
+        assert len(calls) == 2
+        assert not [
+            child
+            for child in multiprocessing.active_children()
+            if child.name == "repro-optimizer-worker"
+        ]
+
     def test_custom_cost_model_is_rejected_per_item(self):
         # Workers resolve a cost model by its qualified class name; two
         # live classes sharing one name cannot be told apart, so the
@@ -580,6 +633,80 @@ print("ok" if result.ok else result.error)
 def _sleep_forever(connection):
     connection.send("ready")
     time.sleep(60)
+
+
+def _echo_or_hang(connection):
+    def handle(message):
+        if message == "hang":
+            time.sleep(60)
+        return message
+
+    serve_pipe(connection, handle)
+
+
+def _roundtrip(worker, message, timeout=None, restart=None):
+    """Run one :meth:`Worker.roundtrip` on a fresh event loop."""
+    loop = asyncio.new_event_loop()
+    try:
+        return loop.run_until_complete(
+            worker.roundtrip(loop, message, timeout, restart)
+        )
+    finally:
+        loop.close()
+
+
+class TestRoundTrip:
+    """The one supervised round trip, on a bare worker."""
+
+    @pytest.fixture
+    def worker(self):
+        worker = Worker(_echo_or_hang)
+        yield worker
+        worker.stop()
+
+    def test_a_reply_comes_back(self, worker):
+        pid = worker.process.pid
+        assert _roundtrip(worker, {"op": "echo"}) == ("ok", {"op": "echo"})
+        assert worker.process.pid == pid
+
+    def test_a_hard_timeout_is_typed_and_the_worker_is_fresh(self, worker):
+        hung = worker.process
+        started = time.monotonic()
+        status, exit_code = _roundtrip(worker, "hang", timeout=0.3)
+        assert status == "timeout"
+        assert 0.3 <= time.monotonic() - started < 3.0
+        assert exit_code == -signal.SIGTERM
+        assert not hung.is_alive()
+        assert worker.process is not hung and worker.process.is_alive()
+        assert _roundtrip(worker, "after") == ("ok", "after")
+
+    def test_a_worker_killed_while_idle_is_typed_crashed_then_serves(
+        self, worker
+    ):
+        killed = worker.process
+        os.kill(killed.pid, signal.SIGKILL)
+        killed.join(timeout=5)
+        status, exit_code = _roundtrip(worker, "first")
+        assert status == "crashed"
+        assert exit_code == -signal.SIGKILL
+        assert worker.process is not killed and worker.process.is_alive()
+        # The call after the restart is served by the new process.
+        assert _roundtrip(worker, "second") == ("ok", "second")
+
+    def test_a_failed_respawn_is_typed_crashed_and_retried_next_call(
+        self, worker
+    ):
+        def respawn_fails():
+            worker.stop(graceful=False)
+            raise BlockingIOError(errno.EAGAIN, "fork: try again")
+
+        os.kill(worker.process.pid, signal.SIGKILL)
+        status, _ = _roundtrip(worker, "lost", restart=respawn_fails)
+        assert status == "crashed"
+        assert worker.connection.closed
+        # The closed pipe is respawned before the next send.
+        assert _roundtrip(worker, "next") == ("ok", "next")
+        assert worker.process.is_alive()
 
 
 class TestWorkerSupervisor:
