@@ -128,12 +128,11 @@ def table1_row(shape: str, n: int) -> Dict[str, int]:
 def ccp_estimate(n: int, n_edges: int, max_degree: int = 2) -> int:
     """Heuristic #ccp estimate for a *connected* graph of any shape.
 
-    The closed forms above only cover the four fixed shapes; admission
-    control (:mod:`repro.service.resilience`) needs an order-of-magnitude
-    prediction for arbitrary connected graphs at sizes where exact
-    enumeration (:func:`repro.enumeration.counting.count_ccps`) is itself
-    the super-polynomial cost being avoided.  Two observations make a
-    cheap log-space interpolation defensible:
+    The closed forms above only cover the four fixed shapes; ``auto``'s
+    predicted-time rule (:mod:`repro.optimizer.api`) wants a prediction
+    for arbitrary connected graphs without enumerating them (admission
+    control counts instead).  Two observations make a cheap log-space
+    interpolation defensible:
 
     * #ccp is **edge-monotone**: adding an edge only creates connected
       sets and partitions, so the chain (sparsest connected shape with
@@ -152,8 +151,7 @@ def ccp_estimate(n: int, n_edges: int, max_degree: int = 2) -> int:
     (``max_degree <= 2``), stars (``max_degree = n - 1``), and cliques
     (``m = n(n-1)/2``) — so those estimates are *exact*, not merely
     close (the exp/log round trip used to overshoot by one); everything
-    else is within the right order of magnitude for cycles and random
-    graphs, which is all a ccp *budget* comparison needs.
+    else is an underestimate that grows with ``n``.
     """
     if n < 1:
         raise GraphError("n must be positive")
@@ -200,8 +198,8 @@ def ccp_predict(graph: "QueryGraph") -> Tuple[int, str]:
     Returns ``(ccps, method)``: the Table-I closed form for the four
     fixed shapes (``method="closed-form:<shape>"``), else
     :func:`ccp_estimate` from the graph's size, edge count and maximum
-    degree (``method="interpolated"``).  Admission control and
-    ``auto``'s predicted-time rule both price a query through here.
+    degree (``method="interpolated"``).  ``auto``'s predicted-time rule
+    prices a query through here.
     """
     n = graph.n_vertices
     shape = graph.shape_name()

@@ -16,7 +16,8 @@ Statistics:
   A floor bounds the speedup ``t(baseline) / t(candidate)``; a ceiling
   bounds the ratio ``t(candidate) / t(baseline)``, or the candidate's
   own seconds when the case has no baseline.
-* **median**: the median ratio ``t(candidate) / t(baseline)`` over
+* **median**: the median ratio ``t(candidate) / t(baseline)`` (under a
+  floor, its inverse, the speedup) over
   time-adjacent pairs, with a plain-vs-plain control probe per case
   (``noise_ceiling``): the control's true ratio is exactly 1.0, so its
   deviation is the machine's noise floor, and a breach on a host noisier
@@ -105,6 +106,9 @@ def _measure(gate: Gate, case: Case) -> Dict:
         ratio, cand, base = median_pair_ratio(
             case.baseline, case.candidate, case.repeat, case.inner
         )
+        if gate.floor is not None:
+            # The median speedup (of an even count, the lower middle one).
+            ratio = 1.0 / ratio
         row.update(baseline_ms=base * 1e3, candidate_ms=cand * 1e3, value=ratio)
     else:
         if gate.warmup:

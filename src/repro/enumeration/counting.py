@@ -17,7 +17,7 @@ check them in turn against a generate-and-test reference.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro import bitset
 from repro.enumeration.mincutbranch import MinCutBranch
@@ -73,20 +73,23 @@ def count_connected_subgraphs(graph: QueryGraph) -> int:
     return sum(1 for _ in enumerate_connected_subgraphs(graph))
 
 
-def count_ccps(graph: QueryGraph) -> int:
+def count_ccps(graph: QueryGraph, cap: Optional[int] = None) -> int:
     """Return #ccp = |P_ccp_sym|: symmetric pairs counted once (Table I).
 
     Runs MinCutBranch over every connected ``S`` with at least two
     vertices and counts what it emits, so the cost is O(#ccp) amortized
     (the paper's bound) rather than the ``2^|S|`` subsets per set that
-    generate-and-test would test.  Admission control counts small
-    irregular graphs this way (:func:`repro.service.resilience.estimate_ccps`).
+    generate-and-test would test.  With a ``cap`` it stops at the set
+    that takes the count past ``cap`` and returns ``cap + 1``: admission
+    control's count without a C kernel (:mod:`repro.service.resilience`).
     """
     partitioner = MinCutBranch(graph)
     for vertex_set in enumerate_connected_subgraphs(
         graph, include_singletons=False
     ):
         partitioner.partitions_into(vertex_set, _ignore)
+        if cap is not None and partitioner.stats.emitted > cap:
+            return cap + 1
     return partitioner.stats.emitted
 
 

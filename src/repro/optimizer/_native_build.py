@@ -27,7 +27,10 @@ One C source, one module, two engines:
   the root's best splits and writes only the plan's rows, into the
   context, so the driver builds the plan without the memo.
 
-Both share a ``sel_between`` that replicates
+Beside them, ``ccp_count`` counts csg-cmp pairs up to a cap for
+admission control (:func:`repro.optimizer.native.count_ccps_c`).
+
+Both engines share a ``sel_between`` that replicates
 :meth:`repro.catalog.statistics.Catalog.selectivity_between` exactly —
 smaller-side swap first, then the smaller side's vertices low-bit first,
 each vertex's selectivity list in stored order.  Because every float
@@ -146,6 +149,7 @@ long long td_unfinished(td_ctx *ctx);
 void td_rows(td_ctx *ctx, td_row *out);
 int td_plan(td_ctx *ctx, unsigned long long root);
 extern "Python" int td_check(void *);
+long long ccp_count(int n, const unsigned long long *adj, long long cap);
 """
 
 _C_SOURCE = r"""
@@ -1028,6 +1032,59 @@ long long td_unfinished(td_ctx *c)
         count++;
     }
     return count;
+}
+
+/* ---------------------------------------------------------------------
+ * #ccp for admission: EnumerateCsg and EnumerateCmp (Moerkotte &
+ * Neumann, the enumerators of DPccp), counting only.  It stops once the
+ * count passes ``cap`` (0 <= cap < 2^62) and returns min(#ccp, cap + 1).
+ * A disconnected graph's count is the sum over its components.
+ * ------------------------------------------------------------------ */
+
+typedef struct { const unsigned long long *adj; long long left; } ccp_tally;
+
+static unsigned long long ccp_nbhd(const ccp_tally *t, unsigned long long s)
+{
+    unsigned long long out = 0;
+    for (unsigned long long r = s; r; r &= r - 1) out |= t->adj[CTZ64(r)];
+    return out & ~s;
+}
+
+static void ccp_cmps(ccp_tally *t, unsigned long long s1);
+
+/* EnumerateCsgRec(s, x): each connected enlargement of s outside x is a
+ * csg (csg != 0: count its cmps) or one more cmp. */
+static void ccp_grow(ccp_tally *t, unsigned long long s, unsigned long long x, int csg)
+{
+    unsigned long long nb = ccp_nbhd(t, s) & ~x, sub;
+    for (sub = nb; sub && t->left > 0; sub = (sub - 1) & nb)
+        if (csg) ccp_cmps(t, s | sub); else t->left--;
+    for (sub = nb; sub && t->left > 0; sub = (sub - 1) & nb)
+        ccp_grow(t, s | sub, x | nb, csg);
+}
+
+/* EnumerateCmp(s1): each neighbor v of s1 above min(s1) is a cmp, and
+ * the seed of those grown away from s1, min(s1)'s prefix and the
+ * neighbors below v. */
+static void ccp_cmps(ccp_tally *t, unsigned long long s1)
+{
+    unsigned long long low = s1 & (~s1 + 1ULL), x = s1 | low | (low - 1);
+    unsigned long long nb = ccp_nbhd(t, s1) & ~x;
+    for (unsigned long long r = nb, v; r && t->left > 0; r ^= v) {
+        v = r & (~r + 1ULL);
+        t->left--;
+        ccp_grow(t, v, x | (nb & (v - 1)), 0);
+    }
+}
+
+long long ccp_count(int n, const unsigned long long *adj, long long cap)
+{
+    ccp_tally t = {adj, cap + 1};
+    for (int i = n - 1; i >= 0 && t.left > 0; i--) {
+        ccp_cmps(&t, 1ULL << i);
+        ccp_grow(&t, 1ULL << i, (2ULL << i) - 1, 1);
+    }
+    return cap + 1 - t.left;
 }
 """
 

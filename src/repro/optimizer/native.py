@@ -18,7 +18,8 @@ carries two engines, each a transcription of a pure-python loop:
   implementations, the winner's name in the memo).
 
 Neither is ever required -- built on demand, cached on disk, and any
-failure degrades silently to the pure engine.
+failure degrades silently to the pure engine.  The same module also
+counts #ccp up to a cap for admission control (:func:`count_ccps_c`).
 
 Selection (:func:`resolve_backend`, one function for both engines) takes
 the ``native_backend=`` constructor argument (``"auto"``, ``"c"`` or
@@ -92,6 +93,7 @@ from repro.plan.jointree import JoinTree, _node
 __all__ = [
     "BACKENDS",
     "check_backend",
+    "count_ccps_c",
     "resolve_backend",
     "native_backend_status",
     "run_c_convolution",
@@ -590,6 +592,19 @@ def run_c_topdown(driver, root_set: int) -> Optional[JoinTree]:
         return _assemble(_ROW.iter_unpack(plan), names, catalog.relations)
     finally:
         lib.td_free(ctx)
+
+
+def count_ccps_c(graph, cap: Optional[int] = None) -> Optional[int]:
+    """:func:`~repro.enumeration.counting.count_ccps` in C, in O(min(#ccp,
+    cap)); ``None`` without a loaded kernel (it never compiles one) or
+    above :data:`TOPDOWN_MAX_N` relations."""
+    n = graph.n_vertices
+    module = _native_build.load_c_kernel()
+    if module is None or n > TOPDOWN_MAX_N:
+        return None
+    adjacency = [graph.neighbors_of_vertex(v) for v in range(n)]
+    cap = _UNLIMITED if cap is None else min(cap, _UNLIMITED)
+    return module.lib.ccp_count(n, adjacency, cap)
 
 
 def _finished_rows(data, names, unnamed: int):

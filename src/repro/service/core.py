@@ -930,14 +930,9 @@ class OptimizerService:
                     }
                     return (heuristic_rung_for(graph), "over_budget", extra)
             else:
-                # With cross products enabled the client opted into a
-                # search space bounded by the clique, not the raw
-                # predicate edges — price that, or admission
-                # under-prices by orders of magnitude (and used to crash
-                # on disconnected inputs).
                 estimate = estimate_ccps(
                     graph,
-                    cfg.admission_exact_max_n,
+                    cfg.max_ccp_budget,
                     allow_cross_products=run.allow_cross_products,
                 )
                 if estimate.ccps > cfg.max_ccp_budget:

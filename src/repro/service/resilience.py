@@ -7,11 +7,10 @@ way over and over.  This module gives :class:`~repro.service.OptimizerService`
 the pieces to *predict* and *contain* that cost instead of merely timing
 it out:
 
-* :func:`estimate_ccps` — admission-control estimate of the search-space
-  size (#ccp) a request would make the enumerator traverse: exact
-  enumeration counts for small graphs, Table-I closed forms for the
-  fixed shapes, and the log-space interpolation of
-  :func:`repro.analysis.formulas.ccp_estimate` for everything else.
+* :func:`estimate_ccps` — admission control's price of a request: the
+  search-space size (#ccp) the enumerator would traverse, as the
+  Table-I closed form for the fixed shapes or an exact count that stops
+  once it passes the budget.
 * the **degradation ladder** — ``exact → anytime → ikkbz → goo``.
   ``exact`` is whichever engine the request resolved to (``"auto"``
   already picks dpconv where it is predicted faster, and a dpconv run
@@ -42,11 +41,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.analysis.formulas import ccp_count, ccp_estimate, ccp_predict
+from repro.analysis.formulas import ccp_count
 from repro.catalog.statistics import Catalog
 from repro.enumeration.counting import count_ccps
 from repro.errors import AdmissionError, OptimizationError
 from repro.graph.query_graph import QueryGraph
+from repro.optimizer.native import count_ccps_c
 from repro.plan.jointree import JoinTree
 
 __all__ = [
@@ -82,9 +82,6 @@ class ResilienceConfig:
     #: Reject exact enumeration when the estimated #ccp exceeds this
     #: (``None`` = admission control off).
     max_ccp_budget: Optional[int] = None
-    #: Largest ``n`` for which admission uses exact enumeration counts
-    #: (shape-detected closed forms are used at any size).
-    admission_exact_max_n: int = 10
     #: Consecutive failures/timeouts per algorithm label that open the
     #: circuit breaker.
     breaker_threshold: int = 5
@@ -172,11 +169,12 @@ class ResilienceConfig:
 
 @dataclass(frozen=True)
 class AdmissionEstimate:
-    """Predicted search-space size for one query graph.
+    """Search-space size of one query graph, as admission prices it.
 
-    ``method`` records how the number was obtained: ``"exact"``
-    (enumeration count), ``"closed-form:<shape>"`` (Table-I formula), or
-    ``"interpolated"`` (log-space density interpolation).
+    ``method`` records how the number was obtained: ``"closed-form:<shape>"``
+    (Table-I formula) or ``"counted"`` (csg-cmp enumeration, counting
+    only).  A count that passed its cap stopped there, and ``ccps`` is
+    then ``cap + 1``, a lower bound.
     """
 
     ccps: int
@@ -186,31 +184,21 @@ class AdmissionEstimate:
 
 def estimate_ccps(
     graph: QueryGraph,
-    exact_max_n: int = 10,
+    cap: Optional[int] = None,
     allow_cross_products: bool = False,
 ) -> AdmissionEstimate:
-    """Estimate #ccp for ``graph`` without enumerating when that is the cost.
+    """#ccp for ``graph``, or ``cap + 1`` once it is known to exceed ``cap``.
 
-    Fixed shapes use their closed form at any size; other graphs up to
-    ``exact_max_n`` vertices are counted exactly (cheap at that scale);
-    larger irregular graphs get the interpolated estimate of
-    :func:`repro.analysis.formulas.ccp_estimate`.
+    Chains, stars, cycles and cliques get their Table-I closed form at
+    any size.  Every other graph, disconnected ones included, is counted
+    exactly, stopping as soon as the count passes ``cap``: in C when a
+    kernel is built (:func:`repro.optimizer.native.count_ccps_c`), else
+    in python (:func:`repro.enumeration.counting.count_ccps`).
 
     ``allow_cross_products=True`` prices the **clique**, whatever the
     predicate edges say: the flag admits joins between relations with no
     connecting predicate, so the search space the client opted into is
-    bounded by — and for sparse inputs dominated by — the complete
-    graph's, not the raw edge set's.  Pricing the raw edges here used to
-    under-admit by orders of magnitude (a disconnected 2x chain-10
-    priced as ~two chains instead of the clique-20 neighborhood its
-    cross-product request can reach).
-
-    Disconnected graphs *without* cross products get a typed
-    per-component estimate (``method="per-component"``) — the sum of
-    each component's estimate, i.e. the cost of optimizing the
-    components independently — instead of the :class:`GraphError` that
-    :func:`~repro.analysis.formulas.ccp_estimate` raises for edge counts
-    below ``n - 1``.
+    bounded by the complete graph's, not the raw edge set's.
     """
     n = graph.n_vertices
     if allow_cross_products:
@@ -220,32 +208,14 @@ def estimate_ccps(
             shape="cross-products",
         )
     shape = graph.shape_name()
-    if n > 1 and not graph.is_connected(graph.all_vertices):
-        total = 0
-        for component in graph.connected_components(graph.all_vertices):
-            vertices = [v for v in range(n) if component >> v & 1]
-            k = len(vertices)
-            if k <= 1:
-                continue
-            edges_within = sum(
-                1
-                for (u, v) in graph.edges
-                if component >> u & 1 and component >> v & 1
-            )
-            max_degree = max(
-                bin(graph.neighbors_of_vertex(v) & component).count("1")
-                for v in vertices
-            )
-            total += ccp_estimate(k, edges_within, max_degree)
+    if shape in ("chain", "star", "cycle", "clique"):
         return AdmissionEstimate(
-            ccps=total, method="per-component", shape=shape
+            ccps=ccp_count(shape, n), method=f"closed-form:{shape}", shape=shape
         )
-    ccps, method = ccp_predict(graph)
-    if method == "interpolated" and n <= exact_max_n:
-        return AdmissionEstimate(
-            ccps=count_ccps(graph), method="exact", shape=shape
-        )
-    return AdmissionEstimate(ccps=ccps, method=method, shape=shape)
+    ccps = count_ccps_c(graph, cap)
+    if ccps is None:
+        ccps = count_ccps(graph, cap)
+    return AdmissionEstimate(ccps=ccps, method="counted", shape=shape)
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,13 @@ class TestCore:
         assert report["failures"] == []
         assert "control" in report["skipped"][0]
 
+    def test_median_statistic_under_a_floor_is_the_speedup(self):
+        case = Case("3x", baseline=leg(3.0), candidate=leg(1.0), repeat=3)
+        report = run_gate(gate(case, floor=1.5, median=True))
+        assert report["failures"] == [] and report["shapes"][0]["value"] == 3.0
+        assert report["shapes"][0]["baseline_ms"] == 3000.0
+        assert run_gate(gate(case, floor=4.0, median=True))["failures"]
+
     def test_quiet_control_probe_lets_a_breach_fail(self):
         case = Case("quiet", baseline=leg(1.0), candidate=leg(2.0), repeat=3)
         report = run_gate(
@@ -145,7 +152,7 @@ class TestTable:
         )
         assert bounds == collections.Counter([
             ("service", 10.0, None, False, False, False),
-            ("batch", 1.5, None, False, False, False),
+            ("batch", 1.5, None, False, False, True),
             ("resilience", None, 0.10, True, False, False),
             ("observability", None, 1.05, True, False, False),
             ("kernel", 1.3, None, False, True, False),

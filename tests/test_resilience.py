@@ -217,18 +217,18 @@ class TestAdmissionEstimates:
     def test_small_irregular_graph_is_counted_exactly(self):
         # A 6-vertex tree that is neither a chain nor a star.
         graph = QueryGraph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
-        estimate = estimate_ccps(graph, exact_max_n=10)
-        assert estimate.method == "exact"
+        estimate = estimate_ccps(graph)
+        assert estimate.method == "counted"
         assert estimate.ccps == count_ccps(graph)
 
-    def test_large_irregular_graph_is_interpolated(self):
+    def test_large_irregular_graph_is_counted_exactly(self):
         instance = WorkloadGenerator(seed=5).random_acyclic(16)
         graph = instance.graph
         if graph.shape_name() in ("chain", "star"):
             pytest.skip("random tree happened to be a fixed shape")
-        estimate = estimate_ccps(graph, exact_max_n=10)
-        assert estimate.method == "interpolated"
-        assert ccp_count("chain", 16) <= estimate.ccps <= ccp_count("clique", 16)
+        estimate = estimate_ccps(graph)
+        assert estimate.method == "counted"
+        assert estimate.ccps == count_ccps(graph)
 
     def test_interpolated_estimate_is_monotonic_in_density(self):
         n = 14
@@ -292,11 +292,11 @@ class TestAdmissionEstimates:
 
     def test_disconnected_graph_is_priced_per_component(self):
         # Regression: estimate_ccps used to raise GraphError ("between
-        # n-1 and ... edges") for disconnected inputs.  It now sums the
-        # per-component estimates instead of crashing.
+        # n-1 and ... edges") for disconnected inputs.  The count sums
+        # over the components instead of crashing.
         graph = QueryGraph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
         estimate = estimate_ccps(graph)
-        assert estimate.method == "per-component"
+        assert estimate.method == "counted"
         assert estimate.shape == "disconnected"
         # chain-3 + chain-2 + chain-2 components.
         assert estimate.ccps == (
@@ -306,7 +306,7 @@ class TestAdmissionEstimates:
     def test_isolated_vertices_do_not_crash_admission(self):
         graph = QueryGraph(4, [(0, 1)])
         estimate = estimate_ccps(graph)
-        assert estimate.method == "per-component"
+        assert estimate.method == "counted"
         assert estimate.ccps == ccp_count("chain", 2)
 
     def test_cross_products_price_the_clique(self):
