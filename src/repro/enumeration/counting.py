@@ -43,6 +43,8 @@ def _enumerate_csg_rec(
     supersets.
     """
     neighbors = graph.neighborhood(vertex_set) & ~excluded
+    if neighbors == 0:
+        return
     for subset in bitset.iter_nonempty_subsets(neighbors):
         yield vertex_set | subset
     blocked = excluded | neighbors

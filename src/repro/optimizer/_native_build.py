@@ -336,6 +336,7 @@ typedef struct {
     unsigned long long key;    /* 0 marks an empty slot */
     double card;
     double cost;
+    double sort;               /* td_sort_cost(card), physical runs only */
     unsigned int state;
     union {
         unsigned int stamp;    /* unfinished: last exploration that scheduled it */
@@ -514,6 +515,12 @@ static int td_push_frame(td_ctx *c, const td_frame *frame)
     return 0;
 }
 
+/* SortMergeJoin's sort_cost: log2 is libm's, as CPython's math.log2. */
+static inline double td_sort_cost(double card)
+{
+    return card > 1.0 ? card * log2(card) : card;
+}
+
 /* Record a finished set: final in the table, appended to the finish
  * order the python driver hands to the MemoTable, and its row in that
  * order kept in the slot for td_plan. */
@@ -526,6 +533,7 @@ static int td_settle(td_ctx *c, unsigned long long set, double card,
     slot->state = TD_DONE;
     slot->card = card;
     slot->cost = cost;
+    if (c->n_impl) slot->sort = td_sort_cost(card);
     slot->row = (unsigned int)c->o_len;
     if (c->o_len == c->o_cap) {
         long long cap = c->o_cap ? 2 * c->o_cap : 64;
@@ -580,18 +588,13 @@ static inline void td_tick(td_ctx *c)
     if (c->check_arg && td_check(c->check_arg)) c->halt = TD_EXPIRED;
 }
 
-/* SortMergeJoin's sort_cost: log2 is libm's, as CPython's math.log2. */
-static inline double td_sort_cost(double card)
-{
-    return card > 1.0 ? card * log2(card) : card;
-}
-
 /* PhysicalCostModel.join_cost: the first implementation with the
  * smallest cost on strict < (the first one when none is below inf),
  * plus output_weight * |out|; each cost() in physical.py's operation
- * order. */
+ * order.  ls and rs are the operands' sort costs, kept in their slots
+ * so that no ccp pays a log2. */
 static inline double td_join_cost(const td_ctx *c, double lc, double rc,
-                                  double oc, int *impl)
+                                  double ls, double rs, double oc, int *impl)
 {
     double best = INFINITY;
     int pick = 0;
@@ -603,7 +606,7 @@ static inline double td_join_cost(const td_ctx *c, double lc, double rc,
         } else if (m->kind == TD_HASH) {
             cost = m->first * lc + m->second * rc;
         } else {
-            cost = td_sort_cost(lc) + td_sort_cost(rc) + lc + rc;
+            cost = ls + rs + lc + rc;
         }
         if (cost < best) {
             best = cost;
@@ -624,15 +627,16 @@ static inline void td_price(const td_ctx *c, unsigned long long left,
                             unsigned long long *b_right, int *b_impl)
 {
     double subtree = l->cost + r->cost;
+    double ls = l->sort, rs = r->sort;
     int impl;
-    double total = td_join_cost(c, l->card, r->card, oc, &impl) + subtree;
+    double total = td_join_cost(c, l->card, r->card, ls, rs, oc, &impl) + subtree;
     if (total < *cost) {
         *cost = total;
         *b_left = left;
         *b_right = right;
         *b_impl = impl;
     }
-    total = td_join_cost(c, r->card, l->card, oc, &impl) + subtree;
+    total = td_join_cost(c, r->card, l->card, rs, ls, oc, &impl) + subtree;
     if (total < *cost) {
         *cost = total;
         *b_left = right;
@@ -845,6 +849,7 @@ td_ctx *td_new(
         slot->state = TD_DONE;
         slot->card = cards[v];
         slot->cost = leaf_cost;
+        if (n_impl) slot->sort = td_sort_cost(cards[v]);
     }
     td_frame frame = {root, -1, 0, 0.0, 0.0, 0, 0, 0, -1};
     if (!td_insert(c, root) || td_push_frame(c, &frame)) {

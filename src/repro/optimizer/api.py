@@ -425,14 +425,13 @@ def _c_rung_resolves(cost_model: Optional[CostModel], n: int) -> bool:
 def _dpconv_predicted_faster(
     graph: QueryGraph,
     cost_model: Optional[CostModel],
-    allow_cross_products: bool,
     dpconv_max_n: Optional[int],
 ) -> bool:
     n = graph.n_vertices
     limit = max(DPCONV_C_MS)
     if dpconv_max_n is not None:
         limit = min(limit, dpconv_max_n)
-    if allow_cross_products or not 2 <= n <= limit:
+    if not 2 <= n <= limit:
         return False
     if not graph.is_connected(graph.all_vertices):
         return False
@@ -449,52 +448,37 @@ def choose_algorithm(
     catalog: Catalog,
     enable_pruning: bool = False,
     cost_model: Optional[CostModel] = None,
-    allow_cross_products: bool = False,
     dpconv_max_n: Optional[int] = None,
 ) -> str:
     """Pick a registry algorithm for a query ("auto" mode).
 
-    One predicted-time rule:
+    One predicted-time rule: ``"dpconv"`` when C dpconv's measured time
+    for this ``n`` (:data:`DPCONV_C_MS`) is below the top-down kernel's
+    predicted time, #ccp x :data:`KERNEL_NS_PER_CCP`, else
+    ``"tdmincutbranch"``.  #ccp comes from
+    :func:`~repro.analysis.formulas.ccp_predict` (the Table-I closed
+    form for the fixed shapes, else an interpolation), never from an
+    exact count.  Only requests the convolution serves exactly are
+    eligible: no pruning, a connected graph (a cross-product request's
+    catalog is already stitched), exactly
+    :class:`~repro.cost.cout.CoutCostModel` (or the default), ``n``
+    from 2 to the table's last row and ``dpconv_max_n``, and an
+    already-built C kernel (:func:`repro.optimizer.native.resolve_backend`,
+    which never compiles).
 
-    * single relation → nothing to enumerate → any top-down driver
-      (the facade short-circuits to a trivial plan before it runs);
-    * pruning requested → top-down is the only option → MinCutBranch;
-    * C dpconv when its measured time for this ``n``
-      (:data:`DPCONV_C_MS`) is below the top-down kernel's predicted
-      time, #ccp x :data:`KERNEL_NS_PER_CCP`.  #ccp comes from
-      :func:`~repro.analysis.formulas.ccp_predict` (the Table-I closed
-      form for the fixed shapes, else an interpolation), never from an
-      exact count.  Only requests the convolution serves exactly are
-      eligible: a connected graph, exactly
-      :class:`~repro.cost.cout.CoutCostModel` (or the default), no cross
-      products, ``n`` at most the table's last row and ``dpconv_max_n``,
-      and an already-built C kernel
-      (:func:`repro.optimizer.native.resolve_backend`, which never
-      compiles);
-    * otherwise large dense (clique-like) graphs → DPccp, and everything
-      else → TDMinCutBranch.
-
-    Without a loadable kernel the answer is the last rule's alone.  The
-    service passes its own ``dpconv_max_n``
+    ``tdmincutbranch`` runs the C top-down kernel wherever one loads and
+    the python kernel elsewhere; both honour cooperative budgets, so
+    every answer stops at its deadline.  Without a kernel, dense
+    queries therefore run python top-down rather than python DPccp, at
+    0.9-1.4x DPccp's time on cliques 10-12 (``docs/ALGORITHMS.md``).
+    The service passes its own ``dpconv_max_n``
     (:class:`repro.service.resilience.ResilienceConfig`), so ``auto``
     never picks a dpconv run that admission then rejects.
     """
-    graph = catalog.graph
-    n = graph.n_vertices
-    if n <= 1:
-        # Explicit fast path: with no joins there is no density to
-        # compute (max_edges would be 0) and no partitioner to choose.
-        return "tdmincutbranch"
-    if enable_pruning:
-        return "tdmincutbranch"
-    if _dpconv_predicted_faster(
-        graph, cost_model, allow_cross_products, dpconv_max_n
+    if not enable_pruning and _dpconv_predicted_faster(
+        catalog.graph, cost_model, dpconv_max_n
     ):
         return "dpconv"
-    max_edges = n * (n - 1) // 2
-    density = graph.n_edges / max_edges
-    if n >= 10 and density > 0.5:
-        return "dpccp"
     return "tdmincutbranch"
 
 
@@ -503,14 +487,12 @@ def make_optimizer(
     catalog: Optional[Catalog] = None,
     cost_model: Optional[CostModel] = None,
     enable_pruning: bool = False,
-    allow_cross_products: bool = False,
 ):
     """Instantiate a plan generator by registry name (or "auto").
 
     Also accepts a single :class:`OptimizationRequest`, from which the
-    algorithm name, catalog, cost model, pruning and cross-product flags
-    are taken.  ``allow_cross_products`` only informs ``"auto"``
-    (:func:`choose_algorithm`); the catalog is already stitched.
+    algorithm name, the resolved (and, with cross products, stitched)
+    catalog, the cost model and the pruning flag are taken.
     """
     if isinstance(algorithm, OptimizationRequest):
         request = algorithm
@@ -522,15 +504,11 @@ def make_optimizer(
         algorithm = request.algorithm
         cost_model = request.cost_model
         enable_pruning = request.enable_pruning
-        allow_cross_products = request.allow_cross_products
     if catalog is None:
         raise OptimizationError("make_optimizer needs a catalog")
     if algorithm == "auto":
         algorithm = choose_algorithm(
-            catalog,
-            enable_pruning=enable_pruning,
-            cost_model=cost_model,
-            allow_cross_products=allow_cross_products,
+            catalog, enable_pruning=enable_pruning, cost_model=cost_model
         )
     try:
         factory = ALGORITHMS[algorithm]
@@ -587,7 +565,6 @@ def optimize_request(request: OptimizationRequest) -> OptimizationResult:
         catalog,
         cost_model=request.cost_model,
         enable_pruning=request.enable_pruning,
-        allow_cross_products=request.allow_cross_products,
     )
     details: Dict[str, object] = {}
     if request.deadline_seconds is not None or request.node_budget is not None:

@@ -28,6 +28,10 @@ from repro import bitset
 from repro.catalog.statistics import Catalog
 from repro.cost.base import CostModel
 from repro.cost.cout import CoutCostModel
+from repro.enumeration.counting import (
+    _enumerate_csg_rec,
+    enumerate_connected_subgraphs,
+)
 from repro.errors import DisconnectedGraphError
 from repro.graph.query_graph import QueryGraph
 from repro.plan.builder import PlanBuilder
@@ -36,29 +40,14 @@ from repro.plan.jointree import JoinTree
 __all__ = ["DPccp", "enumerate_csg", "enumerate_cmp", "enumerate_csg_cmp_pairs"]
 
 
-def _enumerate_csg_rec(
-    graph: QueryGraph, vertex_set: int, excluded: int
-) -> Iterator[int]:
-    """EnumerateCsgRec: emit all connected proper enlargements of the set."""
-    neighbors = graph.neighborhood(vertex_set) & ~excluded
-    if neighbors == 0:
-        return
-    for subset in bitset.iter_nonempty_subsets(neighbors):
-        yield vertex_set | subset
-    blocked = excluded | neighbors
-    for subset in bitset.iter_nonempty_subsets(neighbors):
-        yield from _enumerate_csg_rec(graph, vertex_set | subset, blocked)
-
-
 def enumerate_csg(graph: QueryGraph) -> Iterator[int]:
     """EnumerateCsg: every connected subgraph of ``G``, exactly once.
 
     Singletons included; groups by seed vertex in descending index order.
+    The recursion is the counting layer's
+    (:func:`repro.enumeration.counting.enumerate_connected_subgraphs`).
     """
-    for index in range(graph.n_vertices - 1, -1, -1):
-        seed = 1 << index
-        yield seed
-        yield from _enumerate_csg_rec(graph, seed, bitset.set_below(index))
+    return enumerate_connected_subgraphs(graph)
 
 
 def enumerate_cmp(graph: QueryGraph, csg: int) -> Iterator[int]:

@@ -277,7 +277,6 @@ def service_signature(
             catalog,
             enable_pruning=request.enable_pruning,
             cost_model=cost_model,
-            allow_cross_products=request.allow_cross_products,
             dpconv_max_n=resilience.dpconv_max_n,
         )
     signature, order = request_signature(
@@ -930,11 +929,7 @@ class OptimizerService:
                     }
                     return (heuristic_rung_for(graph), "over_budget", extra)
             else:
-                estimate = estimate_ccps(
-                    graph,
-                    cfg.max_ccp_budget,
-                    allow_cross_products=run.allow_cross_products,
-                )
+                estimate = estimate_ccps(graph, cfg.max_ccp_budget)
                 if estimate.ccps > cfg.max_ccp_budget:
                     extra = {
                         "admission_estimate": estimate.ccps,

@@ -179,14 +179,9 @@ class AdmissionEstimate:
 
     ccps: int
     method: str
-    shape: str
 
 
-def estimate_ccps(
-    graph: QueryGraph,
-    cap: Optional[int] = None,
-    allow_cross_products: bool = False,
-) -> AdmissionEstimate:
+def estimate_ccps(graph: QueryGraph, cap: Optional[int] = None) -> AdmissionEstimate:
     """#ccp for ``graph``, or ``cap + 1`` once it is known to exceed ``cap``.
 
     Chains, stars, cycles and cliques get their Table-I closed form at
@@ -195,27 +190,20 @@ def estimate_ccps(
     kernel is built (:func:`repro.optimizer.native.count_ccps_c`), else
     in python (:func:`repro.enumeration.counting.count_ccps`).
 
-    ``allow_cross_products=True`` prices the **clique**, whatever the
-    predicate edges say: the flag admits joins between relations with no
-    connecting predicate, so the search space the client opted into is
-    bounded by the complete graph's, not the raw edge set's.
+    The count is of ``graph`` as given.  For a cross-product request the
+    service passes the stitched graph the engine searches
+    (:meth:`~repro.optimizer.api.OptimizationRequest.resolved_catalog`),
+    so a disconnected query is priced by what actually runs.
     """
-    n = graph.n_vertices
-    if allow_cross_products:
-        return AdmissionEstimate(
-            ccps=ccp_count("clique", n),
-            method="closed-form:clique",
-            shape="cross-products",
-        )
     shape = graph.shape_name()
     if shape in ("chain", "star", "cycle", "clique"):
         return AdmissionEstimate(
-            ccps=ccp_count(shape, n), method=f"closed-form:{shape}", shape=shape
+            ccps=ccp_count(shape, graph.n_vertices), method=f"closed-form:{shape}"
         )
     ccps = count_ccps_c(graph, cap)
     if ccps is None:
         ccps = count_ccps(graph, cap)
-    return AdmissionEstimate(ccps=ccps, method="counted", shape=shape)
+    return AdmissionEstimate(ccps=ccps, method="counted")
 
 
 # ----------------------------------------------------------------------

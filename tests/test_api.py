@@ -222,17 +222,17 @@ class TestAutoAlgorithm:
         pin_dpconv_kernel(monkeypatch, True)
         assert choose_algorithm(catalog) == "tdmincutbranch"
 
-    def test_choose_dense_prefers_dpccp(self, monkeypatch):
+    def test_choose_dense_prefers_dpconv_else_topdown(self, monkeypatch):
         from repro import clique_graph
         from repro.optimizer.api import choose_algorithm
 
         catalog = uniform_statistics(clique_graph(12))
         pin_dpconv_kernel(monkeypatch, False)
-        assert choose_algorithm(catalog) == "dpccp"
+        assert choose_algorithm(catalog) == "tdmincutbranch"
         pin_dpconv_kernel(monkeypatch, True)
         assert choose_algorithm(catalog) == "dpconv"
 
-    def test_no_kernel_keeps_the_density_rule_on_every_shape(self, monkeypatch):
+    def test_no_kernel_picks_topdown_on_every_shape(self, monkeypatch):
         from repro import grid_graph, make_shape
         from repro.optimizer.api import choose_algorithm
 
@@ -243,10 +243,7 @@ class TestAutoAlgorithm:
             for n in range(3, 21)
         ] + [grid_graph(r, c) for r in range(1, 5) for c in range(2, 6)]
         for graph in graphs:
-            n, m = graph.n_vertices, graph.n_edges
-            dense = n >= 10 and m / (n * (n - 1) // 2) > 0.5
-            expected = "dpccp" if dense else "tdmincutbranch"
-            assert choose_algorithm(uniform_statistics(graph)) == expected, graph
+            assert choose_algorithm(uniform_statistics(graph)) == "tdmincutbranch"
 
     def test_kernel_only_serves_what_dpconv_serves_exactly(self, monkeypatch):
         from repro import clique_graph
@@ -256,16 +253,35 @@ class TestAutoAlgorithm:
         pin_dpconv_kernel(monkeypatch, True)
         catalog = uniform_statistics(clique_graph(12))
         assert choose_algorithm(catalog, cost_model=CoutCostModel()) == "dpconv"
-        assert choose_algorithm(catalog, cost_model=PhysicalCostModel()) == "dpccp"
+        assert (
+            choose_algorithm(catalog, cost_model=PhysicalCostModel())
+            == "tdmincutbranch"
+        )
         assert choose_algorithm(catalog, enable_pruning=True) == "tdmincutbranch"
-        assert choose_algorithm(catalog, allow_cross_products=True) == "dpccp"
-        assert choose_algorithm(catalog, dpconv_max_n=11) == "dpccp"
+        assert choose_algorithm(catalog, dpconv_max_n=11) == "tdmincutbranch"
         beyond = uniform_statistics(clique_graph(max(DPCONV_C_MS) + 1))
-        assert choose_algorithm(beyond) == "dpccp"
+        assert choose_algorithm(beyond) == "tdmincutbranch"
         disconnected = uniform_statistics(
             QueryGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         )
         assert choose_algorithm(disconnected) == "tdmincutbranch"
+
+    def test_kernel_sends_what_dpconv_does_not_take_to_topdown(self, monkeypatch):
+        # Neither is a dpconv request, so both go to the top-down driver,
+        # which honours cooperative budgets (DPccp does not).
+        from repro import attach_random_statistics, clique_graph
+        from repro.cost.physical import PhysicalCostModel
+        from repro.optimizer.api import choose_algorithm
+
+        pin_dpconv_kernel(monkeypatch, True)
+        assert choose_algorithm(uniform_statistics(clique_graph(17))) == (
+            "tdmincutbranch"
+        )
+        physical = attach_random_statistics(clique_graph(10), seed=1)
+        assert (
+            choose_algorithm(physical, cost_model=PhysicalCostModel())
+            == "tdmincutbranch"
+        )
 
     def test_auto_dpconv_returns_the_exact_optimum(self, monkeypatch):
         from repro import attach_random_statistics, clique_graph

@@ -12,7 +12,8 @@ disconnected, and caps at the exact count minus one, at it, plus one and
 at random.  Both counts must equal the generate-and-test
 :func:`tests.reference.count_ccps_ref` whenever that is at most the cap,
 and report ``cap + 1`` otherwise; admission's over/under decision must
-equal the one the exact count makes, on both paths.  Two graphs whose
+equal the one the exact count makes, on both paths, and a cross-product
+request is priced on its stitched graph.  Two graphs whose
 old interpolated estimate sat under a budget of 5 000 that they exceed
 many times over are pinned end to end.
 """
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import OptimizerService, WorkloadGenerator, grid_graph, uniform_statistics
-from repro.analysis.formulas import ccp_count
+from repro.catalog.crossproduct import connect_components
 from repro.enumeration.counting import count_ccps
 from repro.graph.query_graph import QueryGraph
 from repro.optimizer._native_build import load_c_kernel
@@ -83,14 +84,15 @@ def test_capped_count_matches_reference(graph, data):
 @given(graph=graphs(), cross=st.booleans(), data=st.data())
 def test_admission_decision_matches_exact_count(path, graph, cross, data):
     if cross:
-        exact = ccp_count("clique", graph.n_vertices)
-    else:
-        exact = count_ccps(graph)
+        # A cross-product request is priced on the graph its engine
+        # searches: the declared edges plus one stitch per component gap.
+        graph = connect_components(uniform_statistics(graph)).graph
+    exact = count_ccps(graph)
     with pytest.MonkeyPatch.context() as patch:
         if path == "python":
             patch.setattr(resilience, "count_ccps_c", lambda graph, cap: None)
         for budget in _caps(exact, data):
-            estimate = estimate_ccps(graph, budget, allow_cross_products=cross)
+            estimate = estimate_ccps(graph, budget)
             assert (estimate.ccps > budget) == (exact > budget), budget
             if estimate.ccps <= budget:
                 assert estimate.ccps == exact

@@ -55,6 +55,7 @@ from repro.service.resilience import (
 )
 
 from .conftest import pin_dpconv_kernel
+from .reference import count_ccps_ref
 
 
 class FakeClock:
@@ -297,7 +298,6 @@ class TestAdmissionEstimates:
         graph = QueryGraph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
         estimate = estimate_ccps(graph)
         assert estimate.method == "counted"
-        assert estimate.shape == "disconnected"
         # chain-3 + chain-2 + chain-2 components.
         assert estimate.ccps == (
             ccp_count("chain", 3) + ccp_count("chain", 2) + ccp_count("chain", 2)
@@ -309,21 +309,57 @@ class TestAdmissionEstimates:
         assert estimate.method == "counted"
         assert estimate.ccps == ccp_count("chain", 2)
 
-    def test_cross_products_price_the_clique(self):
-        # Regression: with allow_cross_products=True every vertex pair
-        # is joinable, so admission must price the clique search space —
-        # not the sparser declared-edge graph.
-        graph = chain_graph(9)
-        estimate = estimate_ccps(graph, allow_cross_products=True)
-        assert estimate.method == "closed-form:clique"
-        assert estimate.shape == "cross-products"
-        assert estimate.ccps == ccp_count("clique", 9)
+    def test_cross_products_price_the_stitched_graph(self):
+        # The flag stitches one selectivity-1 edge per gap between
+        # components and nothing more, so a connected graph is priced
+        # as itself: chain-9 holds 120 ccps, not the clique's 9 330.
+        request = OptimizationRequest(
+            query=uniform_statistics(chain_graph(9)), allow_cross_products=True
+        )
+        estimate = estimate_ccps(request.resolved_catalog().graph)
+        assert estimate.method == "closed-form:chain"
+        assert estimate.ccps == ccp_count("chain", 9)
 
-    def test_cross_products_price_the_clique_even_when_disconnected(self):
+    def test_cross_products_price_a_stitched_disconnected(self):
         graph = QueryGraph(6, [(0, 1), (2, 3)])
-        estimate = estimate_ccps(graph, allow_cross_products=True)
-        assert estimate.method == "closed-form:clique"
-        assert estimate.ccps == ccp_count("clique", 6)
+        request = OptimizationRequest(
+            query=uniform_statistics(graph), allow_cross_products=True
+        )
+        stitched = request.resolved_catalog().graph
+        estimate = estimate_ccps(stitched)
+        assert estimate.method == "counted"
+        assert estimate.ccps == count_ccps_ref(6, stitched.edges)
+        assert estimate.ccps < ccp_count("clique", 6)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            chain_graph(12),
+            QueryGraph(
+                12,
+                [(i, i + 1) for i in range(5)] + [(i, i + 1) for i in range(6, 11)],
+            ),
+        ],
+        ids=["chain-12", "2x-chain-6"],
+    )
+    def test_cross_product_requests_are_admitted_by_what_runs(self, graph):
+        # Priced as the clique, both would hold 261 625 ccps and go to
+        # the anytime rung; the engine emits 286.
+        catalog = uniform_statistics(graph, cardinality=4.0, selectivity=0.25)
+        request = OptimizationRequest(
+            query=catalog, algorithm="tdmincutbranch", allow_cross_products=True
+        )
+        stitched = request.resolved_catalog().graph
+        assert estimate_ccps(stitched).ccps == count_ccps_ref(12, stitched.edges)
+        service = OptimizerService(
+            resilience=ResilienceConfig(max_ccp_budget=1000)
+        )
+        result = service.optimize(request)
+        assert result.ok
+        assert "rung" not in result.details
+        assert "degraded" not in result.details
+        assert result.details["ccps_emitted"] == 286
+        assert service.stats_snapshot()["totals"]["degraded"] == 0
 
     def test_disconnected_cross_product_request_is_served(self):
         # End to end: a disconnected request with cross products enabled
@@ -522,22 +558,48 @@ class TestDpconvRung:
         assert physical.details["rung"] == "ikkbz"
         assert physical.details["admission_estimate"] == ccp_count("chain", 8)
 
-    def test_auto_over_budget_without_the_kernel_gets_a_heuristic(
+    def test_auto_over_budget_without_the_kernel_runs_anytime(
         self, monkeypatch
     ):
-        # Without a C kernel `auto` resolves a dense clique to DPccp,
-        # which has no cooperative budget, so the anytime rung is skipped.
+        # Without a C kernel `auto` resolves a dense clique to the
+        # top-down driver, which honours cooperative budgets, so the
+        # over-budget request takes the anytime rung.  It is cached
+        # exactly when the run finished inside the rung's deadline.
         pin_dpconv_kernel(monkeypatch, False)
         service = OptimizerService(
             resilience=ResilienceConfig(max_ccp_budget=5000)
         )
         catalog = WorkloadGenerator(seed=1).fixed_shape("clique", 12).catalog
         result = service.optimize(catalog)
-        assert result.details["rung"] == "goo"
-        assert result.details["degraded"] == 1
+        assert result.ok
+        assert result.details["rung"] == "anytime"
         assert result.details["degrade_reason"] == "over_budget"
-        assert service.stats_snapshot()["algorithms"].keys() == {"dpccp"}
-        assert len(service.cache) == 0
+        assert service.stats_snapshot()["algorithms"].keys() == {"tdmincutbranch"}
+        assert len(service.cache) == (1 if "fast_exact" in result.details else 0)
+
+    def test_auto_over_budget_physical_clique_is_served_exactly(self):
+        # A physical clique-10 is no dpconv request, so auto sends it to
+        # the top-down driver, and the anytime rung finishes it exactly;
+        # DPccp, with no cooperative budget, would fall to GOO.  The
+        # rung's deadline is generous so that the python kernel finishes
+        # it too.
+        service = OptimizerService(
+            resilience=ResilienceConfig(
+                max_ccp_budget=5000, anytime_default_deadline_seconds=10.0
+            )
+        )
+        catalog = WorkloadGenerator(seed=1).fixed_shape("clique", 10).catalog
+        physical = PhysicalCostModel()
+        result = service.optimize(catalog, cost_model=physical)
+        assert result.details["rung"] == "anytime"
+        assert result.details["fast_exact"] == 1
+        assert "degraded" not in result.details
+        assert len(service.cache) == 1
+        assert service.optimize(catalog, cost_model=physical).cache_hit
+        explicit = OptimizerService().optimize(
+            catalog, algorithm="tdmincutbranch", cost_model=physical
+        )
+        assert result.cost == explicit.cost
 
     def test_asymmetric_cost_model_skips_dpconv(self):
         service = OptimizerService(
