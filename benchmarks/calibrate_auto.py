@@ -1,34 +1,37 @@
 #!/usr/bin/env python
-"""Measure the constants of ``auto``'s predicted-time rule.
+"""Measure the break-even table of ``auto``'s one rule.
 
-:func:`repro.optimizer.api.choose_algorithm` runs C dpconv when its
-per-``n`` wall time (:data:`repro.optimizer.api.DPCONV_C_MS`) is below
-the top-down kernel's predicted time, ``ccp_estimate × ns/ccp``
-(:data:`repro.optimizer.api.KERNEL_NS_PER_CCP`).  This script re-measures
-both on the host at hand and prints them in the form the module keeps.
+:func:`repro.optimizer.api.choose_algorithm` runs C dpconv when the
+request's exact #ccp, counted up to a cap, is above the break-even count
+for its ``n`` (:data:`repro.optimizer.api.DPCONV_BREAK_EVEN_CCPS`).
+This script re-measures that table on the host at hand and prints it in
+the form the module keeps.
 
-Per ``(shape, n)`` for ``n`` in :data:`N_RANGE` both engines run the
-full ``optimize_request`` on ``attach_random_statistics(seed=1)``, best
-of :data:`REPEAT` alternating runs after one warm-up (preemption only
-adds time, so minima converge).
+Per graph both engines run the full ``optimize_request``, best of
+:data:`REPEAT` alternating runs after one warm-up (preemption only adds
+time, so minima converge).  Each cell keeps its best time over
+:data:`ROUNDS` passes of the whole sweep, so a slow phase of the host
+does not land on one engine only.  The sweep is chains, cycles, stars
+and cliques for ``n`` in :data:`N_RANGE`, a few grids, and for ``n`` in
+:data:`RANDOM_N` a random tree and two random cyclic graphs from
+:class:`~repro.catalog.workload.WorkloadGenerator`: the sparse traffic
+where the choice is close.
 
-* ``DPCONV_C_MS[n]`` is the slower of chain-``n`` and cycle-``n``
-  under C dpconv.  The choice is only close on sparse graphs: a denser
-  graph costs dpconv more (more connected sets to settle and flush),
-  but its #ccp, and with it the kernel's time, grows far faster.
-* ``KERNEL_NS_PER_CCP`` is the median over all measured ``(shape, n)``
-  of the kernel's best time divided by its exact #ccp.  Kernel runs
-  above :data:`MAX_CCPS` are skipped.
+* C top-down's time is fitted as ``a + b * #ccp`` (a fixed cost per
+  request plus a cost per ccp) by least squares on the relative error
+  over every top-down cell.  Kernel runs above :data:`MAX_CCPS` are
+  skipped.
+* C dpconv's time at ``n`` is the slower of chain-``n`` and cycle-``n``.
+  A denser graph costs dpconv more (more connected sets to settle and
+  flush), but its #ccp, and with it the kernel's time, grows far
+  faster.
+* The break-even count at ``n`` is the #ccp at which the fitted
+  top-down time meets dpconv's: ``(dpconv_ms[n] - a) / b``, at least 0.
 
-Each cell keeps its best time over :data:`ROUNDS` passes of the whole
-sweep, so a slow phase of the host does not land on one engine only.
-
-A wrong constant costs speed, never the answer: both engines return the
-exact optimum.
-
-The sweep is fixed, so the printed table always has the committed
-table's rows; its last row is the largest ``n`` ``auto`` may send to
-dpconv.
+A wrong entry costs speed, never the answer: both engines return the
+exact optimum.  The sweep is fixed, so the printed table always has the
+committed table's keys; its last key is the largest ``n`` ``auto`` and
+admission let dpconv take on.
 
 Run:  PYTHONPATH=src python benchmarks/calibrate_auto.py
 
@@ -38,12 +41,11 @@ without it.
 
 from __future__ import annotations
 
-import statistics
 import sys
 import time
 
 from repro.analysis.formulas import ccp_count
-from repro.catalog.workload import attach_random_statistics
+from repro.catalog.workload import WorkloadGenerator, attach_random_statistics
 from repro.enumeration.counting import count_ccps
 from repro.graph.shapes import grid_graph, make_shape
 from repro.optimizer.api import OptimizationRequest, optimize_request
@@ -53,6 +55,9 @@ SHAPES = ("chain", "cycle", "star", "clique")
 
 #: Relation counts swept; one table row each.
 N_RANGE = range(2, 17)
+
+#: Relation counts of the random trees and cyclic graphs.
+RANDOM_N = range(8, 15)
 
 #: Timed runs per cell and pass, and passes of the whole sweep.
 REPEAT = 5
@@ -71,15 +76,26 @@ GRIDS = {
 }
 
 
-def _graphs(n):
-    for shape in SHAPES:
-        if shape == "cycle" and n < 3:
-            continue
-        yield f"{shape}-{n}", make_shape(shape, n), ccp_count(shape, n)
-    if n in GRIDS:
-        rows, cols = GRIDS[n]
-        graph = grid_graph(rows, cols)
-        yield f"grid-{rows}x{cols}", graph, count_ccps(graph)
+def _sweep():
+    """``(n, label, catalog, #ccp)`` for every graph, fixed by its seeds."""
+    generator = WorkloadGenerator(seed=1)
+    for n in N_RANGE:
+        for shape in SHAPES:
+            if shape == "cycle" and n < 3:
+                continue
+            catalog = attach_random_statistics(make_shape(shape, n), seed=1)
+            yield n, f"{shape}-{n}", catalog, ccp_count(shape, n)
+        if n in GRIDS:
+            rows, cols = GRIDS[n]
+            graph = grid_graph(rows, cols)
+            catalog = attach_random_statistics(graph, seed=1)
+            yield n, f"grid-{rows}x{cols}", catalog, count_ccps(graph)
+        if n in RANDOM_N:
+            tree = generator.random_acyclic(n)
+            yield n, f"tree-{n}", tree.catalog, count_ccps(tree.graph)
+            for extra in (1, n // 2):
+                cyclic = generator.random_cyclic(n, n - 1 + extra)
+                yield n, f"cyc-{n}+{extra}", cyclic.catalog, count_ccps(cyclic.graph)
 
 
 def _best_ms(requests, repeat):
@@ -95,44 +111,61 @@ def _best_ms(requests, repeat):
     return best
 
 
+def fit_fixed_plus_per_ccp(points):
+    """``(a, b)`` minimising the summed squared relative error of
+    ``a + b * ccps`` against ``ms`` over ``points`` of ``(ccps, ms)``.
+
+    Dividing each residual by its ``ms`` makes the problem ordinary least
+    squares on rows ``(1/ms, ccps/ms)`` with target 1; this solves its
+    2x2 normal equations.
+    """
+    s11 = sum(1 / ms**2 for _, ms in points)
+    s12 = sum(ccps / ms**2 for ccps, ms in points)
+    s22 = sum((ccps / ms) ** 2 for ccps, ms in points)
+    r1 = sum(1 / ms for _, ms in points)
+    r2 = sum(ccps / ms for ccps, ms in points)
+    det = s11 * s22 - s12**2
+    return (r1 * s22 - r2 * s12) / det, (s11 * r2 - s12 * r1) / det
+
+
 def main():
     if resolve_backend(None) != "c":
         print("no C dpconv kernel loadable; run `repro.cli backends --build`")
         return 1
-    cells = {}  # (n, label) -> [#ccp, dpconv ms, kernel ms or None]
+    sweep = list(_sweep())
+    cells = {}  # label -> [n, #ccp, dpconv ms, kernel ms or None]
     for _ in range(ROUNDS):
-        for n in N_RANGE:
-            for label, graph, ccps in _graphs(n):
-                catalog = attach_random_statistics(graph, seed=1)
-                timed = [OptimizationRequest(catalog, algorithm="dpconv")]
-                if ccps <= MAX_CCPS:
-                    timed.append(
-                        OptimizationRequest(catalog, algorithm="tdmincutbranch")
-                    )
-                best = _best_ms(timed, REPEAT) + [None]
-                cell = cells.setdefault((n, label), [ccps, best[0], best[1]])
-                cell[1] = min(cell[1], best[0])
-                if best[1] is not None:
-                    cell[2] = min(cell[2], best[1])
+        for n, label, catalog, ccps in sweep:
+            timed = [OptimizationRequest(catalog, algorithm="dpconv")]
+            if ccps <= MAX_CCPS:
+                timed.append(OptimizationRequest(catalog, algorithm="tdmincutbranch"))
+            best = _best_ms(timed, REPEAT) + [None]
+            cell = cells.setdefault(label, [n, ccps, best[0], best[1]])
+            cell[2] = min(cell[2], best[0])
+            if best[1] is not None:
+                cell[3] = min(cell[3], best[1])
+    a, b = fit_fixed_plus_per_ccp(
+        [(ccps, kernel) for _, ccps, _, kernel in cells.values() if kernel is not None]
+    )
     print(
         f"{'graph':>12} {'#ccp':>9} {'dpconv ms':>10} {'kernel ms':>10} "
-        f"{'ns/ccp':>8}"
+        f"{'fit ms':>8} {'fit err':>8}"
     )
-    rows, per_ccp = {}, []
-    for (n, label), (ccps, conv, kernel) in cells.items():
+    dpconv_ms = {}
+    for label, (n, ccps, conv, kernel) in cells.items():
         line = f"{label:>12} {ccps:>9} {conv:>10.3f}"
         if kernel is not None:
-            per_ccp.append(kernel * 1e6 / ccps)
-            line += f" {kernel:>10.3f} {per_ccp[-1]:>8.0f}"
+            fitted = a + b * ccps
+            line += f" {kernel:>10.3f} {fitted:>8.3f} {fitted / kernel - 1:>+8.0%}"
         print(line)
         if label.split("-")[0] in SPARSE:
-            rows[n] = max(rows.get(n, 0.0), conv)
+            dpconv_ms[n] = max(dpconv_ms.get(n, 0.0), conv)
     print()
-    print("DPCONV_C_MS = {")
-    for n, ms in rows.items():
-        print(f"    {n}: {ms:.3g},")
+    print(f"C top-down fit: a = {a:.4f} ms, b = {b * 1e6:.1f} ns/ccp")
+    print("DPCONV_BREAK_EVEN_CCPS: Dict[int, int] = {")
+    for n, ms in dpconv_ms.items():
+        print(f"    {n}: {max(0, int((ms - a) / b))},  # {ms:.3g} ms")
     print("}")
-    print(f"KERNEL_NS_PER_CCP = {round(statistics.median(per_ccp))}")
     return 0
 
 

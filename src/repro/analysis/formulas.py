@@ -12,18 +12,13 @@ for MinCutLazy).  The enumeration-based counters in
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import Dict
 
 from repro.errors import GraphError
-
-if TYPE_CHECKING:
-    from repro.graph.query_graph import QueryGraph
 
 __all__ = [
     "csg_count",
     "ccp_count",
-    "ccp_estimate",
-    "ccp_predict",
     "ngt_count",
     "table1_row",
     "mcb_counters_chain",
@@ -123,90 +118,6 @@ def table1_row(shape: str, n: int) -> Dict[str, int]:
         "ccp": ccp_count(shape, n),
         "ngt": ngt_count(shape, n),
     }
-
-
-def ccp_estimate(n: int, n_edges: int, max_degree: int = 2) -> int:
-    """Heuristic #ccp estimate for a *connected* graph of any shape.
-
-    The closed forms above only cover the four fixed shapes; ``auto``'s
-    predicted-time rule (:mod:`repro.optimizer.api`) wants a prediction
-    for arbitrary connected graphs without enumerating them (admission
-    control counts instead).  Two observations make a cheap log-space
-    interpolation defensible:
-
-    * #ccp is **edge-monotone**: adding an edge only creates connected
-      sets and partitions, so the chain (sparsest connected shape with
-      bounded degree) and the clique bracket every connected graph with
-      the same ``n``.
-    * among trees, #ccp is driven by the maximum degree — a chain
-      (degree 2) has Θ(n³) pairs while a star (degree n-1) has
-      Θ(n·2ⁿ) — so trees are positioned between the chain and star
-      closed forms by normalized max degree.
-
-    The estimate interpolates ``log #ccp`` linearly: first between chain
-    and star by ``(max_degree - 2) / (n - 3)`` to place the tree
-    skeleton, then between that tree value and the clique by the excess
-    edge density ``(m - (n-1)) / (n(n-1)/2 - (n-1))``.  The three
-    endpoints with a closed form return it directly — chains
-    (``max_degree <= 2``), stars (``max_degree = n - 1``), and cliques
-    (``m = n(n-1)/2``) — so those estimates are *exact*, not merely
-    close (the exp/log round trip used to overshoot by one); everything
-    else is an underestimate that grows with ``n``.
-    """
-    if n < 1:
-        raise GraphError("n must be positive")
-    if n <= 2:
-        return ccp_count("chain", n)
-    min_edges = n - 1
-    max_edges = n * (n - 1) // 2
-    if not min_edges <= n_edges <= max_edges:
-        raise GraphError(
-            f"a connected graph on {n} vertices has between {min_edges} "
-            f"and {max_edges} edges, got {n_edges}"
-        )
-    chain = ccp_count("chain", n)
-    star = ccp_count("star", n)
-    if n == 3:
-        tree_log = math.log(chain)
-    else:
-        degree_t = min(1.0, max(0.0, (max_degree - 2) / (n - 3)))
-        tree_log = (1.0 - degree_t) * math.log(chain) + degree_t * math.log(star)
-    if n_edges == min_edges:
-        # Exact endpoints, no exp/log round-trip error: a tree with
-        # max degree 2 *is* the chain (for n == 3 the chain and star
-        # coincide, which the special case above already encodes), and a
-        # tree with max degree n-1 *is* the star.  The round trip is off
-        # by ±1 ulp before ceil, which used to overshoot the closed form
-        # by one for many n — enough to fail an exactness regression and
-        # to mis-admit a query sitting exactly at the budget.
-        if n == 3 or max_degree <= 2:
-            return chain
-        if max_degree >= n - 1:
-            return star
-        return max(chain, math.ceil(math.exp(tree_log)))
-    clique = ccp_count("clique", n)
-    if n_edges == max_edges:
-        return clique  # exact endpoint, no exp/log round-trip error
-    density_t = (n_edges - min_edges) / (max_edges - min_edges)
-    log_estimate = (1.0 - density_t) * tree_log + density_t * math.log(clique)
-    return max(chain, math.ceil(math.exp(log_estimate)))
-
-
-def ccp_predict(graph: "QueryGraph") -> Tuple[int, str]:
-    """Predict #ccp of a *connected* graph without enumerating it.
-
-    Returns ``(ccps, method)``: the Table-I closed form for the four
-    fixed shapes (``method="closed-form:<shape>"``), else
-    :func:`ccp_estimate` from the graph's size, edge count and maximum
-    degree (``method="interpolated"``).  ``auto``'s predicted-time rule
-    prices a query through here.
-    """
-    n = graph.n_vertices
-    shape = graph.shape_name()
-    if shape in _SHAPES:
-        return ccp_count(shape, n), f"closed-form:{shape}"
-    max_degree = max(graph.degree(v) for v in range(n))
-    return ccp_estimate(n, graph.n_edges, max_degree), "interpolated"
 
 
 # ----------------------------------------------------------------------

@@ -384,24 +384,32 @@ class OptimizationResult:
         return line
 
 
-#: Wall time in ms of ``optimize_request`` with C dpconv, per relation
-#: count: the slower of chain-n and cycle-n.  The choice is only close
-#: on sparse graphs; a denser graph costs dpconv more, but its #ccp (and
-#: so the kernel's time) grows far faster.  Measured 2026-10-18 on a
-#: 2-vCPU Intel Xeon host, CPython 3.11.7, with
-#: ``python benchmarks/calibrate_auto.py`` (best of 3 rounds x 5 runs).
-DPCONV_C_MS: Dict[int, float] = {
-    2: 0.0434, 3: 0.0491, 4: 0.0561, 5: 0.0646, 6: 0.0767, 7: 0.102,
-    8: 0.121, 9: 0.165, 10: 0.237, 11: 0.42, 12: 0.515, 13: 0.786,
-    14: 1.51, 15: 3.06, 16: 5.61,
+#: Break-even #ccp per relation count: where C top-down's fitted time,
+#: ``0.026 ms + 31.5 ns x #ccp``, meets C dpconv's measured time at that
+#: ``n`` (the slower of chain-n and cycle-n, in the comments).  ``auto``
+#: names dpconv for a request whose #ccp is above its entry.  The last
+#: key is the one dpconv size limit: ``auto`` names dpconv up to it and
+#: admission control admits a dpconv run up to it.  Measured 2026-10-20
+#: on a 2-vCPU Intel Xeon host, CPython 3.11.7, with
+#: ``python benchmarks/calibrate_auto.py``.
+DPCONV_BREAK_EVEN_CCPS: Dict[int, int] = {
+    2: 0,  # 0.0256 ms
+    3: 18,  # 0.0263 ms
+    4: 91,  # 0.0286 ms
+    5: 198,  # 0.032 ms
+    6: 252,  # 0.0337 ms
+    7: 385,  # 0.0379 ms
+    8: 470,  # 0.0406 ms
+    9: 630,  # 0.0456 ms
+    10: 971,  # 0.0564 ms
+    11: 1406,  # 0.0701 ms
+    12: 2214,  # 0.0956 ms
+    13: 3664,  # 0.141 ms
+    14: 6677,  # 0.236 ms
+    15: 12098,  # 0.407 ms
+    16: 25392,  # 0.826 ms
 }
 
-#: TDMinCutBranch wall time per ccp in ns (median over the same sweep's
-#: chains, cycles, stars, cliques and grids).  The rule only fires where
-#: a C kernel loads, so this is the C top-down kernel's constant; it
-#: includes the fixed per-query cost, which is why it sits far above
-#: the kernel's ~25 ns per ccp on cliques.
-KERNEL_NS_PER_CCP = 383
 
 def runs_dpconv(cost_model: Optional[CostModel], enable_pruning: bool) -> bool:
     """True when ``algorithm="dpconv"`` runs the convolution itself.
@@ -423,61 +431,51 @@ def _c_rung_resolves(cost_model: Optional[CostModel], n: int) -> bool:
 
 
 def _dpconv_predicted_faster(
-    graph: QueryGraph,
-    cost_model: Optional[CostModel],
-    dpconv_max_n: Optional[int],
+    graph: QueryGraph, cost_model: Optional[CostModel]
 ) -> bool:
     n = graph.n_vertices
-    limit = max(DPCONV_C_MS)
-    if dpconv_max_n is not None:
-        limit = min(limit, dpconv_max_n)
-    if not 2 <= n <= limit:
+    break_even = DPCONV_BREAK_EVEN_CCPS.get(n)
+    if break_even is None:
         return False
     if not graph.is_connected(graph.all_vertices):
         return False
     if not _c_rung_resolves(cost_model, n):
         return False
-    # Deferred: repro.analysis imports this module.
-    from repro.analysis.formulas import ccp_predict
+    from repro.optimizer import native
 
-    ccps, _method = ccp_predict(graph)
-    return DPCONV_C_MS[n] * 1e6 < ccps * KERNEL_NS_PER_CCP
+    return native.estimate_ccps(graph, break_even).ccps > break_even
 
 
 def choose_algorithm(
     catalog: Catalog,
     enable_pruning: bool = False,
     cost_model: Optional[CostModel] = None,
-    dpconv_max_n: Optional[int] = None,
 ) -> str:
     """Pick a registry algorithm for a query ("auto" mode).
 
-    One predicted-time rule: ``"dpconv"`` when C dpconv's measured time
-    for this ``n`` (:data:`DPCONV_C_MS`) is below the top-down kernel's
-    predicted time, #ccp x :data:`KERNEL_NS_PER_CCP`, else
-    ``"tdmincutbranch"``.  #ccp comes from
-    :func:`~repro.analysis.formulas.ccp_predict` (the Table-I closed
-    form for the fixed shapes, else an interpolation), never from an
-    exact count.  Only requests the convolution serves exactly are
-    eligible: no pruning, a connected graph (a cross-product request's
-    catalog is already stitched), exactly
-    :class:`~repro.cost.cout.CoutCostModel` (or the default), ``n``
-    from 2 to the table's last row and ``dpconv_max_n``, and an
-    already-built C kernel (:func:`repro.optimizer.native.resolve_backend`,
-    which never compiles).
+    One rule: ``"dpconv"`` when the request's #ccp is above the
+    break-even count for its ``n`` (:data:`DPCONV_BREAK_EVEN_CCPS`), else
+    ``"tdmincutbranch"``.  #ccp is the price admission control puts on
+    the same request, :func:`repro.optimizer.native.estimate_ccps`: the
+    Table-I closed form for the fixed shapes, else an exact count that
+    stops once it passes the break-even count.  Only requests the
+    convolution serves exactly are eligible: no pruning, a connected
+    graph (a cross-product request's catalog is already stitched),
+    exactly :class:`~repro.cost.cout.CoutCostModel` (or the default),
+    ``n`` from 2 to the table's last key, and an already-built C kernel
+    (:func:`repro.optimizer.native.resolve_backend`, which never
+    compiles).  The table's last key is also the size limit admission
+    puts on a dpconv run, so ``auto`` never names a dpconv run that
+    admission then rejects, and the library and the service resolve
+    every request to the same engine.
 
     ``tdmincutbranch`` runs the C top-down kernel wherever one loads and
     the python kernel elsewhere; both honour cooperative budgets, so
     every answer stops at its deadline.  Without a kernel, dense
     queries therefore run python top-down rather than python DPccp, at
     0.9-1.4x DPccp's time on cliques 10-12 (``docs/ALGORITHMS.md``).
-    The service passes its own ``dpconv_max_n``
-    (:class:`repro.service.resilience.ResilienceConfig`), so ``auto``
-    never picks a dpconv run that admission then rejects.
     """
-    if not enable_pruning and _dpconv_predicted_faster(
-        catalog.graph, cost_model, dpconv_max_n
-    ):
+    if not enable_pruning and _dpconv_predicted_faster(catalog.graph, cost_model):
         return "dpconv"
     return "tdmincutbranch"
 

@@ -19,7 +19,9 @@ carries two engines, each a transcription of a pure-python loop:
 
 Neither is ever required -- built on demand, cached on disk, and any
 failure degrades silently to the pure engine.  The same module also
-counts #ccp up to a cap for admission control (:func:`count_ccps_c`).
+counts #ccp up to a cap (:func:`count_ccps_c`), the count behind
+:func:`estimate_ccps`, the one price that admission control and
+``auto`` put on a request.
 
 Selection (:func:`resolve_backend`, one function for both engines) takes
 the ``native_backend=`` constructor argument (``"auto"``, ``"c"`` or
@@ -72,6 +74,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Optional
 
@@ -83,6 +86,7 @@ from repro.cost.physical import (
     PhysicalCostModel,
     SortMergeJoin,
 )
+from repro.enumeration.counting import count_ccps
 from repro.enumeration.mincutbranch import MinCutBranch
 from repro.errors import OptimizationError
 from repro.optimizer import _native_build
@@ -91,9 +95,11 @@ from repro.optimizer.kernel import next_charge_chunk
 from repro.plan.jointree import JoinTree, _node
 
 __all__ = [
+    "AdmissionEstimate",
     "BACKENDS",
     "check_backend",
     "count_ccps_c",
+    "estimate_ccps",
     "resolve_backend",
     "native_backend_status",
     "run_c_convolution",
@@ -605,6 +611,51 @@ def count_ccps_c(graph, cap: Optional[int] = None) -> Optional[int]:
     adjacency = [graph.neighbors_of_vertex(v) for v in range(n)]
     cap = _UNLIMITED if cap is None else min(cap, _UNLIMITED)
     return module.lib.ccp_count(n, adjacency, cap)
+
+
+@dataclass(frozen=True)
+class AdmissionEstimate:
+    """Search-space size of one query graph, as :func:`estimate_ccps`
+    prices it for admission control and ``auto``.
+
+    ``method`` records how the number was obtained: ``"closed-form:<shape>"``
+    (Table-I formula) or ``"counted"`` (csg-cmp enumeration, counting
+    only).  A count that passed its cap stopped there, and ``ccps`` is
+    then ``cap + 1``, a lower bound.
+    """
+
+    ccps: int
+    method: str
+
+
+def estimate_ccps(graph, cap: Optional[int] = None) -> AdmissionEstimate:
+    """#ccp for ``graph``, or ``cap + 1`` once it is known to exceed ``cap``.
+
+    Chains, stars, cycles and cliques get their Table-I closed form at
+    any size.  Every other graph, disconnected ones included, is counted
+    exactly, stopping as soon as the count passes ``cap``: in C when a
+    kernel is built (:func:`count_ccps_c`), else in python
+    (:func:`repro.enumeration.counting.count_ccps`).
+
+    Admission control passes its budget as ``cap``, and ``auto``
+    (:func:`repro.optimizer.api.choose_algorithm`) the break-even count
+    for the graph's size, so one count prices a request for both.  The
+    count is of ``graph`` as given: for a cross-product request both
+    pass the stitched graph the engine searches
+    (:meth:`~repro.optimizer.api.OptimizationRequest.resolved_catalog`).
+    """
+    # Deferred: repro.analysis imports the API, which imports this module.
+    from repro.analysis.formulas import ccp_count
+
+    shape = graph.shape_name()
+    if shape in ("chain", "star", "cycle", "clique"):
+        return AdmissionEstimate(
+            ccps=ccp_count(shape, graph.n_vertices), method=f"closed-form:{shape}"
+        )
+    ccps = count_ccps_c(graph, cap)
+    if ccps is None:
+        ccps = count_ccps(graph, cap)
+    return AdmissionEstimate(ccps=ccps, method="counted")
 
 
 def _finished_rows(data, names, unnamed: int):

@@ -72,6 +72,7 @@ from repro.errors import (
 from repro.graph.canonical import canonical_form, signature_of_form
 from repro.graph.query_graph import QueryGraph
 from repro.optimizer.api import (
+    DPCONV_BREAK_EVEN_CCPS,
     OptimizationRequest,
     OptimizationResult,
     choose_algorithm,
@@ -250,7 +251,6 @@ def service_signature(
     request: OptimizationRequest,
     catalog: Catalog,
     default_cost_model: Optional[CostModel] = None,
-    resilience: Optional[ResilienceConfig] = None,
     round_digits: int = 4,
 ) -> Tuple[Optional[CostModel], str, str, List[int]]:
     """What a service built with these settings keys ``request`` by.
@@ -258,9 +258,11 @@ def service_signature(
     Returns ``(cost_model, effective, signature, order)``: the cost
     model the service injects (the request's own, else
     ``default_cost_model``), the engine ``"auto"`` resolves to, and
-    :func:`request_signature` over both.  ``"auto"`` gets the service's
-    ``ResilienceConfig.dpconv_max_n``, so it never picks a dpconv run
-    that admission then rejects.  The keyword arguments mirror
+    :func:`request_signature` over both.  ``"auto"`` resolves through
+    :func:`~repro.optimizer.api.choose_algorithm` exactly as in the
+    library, and no resilience setting moves it: it prices the request
+    by admission's own count and never names a dpconv run past the size
+    limit admission puts on one.  The keyword arguments mirror
     :class:`OptimizerService`'s.  The front door, the shard pipeline and
     the metrics label all call this with the shard's settings, so the
     engine — part of the signature — and with it the owning shard are
@@ -271,13 +273,8 @@ def service_signature(
     )
     effective = request.algorithm
     if effective == "auto":
-        if resilience is None:
-            resilience = ResilienceConfig()
         effective = choose_algorithm(
-            catalog,
-            enable_pruning=request.enable_pruning,
-            cost_model=cost_model,
-            dpconv_max_n=resilience.dpconv_max_n,
+            catalog, enable_pruning=request.enable_pruning, cost_model=cost_model
         )
     signature, order = request_signature(
         catalog,
@@ -497,11 +494,7 @@ class OptimizerService:
     def _signature(self, request: OptimizationRequest, catalog: Catalog):
         """:func:`service_signature` under this service's settings."""
         return service_signature(
-            request,
-            catalog,
-            self.default_cost_model,
-            self.resilience,
-            self.round_digits,
+            request, catalog, self.default_cost_model, self.round_digits
         )
 
     def _effective_label(self, request: OptimizationRequest) -> str:
@@ -895,8 +888,10 @@ class OptimizerService:
 
         Returns ``None`` to run the exact algorithm, else
         ``(rung, reason, extra_details)``.  Admission prices the engine
-        that will run: the ccp budget for the enumerators, and
-        ``dpconv_max_n`` for dpconv, whose work does not depend on #ccp.
+        that will run: the ccp budget for the enumerators, and the one
+        dpconv size limit (the last key of
+        :data:`~repro.optimizer.api.DPCONV_BREAK_EVEN_CCPS`) for dpconv,
+        whose work does not depend on #ccp.
         The admission budget is checked *before* the breaker
         so that over-budget requests never consume a half-open probe
         slot.  When the breaker's ``allow``
@@ -921,11 +916,12 @@ class OptimizerService:
             if run.algorithm == "dpconv" and runs_dpconv(
                 run.cost_model, run.enable_pruning
             ):
-                if graph.n_vertices > cfg.dpconv_max_n:
+                limit = max(DPCONV_BREAK_EVEN_CCPS)
+                if graph.n_vertices > limit:
                     extra = {
                         "admission_estimate": graph.n_vertices,
                         "admission_method": "dpconv-n-limit",
-                        "admission_budget": cfg.dpconv_max_n,
+                        "admission_budget": limit,
                     }
                     return (heuristic_rung_for(graph), "over_budget", extra)
             else:
@@ -951,11 +947,7 @@ class OptimizerService:
         engines that advertise cooperative budgets qualify; anything
         else would ignore the deadline and run to completion.
         """
-        if (
-            self.resilience.anytime_enabled
-            and self._anytime_deadline(job) is not None
-            and self._budget_capable(job)
-        ):
+        if self._anytime_deadline(job) is not None and self._budget_capable(job):
             return ("anytime", "over_budget", extra)
         return (heuristic_rung_for(job.catalog.graph), "over_budget", extra)
 

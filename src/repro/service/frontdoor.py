@@ -404,12 +404,12 @@ class FrontDoor:
         from repro.service.sharding import parse_request_document
 
         # Sign with the shards' own settings (default cost model,
-        # resilience limits, rounding), so the signature is the one the
-        # owning shard computes.
+        # rounding), so the signature is the one the owning shard
+        # computes.
         settings = {
             key: value
             for key, value in self.config.shard_service_kwargs.items()
-            if key in ("default_cost_model", "resilience", "round_digits")
+            if key in ("default_cost_model", "round_digits")
         }
         request = parse_request_document(request_document)
         _cost_model, _effective, signature, _order = service_signature(

@@ -10,14 +10,16 @@ it out:
 * :func:`estimate_ccps` — admission control's price of a request: the
   search-space size (#ccp) the enumerator would traverse, as the
   Table-I closed form for the fixed shapes or an exact count that stops
-  once it passes the budget.
+  once it passes the budget.  It lives in :mod:`repro.optimizer.native`
+  beside the C count, because ``"auto"`` prices a request by the same
+  count; this module re-exports it.
 * the **degradation ladder** — ``exact → anytime → ikkbz → goo``.
   ``exact`` is whichever engine the request resolved to (``"auto"``
-  already picks dpconv where it is predicted faster, and a dpconv run
-  is admitted by ``n`` alone, never by #ccp).  ``anytime`` runs that
-  engine under a cooperative deadline.  Below it, IKKBZ is the
-  polynomial-time *optimal left-deep* rung for acyclic graphs and GOO
-  the universal greedy bushy rung.  :func:`heuristic_rung_for` picks
+  already picks dpconv where its #ccp passes the break-even count, and
+  a dpconv run is admitted by ``n`` alone, never by #ccp).
+  ``anytime`` runs that engine under a cooperative deadline.  Below it,
+  IKKBZ is the polynomial-time *optimal left-deep* rung for acyclic
+  graphs and GOO the universal greedy bushy rung.  :func:`heuristic_rung_for` picks
   the highest applicable heuristic rung, :func:`run_rung` executes one.
 * :class:`CircuitBreaker` — per-algorithm-label closed → open →
   half-open breaker over consecutive failures with a cooldown and a
@@ -41,12 +43,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.analysis.formulas import ccp_count
 from repro.catalog.statistics import Catalog
-from repro.enumeration.counting import count_ccps
 from repro.errors import AdmissionError, OptimizationError
 from repro.graph.query_graph import QueryGraph
-from repro.optimizer.native import count_ccps_c
+from repro.optimizer.native import AdmissionEstimate, estimate_ccps
 from repro.plan.jointree import JoinTree
 
 __all__ = [
@@ -77,10 +77,16 @@ class ResilienceConfig:
     ``max_retries=0`` disables retry.  The breaker is always armed — with
     the default threshold it only matters once a label fails five times
     in a row, which a healthy deployment never sees.
+
+    A dpconv run has no knob of its own: admission rejects it past the
+    one dpconv size limit, the last key of
+    :data:`repro.optimizer.api.DPCONV_BREAK_EVEN_CCPS`, which is also
+    the largest ``n`` ``"auto"`` names dpconv for.
     """
 
     #: Reject exact enumeration when the estimated #ccp exceeds this
-    #: (``None`` = admission control off).
+    #: (``None`` = admission control off).  A dpconv run answers to the
+    #: dpconv size limit instead, since its work depends on ``n`` alone.
     max_ccp_budget: Optional[int] = None
     #: Consecutive failures/timeouts per algorithm label that open the
     #: circuit breaker.
@@ -98,21 +104,11 @@ class ResilienceConfig:
     #: Cap on *total* retry attempts across one batch, so a batch of
     #: uniformly crashing items cannot multiply its own cost unbounded.
     retry_budget_per_batch: int = 16
-    #: Largest ``n`` admission lets a dpconv run take on (only checked
-    #: when ``max_ccp_budget`` is set), and the largest ``n`` ``"auto"``
-    #: resolves to dpconv.  The convolution's work is ``3^n / 2`` split
-    #: iterations over ``O(2^n)`` arrays whatever the shape, so ``n``
-    #: alone prices it; the default covers clique-15 (~7.2M splits) well
-    #: under a request deadline.
-    dpconv_max_n: int = 15
-    #: Over-budget requests run the exact engine under a cooperative
-    #: deadline (the ``anytime`` rung) instead of jumping straight to a
-    #: heuristic; the salvaged plan is never worse than the GOO rung.
-    #: Disable to restore the pre-anytime ladder.
-    anytime_enabled: bool = True
-    #: Deadline for the anytime rung when the request itself carries
-    #: none.  ``None`` means requests without a deadline skip the rung
-    #: (an unbounded "anytime" run is just the exact rung).
+    #: Deadline for the anytime rung, on which an over-budget request
+    #: runs its exact engine under a cooperative deadline, when the
+    #: request itself carries none.  ``None`` means requests without a
+    #: deadline skip the rung (an unbounded "anytime" run is just the
+    #: exact rung) and go straight to a heuristic.
     anytime_default_deadline_seconds: Optional[float] = 0.25
 
     def __post_init__(self) -> None:
@@ -138,10 +134,6 @@ class ResilienceConfig:
                 "retry_budget_per_batch must be >= 0, "
                 f"got {self.retry_budget_per_batch}"
             )
-        if self.dpconv_max_n < 0:
-            raise OptimizationError(
-                f"dpconv_max_n must be >= 0, got {self.dpconv_max_n}"
-            )
         if (
             self.anytime_default_deadline_seconds is not None
             and not self.anytime_default_deadline_seconds > 0
@@ -161,49 +153,6 @@ class ResilienceConfig:
             max_delay=self.retry_max_delay,
             jitter=self.retry_jitter,
         )
-
-
-# ----------------------------------------------------------------------
-# Admission control
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdmissionEstimate:
-    """Search-space size of one query graph, as admission prices it.
-
-    ``method`` records how the number was obtained: ``"closed-form:<shape>"``
-    (Table-I formula) or ``"counted"`` (csg-cmp enumeration, counting
-    only).  A count that passed its cap stopped there, and ``ccps`` is
-    then ``cap + 1``, a lower bound.
-    """
-
-    ccps: int
-    method: str
-
-
-def estimate_ccps(graph: QueryGraph, cap: Optional[int] = None) -> AdmissionEstimate:
-    """#ccp for ``graph``, or ``cap + 1`` once it is known to exceed ``cap``.
-
-    Chains, stars, cycles and cliques get their Table-I closed form at
-    any size.  Every other graph, disconnected ones included, is counted
-    exactly, stopping as soon as the count passes ``cap``: in C when a
-    kernel is built (:func:`repro.optimizer.native.count_ccps_c`), else
-    in python (:func:`repro.enumeration.counting.count_ccps`).
-
-    The count is of ``graph`` as given.  For a cross-product request the
-    service passes the stitched graph the engine searches
-    (:meth:`~repro.optimizer.api.OptimizationRequest.resolved_catalog`),
-    so a disconnected query is priced by what actually runs.
-    """
-    shape = graph.shape_name()
-    if shape in ("chain", "star", "cycle", "clique"):
-        return AdmissionEstimate(
-            ccps=ccp_count(shape, graph.n_vertices), method=f"closed-form:{shape}"
-        )
-    ccps = count_ccps_c(graph, cap)
-    if ccps is None:
-        ccps = count_ccps(graph, cap)
-    return AdmissionEstimate(ccps=ccps, method="counted")
 
 
 # ----------------------------------------------------------------------

@@ -273,18 +273,12 @@ class TestAnytimeRung:
         again = service.optimize(request)
         assert not again.cache_hit
 
-    def test_anytime_disabled_restores_heuristic_ladder(self):
-        service = over_budget_service(anytime_enabled=False)
-        catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
-        result = service.optimize(catalog, cost_model=PhysicalCostModel())
-        assert result.details["rung"] == "ikkbz"
-        assert result.details["degraded"] == 1
-
     def test_no_resolvable_deadline_skips_the_rung(self):
         service = over_budget_service(anytime_default_deadline_seconds=None)
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
         result = service.optimize(catalog, cost_model=PhysicalCostModel())
         assert result.details["rung"] == "ikkbz"
+        assert result.details["degraded"] == 1
 
     def test_budget_incapable_engine_skips_the_rung(self):
         service = over_budget_service()

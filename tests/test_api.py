@@ -216,9 +216,9 @@ class TestAutoAlgorithm:
         catalog = uniform_statistics(chain_graph(12))
         pin_dpconv_kernel(monkeypatch, False)
         assert choose_algorithm(catalog) == "tdmincutbranch"
-        # chain-12: 286 ccps x KERNEL_NS_PER_CCP (the C top-down kernel's
-        # constant) is below DPCONV_C_MS[12], so even with a kernel the
-        # top-down engine is predicted faster.
+        # chain-12: 286 ccps, below DPCONV_BREAK_EVEN_CCPS[12] (where C
+        # top-down's fitted time meets C dpconv's), so even with a
+        # kernel the top-down engine is predicted faster.
         pin_dpconv_kernel(monkeypatch, True)
         assert choose_algorithm(catalog) == "tdmincutbranch"
 
@@ -248,7 +248,7 @@ class TestAutoAlgorithm:
     def test_kernel_only_serves_what_dpconv_serves_exactly(self, monkeypatch):
         from repro import clique_graph
         from repro.cost.physical import PhysicalCostModel
-        from repro.optimizer.api import DPCONV_C_MS, choose_algorithm
+        from repro.optimizer.api import DPCONV_BREAK_EVEN_CCPS, choose_algorithm
 
         pin_dpconv_kernel(monkeypatch, True)
         catalog = uniform_statistics(clique_graph(12))
@@ -258,8 +258,9 @@ class TestAutoAlgorithm:
             == "tdmincutbranch"
         )
         assert choose_algorithm(catalog, enable_pruning=True) == "tdmincutbranch"
-        assert choose_algorithm(catalog, dpconv_max_n=11) == "tdmincutbranch"
-        beyond = uniform_statistics(clique_graph(max(DPCONV_C_MS) + 1))
+        limit = max(DPCONV_BREAK_EVEN_CCPS)
+        assert choose_algorithm(uniform_statistics(clique_graph(limit))) == "dpconv"
+        beyond = uniform_statistics(clique_graph(limit + 1))
         assert choose_algorithm(beyond) == "tdmincutbranch"
         disconnected = uniform_statistics(
             QueryGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])

@@ -308,10 +308,10 @@ class TestRouting:
         "service_kwargs",
         [
             {},
-            {"resilience": ResilienceConfig(dpconv_max_n=9)},
+            {"resilience": ResilienceConfig(max_ccp_budget=50)},
             {"default_cost_model": PhysicalCostModel(), "round_digits": 3},
         ],
-        ids=["defaults", "dpconv_limit", "default_cost_model"],
+        ids=["defaults", "resilience", "default_cost_model"],
     )
     def test_door_routes_to_the_owner_of_the_shard_signature(
         self, monkeypatch, service_kwargs
@@ -319,7 +319,9 @@ class TestRouting:
         # The door resolves "auto" with the shards' inputs, so a request
         # the shard runs on dpconv (clique-10) and one it runs on the
         # top-down kernel (chain-14) both land on the shard whose cache
-        # holds the plan.  No shard process is started.
+        # holds the plan.  No resilience setting moves "auto": under the
+        # budget, chain-14 takes the anytime rung and is still keyed
+        # where the door routes it.  No shard process is started.
         pin_dpconv_kernel(monkeypatch, True)
         door = FrontDoor(
             FrontDoorConfig(shards=4, shard_service_kwargs=service_kwargs)

@@ -1,28 +1,29 @@
 """Property test: ``auto`` names one of two budget-capable engines.
 
-:func:`repro.optimizer.api.choose_algorithm` answers one question: is C
-dpconv predicted faster than the top-down kernel?  Hypothesis draws
-graphs of 1 to 16 relations, connected or disconnected with cross
-products, and varies the cost model, pruning, the cross-product flag,
-the caller's ``dpconv_max_n`` and whether a C kernel is pinned as
-loaded.  The answer must be ``"dpconv"`` or ``"tdmincutbranch"``, the
-named engine must honour cooperative budgets, and ``"dpconv"`` must come
-back exactly when the request is eligible and the predicted-time
-inequality holds.
+:func:`repro.optimizer.api.choose_algorithm` answers one question: is the
+request's #ccp above the break-even count for its ``n``, where C top-down
+stops being faster than C dpconv?  Hypothesis draws graphs of 1 to 16
+relations, connected or disconnected with cross products, and varies the
+cost model, pruning, the cross-product flag and whether a C kernel is
+pinned as loaded.  The answer must be ``"dpconv"`` or
+``"tdmincutbranch"``, the named engine must honour cooperative budgets,
+the library's ``auto`` and the service's signature must name the same
+engine, and ``"dpconv"`` must come back exactly when the request is
+eligible and its count, checked here by the python counter capped at
+the break-even count, passes that count.
 """
-
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import OptimizationRequest, make_optimizer, uniform_statistics
-from repro.analysis.formulas import ccp_predict
 from repro.cost.cout import CoutCostModel
 from repro.cost.physical import PhysicalCostModel
+from repro.enumeration.counting import count_ccps
 from repro.graph.query_graph import QueryGraph
-from repro.optimizer.api import DPCONV_C_MS, KERNEL_NS_PER_CCP, choose_algorithm
+from repro.optimizer.api import DPCONV_BREAK_EVEN_CCPS, choose_algorithm
+from repro.service.core import service_signature
 
 from .conftest import pin_dpconv_kernel
 
@@ -55,12 +56,8 @@ def requests(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    request=requests(),
-    kernel=st.booleans(),
-    dpconv_max_n=st.one_of(st.none(), st.integers(0, 16)),
-)
-def test_auto_names_dpconv_or_topdown(request, kernel, dpconv_max_n):
+@given(request=requests(), kernel=st.booleans())
+def test_auto_names_dpconv_or_topdown(request, kernel):
     catalog = request.resolved_catalog()
     graph = catalog.graph
     n = graph.n_vertices
@@ -70,9 +67,10 @@ def test_auto_names_dpconv_or_topdown(request, kernel, dpconv_max_n):
             catalog,
             enable_pruning=request.enable_pruning,
             cost_model=request.cost_model,
-            dpconv_max_n=dpconv_max_n,
         )
+        served = service_signature(request, catalog)[1]
     assert choice in ("dpconv", "tdmincutbranch")
+    assert served == choice
     engine = make_optimizer(
         choice,
         catalog,
@@ -81,13 +79,14 @@ def test_auto_names_dpconv_or_topdown(request, kernel, dpconv_max_n):
     )
     assert engine.supports_budget
 
-    limit = min(max(DPCONV_C_MS), math.inf if dpconv_max_n is None else dpconv_max_n)
     eligible = (
         kernel
         and not request.enable_pruning
         and (request.cost_model is None or type(request.cost_model) is CoutCostModel)
-        and 2 <= n <= limit
+        and n in DPCONV_BREAK_EVEN_CCPS
         and graph.is_connected(graph.all_vertices)
     )
-    faster = eligible and DPCONV_C_MS[n] * 1e6 < ccp_predict(graph)[0] * KERNEL_NS_PER_CCP
+    faster = eligible and (
+        count_ccps(graph, DPCONV_BREAK_EVEN_CCPS[n]) > DPCONV_BREAK_EVEN_CCPS[n]
+    )
     assert (choice == "dpconv") == faster

@@ -27,8 +27,9 @@ from repro.catalog.crossproduct import connect_components
 from repro.enumeration.counting import count_ccps
 from repro.graph.query_graph import QueryGraph
 from repro.optimizer._native_build import load_c_kernel
+from repro.optimizer import native
 from repro.optimizer.native import count_ccps_c
-from repro.service import ResilienceConfig, estimate_ccps, resilience
+from repro.service import ResilienceConfig, estimate_ccps
 
 from .reference import count_ccps_ref
 
@@ -90,7 +91,7 @@ def test_admission_decision_matches_exact_count(path, graph, cross, data):
     exact = count_ccps(graph)
     with pytest.MonkeyPatch.context() as patch:
         if path == "python":
-            patch.setattr(resilience, "count_ccps_c", lambda graph, cap: None)
+            patch.setattr(native, "count_ccps_c", lambda graph, cap: None)
         for budget in _caps(exact, data):
             estimate = estimate_ccps(graph, budget)
             assert (estimate.ccps > budget) == (exact > budget), budget

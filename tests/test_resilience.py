@@ -17,23 +17,25 @@ from repro import (
     OptimizationRequest,
     OptimizerService,
     WorkloadGenerator,
+    attach_random_statistics,
     chain_graph,
     clique_graph,
     cycle_graph,
     star_graph,
     uniform_statistics,
 )
-from repro.analysis.formulas import ccp_count, ccp_estimate
+from repro.analysis.formulas import ccp_count
 from repro.enumeration.counting import count_ccps
 from repro.errors import (
     AdmissionError,
-    GraphError,
     OptimizationError,
     ReproError,
 )
 from repro.graph.query_graph import QueryGraph
 from repro.cost.cout import CoutCostModel
 from repro.cost.physical import PhysicalCostModel
+from repro.optimizer.api import DPCONV_BREAK_EVEN_CCPS, choose_algorithm
+from repro.service.core import service_signature
 from repro.service import (
     FaultInjector,
     FaultSpec,
@@ -42,7 +44,6 @@ from repro.service import (
     RetryPolicy,
     estimate_ccps,
 )
-from repro.service.core import service_signature
 from repro.service.faults import FAULTS_ENV_VAR
 from repro.service.resilience import (
     BREAKER_CLOSED,
@@ -231,65 +232,14 @@ class TestAdmissionEstimates:
         assert estimate.method == "counted"
         assert estimate.ccps == count_ccps(graph)
 
-    def test_interpolated_estimate_is_monotonic_in_density(self):
-        n = 14
-        tree_edges = n - 1
-        max_edges = n * (n - 1) // 2
-        previous = 0
-        for m in range(tree_edges, max_edges + 1, 13):
-            estimate = ccp_estimate(n, m, max_degree=3)
-            assert estimate >= previous
-            previous = estimate
-
-    def test_ccp_estimate_endpoints_match_closed_forms(self):
-        n = 16
-        assert ccp_estimate(n, n - 1, max_degree=2) == ccp_count("chain", n)
-        assert ccp_estimate(n, n - 1, max_degree=n - 1) == ccp_count("star", n)
-        clique_edges = n * (n - 1) // 2
-        assert ccp_estimate(n, clique_edges, max_degree=n - 1) == ccp_count(
-            "clique", n
-        )
-
-    def test_ccp_estimate_rejects_impossible_edge_counts(self):
-        with pytest.raises(GraphError):
-            ccp_estimate(10, 8)  # below spanning tree
-        with pytest.raises(GraphError):
-            ccp_estimate(10, 46)  # above complete graph
-
-    def test_ccp_estimate_tree_endpoints_exact_across_sizes(self):
-        # Regression: the exp/log interpolation overshot the chain and
-        # star endpoints by +1 for many n (e.g. chain n=4: 11 vs 10,
-        # star n=10: 2305 vs 2304).  The closed-form endpoints must be
-        # returned exactly, for every size.
-        for n in (3, 4, 5, 8, 12, 20, 40, 64):
-            assert ccp_estimate(n, n - 1, max_degree=2) == ccp_count(
-                "chain", n
-            ), n
-            assert ccp_estimate(n, n - 1, max_degree=n - 1) == ccp_count(
-                "star", n
-            ), n
-            clique_edges = n * (n - 1) // 2
-            assert ccp_estimate(
-                n, clique_edges, max_degree=n - 1
-            ) == ccp_count("clique", n), n
-
-    def test_ccp_estimate_n3_trees_are_chains(self):
-        # Any 3-vertex tree is simultaneously a chain and a star; both
-        # closed forms agree and the estimate must match them.
-        assert ccp_estimate(3, 2, max_degree=2) == ccp_count("chain", 3)
-        assert ccp_estimate(3, 2, max_degree=2) == ccp_count("star", 3)
-
     def test_small_tree_estimates_verified_against_exact_count(self):
-        # Star exactness pinned against the real enumerator for n=4, 5.
-        for n in (4, 5):
-            star = star_graph(n)
-            assert ccp_estimate(n, n - 1, max_degree=n - 1) == count_ccps(
-                star
-            ), n
-            chain = chain_graph(n)
-            assert ccp_estimate(n, n - 1, max_degree=2) == count_ccps(
-                chain
-            ), n
+        # The closed forms pinned against the real enumerator; a
+        # 3-vertex tree is both a chain and a star.
+        for n in (3, 4, 5):
+            for graph in (star_graph(n), chain_graph(n)):
+                estimate = estimate_ccps(graph)
+                assert estimate.method.startswith("closed-form:"), n
+                assert estimate.ccps == count_ccps(graph), n
 
     def test_disconnected_graph_is_priced_per_component(self):
         # Regression: estimate_ccps used to raise GraphError ("between
@@ -391,13 +341,14 @@ class TestDegradationLadder:
         with pytest.raises(AdmissionError):
             run_rung("exact", catalog)
 
-    # The heuristic-rung tests disable the anytime rung, which otherwise
-    # intercepts every over-budget request whose engine supports
-    # cooperative budgets (covered by tests/test_anytime.py).
+    # The heuristic-rung tests give the anytime rung no deadline (their
+    # requests carry none), so it is skipped; otherwise it intercepts
+    # every over-budget request whose engine supports cooperative
+    # budgets (covered by tests/test_anytime.py).
 
     def test_over_budget_acyclic_degrades_to_ikkbz(self):
         service = OptimizerService(
-            resilience=ResilienceConfig(max_ccp_budget=50, anytime_enabled=False)
+            resilience=ResilienceConfig(max_ccp_budget=50, anytime_default_deadline_seconds=None)
         )
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
         result = service.optimize(catalog, cost_model=PhysicalCostModel())
@@ -412,7 +363,7 @@ class TestDegradationLadder:
 
     def test_over_budget_cyclic_degrades_to_goo(self):
         service = OptimizerService(
-            resilience=ResilienceConfig(max_ccp_budget=10, anytime_enabled=False)
+            resilience=ResilienceConfig(max_ccp_budget=10, anytime_default_deadline_seconds=None)
         )
         catalog = WorkloadGenerator(seed=2).fixed_shape("cycle", 9).catalog
         result = service.optimize(catalog, cost_model=PhysicalCostModel())
@@ -422,7 +373,7 @@ class TestDegradationLadder:
 
     def test_degraded_results_are_not_cached(self):
         service = OptimizerService(
-            resilience=ResilienceConfig(max_ccp_budget=10, anytime_enabled=False)
+            resilience=ResilienceConfig(max_ccp_budget=10, anytime_default_deadline_seconds=None)
         )
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
         service.optimize(catalog, cost_model=PhysicalCostModel())
@@ -442,7 +393,7 @@ class TestDegradationLadder:
 
     def test_degraded_counter_in_stats(self):
         service = OptimizerService(
-            resilience=ResilienceConfig(max_ccp_budget=10, anytime_enabled=False)
+            resilience=ResilienceConfig(max_ccp_budget=10, anytime_default_deadline_seconds=None)
         )
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 10).catalog
         service.optimize(catalog, cost_model=PhysicalCostModel())
@@ -542,10 +493,10 @@ class TestDpconvRung:
     def test_dpconv_admissible_treats_none_as_default_cout(self):
         # A dpconv request without an explicit cost model runs the
         # registry default (C_out, symmetric), so admission sizes it by
-        # dpconv_max_n, not by #ccp; an asymmetric model runs the
+        # the dpconv size limit, not by #ccp; an asymmetric model runs the
         # top-down driver and is priced by its ccps.
         service = OptimizerService(
-            resilience=ResilienceConfig(max_ccp_budget=50, anytime_enabled=False)
+            resilience=ResilienceConfig(max_ccp_budget=50, anytime_default_deadline_seconds=None)
         )
         catalog = WorkloadGenerator(seed=3).fixed_shape("chain", 8).catalog
         assert ccp_count("chain", 8) > 50
@@ -603,7 +554,7 @@ class TestDpconvRung:
 
     def test_asymmetric_cost_model_skips_dpconv(self):
         service = OptimizerService(
-            resilience=ResilienceConfig(max_ccp_budget=50, anytime_enabled=False)
+            resilience=ResilienceConfig(max_ccp_budget=50, anytime_default_deadline_seconds=None)
         )
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
         result = service.optimize(catalog, cost_model=PhysicalCostModel())
@@ -612,7 +563,7 @@ class TestDpconvRung:
 
     def test_pruning_request_skips_dpconv(self):
         service = OptimizerService(
-            resilience=ResilienceConfig(max_ccp_budget=50, anytime_enabled=False)
+            resilience=ResilienceConfig(max_ccp_budget=50, anytime_default_deadline_seconds=None)
         )
         catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 12).catalog
         result = service.optimize(catalog, enable_pruning=True)
@@ -646,16 +597,23 @@ class TestDpconvRung:
         text = render_prometheus(snapshot)
         assert "fast_exact" in text
 
-    def test_over_budget_beyond_dpconv_cap_falls_to_heuristics(self):
+    def test_over_budget_beyond_dpconv_cap_falls_to_heuristics(
+        self, monkeypatch
+    ):
+        # cycle-17 is past the dpconv size limit, so even with a kernel
+        # auto names the top-down driver; over the budget, with no
+        # deadline for the anytime rung, it falls to GOO.
+        pin_dpconv_kernel(monkeypatch, True)
         service = OptimizerService(
             resilience=ResilienceConfig(
-                max_ccp_budget=10, dpconv_max_n=8, anytime_enabled=False
+                max_ccp_budget=10, anytime_default_deadline_seconds=None
             )
         )
-        catalog = WorkloadGenerator(seed=2).fixed_shape("cycle", 9).catalog
-        result = service.optimize(catalog, algorithm="tdmincutbranch")
+        catalog = WorkloadGenerator(seed=2).fixed_shape("cycle", 17).catalog
+        result = service.optimize(catalog)
         assert result.details["rung"] == "goo"
         assert result.details["degraded"] == 1
+        assert service.stats_snapshot()["algorithms"].keys() == {"tdmincutbranch"}
 
     def test_run_rung_rejects_dpconv(self):
         catalog = WorkloadGenerator(seed=3).fixed_shape("chain", 7).catalog
@@ -665,12 +623,12 @@ class TestDpconvRung:
 
 class TestAdmissionPricesEachEngine:
     """The ccp budget prices the enumerators; dpconv answers to its own
-    size limit, ``dpconv_max_n``, because its work does not depend on
-    #ccp."""
+    size limit, the last key of ``DPCONV_BREAK_EVEN_CCPS``, because its
+    work does not depend on #ccp."""
 
     def test_explicit_dpconv_over_the_ccp_budget_runs_exact(self):
         # clique-12 has 261 625 ccps, far over the budget, but n = 12 is
-        # within dpconv_max_n: the request is served exactly, not by the
+        # within the dpconv size limit: the request is served exactly, not by the
         # anytime rung, and is cached.
         service = OptimizerService(
             resilience=ResilienceConfig(max_ccp_budget=5000)
@@ -684,25 +642,59 @@ class TestAdmissionPricesEachEngine:
         assert len(service.cache) == 1
         assert service.optimize(catalog, algorithm="dpconv").cache_hit
 
-    def test_dpconv_beyond_its_n_limit_goes_down_the_ladder(self):
+    def test_explicit_dpconv_chain_16_is_admitted_exact(self):
+        # n = 16 is the dpconv size limit itself.
         service = OptimizerService(
-            resilience=ResilienceConfig(
-                max_ccp_budget=5000, dpconv_max_n=8, anytime_enabled=False
-            )
+            resilience=ResilienceConfig(max_ccp_budget=5000)
         )
-        catalog = WorkloadGenerator(seed=2).fixed_shape("cycle", 9).catalog
+        catalog = WorkloadGenerator(seed=1).fixed_shape("chain", 16).catalog
+        result = service.optimize(catalog, algorithm="dpconv")
+        assert result.ok
+        assert "rung" not in result.details
+        assert "degraded" not in result.details
+        assert result.details["kernel"] == "dpconv"
+        assert len(service.cache) == 1
+
+    def test_auto_clique_16_is_served_exactly_by_dpconv(self, monkeypatch):
+        # Regression: the service capped auto's dpconv one relation
+        # below the library, so this request ran C dpconv (~36 ms) in
+        # the library but C top-down (~475 ms) in the service, or under
+        # this budget a degraded anytime salvage that was never cached.
+        pin_dpconv_kernel(monkeypatch, True)
+        catalog = attach_random_statistics(clique_graph(16), seed=1)
+        request = OptimizationRequest(query=catalog, algorithm="auto")
+        assert choose_algorithm(catalog) == "dpconv"
+        assert service_signature(request, catalog)[1] == "dpconv"
+        service = OptimizerService(
+            resilience=ResilienceConfig(max_ccp_budget=5000)
+        )
+        result = service.optimize(catalog, algorithm="auto")
+        assert result.ok
+        assert result.details["kernel"] == "dpconv"
+        assert "rung" not in result.details
+        assert "degraded" not in result.details
+        assert len(service.cache) == 1
+        assert service.optimize(catalog, algorithm="auto").cache_hit
+
+    def test_dpconv_beyond_its_n_limit_goes_down_the_ladder(self):
+        # cycle-17 holds 2 176 ccps, under the budget, but n = 17 is past
+        # the dpconv size limit.
+        service = OptimizerService(
+            resilience=ResilienceConfig(max_ccp_budget=5000)
+        )
+        catalog = WorkloadGenerator(seed=2).fixed_shape("cycle", 17).catalog
         result = service.optimize(catalog, algorithm="dpconv")
         assert result.details["rung"] == "goo"
         assert result.details["degrade_reason"] == "over_budget"
         assert result.details["admission_method"] == "dpconv-n-limit"
-        assert result.details["admission_estimate"] == 9
-        assert result.details["admission_budget"] == 8
+        assert result.details["admission_estimate"] == 17
+        assert result.details["admission_budget"] == 16
 
     @pytest.mark.parametrize(
         "shape, n, config",
         [
             ("chain", 17, ResilienceConfig(max_ccp_budget=5000)),
-            ("cycle", 9, ResilienceConfig(max_ccp_budget=5000, dpconv_max_n=8)),
+            ("cycle", 17, ResilienceConfig(max_ccp_budget=10)),
         ],
     )
     def test_dpconv_rejected_by_its_n_limit_never_runs(
@@ -715,7 +707,6 @@ class TestAdmissionPricesEachEngine:
         # either).
         from repro.optimizer.dpconv import DPconvPlanGenerator
 
-        assert config.anytime_enabled
         built = []
         original = DPconvPlanGenerator.__init__
 
@@ -731,6 +722,7 @@ class TestAdmissionPricesEachEngine:
         assert result.details["rung"] == heuristic_rung_for(catalog.graph)
         assert result.details["degraded"] == 1
         assert result.details["admission_method"] == "dpconv-n-limit"
+        assert result.details["admission_budget"] == 16
         assert built == []
 
     def test_asymmetric_dpconv_request_is_priced_by_ccps(self):
@@ -744,36 +736,38 @@ class TestAdmissionPricesEachEngine:
         assert "rung" not in result.details
         assert result.details["kernel"] == "fast"
 
-    def test_dpconv_max_n_defaults_to_15(self):
-        # 15 is where the convolution's 3^n / 2 splits (~7.2M) still fit
-        # well under a request deadline.
-        assert ResilienceConfig().dpconv_max_n == 15
-        with pytest.raises(OptimizationError):
-            ResilienceConfig(dpconv_max_n=-1)
+    def test_dpconv_size_limit_is_the_tables_last_key(self):
+        # One table from n = 2 up to the one dpconv size limit, 16, where
+        # the convolution's 3^n / 2 splits (~21.5M) still take C dpconv
+        # only ~31 ms.
+        assert list(DPCONV_BREAK_EVEN_CCPS) == list(range(2, 17))
 
     @pytest.mark.parametrize(
         "config",
         [
             ResilienceConfig(max_ccp_budget=5000),
-            ResilienceConfig(max_ccp_budget=50, dpconv_max_n=9),
-            ResilienceConfig(max_ccp_budget=50, dpconv_max_n=12),
+            ResilienceConfig(max_ccp_budget=50),
+            ResilienceConfig(max_ccp_budget=50, anytime_default_deadline_seconds=None),
         ],
     )
     def test_auto_never_picks_a_dpconv_run_admission_rejects(
         self, monkeypatch, config
     ):
+        # Whatever its resilience settings, the service resolves auto as
+        # the library does, and a dpconv answer is within the size limit
+        # admission puts on a dpconv run.
         pin_dpconv_kernel(monkeypatch, True)
+        service = OptimizerService(resilience=config)
         picked = 0
         for shape in ("chain", "cycle", "star", "clique"):
             for n in range(3, 19):
                 catalog = WorkloadGenerator(seed=n).fixed_shape(shape, n).catalog
                 request = OptimizationRequest(query=catalog, algorithm="auto")
-                _, effective, _, _ = service_signature(
-                    request, catalog, resilience=config
-                )
+                effective = service._effective_label(request)
+                assert effective == choose_algorithm(catalog), (shape, n)
                 if effective == "dpconv":
                     picked += 1
-                    assert n <= config.dpconv_max_n, (shape, n)
+                    assert n <= max(DPCONV_BREAK_EVEN_CCPS), (shape, n)
         assert picked
 
     def test_auto_resolved_dpconv_is_admitted_exact(self, monkeypatch):
