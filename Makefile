@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test chaos bench-service bench-batch bench-resilience bench-observability bench-kernel bench-dpconv bench-native bench-anytime bench-frontdoor serve-smoke profile verify
+.PHONY: test chaos bench-service bench-batch bench-resilience bench-observability bench-kernel bench-dpconv bench-native bench-anytime bench-frontdoor serve-smoke profile importtime verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -87,6 +87,13 @@ serve-smoke:
 # lines of the kernel path on clique-14.
 profile:
 	$(PYTHON) -c "from benchmarks.gates import profile_kernel; profile_kernel()"
+
+# Cold-start report: modules loaded and the 15 largest cumulative
+# `python -X importtime` entries for `import repro.optimizer.api` and
+# `import repro.cli`.  Report only; tests/test_import_chain.py pins what
+# the optimizer's chain must not load.
+importtime:
+	$(PYTHON) benchmarks/importtime.py
 
 verify: test bench-service bench-resilience bench-observability bench-kernel bench-dpconv bench-native bench-anytime serve-smoke bench-frontdoor
 	@echo "verify: ok"

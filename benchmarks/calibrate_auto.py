@@ -26,7 +26,11 @@ where the choice is close.
   flush), but its #ccp, and with it the kernel's time, grows far
   faster.
 * The break-even count at ``n`` is the #ccp at which the fitted
-  top-down time meets dpconv's: ``(dpconv_ms[n] - a) / b``, at least 0.
+  top-down time meets dpconv's: ``(dpconv_ms[n] - a) / b``, at least
+  chain-``n``'s #ccp.  Top-down beats dpconv on every chain of the sweep,
+  but the fit's fixed cost overstates top-down on the smallest graphs:
+  at ``n = 2`` it puts the break-even below the one ccp every connected
+  pair has, which would send every 2-relation request to dpconv.
 
 A wrong entry costs speed, never the answer: both engines return the
 exact optimum.  The sweep is fixed, so the printed table always has the
@@ -164,7 +168,8 @@ def main():
     print(f"C top-down fit: a = {a:.4f} ms, b = {b * 1e6:.1f} ns/ccp")
     print("DPCONV_BREAK_EVEN_CCPS: Dict[int, int] = {")
     for n, ms in dpconv_ms.items():
-        print(f"    {n}: {max(0, int((ms - a) / b))},  # {ms:.3g} ms")
+        floor = ccp_count("chain", n)
+        print(f"    {n}: {max(floor, int((ms - a) / b))},  # {ms:.3g} ms")
     print("}")
     return 0
 

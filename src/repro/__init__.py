@@ -23,6 +23,7 @@ Quickstart::
     print(result.plan.pretty())
 """
 
+from repro._lazy import attach as _attach
 from repro.errors import (
     ReproError,
     GraphError,
@@ -31,152 +32,110 @@ from repro.errors import (
     OptimizationError,
     DeadlineExceededError,
 )
-from repro.graph import (
-    QueryGraph,
-    Hyperedge,
-    Hypergraph,
-    chain_graph,
-    star_graph,
-    cycle_graph,
-    clique_graph,
-    grid_graph,
-    make_shape,
-    random_acyclic_graph,
-    random_cyclic_graph,
-    random_hypergraph,
-    BiconnectionTree,
+
+# Every other public name is imported from its defining module the first
+# time it is read (see repro._lazy): ``import repro`` loads no subpackage,
+# and ``from repro.optimizer.api import optimize_request`` loads neither
+# the service layer nor the hypergraph code.
+_EXPORTS = {
+    # graph
+    "QueryGraph": "repro.graph.query_graph",
+    "chain_graph": "repro.graph.shapes",
+    "star_graph": "repro.graph.shapes",
+    "cycle_graph": "repro.graph.shapes",
+    "clique_graph": "repro.graph.shapes",
+    "grid_graph": "repro.graph.shapes",
+    "make_shape": "repro.graph.shapes",
+    "random_acyclic_graph": "repro.graph.random",
+    "random_cyclic_graph": "repro.graph.random",
+    "BiconnectionTree": "repro.graph.bcctree",
+    # catalog
+    "Catalog": "repro.catalog.statistics",
+    "Relation": "repro.catalog.statistics",
+    "attach_random_statistics": "repro.catalog.workload",
+    "uniform_statistics": "repro.catalog.workload",
+    "QueryInstance": "repro.catalog.workload",
+    "WorkloadGenerator": "repro.catalog.workload",
+    # cost
+    "CostModel": "repro.cost.base",
+    "CoutCostModel": "repro.cost.cout",
+    "PhysicalCostModel": "repro.cost.physical",
+    "CardinalityEstimator": "repro.cost.cardinality",
+    # plan
+    "JoinTree": "repro.plan.jointree",
+    "MemoTable": "repro.plan.memo",
+    "PlanBuilder": "repro.plan.builder",
+    # enumeration
+    "PartitioningStrategy": "repro.enumeration.base",
+    "NaivePartitioning": "repro.enumeration.naive",
+    "ConservativePartitioning": "repro.enumeration.conservative",
+    "MinCutBranch": "repro.enumeration.mincutbranch",
+    "MinCutLazy": "repro.enumeration.mincutlazy",
+    # optimizers
+    "TopDownPlanGenerator": "repro.optimizer.topdown",
+    "DPccp": "repro.optimizer.dpccp",
+    "DPsub": "repro.optimizer.dpsub",
+    "DPsize": "repro.optimizer.dpsize",
+    "ALGORITHMS": "repro.optimizer.api",
+    "OptimizationRequest": "repro.optimizer.api",
+    "OptimizationResult": "repro.optimizer.api",
+    "make_optimizer": "repro.optimizer.api",
+    "optimize_query": "repro.optimizer.api",
+    "optimize_request": "repro.optimizer.api",
+    "register_algorithm": "repro.optimizer.api",
+    "unregister_algorithm": "repro.optimizer.api",
+    # service layer
+    "OptimizerService": "repro.service.core",
+    "PlanCache": "repro.service.cache",
+    # hypergraphs
+    "Hyperedge": "repro.graph.hypergraph",
+    "Hypergraph": "repro.graph.hypergraph",
+    "random_hypergraph": "repro.graph.random",
+    "HyperCatalog": "repro.catalog.hyper",
+    "attach_random_hyper_statistics": "repro.catalog.hyper",
+    "uniform_hyper_statistics": "repro.catalog.hyper",
+    "DPhyp": "repro.optimizer.dphyp",
+    "HyperDPsub": "repro.optimizer.dphyp",
+    "TopDownHyp": "repro.optimizer.dphyp",
+    "TopDownHypBasic": "repro.optimizer.dphyp",
+    # diagnostics
+    "explain": "repro.analysis.explain",
+    "explain_comparison": "repro.analysis.explain",
+    # heuristics
+    "optimal_left_deep": "repro.heuristics.leftdeep",
+    "greedy_operator_ordering": "repro.heuristics.goo",
+    "IKKBZ": "repro.heuristics.ikkbz",
+    "ikkbz_optimal_left_deep": "repro.heuristics.ikkbz",
+}
+
+_SUBMODULES = (
+    "analysis",
+    "bench",
+    "bitset",
+    "catalog",
+    "cost",
+    "enumeration",
+    "exec",
+    "frontend",
+    "graph",
+    "heuristics",
+    "optimizer",
+    "plan",
+    "service",
+    "workloads",
 )
-from repro.catalog.hyper import (
-    HyperCatalog,
-    attach_random_hyper_statistics,
-    uniform_hyper_statistics,
-)
-from repro.catalog import (
-    Catalog,
-    Relation,
-    attach_random_statistics,
-    uniform_statistics,
-    QueryInstance,
-    WorkloadGenerator,
-)
-from repro.cost import (
-    CostModel,
-    CoutCostModel,
-    PhysicalCostModel,
-    CardinalityEstimator,
-)
-from repro.plan import JoinTree, MemoTable, PlanBuilder
-from repro.enumeration import (
-    PartitioningStrategy,
-    NaivePartitioning,
-    ConservativePartitioning,
-    MinCutBranch,
-    MinCutLazy,
-)
-from repro.optimizer import (
-    TopDownPlanGenerator,
-    DPccp,
-    DPsub,
-    DPsize,
-    DPhyp,
-    HyperDPsub,
-    TopDownHyp,
-    TopDownHypBasic,
-    ALGORITHMS,
-    OptimizationRequest,
-    OptimizationResult,
-    make_optimizer,
-    optimize_query,
-    optimize_request,
-    register_algorithm,
-    unregister_algorithm,
-)
-from repro.service import OptimizerService, PlanCache
-from repro.analysis.explain import explain, explain_comparison
-from repro.heuristics import (
-    optimal_left_deep,
-    greedy_operator_ordering,
-    IKKBZ,
-    ikkbz_optimal_left_deep,
-)
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS, _SUBMODULES)
 
 __version__ = "1.0.0"
 
 __all__ = [
-    # errors
     "ReproError",
     "GraphError",
     "DisconnectedGraphError",
     "CatalogError",
     "OptimizationError",
     "DeadlineExceededError",
-    # graph
-    "QueryGraph",
-    "chain_graph",
-    "star_graph",
-    "cycle_graph",
-    "clique_graph",
-    "grid_graph",
-    "make_shape",
-    "random_acyclic_graph",
-    "random_cyclic_graph",
-    "BiconnectionTree",
-    # catalog
-    "Catalog",
-    "Relation",
-    "attach_random_statistics",
-    "uniform_statistics",
-    "QueryInstance",
-    "WorkloadGenerator",
-    # cost
-    "CostModel",
-    "CoutCostModel",
-    "PhysicalCostModel",
-    "CardinalityEstimator",
-    # plan
-    "JoinTree",
-    "MemoTable",
-    "PlanBuilder",
-    # enumeration
-    "PartitioningStrategy",
-    "NaivePartitioning",
-    "ConservativePartitioning",
-    "MinCutBranch",
-    "MinCutLazy",
-    # optimizers
-    "TopDownPlanGenerator",
-    "DPccp",
-    "DPsub",
-    "DPsize",
-    "ALGORITHMS",
-    "OptimizationRequest",
-    "OptimizationResult",
-    "make_optimizer",
-    "optimize_query",
-    "optimize_request",
-    "register_algorithm",
-    "unregister_algorithm",
-    # service layer (plan cache, batching, observability)
-    "OptimizerService",
-    "PlanCache",
-    # hypergraphs (the paper's future work)
-    "Hyperedge",
-    "Hypergraph",
-    "random_hypergraph",
-    "HyperCatalog",
-    "attach_random_hyper_statistics",
-    "uniform_hyper_statistics",
-    "DPhyp",
-    "HyperDPsub",
-    "TopDownHyp",
-    "TopDownHypBasic",
-    # diagnostics
-    "explain",
-    "explain_comparison",
-    # heuristics / restricted plan spaces
-    "optimal_left_deep",
-    "greedy_operator_ordering",
-    "IKKBZ",
-    "ikkbz_optimal_left_deep",
+    *_EXPORTS,
     "__version__",
 ]

@@ -28,13 +28,11 @@ __all__ = ["run_self_check", "CHECKS"]
 
 
 def _check_partitioners() -> str:
-    from repro import (
-        ConservativePartitioning,
-        MinCutBranch,
-        MinCutLazy,
-        NaivePartitioning,
-    )
     from repro.enumeration.base import canonical_pair
+    from repro.enumeration.conservative import ConservativePartitioning
+    from repro.enumeration.mincutbranch import MinCutBranch
+    from repro.enumeration.mincutlazy import MinCutLazy
+    from repro.enumeration.naive import NaivePartitioning
     from repro.graph.random import random_cyclic_graph
 
     rng = random.Random(101)
@@ -64,8 +62,9 @@ def _check_partitioners() -> str:
 
 
 def _check_optimizers() -> str:
-    from repro import ALGORITHMS, attach_random_statistics, optimize_query
+    from repro.catalog.workload import attach_random_statistics
     from repro.graph.random import random_acyclic_graph
+    from repro.optimizer.api import ALGORITHMS, optimize_query
 
     rng = random.Random(202)
     for _ in range(6):
@@ -83,14 +82,15 @@ def _check_optimizers() -> str:
 
 
 def _algorithms():
-    from repro import ALGORITHMS
+    from repro.optimizer.api import ALGORITHMS
 
     return ALGORITHMS
 
 
 def _check_complexity_counters() -> str:
-    from repro import MinCutBranch, chain_graph, cycle_graph
     from repro.analysis import formulas
+    from repro.enumeration.mincutbranch import MinCutBranch
+    from repro.graph.shapes import chain_graph, cycle_graph
 
     for n in (6, 10):
         strategy = MinCutBranch(chain_graph(n))
@@ -106,13 +106,13 @@ def _check_complexity_counters() -> str:
 
 
 def _check_table1() -> str:
-    from repro import make_shape
     from repro.analysis import formulas
     from repro.enumeration.counting import (
         count_ccps,
         count_connected_subgraphs,
         count_ngt_subsets,
     )
+    from repro.graph.shapes import make_shape
 
     for shape in ("chain", "star", "cycle", "clique"):
         graph = make_shape(shape, 6)
@@ -127,8 +127,9 @@ def _check_table1() -> str:
 
 
 def _check_hypergraphs() -> str:
-    from repro import DPhyp, HyperDPsub, attach_random_hyper_statistics
+    from repro.catalog.hyper import attach_random_hyper_statistics
     from repro.graph.random import random_hypergraph
+    from repro.optimizer.dphyp import DPhyp, HyperDPsub
 
     for seed in range(4):
         hypergraph = random_hypergraph(6, n_complex_edges=2, seed=seed)
@@ -141,7 +142,9 @@ def _check_hypergraphs() -> str:
 
 
 def _check_pruning() -> str:
-    from repro import attach_random_statistics, optimize_query, star_graph
+    from repro.catalog.workload import attach_random_statistics
+    from repro.graph.shapes import star_graph
+    from repro.optimizer.api import optimize_query
 
     catalog = attach_random_statistics(star_graph(8), seed=7)
     plain = optimize_query(catalog)
@@ -157,8 +160,11 @@ def _check_pruning() -> str:
 def _check_executor() -> str:
     import itertools
 
-    from repro import chain_graph, optimize_query, uniform_statistics
-    from repro.exec import Executor, generate_database
+    from repro.catalog.workload import uniform_statistics
+    from repro.exec.datagen import generate_database
+    from repro.exec.executor import Executor
+    from repro.graph.shapes import chain_graph
+    from repro.optimizer.api import optimize_query
 
     catalog = uniform_statistics(chain_graph(4), cardinality=10,
                                  selectivity=0.4)

@@ -7,28 +7,24 @@ experiment definition in :mod:`repro.bench.experiments`; run them all via
 
 :func:`repro.bench.report.bench_output_path` is the single home for
 ``BENCH_*.json`` gate reports, and :mod:`repro.bench.gate` runs the gate
-table.  Neither is imported here: ``import repro.bench`` must stay
-cheap for the hot paths that only need timing.
+table.
 """
 
-from repro.bench.timing import time_callable, TimingResult
-from repro.bench.runner import (
-    time_optimizer,
-    time_partitioning,
-    normalized_runtimes,
-)
-from repro.bench.compare import ComparisonResult, compare_algorithms
-from repro.bench.experiments import EXPERIMENTS, ExperimentResult, run_experiment
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "time_callable",
-    "TimingResult",
-    "time_optimizer",
-    "time_partitioning",
-    "normalized_runtimes",
-    "EXPERIMENTS",
-    "ExperimentResult",
-    "run_experiment",
-    "compare_algorithms",
-    "ComparisonResult",
-]
+_EXPORTS = {
+    "time_callable": "repro.bench.timing",
+    "TimingResult": "repro.bench.timing",
+    "time_optimizer": "repro.bench.runner",
+    "time_partitioning": "repro.bench.runner",
+    "normalized_runtimes": "repro.bench.runner",
+    "EXPERIMENTS": "repro.bench.experiments",
+    "ExperimentResult": "repro.bench.experiments",
+    "run_experiment": "repro.bench.experiments",
+    "compare_algorithms": "repro.bench.compare",
+    "ComparisonResult": "repro.bench.compare",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -609,7 +609,8 @@ def ext_plan_quality(scale: str = "quick") -> ExperimentResult:
     """Plan quality of restricted spaces/heuristics vs the bushy optimum."""
     import statistics as _statistics
 
-    from repro.heuristics import greedy_operator_ordering, optimal_left_deep
+    from repro.heuristics.goo import greedy_operator_ordering
+    from repro.heuristics.leftdeep import optimal_left_deep
     from repro.optimizer.api import optimize_query
 
     result = ExperimentResult(

@@ -1,20 +1,17 @@
 """Catalog substrate: relations, join predicates, statistics, workloads."""
 
-from repro.catalog.statistics import Catalog, Relation
-from repro.catalog.workload import (
-    attach_random_statistics,
-    uniform_statistics,
-    QueryInstance,
-    WorkloadGenerator,
-    paper_workload,
-)
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "Catalog",
-    "Relation",
-    "attach_random_statistics",
-    "uniform_statistics",
-    "QueryInstance",
-    "WorkloadGenerator",
-    "paper_workload",
-]
+_EXPORTS = {
+    "Catalog": "repro.catalog.statistics",
+    "Relation": "repro.catalog.statistics",
+    "attach_random_statistics": "repro.catalog.workload",
+    "uniform_statistics": "repro.catalog.workload",
+    "QueryInstance": "repro.catalog.workload",
+    "WorkloadGenerator": "repro.catalog.workload",
+    "paper_workload": "repro.catalog.workload",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

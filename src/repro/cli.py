@@ -60,7 +60,9 @@ def _build_catalog(args) -> Catalog:
     if args.workload:
         family, _, query = args.workload.partition(":")
         builders = {}
-        from repro.workloads import job_query, ssb_query, tpch_query
+        from repro.workloads.joblite import job_query
+        from repro.workloads.ssb import ssb_query
+        from repro.workloads.tpch import tpch_query
 
         builders = {"tpch": tpch_query, "ssb": ssb_query, "job": job_query}
         if family not in builders:
@@ -229,7 +231,9 @@ def _serve_stats_main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
 
     from repro.optimizer.api import OptimizationRequest
-    from repro.service import OptimizerService, ResilienceConfig, render_prometheus
+    from repro.service.core import OptimizerService
+    from repro.service.metrics import render_prometheus
+    from repro.service.resilience import ResilienceConfig
 
     try:
         generator = WorkloadGenerator(seed=args.seed)
@@ -530,7 +534,8 @@ def _serve_main(argv: List[str]) -> int:
 
     import asyncio
 
-    from repro.service import FrontDoor, FrontDoorConfig, ResilienceConfig
+    from repro.service.frontdoor import FrontDoor, FrontDoorConfig
+    from repro.service.resilience import ResilienceConfig
 
     service_kwargs = {"cache_capacity": args.capacity}
     if args.max_ccp_budget is not None:

@@ -1,22 +1,18 @@
 """Cost models and cardinality estimation."""
 
-from repro.cost.base import CostModel, JoinImplementation
-from repro.cost.cout import CoutCostModel
-from repro.cost.physical import (
-    PhysicalCostModel,
-    NestedLoopJoin,
-    HashJoin,
-    SortMergeJoin,
-)
-from repro.cost.cardinality import CardinalityEstimator
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "CostModel",
-    "JoinImplementation",
-    "CoutCostModel",
-    "PhysicalCostModel",
-    "NestedLoopJoin",
-    "HashJoin",
-    "SortMergeJoin",
-    "CardinalityEstimator",
-]
+_EXPORTS = {
+    "CostModel": "repro.cost.base",
+    "JoinImplementation": "repro.cost.base",
+    "CoutCostModel": "repro.cost.cout",
+    "PhysicalCostModel": "repro.cost.physical",
+    "NestedLoopJoin": "repro.cost.physical",
+    "HashJoin": "repro.cost.physical",
+    "SortMergeJoin": "repro.cost.physical",
+    "CardinalityEstimator": "repro.cost.cardinality",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

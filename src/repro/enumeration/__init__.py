@@ -1,39 +1,27 @@
 """csg-cmp-pair (ccp) enumeration: partitioning strategies for top-down
 join enumeration, plus counting utilities for the search space."""
 
-from repro.enumeration.base import PartitioningStrategy, PartitionStats
-from repro.enumeration.naive import NaivePartitioning
-from repro.enumeration.conservative import ConservativePartitioning
-from repro.enumeration.mincutbranch import MinCutBranch
-from repro.enumeration.mincutlazy import MinCutLazy
-from repro.enumeration.trace import TracedMinCutBranch, TraceEvent
-from repro.enumeration.trace_lazy import LazyTraceEvent, TracedMinCutLazy
-from repro.enumeration.hyper_partition import (
-    HyperConservativePartitioning,
-    HyperNaivePartitioning,
-)
-from repro.enumeration.counting import (
-    count_connected_subgraphs,
-    count_ccps,
-    count_ngt_subsets,
-    enumerate_connected_subgraphs,
-)
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "PartitioningStrategy",
-    "PartitionStats",
-    "NaivePartitioning",
-    "ConservativePartitioning",
-    "MinCutBranch",
-    "MinCutLazy",
-    "HyperNaivePartitioning",
-    "HyperConservativePartitioning",
-    "TracedMinCutBranch",
-    "TraceEvent",
-    "TracedMinCutLazy",
-    "LazyTraceEvent",
-    "count_connected_subgraphs",
-    "count_ccps",
-    "count_ngt_subsets",
-    "enumerate_connected_subgraphs",
-]
+_EXPORTS = {
+    "PartitioningStrategy": "repro.enumeration.base",
+    "PartitionStats": "repro.enumeration.base",
+    "NaivePartitioning": "repro.enumeration.naive",
+    "ConservativePartitioning": "repro.enumeration.conservative",
+    "MinCutBranch": "repro.enumeration.mincutbranch",
+    "MinCutLazy": "repro.enumeration.mincutlazy",
+    "HyperNaivePartitioning": "repro.enumeration.hyper_partition",
+    "HyperConservativePartitioning": "repro.enumeration.hyper_partition",
+    "TracedMinCutBranch": "repro.enumeration.trace",
+    "TraceEvent": "repro.enumeration.trace",
+    "TracedMinCutLazy": "repro.enumeration.trace_lazy",
+    "LazyTraceEvent": "repro.enumeration.trace_lazy",
+    "count_connected_subgraphs": "repro.enumeration.counting",
+    "count_ccps": "repro.enumeration.counting",
+    "count_ngt_subsets": "repro.enumeration.counting",
+    "enumerate_connected_subgraphs": "repro.enumeration.counting",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -13,14 +13,17 @@ the optimizer's estimates.
   intermediate result.
 """
 
-from repro.exec.datagen import SyntheticDatabase, SyntheticTable, generate_database
-from repro.exec.executor import ExecutionResult, Executor, validate_estimates
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "SyntheticDatabase",
-    "SyntheticTable",
-    "generate_database",
-    "Executor",
-    "ExecutionResult",
-    "validate_estimates",
-]
+_EXPORTS = {
+    "SyntheticDatabase": "repro.exec.datagen",
+    "SyntheticTable": "repro.exec.datagen",
+    "generate_database": "repro.exec.datagen",
+    "Executor": "repro.exec.executor",
+    "ExecutionResult": "repro.exec.executor",
+    "validate_estimates": "repro.exec.executor",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -12,16 +12,18 @@ substrate:
   :class:`~repro.catalog.statistics.Catalog` to any optimizer.
 """
 
-from repro.frontend.schema import Column, Database, ForeignKey, Table
-from repro.frontend.query import QueryBuilder
-from repro.frontend.sql import SqlError, parse_select
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "Column",
-    "Database",
-    "ForeignKey",
-    "Table",
-    "QueryBuilder",
-    "parse_select",
-    "SqlError",
-]
+_EXPORTS = {
+    "Column": "repro.frontend.schema",
+    "Database": "repro.frontend.schema",
+    "ForeignKey": "repro.frontend.schema",
+    "Table": "repro.frontend.schema",
+    "QueryBuilder": "repro.frontend.query",
+    "parse_select": "repro.frontend.sql",
+    "SqlError": "repro.frontend.sql",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -1,45 +1,28 @@
 """Query graph substrate: graphs, shapes, random generation, BCC machinery."""
 
-from repro.graph.query_graph import QueryGraph
-from repro.graph.shapes import (
-    chain_graph,
-    star_graph,
-    cycle_graph,
-    clique_graph,
-    grid_graph,
-    make_shape,
-)
-from repro.graph.random import (
-    random_acyclic_graph,
-    random_cyclic_graph,
-    random_hypergraph,
-)
-from repro.graph.canonical import (
-    canonical_form,
-    canonical_signature,
-    refine_colors,
-)
-from repro.graph.bcc import biconnected_components, articulation_vertices
-from repro.graph.bcctree import BiconnectionTree
-from repro.graph.hypergraph import Hyperedge, Hypergraph
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "Hyperedge",
-    "Hypergraph",
-    "random_hypergraph",
-    "QueryGraph",
-    "chain_graph",
-    "star_graph",
-    "cycle_graph",
-    "clique_graph",
-    "grid_graph",
-    "make_shape",
-    "random_acyclic_graph",
-    "random_cyclic_graph",
-    "canonical_form",
-    "canonical_signature",
-    "refine_colors",
-    "biconnected_components",
-    "articulation_vertices",
-    "BiconnectionTree",
-]
+_EXPORTS = {
+    "Hyperedge": "repro.graph.hypergraph",
+    "Hypergraph": "repro.graph.hypergraph",
+    "random_hypergraph": "repro.graph.random",
+    "QueryGraph": "repro.graph.query_graph",
+    "chain_graph": "repro.graph.shapes",
+    "star_graph": "repro.graph.shapes",
+    "cycle_graph": "repro.graph.shapes",
+    "clique_graph": "repro.graph.shapes",
+    "grid_graph": "repro.graph.shapes",
+    "make_shape": "repro.graph.shapes",
+    "random_acyclic_graph": "repro.graph.random",
+    "random_cyclic_graph": "repro.graph.random",
+    "canonical_form": "repro.graph.canonical",
+    "canonical_signature": "repro.graph.canonical",
+    "refine_colors": "repro.graph.canonical",
+    "biconnected_components": "repro.graph.bcc",
+    "articulation_vertices": "repro.graph.bcc",
+    "BiconnectionTree": "repro.graph.bcctree",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -15,15 +15,16 @@ They quantify what exhaustive bushy enumeration buys: the examples and
 benches compare their plan quality against the optimizers' optimum.
 """
 
-from repro.heuristics.leftdeep import optimal_left_deep
-from repro.heuristics.goo import greedy_operator_ordering
-from repro.heuristics.hyper_goo import greedy_hyper_ordering
-from repro.heuristics.ikkbz import IKKBZ, ikkbz_optimal_left_deep
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "optimal_left_deep",
-    "greedy_operator_ordering",
-    "greedy_hyper_ordering",
-    "IKKBZ",
-    "ikkbz_optimal_left_deep",
-]
+_EXPORTS = {
+    "optimal_left_deep": "repro.heuristics.leftdeep",
+    "greedy_operator_ordering": "repro.heuristics.goo",
+    "greedy_hyper_ordering": "repro.heuristics.hyper_goo",
+    "IKKBZ": "repro.heuristics.ikkbz",
+    "ikkbz_optimal_left_deep": "repro.heuristics.ikkbz",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -38,24 +38,19 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
 
 from repro.catalog.statistics import Catalog
-from repro.catalog.workload import QueryInstance, uniform_statistics
 from repro.cost.base import CostModel
 from repro.cost.cout import CoutCostModel
 from repro.enumeration.mincutbranch import MinCutBranch
-from repro.enumeration.mincutlazy import MinCutLazy
-from repro.enumeration.conservative import ConservativePartitioning
-from repro.enumeration.naive import NaivePartitioning
 from repro.errors import OptimizationError
 from repro.graph.query_graph import QueryGraph
-from repro.optimizer.dpccp import DPccp
-from repro.optimizer.dpconv import DPconvPlanGenerator
-from repro.optimizer.dpsize import DPsize
-from repro.optimizer.dpsub import DPsub
 from repro.optimizer.topdown import TopDownPlanGenerator
 from repro.plan.jointree import JoinTree
+
+if TYPE_CHECKING:
+    from repro.catalog.workload import QueryInstance
 
 __all__ = [
     "ALGORITHMS",
@@ -109,6 +104,10 @@ def unregister_algorithm(name: str) -> Callable:
         raise OptimizationError(f"algorithm {name!r} is not registered") from None
 
 
+# Each factory but the default imports its engine when first called, so
+# importing this module loads only the top-down driver and MinCutBranch.
+
+
 @register_algorithm("tdmincutbranch")
 def _make_tdmincutbranch(catalog, cost_model=None, enable_pruning=False):
     return TopDownPlanGenerator(
@@ -118,6 +117,8 @@ def _make_tdmincutbranch(catalog, cost_model=None, enable_pruning=False):
 
 @register_algorithm("tdmincutlazy")
 def _make_tdmincutlazy(catalog, cost_model=None, enable_pruning=False):
+    from repro.enumeration.mincutlazy import MinCutLazy
+
     return TopDownPlanGenerator(
         catalog, MinCutLazy, cost_model=cost_model, enable_pruning=enable_pruning
     )
@@ -125,6 +126,8 @@ def _make_tdmincutlazy(catalog, cost_model=None, enable_pruning=False):
 
 @register_algorithm("memoizationbasic")
 def _make_memoizationbasic(catalog, cost_model=None, enable_pruning=False):
+    from repro.enumeration.naive import NaivePartitioning
+
     return TopDownPlanGenerator(
         catalog,
         NaivePartitioning,
@@ -135,6 +138,8 @@ def _make_memoizationbasic(catalog, cost_model=None, enable_pruning=False):
 
 @register_algorithm("tdconservative")
 def _make_tdconservative(catalog, cost_model=None, enable_pruning=False):
+    from repro.enumeration.conservative import ConservativePartitioning
+
     return TopDownPlanGenerator(
         catalog,
         ConservativePartitioning,
@@ -147,6 +152,8 @@ def _make_tdconservative(catalog, cost_model=None, enable_pruning=False):
 def _make_dpccp(catalog, cost_model=None, enable_pruning=False):
     if enable_pruning:
         raise OptimizationError("bottom-up enumeration cannot prune easily (Sec. I)")
+    from repro.optimizer.dpccp import DPccp
+
     return DPccp(catalog, cost_model=cost_model)
 
 
@@ -154,6 +161,8 @@ def _make_dpccp(catalog, cost_model=None, enable_pruning=False):
 def _make_dpsub(catalog, cost_model=None, enable_pruning=False):
     if enable_pruning:
         raise OptimizationError("bottom-up enumeration cannot prune easily (Sec. I)")
+    from repro.optimizer.dpsub import DPsub
+
     return DPsub(catalog, cost_model=cost_model)
 
 
@@ -161,6 +170,8 @@ def _make_dpsub(catalog, cost_model=None, enable_pruning=False):
 def _make_dpsize(catalog, cost_model=None, enable_pruning=False):
     if enable_pruning:
         raise OptimizationError("bottom-up enumeration cannot prune easily (Sec. I)")
+    from repro.optimizer.dpsize import DPsize
+
     return DPsize(catalog, cost_model=cost_model)
 
 
@@ -181,6 +192,8 @@ def _make_dpconv(catalog, cost_model=None, enable_pruning=False):
             cost_model=cost_model,
             enable_pruning=enable_pruning,
         )
+    from repro.optimizer.dpconv import DPconvPlanGenerator
+
     return DPconvPlanGenerator(catalog, cost_model=cost_model)
 
 
@@ -230,10 +243,13 @@ class OptimizationRequest:
     stats_epoch: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.query, (Catalog, QueryInstance, QueryGraph)):
-            raise OptimizationError(
-                f"cannot optimize object of type {type(self.query).__name__}"
-            )
+        if not isinstance(self.query, (Catalog, QueryGraph)):
+            from repro.catalog.workload import QueryInstance
+
+            if not isinstance(self.query, QueryInstance):
+                raise OptimizationError(
+                    f"cannot optimize object of type {type(self.query).__name__}"
+                )
         if not isinstance(self.algorithm, str):
             raise OptimizationError(
                 f"algorithm must be a registry name, got {self.algorithm!r}"
@@ -262,12 +278,14 @@ class OptimizationRequest:
         :mod:`repro.catalog.crossproduct`) — the paper's search space
         itself is cross-product-free.
         """
-        if isinstance(self.query, QueryInstance):
-            catalog = self.query.catalog
-        elif isinstance(self.query, Catalog):
+        if isinstance(self.query, Catalog):
             catalog = self.query
-        else:
+        elif isinstance(self.query, QueryGraph):
+            from repro.catalog.workload import uniform_statistics
+
             catalog = uniform_statistics(self.query)
+        else:
+            catalog = self.query.catalog
         if self.allow_cross_products:
             from repro.catalog.crossproduct import connect_components
 
@@ -389,11 +407,14 @@ class OptimizationResult:
 #: ``n`` (the slower of chain-n and cycle-n, in the comments).  ``auto``
 #: names dpconv for a request whose #ccp is above its entry.  The last
 #: key is the one dpconv size limit: ``auto`` names dpconv up to it and
-#: admission control admits a dpconv run up to it.  Measured 2026-10-20
-#: on a 2-vCPU Intel Xeon host, CPython 3.11.7, with
-#: ``python benchmarks/calibrate_auto.py``.
+#: admission control admits a dpconv run up to it.  No entry is below
+#: chain-``n``'s #ccp: the fit's fixed cost overstates top-down on tiny
+#: graphs, and at ``n = 2`` it met dpconv below the single ccp of every
+#: connected pair, though chain-2 ran 0.021 ms in top-down against
+#: dpconv's 0.026 ms.  Measured 2026-10-20 on a 2-vCPU Intel Xeon host,
+#: CPython 3.11.7, with ``python benchmarks/calibrate_auto.py``.
 DPCONV_BREAK_EVEN_CCPS: Dict[int, int] = {
-    2: 0,  # 0.0256 ms
+    2: 1,  # 0.0256 ms
     3: 18,  # 0.0263 ms
     4: 91,  # 0.0286 ms
     5: 198,  # 0.032 ms

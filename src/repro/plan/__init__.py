@@ -1,15 +1,16 @@
 """Plan representation: join trees, the memo table, and BuildTree."""
 
-from repro.plan.jointree import JoinTree
-from repro.plan.memo import MemoEntry, MemoTable
-from repro.plan.builder import PlanBuilder
-from repro.plan.validation import PlanViolation, validate_plan
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "JoinTree",
-    "MemoEntry",
-    "MemoTable",
-    "PlanBuilder",
-    "validate_plan",
-    "PlanViolation",
-]
+_EXPORTS = {
+    "JoinTree": "repro.plan.jointree",
+    "MemoEntry": "repro.plan.memo",
+    "MemoTable": "repro.plan.memo",
+    "PlanBuilder": "repro.plan.builder",
+    "validate_plan": "repro.plan.validation",
+    "PlanViolation": "repro.plan.validation",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -49,70 +49,44 @@ Quickstart::
     print(warm.cache_hit, service.stats_snapshot()["cache"])
 """
 
-from repro.service.cache import CacheEntry, PlanCache
-from repro.service.executor import EXECUTORS, JobOutcome, ProcessPoolExecutor
-from repro.service.faults import FaultInjector, FaultSpec
-from repro.service.metrics import LatencyHistogram, ServiceMetrics, render_prometheus
-from repro.service.tracing import (
-    NULL_TRACE,
-    Span,
-    Trace,
-    Tracer,
-    TraceStore,
-    span_from_dict,
-    span_to_dict,
-)
-from repro.service.resilience import (
-    AdmissionEstimate,
-    CircuitBreaker,
-    ResilienceConfig,
-    RetryBudget,
-    RetryPolicy,
-    estimate_ccps,
-)
-from repro.service.core import OptimizerService, request_signature
-from repro.service.sharding import (
-    ConsistentHashRing,
-    ShardClient,
-    ShardPool,
-    TenantQuotas,
-    TokenBucket,
-    http_status_for_code,
-)
-from repro.service.frontdoor import FrontDoor, FrontDoorConfig
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "AdmissionEstimate",
-    "CacheEntry",
-    "CircuitBreaker",
-    "ConsistentHashRing",
-    "EXECUTORS",
-    "FrontDoor",
-    "FrontDoorConfig",
-    "FaultInjector",
-    "FaultSpec",
-    "JobOutcome",
-    "LatencyHistogram",
-    "NULL_TRACE",
-    "OptimizerService",
-    "PlanCache",
-    "ProcessPoolExecutor",
-    "ResilienceConfig",
-    "RetryBudget",
-    "RetryPolicy",
-    "ServiceMetrics",
-    "ShardClient",
-    "ShardPool",
-    "Span",
-    "TenantQuotas",
-    "TokenBucket",
-    "Trace",
-    "TraceStore",
-    "Tracer",
-    "estimate_ccps",
-    "http_status_for_code",
-    "render_prometheus",
-    "request_signature",
-    "span_from_dict",
-    "span_to_dict",
-]
+_EXPORTS = {
+    "AdmissionEstimate": "repro.optimizer.native",
+    "CacheEntry": "repro.service.cache",
+    "CircuitBreaker": "repro.service.resilience",
+    "ConsistentHashRing": "repro.service.sharding",
+    "EXECUTORS": "repro.service.executor",
+    "FrontDoor": "repro.service.frontdoor",
+    "FrontDoorConfig": "repro.service.frontdoor",
+    "FaultInjector": "repro.service.faults",
+    "FaultSpec": "repro.service.faults",
+    "JobOutcome": "repro.service.executor",
+    "LatencyHistogram": "repro.service.metrics",
+    "NULL_TRACE": "repro.service.tracing",
+    "OptimizerService": "repro.service.core",
+    "PlanCache": "repro.service.cache",
+    "ProcessPoolExecutor": "repro.service.executor",
+    "ResilienceConfig": "repro.service.resilience",
+    "RetryBudget": "repro.service.resilience",
+    "RetryPolicy": "repro.service.resilience",
+    "ServiceMetrics": "repro.service.metrics",
+    "ShardClient": "repro.service.sharding",
+    "ShardPool": "repro.service.sharding",
+    "Span": "repro.service.tracing",
+    "TenantQuotas": "repro.service.sharding",
+    "TokenBucket": "repro.service.sharding",
+    "Trace": "repro.service.tracing",
+    "TraceStore": "repro.service.tracing",
+    "Tracer": "repro.service.tracing",
+    "estimate_ccps": "repro.optimizer.native",
+    "http_status_for_code": "repro.service.sharding",
+    "render_prometheus": "repro.service.metrics",
+    "request_signature": "repro.service.core",
+    "span_from_dict": "repro.service.tracing",
+    "span_to_dict": "repro.service.tracing",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -1,35 +1,22 @@
 """Realistic benchmark workloads built on the schema front end."""
 
-from repro.workloads.joblite import (
-    JOB_QUERIES,
-    job_database,
-    job_query,
-    job_query_names,
-)
-from repro.workloads.ssb import (
-    SSB_QUERIES,
-    ssb_database,
-    ssb_query,
-    ssb_query_names,
-)
-from repro.workloads.tpch import (
-    TPCH_QUERIES,
-    tpch_database,
-    tpch_query,
-    tpch_query_names,
-)
+from repro._lazy import attach as _attach
 
-__all__ = [
-    "tpch_database",
-    "tpch_query",
-    "tpch_query_names",
-    "TPCH_QUERIES",
-    "ssb_database",
-    "ssb_query",
-    "ssb_query_names",
-    "SSB_QUERIES",
-    "job_database",
-    "job_query",
-    "job_query_names",
-    "JOB_QUERIES",
-]
+_EXPORTS = {
+    "tpch_database": "repro.workloads.tpch",
+    "tpch_query": "repro.workloads.tpch",
+    "tpch_query_names": "repro.workloads.tpch",
+    "TPCH_QUERIES": "repro.workloads.tpch",
+    "ssb_database": "repro.workloads.ssb",
+    "ssb_query": "repro.workloads.ssb",
+    "ssb_query_names": "repro.workloads.ssb",
+    "SSB_QUERIES": "repro.workloads.ssb",
+    "job_database": "repro.workloads.joblite",
+    "job_query": "repro.workloads.joblite",
+    "job_query_names": "repro.workloads.joblite",
+    "JOB_QUERIES": "repro.workloads.joblite",
+}
+
+__getattr__, __dir__ = _attach(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

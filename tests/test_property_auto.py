@@ -90,3 +90,23 @@ def test_auto_names_dpconv_or_topdown(request, kernel):
         count_ccps(graph, DPCONV_BREAK_EVEN_CCPS[n]) > DPCONV_BREAK_EVEN_CCPS[n]
     )
     assert (choice == "dpconv") == faster
+
+
+@pytest.mark.parametrize("cost_model", (None, CoutCostModel()))
+def test_auto_names_topdown_for_a_two_relation_query(cost_model):
+    """A connected pair has one ccp, and top-down beats dpconv there.
+
+    The break-even entry for ``n = 2`` once sat below that one ccp, so
+    every ``C_out`` 2-relation ``auto`` request went to dpconv (0.026 ms
+    against top-down's 0.021 ms on chain-2).
+    """
+    request = OptimizationRequest(
+        query=uniform_statistics(QueryGraph(2, [(0, 1)])),
+        algorithm="auto",
+        cost_model=cost_model,
+    )
+    catalog = request.resolved_catalog()
+    with pytest.MonkeyPatch.context() as patch:
+        pin_dpconv_kernel(patch, True)
+        assert choose_algorithm(catalog, cost_model=cost_model) == "tdmincutbranch"
+        assert service_signature(request, catalog)[1] == "tdmincutbranch"
