@@ -89,9 +89,10 @@ profile:
 	$(PYTHON) -c "from benchmarks.gates import profile_kernel; profile_kernel()"
 
 # Cold-start report: modules loaded and the 15 largest cumulative
-# `python -X importtime` entries for `import repro.optimizer.api` and
-# `import repro.cli`.  Report only; tests/test_import_chain.py pins what
-# the optimizer's chain must not load.
+# `python -X importtime` entries for `import repro.optimizer.api`,
+# `import repro.cli` and `import repro.serialize` (a shard's request
+# path).  Report only; tests/test_import_chain.py pins what the
+# optimizer's chain must not load and what serialize adds to it.
 importtime:
 	$(PYTHON) benchmarks/importtime.py
 

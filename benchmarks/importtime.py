@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Report the import chain of the optimizer's and the CLI's cold start.
+"""Report the import chain of the optimizer's, the CLI's and the wire
+format's cold start.
 
 For each entry module, a fresh interpreter runs ``python -X importtime
 -c "import <module>"``; the report gives the modules loaded (all and
@@ -16,7 +17,8 @@ from __future__ import annotations
 import subprocess
 import sys
 
-MODULES = ("repro.optimizer.api", "repro.cli")
+#: ``repro.serialize`` decodes and encodes every request a shard serves.
+MODULES = ("repro.optimizer.api", "repro.cli", "repro.serialize")
 
 #: Entries listed per module, largest cumulative time first.
 TOP = 15

@@ -35,8 +35,8 @@ from repro.errors import (
 
 # Every other public name is imported from its defining module the first
 # time it is read (see repro._lazy): ``import repro`` loads no subpackage,
-# and ``from repro.optimizer.api import optimize_request`` loads neither
-# the service layer nor the hypergraph code.
+# and ``from repro.optimizer.api import optimize_request`` does not load
+# the service layer.
 _EXPORTS = {
     # graph
     "QueryGraph": "repro.graph.query_graph",
@@ -87,17 +87,6 @@ _EXPORTS = {
     # service layer
     "OptimizerService": "repro.service.core",
     "PlanCache": "repro.service.cache",
-    # hypergraphs
-    "Hyperedge": "repro.graph.hypergraph",
-    "Hypergraph": "repro.graph.hypergraph",
-    "random_hypergraph": "repro.graph.random",
-    "HyperCatalog": "repro.catalog.hyper",
-    "attach_random_hyper_statistics": "repro.catalog.hyper",
-    "uniform_hyper_statistics": "repro.catalog.hyper",
-    "DPhyp": "repro.optimizer.dphyp",
-    "HyperDPsub": "repro.optimizer.dphyp",
-    "TopDownHyp": "repro.optimizer.dphyp",
-    "TopDownHypBasic": "repro.optimizer.dphyp",
     # diagnostics
     "explain": "repro.analysis.explain",
     "explain_comparison": "repro.analysis.explain",

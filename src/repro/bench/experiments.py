@@ -553,58 +553,6 @@ def ablation_pruning(scale: str = "quick") -> ExperimentResult:
 # Extension experiments (beyond the paper's evaluation)
 # ----------------------------------------------------------------------
 
-def ext_hypergraph(scale: str = "quick") -> ExperimentResult:
-    """Hypergraph optimization (the paper's future work): DPhyp vs oracles."""
-    import time as _time
-
-    from repro.catalog.hyper import attach_random_hyper_statistics
-    from repro.graph.random import random_hypergraph
-    from repro.optimizer.dphyp import DPhyp, HyperDPsub, TopDownHypBasic
-
-    result = ExperimentResult(
-        experiment="ext_hypergraph",
-        title="Hypergraph join ordering: DPhyp vs exhaustive vs top-down",
-        paper_reference="Sec. V future work; Moerkotte & Neumann SIGMOD'08",
-        columns=["n", "ccps", "dphyp_ms", "hyperdpsub_ms", "tdhypbasic_ms", "agree"],
-    )
-    sizes = (6, 8, 10) if scale == "quick" else (6, 8, 10, 12)
-    for n in sizes:
-        hypergraph = random_hypergraph(n, n_complex_edges=2, seed=n)
-        catalog = attach_random_hyper_statistics(hypergraph, seed=n)
-        timings = {}
-        costs = {}
-        ccps = 0
-        for name, cls in (
-            ("dphyp", DPhyp),
-            ("hyperdpsub", HyperDPsub),
-            ("tdhypbasic", TopDownHypBasic),
-        ):
-            started = _time.perf_counter()
-            optimizer = cls(catalog)
-            plan = optimizer.optimize()
-            timings[name] = (_time.perf_counter() - started) * 1e3
-            costs[name] = plan.cost
-            if name == "dphyp":
-                ccps = optimizer.ccps_processed
-        baseline = costs["hyperdpsub"]
-        agree = all(abs(c - baseline) <= 1e-9 * baseline for c in costs.values())
-        result.rows.append(
-            [
-                str(n),
-                str(ccps),
-                f"{timings['dphyp']:.2f}",
-                f"{timings['hyperdpsub']:.2f}",
-                f"{timings['tdhypbasic']:.2f}",
-                "yes" if agree else "NO",
-            ]
-        )
-    result.notes.append(
-        "DPhyp enumerates only valid hypergraph ccps; the subset oracle "
-        "pays 3^n; all three agree on plan cost"
-    )
-    return result
-
-
 def ext_plan_quality(scale: str = "quick") -> ExperimentResult:
     """Plan quality of restricted spaces/heuristics vs the bushy optimum."""
     import statistics as _statistics
@@ -722,7 +670,6 @@ EXPERIMENTS: Dict[str, Callable[[str], ExperimentResult]] = {
     "ablation_mcb_opts": ablation_mcb_opts,
     "ablation_mcl_reuse": ablation_mcl_reuse,
     "ablation_pruning": ablation_pruning,
-    "ext_hypergraph": ext_hypergraph,
     "ext_plan_quality": ext_plan_quality,
     "ext_partitioners": ext_partitioners,
 }

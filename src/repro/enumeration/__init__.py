@@ -10,8 +10,6 @@ _EXPORTS = {
     "ConservativePartitioning": "repro.enumeration.conservative",
     "MinCutBranch": "repro.enumeration.mincutbranch",
     "MinCutLazy": "repro.enumeration.mincutlazy",
-    "HyperNaivePartitioning": "repro.enumeration.hyper_partition",
-    "HyperConservativePartitioning": "repro.enumeration.hyper_partition",
     "TracedMinCutBranch": "repro.enumeration.trace",
     "TraceEvent": "repro.enumeration.trace",
     "TracedMinCutLazy": "repro.enumeration.trace_lazy",

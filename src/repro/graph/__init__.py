@@ -3,9 +3,6 @@
 from repro._lazy import attach as _attach
 
 _EXPORTS = {
-    "Hyperedge": "repro.graph.hypergraph",
-    "Hypergraph": "repro.graph.hypergraph",
-    "random_hypergraph": "repro.graph.random",
     "QueryGraph": "repro.graph.query_graph",
     "chain_graph": "repro.graph.shapes",
     "star_graph": "repro.graph.shapes",

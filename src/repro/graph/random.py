@@ -23,7 +23,6 @@ __all__ = [
     "random_acyclic_graph",
     "random_cyclic_graph",
     "random_tree_edges",
-    "random_hypergraph",
 ]
 
 
@@ -130,40 +129,3 @@ def random_cyclic_graph(
     extra_needed = n_edges - len(edges)
     edges.update(missing[:extra_needed])
     return QueryGraph(n_vertices, sorted(edges))
-
-
-def random_hypergraph(
-    n_vertices: int,
-    n_complex_edges: int = 2,
-    max_endpoint_size: int = 3,
-    seed: Optional[int] = None,
-    rng: Optional[random.Random] = None,
-):
-    """Generate a random connected join hypergraph.
-
-    A random spanning tree of simple edges guarantees connectivity under
-    the recursive hypergraph semantics; ``n_complex_edges`` additional
-    hyperedges with endpoint sizes in ``[1, max_endpoint_size]`` (at
-    least one endpoint larger than 1) model complex join predicates.
-    """
-    from repro.graph.hypergraph import Hypergraph
-
-    if n_vertices < 2:
-        raise GraphError("a hypergraph workload needs at least 2 vertices")
-    generator = _rng(seed, rng)
-    edges = [
-        (1 << u, 1 << v) for (u, v) in random_tree_edges(n_vertices, generator)
-    ]
-    for _ in range(n_complex_edges):
-        vertices = list(range(n_vertices))
-        generator.shuffle(vertices)
-        max_u = min(max_endpoint_size, n_vertices - 1)
-        u_size = generator.randint(1, max_u)
-        v_size = generator.randint(
-            1 if u_size > 1 else 2,
-            max(1 if u_size > 1 else 2, min(max_endpoint_size, n_vertices - u_size)),
-        )
-        u_set = sum(1 << x for x in vertices[:u_size])
-        v_set = sum(1 << x for x in vertices[u_size:u_size + v_size])
-        edges.append((u_set, v_set))
-    return Hypergraph(n_vertices, edges)

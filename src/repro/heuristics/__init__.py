@@ -20,7 +20,6 @@ from repro._lazy import attach as _attach
 _EXPORTS = {
     "optimal_left_deep": "repro.heuristics.leftdeep",
     "greedy_operator_ordering": "repro.heuristics.goo",
-    "greedy_hyper_ordering": "repro.heuristics.hyper_goo",
     "IKKBZ": "repro.heuristics.ikkbz",
     "ikkbz_optimal_left_deep": "repro.heuristics.ikkbz",
 }

@@ -7,10 +7,6 @@ _EXPORTS = {
     "DPccp": "repro.optimizer.dpccp",
     "DPsub": "repro.optimizer.dpsub",
     "DPsize": "repro.optimizer.dpsize",
-    "DPhyp": "repro.optimizer.dphyp",
-    "HyperDPsub": "repro.optimizer.dphyp",
-    "TopDownHyp": "repro.optimizer.dphyp",
-    "TopDownHypBasic": "repro.optimizer.dphyp",
     "enumerate_csg": "repro.optimizer.dpccp",
     "enumerate_cmp": "repro.optimizer.dpccp",
     "ALGORITHMS": "repro.optimizer.api",

@@ -451,20 +451,36 @@ def _c_rung_resolves(cost_model: Optional[CostModel], n: int) -> bool:
     return native.resolve_backend(cost_model, n=n) == "c"
 
 
-def _dpconv_predicted_faster(
-    graph: QueryGraph, cost_model: Optional[CostModel]
-) -> bool:
+def _resolve_auto(
+    catalog: Catalog,
+    enable_pruning: bool,
+    cost_model: Optional[CostModel],
+):
+    """:func:`choose_algorithm`'s engine and the #ccp it counted.
+
+    The count (an :class:`~repro.optimizer.native.AdmissionEstimate`) is
+    returned only with ``"tdmincutbranch"``, where it did not pass the
+    break-even count and is therefore exact; it is ``None`` for
+    ``"dpconv"`` and for a request ``auto`` did not count.  Admission
+    control prices a top-down run by that count instead of counting
+    the same graph again.
+    """
+    graph = catalog.graph
     n = graph.n_vertices
     break_even = DPCONV_BREAK_EVEN_CCPS.get(n)
-    if break_even is None:
-        return False
-    if not graph.is_connected(graph.all_vertices):
-        return False
-    if not _c_rung_resolves(cost_model, n):
-        return False
+    if (
+        enable_pruning
+        or break_even is None
+        or not graph.is_connected(graph.all_vertices)
+        or not _c_rung_resolves(cost_model, n)
+    ):
+        return "tdmincutbranch", None
     from repro.optimizer import native
 
-    return native.estimate_ccps(graph, break_even).ccps > break_even
+    estimate = native.estimate_ccps(graph, break_even)
+    if estimate.ccps > break_even:
+        return "dpconv", None
+    return "tdmincutbranch", estimate
 
 
 def choose_algorithm(
@@ -496,9 +512,7 @@ def choose_algorithm(
     queries therefore run python top-down rather than python DPccp, at
     0.9-1.4x DPccp's time on cliques 10-12 (``docs/ALGORITHMS.md``).
     """
-    if not enable_pruning and _dpconv_predicted_faster(catalog.graph, cost_model):
-        return "dpconv"
-    return "tdmincutbranch"
+    return _resolve_auto(catalog, enable_pruning, cost_model)[0]
 
 
 def make_optimizer(

@@ -11,7 +11,6 @@ needed):
 * :func:`catalog_to_dict` / :func:`catalog_from_dict`
 * :func:`plan_to_dict` / :func:`plan_from_dict`
 * :func:`plan_cache_to_dict` / :func:`plan_cache_from_dict`
-* :func:`hypergraph_to_dict` / :func:`hypergraph_from_dict`
 * :func:`cost_model_to_dict` / :func:`cost_model_from_dict`
 * :func:`request_to_dict` / :func:`request_from_dict`
 * :func:`result_to_dict` / :func:`result_from_dict`
@@ -32,10 +31,8 @@ import gc
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro import bitset
 from repro.catalog.statistics import Catalog, Relation
 from repro.errors import ErrorInfo, ReproError, UnsupportedVersionError
-from repro.graph.hypergraph import Hyperedge, Hypergraph
 from repro.graph.query_graph import QueryGraph
 from repro.plan.jointree import JoinTree, _node
 
@@ -51,8 +48,6 @@ __all__ = [
     "plan_cache_from_dict",
     "plan_cache_from_dict_tolerant",
     "plan_cache_entry_checksum",
-    "hypergraph_to_dict",
-    "hypergraph_from_dict",
     "cost_model_to_dict",
     "cost_model_from_dict",
     "request_to_dict",
@@ -335,38 +330,6 @@ def plan_cache_from_dict_tolerant(
                 {"error": f"{type(exc).__name__}: {exc}", "entry": item}
             )
     return entries, rejected
-
-
-# ----------------------------------------------------------------------
-# Hypergraphs
-# ----------------------------------------------------------------------
-
-def hypergraph_to_dict(hypergraph: Hypergraph) -> Dict[str, Any]:
-    """Serialize a hypergraph; endpoint sets as index lists."""
-    return {
-        "kind": "hypergraph",
-        "version": FORMAT_VERSION,
-        "n_vertices": hypergraph.n_vertices,
-        "edges": [
-            {
-                "u": bitset.to_indices(edge.u),
-                "v": bitset.to_indices(edge.v),
-            }
-            for edge in hypergraph.edges
-        ],
-    }
-
-
-def hypergraph_from_dict(document: Dict[str, Any]) -> Hypergraph:
-    """Deserialize a hypergraph."""
-    _check_kind(document, "hypergraph")
-    edges: List[Hyperedge] = [
-        Hyperedge(
-            bitset.from_indices(item["u"]), bitset.from_indices(item["v"])
-        )
-        for item in document["edges"]
-    ]
-    return Hypergraph(document["n_vertices"], edges)
 
 
 # ----------------------------------------------------------------------

@@ -75,7 +75,7 @@ from repro.optimizer.api import (
     DPCONV_BREAK_EVEN_CCPS,
     OptimizationRequest,
     OptimizationResult,
-    choose_algorithm,
+    _resolve_auto,
     make_optimizer,
     optimize_request,
     runs_dpconv,
@@ -93,6 +93,7 @@ from repro.service.faults import FaultInjector
 from repro.service.metrics import ServiceMetrics
 from repro.service.tracing import Trace, Tracer, TraceStore
 from repro.service.resilience import (
+    AdmissionEstimate,
     CircuitBreaker,
     ResilienceConfig,
     RetryBudget,
@@ -268,13 +269,26 @@ def service_signature(
     engine — part of the signature — and with it the owning shard are
     the same on both sides of the wire.
     """
+    return _resolve_signature(
+        request, catalog, default_cost_model, round_digits
+    )[:4]
+
+
+def _resolve_signature(
+    request: OptimizationRequest,
+    catalog: Catalog,
+    default_cost_model: Optional[CostModel],
+    round_digits: int,
+):
+    """:func:`service_signature` plus the exact #ccp ``"auto"`` counted
+    when it named a top-down run (else ``None``), for admission."""
     cost_model = (
         request.cost_model if request.cost_model is not None else default_cost_model
     )
-    effective = request.algorithm
+    effective, estimate = request.algorithm, None
     if effective == "auto":
-        effective = choose_algorithm(
-            catalog, enable_pruning=request.enable_pruning, cost_model=cost_model
+        effective, estimate = _resolve_auto(
+            catalog, request.enable_pruning, cost_model
         )
     signature, order = request_signature(
         catalog,
@@ -285,7 +299,7 @@ def service_signature(
         allow_cross_products=request.allow_cross_products,
         stats_epoch=request.stats_epoch,
     )
-    return cost_model, effective, signature, order
+    return cost_model, effective, signature, order, estimate
 
 
 def _rebind_plan(
@@ -350,6 +364,7 @@ class _ResolvedKey:
     effective: str
     signature: str
     order: Tuple[int, ...]
+    estimate: Optional[AdmissionEstimate]
     served: Optional[_Served] = None
 
 
@@ -382,6 +397,7 @@ class _Job:
     effective: Optional[str] = None
     signature: str = ""
     order: Tuple[int, ...] = ()
+    estimate: Optional[AdmissionEstimate] = None
     hit: Optional[OptimizationResult] = None
     degrade: Optional[Tuple[str, str, Dict]] = None
     admitted: bool = False
@@ -492,8 +508,9 @@ class OptimizerService:
         return OptimizationRequest(query=query, **overrides)
 
     def _signature(self, request: OptimizationRequest, catalog: Catalog):
-        """:func:`service_signature` under this service's settings."""
-        return service_signature(
+        """:func:`service_signature` under this service's settings, plus
+        the #ccp ``"auto"`` counted, if any."""
+        return _resolve_signature(
             request, catalog, self.default_cost_model, self.round_digits
         )
 
@@ -606,11 +623,17 @@ class OptimizerService:
         memoized = key is not None and key.request.query is request.query
         if not memoized:
             catalog = request.resolved_catalog()
-            cost_model, effective, signature, order = self._signature(
+            cost_model, effective, signature, order, estimate = self._signature(
                 request, catalog
             )
             key = _ResolvedKey(
-                request, catalog, cost_model, effective, signature, tuple(order)
+                request,
+                catalog,
+                cost_model,
+                effective,
+                signature,
+                tuple(order),
+                estimate,
             )
             if memo_key is not None:
                 memo.put(memo_key, key)
@@ -624,6 +647,7 @@ class OptimizerService:
         )
         job.catalog = key.catalog
         job.effective = key.effective
+        job.estimate = key.estimate
         job.signature = key.signature
         job.order = key.order
         return memoized
@@ -891,7 +915,8 @@ class OptimizerService:
         that will run: the ccp budget for the enumerators, and the one
         dpconv size limit (the last key of
         :data:`~repro.optimizer.api.DPCONV_BREAK_EVEN_CCPS`) for dpconv,
-        whose work does not depend on #ccp.
+        which allocates its ``O(2^n)`` arrays before its first budget
+        check.
         The admission budget is checked *before* the breaker
         so that over-budget requests never consume a half-open probe
         slot.  When the breaker's ``allow``
@@ -907,12 +932,13 @@ class OptimizerService:
         cfg = self.resilience
         run = job.run_request
         if cfg.max_ccp_budget is not None:
-            # Price the engine that will run.  The convolution's work
-            # depends on n alone, so a dpconv run answers to its own
-            # size limit, never to the ccp budget.  A rejected run goes
+            # Price the engine that will run.  A dpconv run answers to
+            # its own size limit, never to the ccp budget: its O(2^n)
+            # arrays are allocated before its first budget check, so n
+            # is what bounds it (the C loop's work follows the sum over
+            # connected S of 2^(|S|-1), not #ccp).  A rejected run goes
             # straight to a heuristic: the anytime rung would run the
-            # same convolution, whose O(2^n) arrays are allocated before
-            # its first budget check.
+            # same convolution.
             if run.algorithm == "dpconv" and runs_dpconv(
                 run.cost_model, run.enable_pruning
             ):
@@ -925,7 +951,11 @@ class OptimizerService:
                     }
                     return (heuristic_rung_for(graph), "over_budget", extra)
             else:
-                estimate = estimate_ccps(graph, cfg.max_ccp_budget)
+                # An "auto" request that named top-down already holds
+                # its exact count; every other one is counted here.
+                estimate = job.estimate
+                if estimate is None:
+                    estimate = estimate_ccps(graph, cfg.max_ccp_budget)
                 if estimate.ccps > cfg.max_ccp_budget:
                     extra = {
                         "admission_estimate": estimate.ccps,

@@ -86,7 +86,8 @@ class ResilienceConfig:
 
     #: Reject exact enumeration when the estimated #ccp exceeds this
     #: (``None`` = admission control off).  A dpconv run answers to the
-    #: dpconv size limit instead, since its work depends on ``n`` alone.
+    #: dpconv size limit instead: it allocates its ``O(2^n)`` arrays
+    #: before its first budget check, so ``n`` is what bounds it.
     max_ccp_budget: Optional[int] = None
     #: Consecutive failures/timeouts per algorithm label that open the
     #: circuit breaker.

@@ -1,4 +1,4 @@
-"""Graphviz DOT rendering for query graphs, hypergraphs, and plans.
+"""Graphviz DOT rendering for query graphs and plans.
 
 Pure text generation (no graphviz dependency): each function returns a
 DOT document that renders with ``dot -Tsvg``.  Useful for papers,
@@ -6,21 +6,18 @@ debugging, and inspecting why an optimizer chose a shape.
 
 * :func:`graph_to_dot` — query graph with relation cardinalities and
   edge selectivities,
-* :func:`plan_to_dot` — operator tree with per-node cardinality/cost,
-* :func:`hypergraph_to_dot` — hyperedges as square junction nodes.
+* :func:`plan_to_dot` — operator tree with per-node cardinality/cost.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro import bitset
 from repro.catalog.statistics import Catalog
-from repro.graph.hypergraph import Hypergraph
 from repro.graph.query_graph import QueryGraph
 from repro.plan.jointree import JoinTree
 
-__all__ = ["graph_to_dot", "plan_to_dot", "hypergraph_to_dot"]
+__all__ = ["graph_to_dot", "plan_to_dot"]
 
 
 def _escape(text: str) -> str:
@@ -79,31 +76,5 @@ def plan_to_dot(plan: JoinTree, name: str = "plan") -> str:
         return node_id
 
     emit(plan)
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def hypergraph_to_dot(hypergraph: Hypergraph, name: str = "hypergraph") -> str:
-    """Render a hypergraph; complex edges become square junction nodes."""
-    lines = [f"graph {_escape(name)} {{", "  node [shape=ellipse];"]
-    for v in range(hypergraph.n_vertices):
-        lines.append(f'  v{v} [label="R{v}"];')
-    junction = 0
-    for edge in hypergraph.edges:
-        if edge.is_simple:
-            u = bitset.lowest_index(edge.u)
-            v = bitset.lowest_index(edge.v)
-            lines.append(f"  v{u} -- v{v};")
-            continue
-        junction_id = f"h{junction}"
-        junction += 1
-        lines.append(
-            f'  {junction_id} [shape=box width=0.15 height=0.15 '
-            f'label="" style=filled fillcolor=black];'
-        )
-        for u in bitset.iter_indices(edge.u):
-            lines.append(f"  v{u} -- {junction_id} [style=bold];")
-        for v in bitset.iter_indices(edge.v):
-            lines.append(f"  v{v} -- {junction_id} [style=dashed];")
     lines.append("}")
     return "\n".join(lines)

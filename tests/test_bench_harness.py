@@ -78,7 +78,6 @@ class TestExperiments:
             "ablation_mcb_opts",
             "ablation_mcl_reuse",
             "ablation_pruning",
-            "ext_hypergraph",
             "ext_plan_quality",
             "ext_partitioners",
         ):

@@ -3,7 +3,7 @@
 Every package ``__init__`` resolves its re-exports on first use
 (:mod:`repro._lazy`), and the optimizer's modules import only what they
 call, so ``import repro.optimizer.api`` loads neither the service layer
-(asyncio, shards, the front door) nor the hypergraph and tracer code.
+(asyncio, shards, the front door) nor the Table II/III tracers.
 The chain checks run in a fresh interpreter each: this test process has
 long since imported everything.
 """
@@ -43,11 +43,6 @@ PACKAGES = (
 #: Modules no optimize call reaches.
 NOT_ON_THE_OPTIMIZER_PATH = (
     "asyncio",
-    "repro.graph.hypergraph",
-    "repro.catalog.hyper",
-    "repro.optimizer.dphyp",
-    "repro.enumeration.hyper_partition",
-    "repro.heuristics.hyper_goo",
     "repro.enumeration.trace",
     "repro.enumeration.trace_lazy",
 )
@@ -78,7 +73,7 @@ def _off_path(loaded):
     )
 
 
-def test_optimizer_api_loads_no_service_asyncio_or_hypergraph_code():
+def test_optimizer_api_loads_no_service_asyncio_or_tracer_code():
     report = _fresh(
         """
         import json, sys
@@ -100,6 +95,23 @@ def test_optimizer_api_loads_no_service_asyncio_or_hypergraph_code():
     assert _off_path(report["loaded"]) == []
     for auto, dpsub in report["costs"]:
         assert auto == pytest.approx(dpsub, rel=1e-9)
+
+
+def test_serialize_adds_only_itself_to_the_optimizer_chain():
+    # A shard decodes each request and encodes each reply with
+    # repro.serialize; everything else it needs is already loaded.
+    report = _fresh(
+        """
+        import json, sys
+        import repro.optimizer.api
+        before = set(sys.modules)
+        import repro.serialize
+        print(json.dumps(sorted(
+            m for m in set(sys.modules) - before if m.startswith("repro")
+        )))
+        """
+    )
+    assert report == ["repro.serialize"]
 
 
 def test_cli_import_loads_no_service_or_asyncio():

@@ -623,8 +623,8 @@ class TestDpconvRung:
 
 class TestAdmissionPricesEachEngine:
     """The ccp budget prices the enumerators; dpconv answers to its own
-    size limit, the last key of ``DPCONV_BREAK_EVEN_CCPS``, because its
-    work does not depend on #ccp."""
+    size limit, the last key of ``DPCONV_BREAK_EVEN_CCPS``, because it
+    allocates its ``O(2^n)`` arrays before its first budget check."""
 
     def test_explicit_dpconv_over_the_ccp_budget_runs_exact(self):
         # clique-12 has 261 625 ccps, far over the budget, but n = 12 is
@@ -781,6 +781,81 @@ class TestAdmissionPricesEachEngine:
         assert "rung" not in result.details
         assert result.details["kernel"] == "dpconv"
         assert "dpconv" in service.stats_snapshot()["algorithms"]
+
+
+class TestAutoMissIsCountedOnce:
+    """An ``auto`` miss that names top-down holds the exact #ccp ``auto``
+    counted (it stayed at or below the break-even count), and admission
+    compares that count to the budget instead of counting again."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.optimizer import native
+        from repro.service import core
+
+        calls = []
+        original = native.estimate_ccps
+
+        def counting(graph, cap=None):
+            calls.append(cap)
+            return original(graph, cap)
+
+        monkeypatch.setattr(native, "estimate_ccps", counting)
+        monkeypatch.setattr(core, "estimate_ccps", counting)
+        return calls
+
+    @pytest.fixture
+    def catalog(self):
+        from repro.graph.random import random_cyclic_graph
+
+        graph = random_cyclic_graph(12, 12, seed=3)
+        assert count_ccps(graph) == 2068 <= DPCONV_BREAK_EVEN_CCPS[12]
+        return attach_random_statistics(graph, seed=3)
+
+    @pytest.mark.parametrize("budget", [5000, 2068, 2067, 1000])
+    def test_one_count_per_auto_miss(self, monkeypatch, calls, catalog, budget):
+        pin_dpconv_kernel(monkeypatch, True)
+        # No default deadline: an over-budget miss goes to GOO, whose
+        # plan is not cached, rather than to an anytime run that may
+        # finish exactly.
+        config = ResilienceConfig(
+            max_ccp_budget=budget, anytime_default_deadline_seconds=None
+        )
+        explicit = OptimizerService(resilience=config).optimize(
+            catalog, algorithm="tdmincutbranch"
+        )
+        assert calls == [budget]
+        del calls[:]
+        service = OptimizerService(resilience=config)
+        result = service.optimize(catalog, algorithm="auto")
+        assert calls == [DPCONV_BREAK_EVEN_CCPS[12]]
+        # Same decision as the explicit request, which admission counted.
+        assert result.details.get("rung") == explicit.details.get("rung")
+        if budget >= 2068:
+            assert "rung" not in result.details
+            return
+        assert result.details["degrade_reason"] == "over_budget"
+        assert result.details["admission_method"] == "counted"
+        assert result.details["admission_budget"] == budget
+        # The reused count is exact; admission's own stops at budget + 1.
+        assert result.details["admission_estimate"] == 2068
+        assert explicit.details["admission_estimate"] == budget + 1
+        # The next request is a miss again, and its memoized key still
+        # holds the count.
+        del calls[:]
+        again = service.optimize(catalog, algorithm="auto")
+        assert not again.cache_hit
+        assert again.details["admission_estimate"] == 2068
+        assert calls == []
+
+    def test_auto_that_did_not_count_is_counted_by_admission(
+        self, monkeypatch, calls, catalog
+    ):
+        pin_dpconv_kernel(monkeypatch, False)
+        service = OptimizerService(resilience=ResilienceConfig(max_ccp_budget=1000))
+        result = service.optimize(catalog, algorithm="auto")
+        assert calls == [1000]
+        assert result.details["admission_estimate"] == 1001
 
 
 # ----------------------------------------------------------------------

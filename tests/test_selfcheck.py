@@ -10,11 +10,14 @@ def test_all_checks_pass():
 
 
 def test_check_inventory():
-    names = [name for name, _ in CHECKS]
-    assert "partitioner equivalence" in names
-    assert "optimizer agreement" in names
-    assert "executor correctness" in names
-    assert len(names) >= 7
+    assert [name for name, _ in CHECKS] == [
+        "partitioner equivalence",
+        "optimizer agreement",
+        "complexity counters",
+        "Table I formulas",
+        "pruning soundness",
+        "executor correctness",
+    ]
 
 
 @pytest.mark.parametrize("name,check", CHECKS, ids=[n for n, _ in CHECKS])

@@ -6,11 +6,9 @@ import math
 import pytest
 
 from repro import (
-    Hypergraph,
     attach_random_statistics,
     chain_graph,
     optimize_query,
-    random_hypergraph,
 )
 from repro.errors import ReproError
 from repro.serialize import (
@@ -20,8 +18,6 @@ from repro.serialize import (
     cost_model_to_dict,
     graph_from_dict,
     graph_to_dict,
-    hypergraph_from_dict,
-    hypergraph_to_dict,
     plan_from_dict,
     plan_to_dict,
     request_from_dict,
@@ -100,21 +96,6 @@ class TestPlanRoundTrip:
         document["root"]["left"] = document["root"]["right"]
         with pytest.raises(AssertionError):
             plan_from_dict(document)
-
-
-class TestHypergraphRoundTrip:
-    def test_round_trip(self):
-        for seed in range(10):
-            hypergraph = random_hypergraph(6, n_complex_edges=2, seed=seed)
-            document = json.loads(json.dumps(hypergraph_to_dict(hypergraph)))
-            restored = hypergraph_from_dict(document)
-            assert restored.n_vertices == hypergraph.n_vertices
-            assert restored.edges == hypergraph.edges
-
-    def test_plain_graph_lift_round_trip(self):
-        hypergraph = Hypergraph.from_query_graph(chain_graph(5))
-        restored = hypergraph_from_dict(hypergraph_to_dict(hypergraph))
-        assert restored.is_plain_graph
 
 
 class TestCostModelRoundTrip:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    Hypergraph,
     attach_random_statistics,
     chain_graph,
     clique_graph,
@@ -12,7 +11,7 @@ from repro import (
     uniform_statistics,
 )
 from repro.analysis.searchspace import profile_search_space
-from repro.viz import graph_to_dot, hypergraph_to_dot, plan_to_dot
+from repro.viz import graph_to_dot, plan_to_dot
 
 
 class TestGraphToDot:
@@ -50,21 +49,6 @@ class TestPlanToDot:
         dot = plan_to_dot(plan)
         assert "->" not in dot
         assert "R0" in dot
-
-
-class TestHypergraphToDot:
-    def test_simple_edges_direct(self):
-        hg = Hypergraph(3, [(0b1, 0b10), (0b10, 0b100)])
-        dot = hypergraph_to_dot(hg)
-        assert dot.count("--") == 2
-        assert "shape=box" not in dot.replace("node [shape=ellipse]", "")
-
-    def test_complex_edge_gets_junction(self):
-        hg = Hypergraph(3, [(0b1, 0b110), (0b1, 0b10)])
-        dot = hypergraph_to_dot(hg)
-        assert "h0" in dot
-        assert "style=bold" in dot
-        assert "style=dashed" in dot
 
 
 class TestSearchSpaceProfile:
